@@ -7,9 +7,10 @@ indicator triple (economic, environmental, social); a sweep runs the grid
 of policy knobs and a ternary normalization turns the table into simplex
 shares for plotting.
 
-Every row of a sweep re-applies the same configured seed, so rows are
-independent of each other and of grid ordering, and a sweep is bitwise
-reproducible.
+Incomes never change and all agents share one renewable and one connection
+level, so a run costs O(agents + steps). A sweep draws the seeded incomes
+once and every row sees the same incomes, so rows are independent of grid
+ordering and a sweep is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -77,34 +78,33 @@ class SweepTable:
     skipped: tuple[tuple[float, float, float], ...] = ()
 
 
+def _simulate(cfg: DynamicsConfig, policies: Sequence[PolicyKnobs]):
+    """Yield (economic, environmental, social) per policy from one income draw."""
+    n = cfg.agents
+    rng = random.Random(cfg.seed)
+    incomes = [1.0 + cfg.income_spread * rng.uniform(-1.0, 1.0) for _ in range(n)]
+    total = sum(incomes)
+    for knobs in policies:
+        t, s, v = knobs.tax, knobs.subsidy, knobs.service
+        pool = t * total
+        rho = connection = 0.0
+        for _ in range(cfg.steps):
+            rho = min(1.0, rho + cfg.renewable_rate * s * pool / n)
+            connection = max(0.0, connection + cfg.connection_rate * v - cfg.connection_decay)
+        disposable = [y * (1.0 - t) + v * pool / n for y in incomes]
+        # per-agent operands kept: sum([c] * n) / n may differ from c in the last bit
+        economic = sum(disposable) / n
+        environmental = 1.0 - (sum([1.0] * n) / n) * (1.0 - rho)
+        yield (economic, environmental, sum([connection] * n) / n)
+
+
 def run_policy(cfg: DynamicsConfig, knobs: PolicyKnobs) -> tuple[float, float, float]:
     """One deterministic run; returns (economic, environmental, social).
 
     Incomes start at 1 with a symmetric seeded spread; the environment
     index starts soiled (e = 1) and recovers with renewable share rho.
     """
-    n = cfg.agents
-    rng = random.Random(cfg.seed)
-    incomes = [1.0 + cfg.income_spread * rng.uniform(-1.0, 1.0) for _ in range(n)]
-    emissions = [1.0] * n
-    rho = 0.0
-    connections = [0.0] * n
-
-    t, s, v = knobs.tax, knobs.subsidy, knobs.service
-    disposable = incomes
-    for _ in range(cfg.steps):
-        pool = t * sum(incomes)
-        rho = min(1.0, rho + cfg.renewable_rate * s * pool / n)
-        disposable = [y * (1.0 - t) + v * pool / n for y in incomes]
-        connections = [
-            max(0.0, c + cfg.connection_rate * v - cfg.connection_decay)
-            for c in connections
-        ]
-
-    economic = sum(disposable) / n
-    environmental = 1.0 - (sum(emissions) / n) * (1.0 - rho)
-    social = sum(connections) / n
-    return (economic, environmental, social)
+    return next(_simulate(cfg, [knobs]))
 
 
 def run_sweep(
@@ -117,26 +117,24 @@ def run_sweep(
 
     Combinations violating the budget share constraint are skipped and
     reported, never silently dropped. Policy ids are dense from 0 in grid
-    order; each row re-applies cfg.seed, so rows are independent.
+    order. The seeded incomes are drawn once and every row sees them, so
+    each row equals run_policy(cfg, row.knobs) at O(agents + steps).
     """
     if not subsidies or not taxes or not services:
         raise ValueError("sweep grid must be non-empty on all three knobs")
-    rows = []
+    admissible = []
     skipped = []
     for s in subsidies:
         for t in taxes:
             for v in services:
                 if s + v > 1.0:
                     skipped.append((float(s), float(t), float(v)))
-                    continue
-                knobs = PolicyKnobs(subsidy=s, tax=t, service=v)
-                rows.append(
-                    SweepRow(
-                        policy_id=len(rows),
-                        knobs=knobs,
-                        indicators=run_policy(cfg, knobs),
-                    )
-                )
+                else:
+                    admissible.append(PolicyKnobs(subsidy=s, tax=t, service=v))
+    rows = (
+        SweepRow(policy_id=i, knobs=knobs, indicators=indicators)
+        for i, (knobs, indicators) in enumerate(zip(admissible, _simulate(cfg, admissible)))
+    )
     return SweepTable(rows=tuple(rows), skipped=tuple(skipped))
 
 

@@ -447,6 +447,11 @@ class _Builder:
                 for v in vals:
                     if not lo <= v <= hi:
                         raise ValueError(f"{where}.{knob}: value {v} outside [{lo}, {hi}]")
+            if min(grid["subsidy"]) + min(grid["service"]) > 1.0:
+                raise ValueError(
+                    f"{where}: s + v > 1 for every (subsidy, service) pair; "
+                    "no admissible policy to simulate"
+                )
             self.sc.sweep_grid = grid
         except ValueError as err:
             self.error(str(err))

@@ -1,6 +1,8 @@
 import json
 import shutil
 
+import pytest
+
 from wepolicy.cli import main, run
 
 
@@ -121,6 +123,20 @@ class TestExitCodes:
         assert "dependent columns" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "select"])
+    def test_all_skipped_sweep_grid_is_validation_error(
+        self, command, fixtures_dir, tmp_path, capsys
+    ):
+        scenario = all_skipped_pipeline(fixtures_dir, tmp_path)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, command, "--scenario", str(scenario),
+                                    "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: sweep:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_out_flag_required(self, tmp_path, capsys):
         scenario = small_fig2(tmp_path)
         code, _, err = run_cli(capsys, "surface", "--scenario", str(scenario))
@@ -143,6 +159,24 @@ class TestValidateCommand:
         report = json.loads(stdout)
         assert not report["ok"]
         assert any("sweep.subsidy" in e for e in report["errors"])
+
+    def test_all_skipped_sweep_grid_is_a_finding(self, fixtures_dir, tmp_path, capsys):
+        scenario = all_skipped_pipeline(fixtures_dir, tmp_path)
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(scenario))
+        assert code == 1
+        report = json.loads(stdout)
+        assert not report["ok"]
+        assert any(e.startswith("sweep:") and "s + v > 1" in e for e in report["errors"])
+
+
+def all_skipped_pipeline(fixtures_dir, tmp_path):
+    """The pipeline fixture with a sweep grid whose every (s, v) pair exceeds the pool."""
+    doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+    doc["sweep"] = {"subsidy": [0.8], "tax": [0.1], "service": [0.8]}
+    scenario = tmp_path / "all_skipped.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+    return scenario
 
 
 class TestDigest:

@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from wepolicy import policy_sim
 from wepolicy.policy_sim import (
     DynamicsConfig,
     PolicyKnobs,
@@ -28,6 +32,12 @@ def hand_step_reference(cfg: DynamicsConfig, knobs: PolicyKnobs, incomes):
     env = 1.0 - (sum([1.0] * n) / n) * (1.0 - rho)
     soc = sum(connections) / n
     return (econ, env, soc)
+
+
+def seeded_incomes(cfg: DynamicsConfig):
+    """The module's income draw: one seeded uniform spread per agent."""
+    rng = random.Random(cfg.seed)
+    return [1.0 + cfg.income_spread * rng.uniform(-1.0, 1.0) for _ in range(cfg.agents)]
 
 
 WORKED_CFG = DynamicsConfig(
@@ -119,6 +129,60 @@ class TestRunSweep:
         assert len(table.rows) == 1
         assert table.rows[0].indicators == run_policy(cfg, knobs)
 
+    def test_every_row_equals_run_policy(self):
+        cfg = self._cfg(agents=9, steps=7, income_spread=0.6, renewable_rate=0.9)
+        table = run_sweep(cfg, [0.0, 0.3, 0.7], [0.0, 0.25, 0.5], [0.0, 0.4, 0.9])
+        assert len(table.rows) == 18 and len(table.skipped) == 9
+        for row in table.rows:
+            assert row.indicators == run_policy(cfg, row.knobs)
+
+    def test_incomes_drawn_once_per_sweep(self, monkeypatch):
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(policy_sim.random, "Random", CountingRandom)
+        cfg = self._cfg()
+        table = run_sweep(cfg, [0.0, 0.25, 0.5], [0.0, 0.1, 0.2], [0.0, 0.25, 0.5])
+        assert len(table.rows) == 27
+        assert built == [(cfg.seed,)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        agents=st.integers(1, 64),
+        steps=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.floats(0.01, 1.0),
+        renewable_rate=st.floats(0.0, 5.0),
+        connection_rate=st.floats(0.0, 1.0),
+        connection_decay=st.floats(0.0, 0.5),
+        subsidies=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        taxes=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=3),
+        services=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    )
+    # rho saturates at 1 (large rate, many steps) and the connection level
+    # sits on its max(0, ...) floor (decay above rate * service)
+    @example(agents=5, steps=40, seed=1, spread=0.5, renewable_rate=5.0,
+             connection_rate=0.1, connection_decay=0.5,
+             subsidies=[1.0], taxes=[0.5], services=[0.0])
+    @example(agents=64, steps=3, seed=2, spread=0.9, renewable_rate=0.2,
+             connection_rate=1.0, connection_decay=0.05,
+             subsidies=[0.2, 0.6], taxes=[0.1, 0.4], services=[0.3, 0.9])
+    def test_rows_match_hand_step_reference(
+        self, agents, steps, seed, spread, renewable_rate, connection_rate,
+        connection_decay, subsidies, taxes, services,
+    ):
+        cfg = DynamicsConfig(agents=agents, steps=steps, seed=seed, income_spread=spread,
+                             renewable_rate=renewable_rate, connection_rate=connection_rate,
+                             connection_decay=connection_decay)
+        incomes = seeded_incomes(cfg)
+        table = run_sweep(cfg, subsidies, taxes, services)
+        for row in table.rows:
+            assert row.indicators == hand_step_reference(cfg, row.knobs, incomes)
+
     def test_iteration_order_subsidy_tax_service(self):
         table = run_sweep(self._cfg(), [0.0, 0.1], [0.0, 0.1], [0.0, 0.1])
         triples = [(r.knobs.subsidy, r.knobs.tax, r.knobs.service) for r in table.rows]
@@ -128,8 +192,8 @@ class TestRunSweep:
         ]
 
     def test_rows_independent_of_grid_permutation(self):
-        # same seed is re-applied per row, so a permuted grid gives the same
-        # indicators for the same knob triple
+        # every row sees the same seeded incomes, so a permuted grid gives
+        # the same indicators for the same knob triple
         cfg = self._cfg(income_spread=0.5)
         a = run_sweep(cfg, [0.0, 0.4], [0.1, 0.2], [0.3, 0.6])
         b = run_sweep(cfg, [0.4, 0.0], [0.2, 0.1], [0.6, 0.3])

@@ -202,6 +202,14 @@ class TestValidation:
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert any("sweep.tax" in e for e in errors)
 
+    def test_sweep_without_admissible_policy_rejected(self, tmp_path):
+        doc = {"sweep": {"subsidy": [0.8, 0.6], "tax": [0.1], "service": [0.8, 0.5]}}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert any(e.startswith("sweep:") and "s + v > 1" in e for e in errors)
+        # one admissible pair is enough
+        doc["sweep"]["service"].append(0.4)
+        assert validate_scenario(write(tmp_path, doc)) == ([], [])
+
     def test_duplicate_profile_names_rejected(self, tmp_path):
         doc = {
             "weighting_profiles": [
