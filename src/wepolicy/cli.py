@@ -151,7 +151,10 @@ def _run_sweep(sc: Scenario, seed):
     dynamics = _require(sc, "dynamics", "dynamics")
     grid = _require(sc, "sweep_grid", "sweep")
     if seed is not None:
-        dynamics = replace(dynamics, seed=seed)
+        try:
+            dynamics = replace(dynamics, seed=seed)
+        except ValueError as err:
+            raise ScenarioError([f"--seed: {err}"]) from None
     table = run_sweep(dynamics, grid["subsidy"], grid["tax"], grid["service"])
     return table, dynamics.seed
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionError, UnknownNodeError
-from .graphs import topological_order
+from .graphs import Edge as NetworkEdge, propagate_linear, topological_order
 from .valuefn import ValueCurve
 
 VectorFn = Callable[[Sequence[float]], float]
@@ -167,13 +167,16 @@ def check_consensus(
     """Decide narrow∘f == wide on a finite probe grid within tol.
 
     The report carries the worst probe so a failed check is actionable.
+    Raises FloatingPointError when a probe's deviation is NaN.
     """
     if not probe_grid:
         raise ValueError("probe grid must be non-empty")
     worst = probe_grid[0]
     max_dev = -1.0
-    for xw in probe_grid:
+    for i, xw in enumerate(probe_grid):
         dev = abs(narrow(apply_map(f, xw)) - wide(xw))
+        if math.isnan(dev):
+            raise FloatingPointError(f"consensus deviation is NaN at probe {i}")
         if dev > max_dev:
             max_dev = dev
             worst = xw
@@ -266,13 +269,6 @@ def apply_fact_coupling(
 
 
 @dataclass(frozen=True)
-class NetworkEdge:
-    source: str
-    target: str
-    weight: float
-
-
-@dataclass(frozen=True)
 class ParameterNetwork:
     """Acyclic weighted graph carrying fact-parameter deltas to value
     parameters. Fact nodes are exogenous (no incoming edges); nodes that are
@@ -324,17 +320,6 @@ def propagate_network(
         if name not in facts:
             raise UnknownNodeError(f"delta key {name!r} is not a fact node of the network")
 
-    incoming: dict[str, list[NetworkEdge]] = {n: [] for n in net.node_names()}
-    for e in net.edges:
-        incoming[e.target].append(e)
-
-    delta: dict[str, float] = {}
-    for node in net._order:
-        if node in facts:
-            delta[node] = float(delta_facts.get(node, 0.0))
-        else:
-            acc = 0.0
-            for e in incoming[node]:
-                acc += e.weight * delta[e.source]
-            delta[node] = acc
+    base = {name: float(delta_facts.get(name, 0.0)) for name in net.fact_nodes}
+    delta = propagate_linear(net._order, net.edges, base)
     return {name: delta[name] for name in net.value_nodes}

@@ -1,40 +1,63 @@
-"""Small directed-graph helpers shared by the network and logic-model modules."""
+"""Weighted DAGs shared by the parameter network and the logic model: one
+edge type, a stable topological order and the one linear propagation loop.
+"""
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import heapq
+from dataclasses import dataclass
+from typing import Mapping, Sequence, Tuple
 
 
 class CycleError(ValueError):
     """The graph contains a directed cycle."""
 
 
+@dataclass(frozen=True)
+class Edge:
+    source: str
+    target: str
+    weight: float
+
+
 def topological_order(names: Sequence[str], edges: Sequence[Tuple[str, str]]) -> list[str]:
     """Kahn's algorithm; ties broken by declaration order so results are stable.
 
-    Raises CycleError naming the nodes left on a cycle.
+    Raises CycleError naming the nodes left on a cycle. Names must be unique.
     """
     index = {n: i for i, n in enumerate(names)}
-    indegree = {n: 0 for n in names}
-    outgoing: dict[str, list[str]] = {n: [] for n in names}
+    indegree = [0] * len(names)
+    outgoing: list[list[int]] = [[] for _ in names]
     for src, dst in edges:
-        outgoing[src].append(dst)
-        indegree[dst] += 1
+        outgoing[index[src]].append(index[dst])
+        indegree[index[dst]] += 1
 
-    ready = sorted((n for n in names if indegree[n] == 0), key=index.__getitem__)
+    ready = [i for i, d in enumerate(indegree) if d == 0]  # ascending, so a heap
     order: list[str] = []
     while ready:
-        node = ready.pop(0)
-        order.append(node)
-        inserted = False
-        for dst in outgoing[node]:
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                ready.append(dst)
-                inserted = True
-        if inserted:
-            ready.sort(key=index.__getitem__)
+        i = heapq.heappop(ready)
+        order.append(names[i])
+        for j in outgoing[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, j)
     if len(order) != len(names):
-        stuck = sorted(set(names) - set(order), key=index.__getitem__)
+        stuck = [n for n, d in zip(names, indegree) if d]
         raise CycleError(f"cycle involving nodes: {', '.join(stuck)}")
     return order
+
+
+def propagate_linear(order: Sequence[str], edges: Sequence[Edge],
+                     base: Mapping[str, float]) -> dict[str, float]:
+    """Each node's base value (0.0 when absent) plus weight * upstream
+    value over its incoming edges, summed in edge order."""
+    incoming: dict[str, list[Edge]] = {n: [] for n in order}
+    for e in edges:
+        incoming[e.target].append(e)
+    values: dict[str, float] = {}
+    for name in order:
+        acc = base.get(name, 0.0)
+        for e in incoming[name]:
+            acc += e.weight * values[e.source]
+        values[name] = acc
+    return values

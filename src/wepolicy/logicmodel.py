@@ -11,11 +11,12 @@ Negative edge weights are allowed so policies can carry negative impact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import StageBindingError, UnknownNodeError
-from .graphs import CycleError, topological_order
+from .graphs import CycleError, Edge, propagate_linear, topological_order
 
 STAGES = ("inputs", "activities", "outputs", "outcomes", "impacts")
 BINDABLE_STAGES = ("inputs", "activities", "outputs")
@@ -35,16 +36,18 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Edge:
-    source: str
-    target: str
-    weight: float
-
-
-@dataclass(frozen=True)
 class LogicModel:
+    """Validated and sorted once, when built; `validate` reports findings."""
+
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
+    _findings: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _order: tuple[str, ...] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        findings, order = _inspect(self)
+        object.__setattr__(self, "_findings", tuple(findings))
+        object.__setattr__(self, "_order", order)
 
     def node_map(self) -> dict[str, Node]:
         return {n.name: n for n in self.nodes}
@@ -53,8 +56,8 @@ class LogicModel:
         return tuple(n for n in self.nodes if n.stage == stage)
 
 
-def validate(model: LogicModel) -> list[str]:
-    """All structural findings at once; an empty list means the model is ok.
+def _inspect(model: LogicModel) -> tuple[list[str], tuple[str, ...] | None]:
+    """(findings, topological order or None); no findings means the model is ok.
 
     Checks: duplicate names, unknown edge endpoints, stage-order violations
     (edges may only run to the same or a later stage), cycles, and the
@@ -62,9 +65,9 @@ def validate(model: LogicModel) -> list[str]:
     """
     findings = []
     names = [n.name for n in model.nodes]
-    dupes = {n for n in names if names.count(n) > 1}
+    dupes = sorted(n for n, k in Counter(names).items() if k > 1)
     if dupes:
-        findings.append(f"duplicate node names: {', '.join(sorted(dupes))}")
+        findings.append(f"duplicate node names: {', '.join(dupes)}")
 
     by_name = model.node_map()
     rank = {stage: i for i, stage in enumerate(STAGES)}
@@ -84,40 +87,46 @@ def validate(model: LogicModel) -> list[str]:
             )
         checkable.append((e.source, e.target))
 
+    order = None
     if not dupes:
         try:
-            topological_order(names, checkable)
+            order = tuple(topological_order(names, checkable))
         except CycleError as err:
             findings.append(str(err))
 
     if not model.stage_nodes("impacts"):
         findings.append("model has no impacts-stage node")
-    return findings
+    return findings, order
+
+
+def validate(model: LogicModel) -> list[str]:
+    """The model's structural findings; an empty list means it is ok."""
+    return list(model._findings)
 
 
 def _require_valid(model: LogicModel):
-    findings = validate(model)
-    if findings:
-        raise ValueError("invalid logic model: " + "; ".join(findings))
+    if model._findings:
+        raise ValueError("invalid logic model: " + "; ".join(model._findings))
+
+
+def check_inputs(model: LogicModel, input_values: Mapping[str, float]):
+    """Raise unless `input_values` covers exactly the inputs-stage nodes."""
+    input_names = {n.name for n in model.stage_nodes("inputs")}
+    unknown = [k for k in input_values if k not in input_names]
+    if unknown:
+        raise UnknownNodeError(
+            f"values given for non-inputs nodes: {', '.join(sorted(unknown))}"
+        )
+    missing = sorted(input_names - set(input_values))
+    if missing:
+        raise ValueError(f"missing values for inputs nodes: {', '.join(missing)}")
 
 
 def _propagate_values(
     model: LogicModel, exogenous: Mapping[str, float]
 ) -> tuple[dict[str, float], dict[str, float]]:
-    order = topological_order(
-        [n.name for n in model.nodes], [(e.source, e.target) for e in model.edges]
-    )
-    incoming: dict[str, list[Edge]] = {n.name: [] for n in model.nodes}
-    for e in model.edges:
-        incoming[e.target].append(e)
-    by_name = model.node_map()
-
-    values: dict[str, float] = {}
-    for name in order:
-        acc = by_name[name].baseline + exogenous.get(name, 0.0)
-        for e in incoming[name]:
-            acc += e.weight * values[e.source]
-        values[name] = acc
+    base = {n.name: n.baseline + exogenous.get(n.name, 0.0) for n in model.nodes}
+    values = propagate_linear(model._order, model.edges, base)
     impacts = {n.name: values[n.name] for n in model.stage_nodes("impacts")}
     return {n.name: values[n.name] for n in model.nodes}, impacts
 
@@ -133,15 +142,7 @@ def propagate(
     order.
     """
     _require_valid(model)
-    input_names = {n.name for n in model.stage_nodes("inputs")}
-    unknown = [k for k in input_values if k not in input_names]
-    if unknown:
-        raise UnknownNodeError(
-            f"values given for non-inputs nodes: {', '.join(sorted(unknown))}"
-        )
-    missing = sorted(input_names - set(input_values))
-    if missing:
-        raise ValueError(f"missing values for inputs nodes: {', '.join(missing)}")
+    check_inputs(model, input_values)
     return _propagate_values(model, dict(input_values))
 
 
@@ -170,6 +171,19 @@ class FactBinding:
         return self.values[self.elements.index(self.bindings[node])]
 
 
+def check_binding(model: LogicModel, binding: FactBinding):
+    """Raise unless every bound node exists and sits on the left side."""
+    by_name = model.node_map()
+    for node in binding.bindings:
+        if node not in by_name:
+            raise UnknownNodeError(f"binding references unknown node {node!r}")
+        if by_name[node].stage not in BINDABLE_STAGES:
+            raise StageBindingError(
+                f"cannot bind fact to {by_name[node].stage}-stage node {node!r}; "
+                f"facts couple to the left side ({', '.join(BINDABLE_STAGES)})"
+            )
+
+
 def couple_facts(
     model: LogicModel,
     binding: FactBinding,
@@ -183,22 +197,11 @@ def couple_facts(
     subjective. Unbound inputs default to the given input_values (or 0).
     """
     _require_valid(model)
-    by_name = model.node_map()
-    for node in binding.bindings:
-        if node not in by_name:
-            raise UnknownNodeError(f"binding references unknown node {node!r}")
-        if by_name[node].stage not in BINDABLE_STAGES:
-            raise StageBindingError(
-                f"cannot bind fact to {by_name[node].stage}-stage node {node!r}; "
-                f"facts couple to the left side ({', '.join(BINDABLE_STAGES)})"
-            )
-
+    check_binding(model, binding)
     exogenous = {n.name: 0.0 for n in model.stage_nodes("inputs")}
-    if input_values:
-        for k, v in input_values.items():
-            if k not in exogenous:
-                raise UnknownNodeError(f"values given for non-inputs node {k!r}")
-            exogenous[k] = v
+    exogenous.update(input_values or {})
+    check_inputs(model, exogenous)
+    by_name = model.node_map()
     for node in binding.bindings:
         value = binding.value_for(node)
         if by_name[node].stage == "inputs":

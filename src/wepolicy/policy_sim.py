@@ -36,6 +36,9 @@ class DynamicsConfig:
             raise ValueError(f"agents must be >= 1, got {self.agents}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.seed < 0:
+            # random.Random seeds from abs(seed): -7 would draw 7's incomes
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("income_spread", "renewable_rate", "connection_rate", "connection_decay"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):

@@ -21,12 +21,12 @@ from .coupling import (
     ElementSet,
     FactCoupling,
     LinearMap,
-    NetworkEdge,
     ParameterNetwork,
     Saturator,
 )
 from .errors import ScenarioError
 from .evaluator import WeightingProfile
+from .graphs import Edge
 from .policy_sim import DynamicsConfig
 from .survey import ConstructMap
 from .valuefn import (
@@ -124,6 +124,44 @@ def _vector(value, where: str) -> list[float]:
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected an array of numbers")
     return [_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected an array")
+    return value
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected an object")
+    return value
+
+
+def _names(value, where: str) -> tuple[str, ...]:
+    return tuple(_str(v, f"{where}[{i}]") for i, v in enumerate(_array(value, where)))
+
+
+def _edges(value, where: str) -> tuple[Edge, ...]:
+    edges = []
+    for i, e in enumerate(_array(value, where)):
+        e = _object(e, f"{where}[{i}]")
+        edges.append(
+            Edge(
+                source=_str(e.get("from"), f"{where}[{i}].from"),
+                target=_str(e.get("to"), f"{where}[{i}].to"),
+                weight=_float(e.get("weight"), f"{where}[{i}].weight"),
+            )
+        )
+    return tuple(edges)
+
+
+def _check(where: str, fn, *args):
+    """Call fn, prefixing the message of any ValueError with the field path."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 def grid_values(spec, where: str) -> list[float]:
@@ -348,26 +386,13 @@ class _Builder:
             return
         where = "parameter_network"
         try:
-            if not isinstance(raw, dict):
-                raise ValueError(f"{where}: expected an object")
-            facts = [_str(v, f"{where}.facts[{i}]") for i, v in enumerate(raw.get("facts", []))]
-            values = [_str(v, f"{where}.values[{i}]") for i, v in enumerate(raw.get("values", []))]
-            edges = []
-            for i, e in enumerate(raw.get("edges", [])):
-                edges.append(
-                    NetworkEdge(
-                        source=_str(e.get("from"), f"{where}.edges[{i}].from"),
-                        target=_str(e.get("to"), f"{where}.edges[{i}].to"),
-                        weight=_float(e.get("weight"), f"{where}.edges[{i}].weight"),
-                    )
-                )
-            net = ParameterNetwork(
-                fact_nodes=tuple(facts), value_nodes=tuple(values), edges=tuple(edges)
-            )
+            _object(raw, where)
+            facts = _names(raw.get("facts", []), f"{where}.facts")
+            values = _names(raw.get("values", []), f"{where}.values")
+            edges = _edges(raw.get("edges", []), f"{where}.edges")
+            net = _check(where, ParameterNetwork, facts, values, edges)
             self.sc.network = net
-            deltas = raw.get("deltas", {})
-            if not isinstance(deltas, dict):
-                raise ValueError(f"{where}.deltas: expected an object")
+            deltas = _object(raw.get("deltas", {}), f"{where}.deltas")
             fact_set = set(facts)
             for k, v in deltas.items():
                 if k not in fact_set:
@@ -426,7 +451,7 @@ class _Builder:
                 connection_decay=_float(raw.get("connection_decay", 0.05), f"{where}.connection_decay"),
             )
         except ValueError as err:
-            self.error(f"{where}: {err}" if not str(err).startswith(where) else str(err))
+            self.error(str(err) if str(err).startswith(where) else f"{where}.{err}")
 
     def _sweep(self):
         raw = self.section("sweep")
@@ -483,77 +508,48 @@ class _Builder:
             return
         where = "logic_model"
         try:
-            if not isinstance(raw, dict):
-                raise ValueError(f"{where}: expected an object")
+            _object(raw, where)
             nodes = []
-            for i, n in enumerate(raw.get("nodes", [])):
+            for i, n in enumerate(_array(raw.get("nodes", []), f"{where}.nodes")):
+                at = f"{where}.nodes[{i}]"
+                n = _object(n, at)
                 nodes.append(
-                    logicmodel.Node(
-                        name=_str(n.get("name"), f"{where}.nodes[{i}].name"),
-                        stage=_str(n.get("stage"), f"{where}.nodes[{i}].stage"),
-                        baseline=_float(n.get("baseline", 0.0), f"{where}.nodes[{i}].baseline"),
+                    _check(
+                        at,
+                        logicmodel.Node,
+                        _str(n.get("name"), f"{at}.name"),
+                        _str(n.get("stage"), f"{at}.stage"),
+                        _float(n.get("baseline", 0.0), f"{at}.baseline"),
                     )
                 )
-            edges = []
-            for i, e in enumerate(raw.get("edges", [])):
-                edges.append(
-                    logicmodel.Edge(
-                        source=_str(e.get("from"), f"{where}.edges[{i}].from"),
-                        target=_str(e.get("to"), f"{where}.edges[{i}].to"),
-                        weight=_float(e.get("weight"), f"{where}.edges[{i}].weight"),
-                    )
-                )
-            model = logicmodel.LogicModel(nodes=tuple(nodes), edges=tuple(edges))
+            edges = _edges(raw.get("edges", []), f"{where}.edges")
+            model = logicmodel.LogicModel(nodes=tuple(nodes), edges=edges)
             findings = logicmodel.validate(model)
             if findings:
                 raise ValueError(f"{where}: " + "; ".join(findings))
             self.sc.logic_model = model
 
-            inputs = raw.get("inputs", {})
-            if not isinstance(inputs, dict):
-                raise ValueError(f"{where}.inputs: expected an object")
-            input_names = {n.name for n in model.stage_nodes("inputs")}
+            inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
             for k, v in inputs.items():
-                if k not in input_names:
-                    raise ValueError(f"{where}.inputs: {k!r} is not an inputs-stage node")
                 self.sc.logic_inputs[k] = _float(v, f"{where}.inputs.{k}")
-            missing = sorted(input_names - set(self.sc.logic_inputs))
-            if missing:
-                raise ValueError(
-                    f"{where}.inputs: missing values for inputs nodes: {', '.join(missing)}"
-                )
+            _check(f"{where}.inputs", logicmodel.check_inputs, model, self.sc.logic_inputs)
 
             fb = raw.get("fact_bindings")
             if fb is not None:
                 if not isinstance(fb, dict) or not isinstance(fb.get("bindings"), dict):
                     raise ValueError(f"{where}.fact_bindings.bindings: expected an object")
-                elements = [
-                    _str(e, f"{where}.fact_bindings.elements[{i}]")
-                    for i, e in enumerate(fb.get("elements", []))
-                ]
-                values = _vector(fb.get("values", []), f"{where}.fact_bindings.values")
-                binding = logicmodel.FactBinding(
-                    bindings={
-                        _str(k, f"{where}.fact_bindings.bindings"): _str(
-                            v, f"{where}.fact_bindings.bindings.{k}"
-                        )
-                        for k, v in fb["bindings"].items()
-                    },
-                    elements=tuple(elements),
-                    values=tuple(values),
+                elements = _names(fb.get("elements", []), f"{where}.fact_bindings.elements")
+                values = tuple(_vector(fb.get("values", []), f"{where}.fact_bindings.values"))
+                bindings = {
+                    _str(k, f"{where}.fact_bindings.bindings"): _str(
+                        v, f"{where}.fact_bindings.bindings.{k}"
+                    )
+                    for k, v in fb["bindings"].items()
+                }
+                binding = _check(
+                    f"{where}.fact_bindings", logicmodel.FactBinding, bindings, elements, values
                 )
-                by_name = model.node_map()
-                for node in binding.bindings:
-                    if node not in by_name:
-                        raise ValueError(
-                            f"{where}.fact_bindings: unknown node {node!r}"
-                        )
-                    if by_name[node].stage not in logicmodel.BINDABLE_STAGES:
-                        raise ValueError(
-                            f"{where}.fact_bindings: node {node!r} is "
-                            f"{by_name[node].stage}-stage; facts bind to "
-                            f"{', '.join(logicmodel.BINDABLE_STAGES)}"
-                        )
+                _check(f"{where}.fact_bindings", logicmodel.check_binding, model, binding)
                 self.sc.fact_binding = binding
         except ValueError as err:
             self.error(str(err))

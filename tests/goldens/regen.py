@@ -4,9 +4,9 @@ Run from the repository root:
 
     python tests/goldens/regen.py
 
-Runs fit, sweep, select, and impact on the pipeline fixture and freezes
-the output files. The acceptance suite compares fresh runs against these
-bytes, so regenerate only when an intentional output change is made.
+Runs fit, sweep, select, impact, and network on the pipeline fixture and
+freezes the output files. The acceptance suite compares fresh runs against
+these bytes, so regenerate only when an intentional output change is made.
 """
 
 import shutil
@@ -17,7 +17,7 @@ from wepolicy.cli import run
 HERE = Path(__file__).parent
 SCENARIO = HERE.parent / "fixtures" / "pipeline.json"
 
-COMMANDS = ("fit", "sweep", "select", "impact")
+COMMANDS = ("fit", "sweep", "select", "impact", "network")
 
 if __name__ == "__main__":
     for command in COMMANDS:

@@ -367,7 +367,7 @@ def test_criterion_9_end_to_end_goldens(fixtures_dir, goldens_dir, tmp_path, cap
     with criterion(9, "pipeline reproduces committed goldens"):
         scenario = str(fixtures_dir / "pipeline.json")
         started = time.perf_counter()
-        for command in ("fit", "sweep", "select", "impact"):
+        for command in ("fit", "sweep", "select", "impact", "network"):
             out = tmp_path / command
             assert cli_run(command, scenario, str(out)) == 0
         elapsed = time.perf_counter() - started

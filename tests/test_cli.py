@@ -169,6 +169,69 @@ class TestValidateCommand:
         assert any(e.startswith("sweep:") and "s + v > 1" in e for e in report["errors"])
 
 
+class TestRejectedInputs:
+    """Each input gives exit 1 or 2, an `error:` line, no traceback and no files."""
+
+    def _run(self, capsys, tmp_path, command, doc, *extra):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, command, "--scenario", str(scenario),
+                                    "--out", str(out), *extra)
+        assert stdout == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize("command, doc, finding", [
+        ("impact", {"logic_model": {"nodes": [1]}}, "logic_model.nodes[0]: expected an object"),
+        ("network", {"parameter_network": {"edges": [7]}},
+         "parameter_network.edges[0]: expected an object"),
+        ("network", {"parameter_network": {"facts": "abc"}},
+         "parameter_network.facts: expected an array"),
+    ])
+    def test_malformed_entries(self, capsys, tmp_path, command, doc, finding):
+        code, err = self._run(capsys, tmp_path, command, doc)
+        assert code == 1
+        assert finding in err
+
+    @pytest.mark.parametrize("doc, finding", [
+        ({"logic_model": {"nodes": [1]}}, "logic_model.nodes[0]: expected an object"),
+        ({"parameter_network": {"facts": "abc"}}, "parameter_network.facts: expected an array"),
+    ])
+    def test_validate_reports_malformed_entries(self, capsys, tmp_path, doc, finding):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "validate", "--scenario", str(scenario))
+        assert code == 1
+        assert "Traceback" not in err
+        assert finding in json.loads(stdout)["errors"]
+
+    @pytest.mark.parametrize("command", ["sweep", "select"])
+    def test_negative_seed_flag(self, capsys, tmp_path, fixtures_dir, command):
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        code, err = self._run(capsys, tmp_path, command, doc, "--seed", "-7")
+        assert code == 1
+        assert err == "error: --seed: seed must be >= 0, got -7\n"
+
+    def test_nan_consensus_deviation_is_numerical(self, capsys, tmp_path):
+        doc = {
+            "value_functions": {"lin": {"kind": "family", "family": "linear"}},
+            "layers": [
+                {"scope": "I", "value_function": "lin", "weight": 0.5, "element_weights": [10.0]},
+                {"scope": "we", "value_function": "lin", "weight": 0.5, "element_weights": [10.0]},
+            ],
+            "mapping_f": {"matrix": [[1.0]]},
+            "consensus": {"narrow_layer": "I", "wide_layer": "we",
+                          "probes": [[1.0], [1e308]], "tol": 1e-9},
+        }
+        code, err = self._run(capsys, tmp_path, "consensus-check", doc)
+        assert code == 2
+        assert "NaN at probe 1" in err
+
+
 def all_skipped_pipeline(fixtures_dir, tmp_path):
     """The pipeline fixture with a sweep grid whose every (s, v) pair exceeds the pool."""
     doc = json.loads((fixtures_dir / "pipeline.json").read_text())

@@ -20,7 +20,7 @@ from wepolicy.coupling import (
 )
 from wepolicy.errors import DimensionError, UnknownNodeError
 from wepolicy.graphs import CycleError
-from wepolicy.valuefn import AsymmetricSpec
+from wepolicy.valuefn import AsymmetricSpec, ValueFunctionSpec
 from wepolicy.we_model import aggregate, weighted_pair
 
 finite = st.floats(min_value=-100.0, max_value=100.0)
@@ -112,6 +112,13 @@ class TestCheckConsensus:
         report = check_consensus(fn, self._identity(), bumped, self._grid(), 1e-6)
         assert report.worst_point == (2.0, 2.0)
         assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
+
+    def test_nan_deviation_raises(self):
+        # 10 * 1e308 overflows to inf on both sides, and inf - inf is NaN
+        fn = ScopeFunction((10.0,), ValueFunctionSpec("linear"))
+        identity = LinearMap(matrix=((1.0,),), offset=(0.0,))
+        with pytest.raises(FloatingPointError, match="probe 1"):
+            check_consensus(fn, identity, fn, [(1.0,), (1e308,)], 1e-9)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,12 @@ class TestRunPolicy:
         with pytest.raises(ValueError):
             DynamicsConfig(agents=1, steps=1, seed=1, income_spread=-0.1)
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds from abs(seed), so -7 would silently replay 7
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            DynamicsConfig(agents=1, steps=1, seed=-7)
+        assert DynamicsConfig(agents=1, steps=1, seed=0).seed == 0
+
     def test_knob_validation(self):
         with pytest.raises(ValueError):
             PolicyKnobs(subsidy=1.2, tax=0.1, service=0.0)

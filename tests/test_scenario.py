@@ -221,6 +221,82 @@ class TestValidation:
         assert any("duplicate" in e for e in errors)
 
 
+class TestMalformedEntries:
+    @pytest.mark.parametrize("doc, finding", [
+        ({"logic_model": {"nodes": [1]}}, "logic_model.nodes[0]: expected an object"),
+        ({"logic_model": {"nodes": "ab"}}, "logic_model.nodes: expected an array"),
+        ({"logic_model": {"edges": [None]}}, "logic_model.edges[0]: expected an object"),
+        ({"parameter_network": {"edges": [7]}}, "parameter_network.edges[0]: expected an object"),
+        ({"parameter_network": {"facts": "abc"}}, "parameter_network.facts: expected an array"),
+        ({"parameter_network": {"values": {"v": 1}}}, "parameter_network.values: expected an array"),
+    ])
+    def test_finding_names_the_path(self, tmp_path, doc, finding):
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert finding in errors
+
+    def test_fact_binding_elements_must_be_an_array(self, tmp_path):
+        doc = {"logic_model": dict(valid_logic_model(), fact_bindings={
+            "bindings": {"a": "e"}, "elements": "e", "values": [1.0]})}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["logic_model.fact_bindings.elements: expected an array"]
+
+
+def valid_logic_model():
+    return {
+        "nodes": [{"name": "a", "stage": "inputs"}, {"name": "z", "stage": "impacts"}],
+        "edges": [{"from": "a", "to": "z", "weight": 1.0}],
+        "inputs": {"a": 1.0},
+    }
+
+
+class TestLogicModelChecks:
+    """The inputs and binding findings come from logicmodel's own checks."""
+
+    def test_unknown_input_named(self, tmp_path):
+        lm = dict(valid_logic_model(), inputs={"a": 1.0, "z": 2.0})
+        errors, _ = validate_scenario(write(tmp_path, {"logic_model": lm}))
+        assert errors == ["logic_model.inputs: values given for non-inputs nodes: z"]
+
+    def test_missing_input_named(self, tmp_path):
+        lm = dict(valid_logic_model(), inputs={})
+        errors, _ = validate_scenario(write(tmp_path, {"logic_model": lm}))
+        assert errors == ["logic_model.inputs: missing values for inputs nodes: a"]
+
+    def test_binding_to_unknown_node_named(self, tmp_path):
+        lm = dict(valid_logic_model(), fact_bindings={
+            "bindings": {"ghost": "e"}, "elements": ["e"], "values": [1.0]})
+        errors, _ = validate_scenario(write(tmp_path, {"logic_model": lm}))
+        assert errors == ["logic_model.fact_bindings: binding references unknown node 'ghost'"]
+
+    def test_binding_to_right_side_named(self, tmp_path):
+        lm = dict(valid_logic_model(), fact_bindings={
+            "bindings": {"z": "e"}, "elements": ["e"], "values": [1.0]})
+        errors, _ = validate_scenario(write(tmp_path, {"logic_model": lm}))
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "logic_model.fact_bindings: cannot bind fact to impacts-stage node 'z'"
+        )
+
+    def test_unknown_fact_element_named(self, tmp_path):
+        lm = dict(valid_logic_model(), fact_bindings={
+            "bindings": {"a": "ghost"}, "elements": ["e"], "values": [1.0]})
+        errors, _ = validate_scenario(write(tmp_path, {"logic_model": lm}))
+        assert errors == [
+            "logic_model.fact_bindings: bindings reference unknown fact elements: ghost"
+        ]
+
+
+class TestDynamicsSeed:
+    def test_negative_seed_is_a_finding(self, tmp_path):
+        doc = {"dynamics": {"agents": 2, "steps": 2, "seed": -7}}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["dynamics.seed must be >= 0, got -7"]
+
+    def test_zero_seed_accepted(self, tmp_path):
+        doc = {"dynamics": {"agents": 2, "steps": 2, "seed": 0}}
+        assert validate_scenario(write(tmp_path, doc)) == ([], [])
+
+
 class TestGridValues:
     def test_explicit_values(self):
         assert grid_values({"values": [1.0, 2.0]}, "g") == [1.0, 2.0]
