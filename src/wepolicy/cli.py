@@ -22,8 +22,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import logicmodel
 from .coupling import ScopeFunction, check_consensus, propagate_network
 from .errors import RankDeficiencyError, ScenarioError
@@ -49,7 +47,6 @@ EXIT_IO = 3
 
 _NUMERICAL_ERRORS: tuple[type[Exception], ...] = (
     RankDeficiencyError,
-    np.linalg.LinAlgError,
     ZeroDivisionError,
     OverflowError,
     FloatingPointError,
@@ -84,7 +81,7 @@ def _cmd_surface(sc: Scenario, fmt: str, seed):
         curve_rows = consensus_curve(layer, sc.curve[1])
         name, text = _table(fmt, "curve", ("x", "W"), curve_rows)
         outputs[name] = text
-    return outputs, [], seed
+    return outputs, [], None
 
 
 def _scope_function(sc: Scenario, label: str) -> ScopeFunction:
@@ -108,7 +105,7 @@ def _cmd_consensus(sc: Scenario, fmt: str, seed):
     warnings = [] if report.holds else [
         f"consensus does not hold: max deviation {report.max_deviation!r} > tol {cfg.tol!r}"
     ]
-    return {"consensus_report.json": dump_json(report.to_dict())}, warnings, seed
+    return {"consensus_report.json": dump_json(report.to_dict())}, warnings, None
 
 
 def _fit_from_survey(sc: Scenario):
@@ -144,7 +141,7 @@ def _cmd_fit(sc: Scenario, fmt: str, seed):
         "model.json": dump_json(model.to_dict()),
         "baseline.json": dump_json(list(baseline)),
     }
-    return outputs, [], seed
+    return outputs, [], None
 
 
 def _run_sweep(sc: Scenario, seed):
@@ -218,13 +215,13 @@ def _cmd_impact(sc: Scenario, fmt: str, seed):
         report["coupled_impacts"] = logicmodel.couple_facts(
             model, sc.fact_binding, sc.logic_inputs
         )
-    return {"impact_report.json": dump_json(report)}, [], seed
+    return {"impact_report.json": dump_json(report)}, [], None
 
 
 def _cmd_network(sc: Scenario, fmt: str, seed):
     net = _require(sc, "network", "parameter_network")
     deltas = propagate_network(net, sc.network_deltas)
-    return {"network.json": dump_json({"value_deltas": deltas})}, [], seed
+    return {"network.json": dump_json({"value_deltas": deltas})}, [], None
 
 
 _DISPATCH = {
@@ -243,7 +240,8 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
     """Run one command; returns the process exit code.
 
     Output files are only created when the whole command succeeds; a
-    RunReport JSON goes to stdout.
+    RunReport JSON goes to stdout. Its seed is the one the dynamics ran
+    with, so it is null for every command but sweep and select.
     """
     started = time.perf_counter()
     try:
@@ -312,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt",
                         help="table output format (reports are always JSON)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario's dynamics seed")
+                        help="override the scenario's dynamics seed (sweep and select only)")
     args = parser.parse_args(argv)
 
     if args.command == "validate":

@@ -5,6 +5,7 @@ edge type, a stable topological order and the one linear propagation loop.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
 
@@ -50,7 +51,11 @@ def topological_order(names: Sequence[str], edges: Sequence[Tuple[str, str]]) ->
 def propagate_linear(order: Sequence[str], edges: Sequence[Edge],
                      base: Mapping[str, float]) -> dict[str, float]:
     """Each node's base value (0.0 when absent) plus weight * upstream
-    value over its incoming edges, summed in edge order."""
+    value over its incoming edges, summed in edge order.
+
+    Raises FloatingPointError naming the first node, in `order`, whose
+    value is not finite (finite weights can still overflow).
+    """
     incoming: dict[str, list[Edge]] = {n: [] for n in order}
     for e in edges:
         incoming[e.target].append(e)
@@ -59,5 +64,7 @@ def propagate_linear(order: Sequence[str], edges: Sequence[Edge],
         acc = base.get(name, 0.0)
         for e in incoming[name]:
             acc += e.weight * values[e.source]
+        if not math.isfinite(acc):
+            raise FloatingPointError(f"value of node {name!r} is not finite: {acc!r}")
         values[name] = acc
     return values

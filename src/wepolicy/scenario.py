@@ -283,12 +283,15 @@ class _Builder:
             try:
                 if not isinstance(spec, dict) or not isinstance(spec.get("variables"), list):
                     raise ValueError(f"{where}.variables: expected an array")
+                variables = [
+                    _object(v, f"{where}.variables[{i}]") for i, v in enumerate(spec["variables"])
+                ]
                 elements = tuple(
                     Element(
                         name=_str(v.get("name"), f"{where}.variables[{i}].name"),
                         unit=str(v.get("unit", "")),
                     )
-                    for i, v in enumerate(spec["variables"])
+                    for i, v in enumerate(variables)
                 )
                 self.sc.element_sets[name] = ElementSet(name=name, elements=elements)
             except ValueError as err:
@@ -305,6 +308,7 @@ class _Builder:
         for i, spec in enumerate(raw):
             where = f"layers[{i}]"
             try:
+                spec = _object(spec, where)
                 fn_name = _str(spec.get("value_function"), f"{where}.value_function")
                 if fn_name not in self.sc.value_functions:
                     raise ValueError(
@@ -343,6 +347,7 @@ class _Builder:
             nl = raw.get("nonlinearity")
             saturator = None
             if nl is not None:
+                nl = _object(nl, f"{where}.nonlinearity")
                 kind = nl.get("kind", "none")
                 if kind == "saturator":
                     saturator = Saturator(scale=_float(nl.get("scale"), f"{where}.nonlinearity.scale"))
@@ -492,6 +497,7 @@ class _Builder:
         for i, spec in enumerate(raw):
             where = f"weighting_profiles[{i}]"
             try:
+                spec = _object(spec, where)
                 name = _str(spec.get("name"), f"{where}.name")
                 if name in names:
                     raise ValueError(f"{where}.name: duplicate profile name {name!r}")

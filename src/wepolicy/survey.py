@@ -15,8 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DimensionError, RankDeficiencyError
 
 ROW_SUM_TOL = 1e-12
@@ -142,8 +140,13 @@ def fit_target(
     """Least-squares fit of y on a design whose first column is the intercept.
 
     Solved by an orthogonalization method (LAPACK SVD via lstsq); rank
-    deficiency raises RankDeficiencyError naming the dependent columns.
+    deficiency raises RankDeficiencyError naming the dependent columns, and
+    a LAPACK failure (numpy's LinAlgError) raises FloatingPointError with
+    the same message.
     """
+    # Imported here so that commands which never fit start without numpy.
+    import numpy as np
+
     X = np.asarray(design, dtype=float)
     yv = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -162,18 +165,20 @@ def fit_target(
     if len(names) != p1 - 1:
         raise DimensionError(f"{len(names)} names for {p1 - 1} non-intercept columns")
 
-    rank = np.linalg.matrix_rank(X)
-    if rank < p1:
-        dependent = []
-        prev = 0
-        for j in range(p1):
-            cur = np.linalg.matrix_rank(X[:, : j + 1])
-            if cur == prev:
-                dependent.append("intercept" if j == 0 else names[j - 1])
-            prev = cur
-        raise RankDeficiencyError(dependent)
-
-    beta, _, _, _ = np.linalg.lstsq(X, yv, rcond=None)
+    try:
+        rank = np.linalg.matrix_rank(X)
+        if rank < p1:
+            dependent = []
+            prev = 0
+            for j in range(p1):
+                cur = np.linalg.matrix_rank(X[:, : j + 1])
+                if cur == prev:
+                    dependent.append("intercept" if j == 0 else names[j - 1])
+                prev = cur
+            raise RankDeficiencyError(dependent)
+        beta, _, _, _ = np.linalg.lstsq(X, yv, rcond=None)
+    except np.linalg.LinAlgError as err:
+        raise FloatingPointError(str(err)) from err
     fitted = X @ beta
     resid = yv - fitted
     ss_res = float(resid @ resid)

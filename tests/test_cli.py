@@ -1,7 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy
 import pytest
+
+import wepolicy
 
 from wepolicy.cli import main, run
 
@@ -190,6 +197,10 @@ class TestRejectedInputs:
          "parameter_network.edges[0]: expected an object"),
         ("network", {"parameter_network": {"facts": "abc"}},
          "parameter_network.facts: expected an array"),
+        ("surface", {"layers": [1]}, "layers[0]: expected an object"),
+        ("select", {"weighting_profiles": [1]}, "weighting_profiles[0]: expected an object"),
+        ("consensus-check", {"mapping_f": {"matrix": [[1.0]], "nonlinearity": "x"}},
+         "mapping_f.nonlinearity: expected an object"),
     ])
     def test_malformed_entries(self, capsys, tmp_path, command, doc, finding):
         code, err = self._run(capsys, tmp_path, command, doc)
@@ -199,6 +210,10 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("doc, finding", [
         ({"logic_model": {"nodes": [1]}}, "logic_model.nodes[0]: expected an object"),
         ({"parameter_network": {"facts": "abc"}}, "parameter_network.facts: expected an array"),
+        ({"layers": [1]}, "layers[0]: expected an object"),
+        ({"weighting_profiles": [1]}, "weighting_profiles[0]: expected an object"),
+        ({"mapping_f": {"matrix": [[1.0]], "nonlinearity": "x"}},
+         "mapping_f.nonlinearity: expected an object"),
     ])
     def test_validate_reports_malformed_entries(self, capsys, tmp_path, doc, finding):
         scenario = tmp_path / "scenario.json"
@@ -230,6 +245,34 @@ class TestRejectedInputs:
         code, err = self._run(capsys, tmp_path, "consensus-check", doc)
         assert code == 2
         assert "NaN at probe 1" in err
+
+
+    @pytest.mark.parametrize("command, section, given, first_node", [
+        ("impact", "logic_model", "inputs", "outreach"),
+        ("network", "parameter_network", "deltas", "security"),
+    ])
+    def test_overflowing_propagation_is_numerical(
+        self, capsys, tmp_path, fixtures_dir, command, section, given, first_node
+    ):
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        for edge in doc[section]["edges"]:
+            edge["weight"] = 1e308
+        for name in doc[section][given]:
+            doc[section][given][name] = 1e10
+        code, err = self._run(capsys, tmp_path, command, doc)
+        assert code == 2
+        assert err == f"error: numerical failure: value of node {first_node!r} is not finite: inf\n"
+
+    def test_lapack_failure_in_fit_is_numerical(self, capsys, tmp_path, fixtures_dir, monkeypatch):
+        def failing_lstsq(*args, **kwargs):
+            raise numpy.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(numpy.linalg, "lstsq", failing_lstsq)
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        code, err = self._run(capsys, tmp_path, "fit", doc)
+        assert code == 2
+        assert err == "error: numerical failure: SVD did not converge in Linear Least Squares\n"
 
 
 def all_skipped_pipeline(fixtures_dir, tmp_path):
@@ -292,6 +335,20 @@ class TestPipelineCommands:
         assert json.loads(r1)["seed"] == 20240809
         assert json.loads(r2)["seed"] == 7
         assert (out1 / "sweep.csv").read_bytes() != (out2 / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, fixture", [
+        ("fit", "pipeline.json"),
+        ("impact", "pipeline.json"),
+        ("network", "pipeline.json"),
+        ("consensus-check", "consensus.json"),
+    ])
+    def test_seed_reported_only_where_dynamics_run(
+        self, fixtures_dir, tmp_path, capsys, command, fixture
+    ):
+        code, stdout, _ = run_cli(capsys, command, "--scenario", str(fixtures_dir / fixture),
+                                  "--out", str(tmp_path / "out"), "--seed", "-7")
+        assert code == 0
+        assert json.loads(stdout)["seed"] is None
 
     def test_select_matches_brute_force(self, fixtures_dir, tmp_path, capsys):
         out = tmp_path / "select"
@@ -357,3 +414,35 @@ class TestRunApi:
         assert code == 0
         code = run("network", str(tmp_path / "missing.json"), str(tmp_path / "n2"))
         assert code == 3
+
+
+NUMPY_PROBE = """
+import sys
+from wepolicy import cli
+
+fixtures, out = sys.argv[1:]
+runs = [
+    ("validate", "pipeline.json"), ("surface", "fig2.json"),
+    ("consensus-check", "consensus.json"), ("sweep", "pipeline.json"),
+    ("impact", "pipeline.json"), ("network", "pipeline.json"),
+]
+for command, fixture in runs:
+    argv = [command, "--scenario", f"{fixtures}/{fixture}"]
+    if command != "validate":
+        argv += ["--out", f"{out}/{command}"]
+    assert cli.main(argv) == 0, command
+    assert "numpy" not in sys.modules, f"{command} loaded numpy"
+assert cli.main(["fit", "--scenario", f"{fixtures}/pipeline.json", "--out", f"{out}/fit"]) == 0
+assert "numpy" in sys.modules, "fit ran without numpy"
+"""
+
+
+def test_only_the_fit_loads_numpy(fixtures_dir, tmp_path):
+    """A fresh interpreter runs every command but fit and select without numpy."""
+    src = str(Path(wepolicy.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(fixtures_dir), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr

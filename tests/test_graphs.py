@@ -209,6 +209,16 @@ class TestPropagateLinear:
             "a": 4.0, "b": 2.0,
         }
 
+    def test_overflow_names_the_first_non_finite_node(self):
+        edges = (Edge("a", "b", 1e308), Edge("b", "c", 1.0), Edge("a", "d", 1.0))
+        with pytest.raises(FloatingPointError, match="value of node 'b' is not finite: inf"):
+            propagate_linear(["a", "b", "c", "d"], edges, {"a": 1e10})
+
+    def test_nan_from_opposite_infinities_is_caught(self):
+        edges = (Edge("a", "c", 1e308), Edge("b", "c", -1e308), Edge("c", "d", 1.0))
+        with pytest.raises(FloatingPointError, match="value of node 'c' is not finite"):
+            propagate_linear(["a", "b", "c", "d"], edges, {"a": 1e10, "b": -1e10})
+
     @given(logic_models())
     def test_propagate_matches_reference(self, case):
         model, inputs = case

@@ -229,6 +229,11 @@ class TestMalformedEntries:
         ({"parameter_network": {"edges": [7]}}, "parameter_network.edges[0]: expected an object"),
         ({"parameter_network": {"facts": "abc"}}, "parameter_network.facts: expected an array"),
         ({"parameter_network": {"values": {"v": 1}}}, "parameter_network.values: expected an array"),
+        ({"layers": [1]}, "layers[0]: expected an object"),
+        ({"weighting_profiles": [1]}, "weighting_profiles[0]: expected an object"),
+        ({"mapping_f": {"matrix": [[1.0]], "nonlinearity": "x"}},
+         "mapping_f.nonlinearity: expected an object"),
+        ({"element_sets": {"X": {"variables": [1]}}}, "element_sets.X.variables[0]: expected an object"),
     ])
     def test_finding_names_the_path(self, tmp_path, doc, finding):
         errors, _ = validate_scenario(write(tmp_path, doc))
