@@ -230,41 +230,60 @@ class CouplingResult:
     warned: bool
 
 
+def couple_rows(g: FactCoupling, x_w: Sequence[float], rows: Sequence[Sequence[float]]):
+    """Couple a block of fact rows into x_w, one numpy column per element.
+
+    Returns (x_w' columns, perturbation ratio column), both float64 arrays
+    over `rows`. Every element is computed as the scalar formula would:
+    shifts accumulate ``0.0 + w * x`` left to right, and the perturbation
+    keeps the first maximum, as builtin `max` does. Overflow yields inf (or
+    NaN) without a warning; callers decide whether that is a failure.
+    """
+    # Imported here so that commands which never couple start without numpy.
+    import numpy as np
+
+    if len(x_w) != g.subjective_dim:
+        raise DimensionError(
+            f"x_w has length {len(x_w)}, coupling expects {g.subjective_dim}"
+        )
+    dim = g.fact_dim
+    for x_c in rows:
+        if len(x_c) != dim:
+            raise DimensionError(f"x_c has length {len(x_c)}, coupling expects {dim}")
+    facts = np.array(rows, dtype=float).reshape(len(rows), dim)
+    if not all(math.isfinite(v) for v in x_w) or not np.isfinite(facts).all():
+        raise ValueError("fact coupling requires finite inputs")
+
+    norm = max(max(abs(w) for w in x_w), 1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prime = []
+        for wv, row in zip(x_w, g.matrix):
+            shift = np.zeros(len(rows))
+            for k, w in enumerate(row):
+                shift += w * facts[:, k]
+            prime.append(wv + shift if g.mode == ADDITIVE else wv * (1.0 + shift))
+        delta = None
+        for p, wv in zip(prime, x_w):
+            d = abs(p - wv)
+            delta = d if delta is None else np.where(d > delta, d, delta)
+        return prime, delta / norm
+
+
 def apply_fact_coupling(
     g: FactCoupling, x_w: Sequence[float], x_c: Sequence[float]
 ) -> CouplingResult:
     """Couple facts into the subjective vector and measure the perturbation.
 
     perturbation_ratio = ||x_w' - x_w||_inf / max(||x_w||_inf, 1e-9);
-    `warned` flags ratios above the coupling's threshold.
+    `warned` flags ratios above the coupling's threshold. This is
+    `couple_rows` on a single row.
     """
-    if len(x_w) != g.subjective_dim:
-        raise DimensionError(
-            f"x_w has length {len(x_w)}, coupling expects {g.subjective_dim}"
-        )
-    if len(x_c) != g.fact_dim:
-        raise DimensionError(f"x_c has length {len(x_c)}, coupling expects {g.fact_dim}")
-    if not all(math.isfinite(v) for v in x_w) or not all(math.isfinite(v) for v in x_c):
-        raise ValueError("fact coupling requires finite inputs")
-
-    shift = []
-    for row in g.matrix:
-        acc = 0.0
-        for w, v in zip(row, x_c):
-            acc += w * v
-        shift.append(acc)
-
-    if g.mode == ADDITIVE:
-        prime = [wv + sv for wv, sv in zip(x_w, shift)]
-    else:
-        prime = [wv * (1.0 + sv) for wv, sv in zip(x_w, shift)]
-
-    delta = max(abs(p - w) for p, w in zip(prime, x_w))
-    ratio = delta / max(max(abs(w) for w in x_w), 1e-9)
+    prime, ratio = couple_rows(g, x_w, (x_c,))
+    r = float(ratio[0])
     return CouplingResult(
-        x_w_prime=tuple(prime),
-        perturbation_ratio=ratio,
-        warned=ratio > g.warn_threshold,
+        x_w_prime=tuple(float(col[0]) for col in prime),
+        perturbation_ratio=r,
+        warned=r > g.warn_threshold,
     )
 
 

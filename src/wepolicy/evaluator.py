@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .coupling import FactCoupling, apply_fact_coupling
+# `apply_fact_coupling` stays importable from here: perfbench/tracer.py wraps it.
+from .coupling import FactCoupling, apply_fact_coupling, couple_rows
 from .policy_sim import SweepTable
 from .survey import RegressionModel, predict
 
@@ -46,26 +47,37 @@ def evaluate_policies(
 ) -> RankedPolicies:
     """Score every sweep row through coupling + target and rank.
 
-    Scoring is row-sequential so results are bit-identical to a plain scan
-    over the same rows.
+    Rows are scored as numpy columns, each element with the operations a
+    scalar scan applies, in the same order, so results are bit-identical
+    to a plain scan over the same rows. Raises FloatingPointError naming
+    the first policy whose coupled vector or score is not finite.
     """
     if not sweep.rows:
         raise ValueError("sweep table is empty")
-    scored = []
-    warnings = 0
-    for row in sweep.rows:
-        coupled = apply_fact_coupling(profile.coupling, baseline_x_w, row.indicators)
-        if coupled.warned:
-            warnings += 1
-        scored.append(
-            RankedRow(
-                policy_id=row.policy_id,
-                x_w_prime=coupled.x_w_prime,
-                w_prime=predict(target, coupled.x_w_prime),
-            )
+    # Imported here so that commands which never score start without numpy.
+    import numpy as np
+
+    rows = sweep.rows
+    prime, ratio = couple_rows(profile.coupling, baseline_x_w, [r.indicators for r in rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = predict(target, prime)
+    finite = np.isfinite(score)
+    for col in prime:
+        finite &= np.isfinite(col)
+    if not finite.all():
+        bad = rows[int(np.argmin(finite))].policy_id
+        raise FloatingPointError(
+            f"profile {profile.name!r}: coupled vector or score of policy {bad} is not finite"
         )
-    scored.sort(key=lambda r: (-r.w_prime, r.policy_id))
-    return RankedPolicies(rows=tuple(scored), perturbation_warnings=warnings)
+    ids = [r.policy_id for r in rows]
+    # lexsort's last key is the primary one: score descending, then id.
+    order = np.lexsort((ids, -score))
+    sorted_ids = map(ids.__getitem__, order.tolist())
+    x_w_prime = zip(*(col[order].tolist() for col in prime))
+    return RankedPolicies(
+        rows=tuple(map(RankedRow, sorted_ids, x_w_prime, score[order].tolist())),
+        perturbation_warnings=int(np.count_nonzero(ratio > profile.coupling.warn_threshold)),
+    )
 
 
 def select_best(ranked: RankedPolicies) -> int:

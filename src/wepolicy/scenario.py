@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -609,12 +610,16 @@ class _Builder:
             self.error(str(err))
 
     def _cross_checks(self):
+        """Checks between sections; a check is skipped when a section it
+        reads already has a finding, so no follow-on finding names the
+        wrong cause (every finding starts with its section's name)."""
         sc = self.sc
-        if sc.curve is not None:
+        failed = {re.split(r"[.\[:]", e, maxsplit=1)[0] for e in self.errors}
+        if sc.curve is not None and "layers" not in failed:
             label = sc.curve[0]
             if all(l.scope.label != label for l in sc.layers):
                 self.error(f"curve.layer: unknown scope label {label!r}")
-        if sc.consensus is not None:
+        if sc.consensus is not None and "layers" not in failed:
             for key, label in (
                 ("narrow_layer", sc.consensus.narrow_label),
                 ("wide_layer", sc.consensus.wide_label),
@@ -626,6 +631,7 @@ class _Builder:
                     self.error(
                         f"consensus.{key}: layer {label!r} declares no element_weights"
                     )
+        if sc.consensus is not None and "mapping_f" not in failed:
             if sc.mapping_f is None:
                 self.error("consensus: requires a mapping_f section")
             else:
@@ -666,7 +672,7 @@ class _Builder:
                     "survey.constructs: must match element_sets.X_w variable names "
                     f"({list(xw.names)})"
                 )
-        elif "X_w" in sc.element_sets:
+        elif "X_w" in sc.element_sets and "survey" not in failed:
             subjective_dim = sc.element_sets["X_w"].dim
 
         fact_dim = sc.element_sets["X_c"].dim if "X_c" in sc.element_sets else None
@@ -694,10 +700,12 @@ class _Builder:
                     f"{fact_dim} fact elements"
                 )
 
-        self._quadratic_warnings()
+        self._grid_checks()
 
-    def _quadratic_warnings(self):
-        """Quadratic curves turn over past a/2; warn when a grid reaches
+    def _grid_checks(self):
+        """Walk each (layer, grid) pair that `surface` evaluates. A raw
+        family is defined for x >= 0 only, so a grid reaching below 0 is an
+        error. Quadratic curves turn over past a/2; warn when a grid reaches
         beyond that point, since ranking semantics silently flip there."""
         sc = self.sc
 
@@ -717,7 +725,13 @@ class _Builder:
             if layer is not None:
                 checks.append((layer, sc.curve[1], "curve.grid"))
         for layer, xs, where in checks:
-            lim = limit(layer.value_function)
+            fn = layer.value_function
+            if isinstance(fn, ValueFunctionSpec) and min(xs) < 0:
+                self.error(
+                    f"{where}: grid reaches {min(xs)!r}, below the {fn.family} family's "
+                    f"domain x >= 0 for layer {layer.scope.label!r}"
+                )
+            lim = limit(fn)
             if lim is not None and any(abs(x) > lim for x in xs):
                 sc.warnings.append(
                     f"{where}: grid reaches beyond the quadratic peak at {lim!r} for "

@@ -105,13 +105,24 @@ def aggregate_survey(
 def respondent_scores(
     responses: Sequence[SurveyResponse], cmap: ConstructMap, scale: int
 ) -> list[list[float]]:
-    """Per-respondent construct vectors (rescale each answer, then map)."""
+    """Per-respondent construct vectors (rescale each answer, then map).
+
+    Runs as numpy column passes: each construct column accumulates
+    ``0.0 + w * z`` over the questions left to right, which is what `sum()`
+    over a respondent's terms computes up to Python 3.11 (3.12's `sum()`
+    compensates, so the result no longer depends on the Python version).
+    """
     _check_responses(responses, cmap, scale)
-    out = []
-    for r in responses:
-        z = [rescale_answer(a, scale) for a in r.answers]
-        out.append([sum(w * v for w, v in zip(row, z)) for row in cmap.matrix])
-    return out
+    # Imported here so that commands which never fit start without numpy.
+    import numpy as np
+
+    n = len(responses)
+    cols = [np.zeros(n) for _ in cmap.matrix]
+    for q in range(cmap.question_count):
+        z = rescale_answer(np.fromiter((r.answers[q] for r in responses), float, n), scale)
+        for acc, row in zip(cols, cmap.matrix):
+            acc += row[q] * z
+    return np.column_stack(cols).tolist()
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,29 @@ class TestRejectedInputs:
         assert code == 2
         assert err == f"error: numerical failure: value of node {first_node!r} is not finite: inf\n"
 
+    def test_non_finite_score_is_numerical(self, capsys, tmp_path, fixtures_dir):
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        profile = next(p for p in doc["weighting_profiles"] if p["name"] == "Type A")
+        profile["matrix"] = [[1.79e308, 1.79e308, 1.79e308]] * 3
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        code, err = self._run(capsys, tmp_path, "select", doc)
+        assert code == 2
+        assert err == (
+            "error: numerical failure: profile 'Type A': coupled vector or score of "
+            "policy 0 is not finite\n"
+        )
+
+    def test_raw_family_below_its_domain_is_a_finding(self, capsys, tmp_path, fixtures_dir):
+        doc = json.loads((fixtures_dir / "fig2.json").read_text())
+        doc["value_functions"]["raw"] = {"kind": "family", "family": "linear"}
+        doc["layers"][0]["value_function"] = "raw"
+        code, err = self._run(capsys, tmp_path, "surface", doc)
+        assert code == 1
+        assert err.startswith(
+            "error: surface.x_n: grid reaches -20.0, below the linear family's domain "
+            "x >= 0 for layer 'I'\n"
+        )
+
     def test_lapack_failure_in_fit_is_numerical(self, capsys, tmp_path, fixtures_dir, monkeypatch):
         def failing_lstsq(*args, **kwargs):
             raise numpy.linalg.LinAlgError("SVD did not converge in Linear Least Squares")

@@ -1,16 +1,20 @@
+import math
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from wepolicy.coupling import FactCoupling, apply_fact_coupling
 from wepolicy.errors import DimensionError
 from wepolicy.evaluator import (
     RankedPolicies,
+    RankedRow,
     WeightingProfile,
     compare_profiles,
     evaluate_policies,
     select_best,
 )
 from wepolicy.policy_sim import PolicyKnobs, SweepRow, SweepTable
-from wepolicy.survey import fit_target, predict
+from wepolicy.survey import RegressionModel, fit_target, predict
 
 
 def make_model(intercept, coefficients):
@@ -216,3 +220,140 @@ class TestCompareProfiles:
         target = make_model(0.0, (1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             compare_profiles(target, (0.0, 0.0, 0.0), [], make_sweep([(0.1, 0.1, 0.1)]))
+
+
+# --- reference copy of the per-row scan that the column pass replaced -------
+
+
+def reference_coupling(g, x_w, x_c):
+    """The scalar fact coupling: one Python pass per row."""
+    if len(x_w) != g.subjective_dim:
+        raise DimensionError(
+            f"x_w has length {len(x_w)}, coupling expects {g.subjective_dim}"
+        )
+    if len(x_c) != g.fact_dim:
+        raise DimensionError(f"x_c has length {len(x_c)}, coupling expects {g.fact_dim}")
+    if not all(math.isfinite(v) for v in x_w) or not all(math.isfinite(v) for v in x_c):
+        raise ValueError("fact coupling requires finite inputs")
+    shift = []
+    for row in g.matrix:
+        acc = 0.0
+        for w, v in zip(row, x_c):
+            acc += w * v
+        shift.append(acc)
+    if g.mode == "additive":
+        prime = [wv + sv for wv, sv in zip(x_w, shift)]
+    else:
+        prime = [wv * (1.0 + sv) for wv, sv in zip(x_w, shift)]
+    delta = max(abs(p - w) for p, w in zip(prime, x_w))
+    ratio = delta / max(max(abs(w) for w in x_w), 1e-9)
+    return tuple(prime), ratio > g.warn_threshold
+
+
+def reference_evaluate(target, baseline_x_w, profile, sweep):
+    if not sweep.rows:
+        raise ValueError("sweep table is empty")
+    scored = []
+    warnings = 0
+    for row in sweep.rows:
+        prime, warned = reference_coupling(profile.coupling, baseline_x_w, row.indicators)
+        warnings += warned
+        scored.append(RankedRow(row.policy_id, prime, predict(target, prime)))
+    scored.sort(key=lambda r: (-r.w_prime, r.policy_id))
+    return RankedPolicies(rows=tuple(scored), perturbation_warnings=warnings)
+
+
+def fingerprint(ranked):
+    """Row order, every float by repr (so -0.0 and the last bit count), warnings."""
+    return (
+        [(r.policy_id, repr(r.w_prime), [repr(v) for v in r.x_w_prime]) for r in ranked.rows],
+        ranked.perturbation_warnings,
+    )
+
+
+# A small pool makes exact ties, zeros and -0.0 common.
+values = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 0.1, 0.2, 0.3]),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@st.composite
+def scoring_cases(draw):
+    n_w = draw(st.integers(1, 4))
+    n_c = draw(st.integers(1, 4))
+    matrix = tuple(tuple(draw(values) for _ in range(n_c)) for _ in range(n_w))
+    coupling = FactCoupling(
+        draw(st.sampled_from(["additive", "multiplicative"])),
+        matrix,
+        warn_threshold=draw(st.sampled_from([0.0, 0.2, 1.0, 5.0])),
+    )
+    baseline = draw(st.one_of(
+        st.just((0.0,) * n_w),  # exercises the 1e-9 norm floor
+        st.tuples(*[values] * n_w),
+    ))
+    target = RegressionModel(
+        intercept=draw(values),
+        coefficients=tuple(draw(values) for _ in range(n_w)),
+        names=tuple(f"c{i}" for i in range(n_w)),
+        r_squared=1.0,
+        residuals=(),
+    )
+    pool = draw(st.lists(st.tuples(*[values] * n_c), min_size=1, max_size=4))
+    indicators = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    ids = draw(st.permutations(range(len(indicators))))
+    knobs = PolicyKnobs(0.1, 0.1, 0.1)
+    sweep = SweepTable(rows=tuple(
+        SweepRow(i, knobs, ind) for i, ind in zip(ids, indicators)
+    ))
+    return target, baseline, WeightingProfile("p", coupling), sweep
+
+
+class TestColumnPassMatchesRowScan:
+    @given(scoring_cases())
+    @example((
+        RegressionModel(0.0, (1.0,), ("c",), 1.0, ()),
+        (0.0,),
+        WeightingProfile("p", FactCoupling("multiplicative", ((-0.0,),))),
+        SweepTable(rows=(SweepRow(0, PolicyKnobs(0.1, 0.1, 0.1), (-0.0,)),)),
+    ))
+    def test_bit_identical(self, case):
+        target, baseline, profile, sweep = case
+        assert fingerprint(evaluate_policies(target, baseline, profile, sweep)) == \
+            fingerprint(reference_evaluate(target, baseline, profile, sweep))
+
+    @pytest.mark.parametrize("baseline, indicators, n_coefficients", [
+        ((0.0, 0.0), [(0.1, 0.2, 0.3)], 3),  # x_w length
+        ((0.0, 0.0, 0.0), [(0.1, 0.2, 0.3), (0.1, 0.2)], 3),  # one short row
+        ((0.0, math.nan, 0.0), [(0.1, 0.2, 0.3)], 3),  # non-finite baseline
+        ((0.0, 0.0, 0.0), [(0.1, 0.2, 0.3), (0.1, math.inf, 0.3)], 3),  # non-finite fact
+        ((0.0, 0.0, 0.0), [(0.1, 0.2, 0.3)], 2),  # model width
+    ])
+    def test_single_fault_messages_unchanged(self, baseline, indicators, n_coefficients):
+        target = RegressionModel(0.0, (1.0,) * n_coefficients, ("c",) * n_coefficients, 1.0, ())
+        profile = WeightingProfile("p", identity_coupling())
+        sweep = make_sweep(indicators)
+        with pytest.raises(ValueError) as expected:
+            reference_evaluate(target, baseline, profile, sweep)
+        with pytest.raises(type(expected.value)) as got:
+            evaluate_policies(target, baseline, profile, sweep)
+        assert str(got.value) == str(expected.value)
+
+
+class TestNonFiniteScores:
+    def test_overflowing_coupling_is_a_numerical_failure(self):
+        target = make_model(0.0, (1.0, 1.0, 1.0))
+        huge = FactCoupling("additive", ((1.79e308,) * 3,) * 3)
+        sweep = make_sweep([(0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.0, 1.0, 1.0)])
+        with pytest.raises(FloatingPointError) as err:
+            evaluate_policies(target, (0.0, 0.0, 0.0), WeightingProfile("Type A", huge), sweep)
+        assert str(err.value) == (
+            "profile 'Type A': coupled vector or score of policy 1 is not finite"
+        )
+
+    def test_overflowing_score_is_a_numerical_failure(self):
+        # every coupled vector is finite; only the score overflows
+        target = RegressionModel(0.0, (1e308, 1e308, 1e308), ("a", "b", "c"), 1.0, ())
+        sweep = make_sweep([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.9, 0.9, 0.9)])
+        with pytest.raises(FloatingPointError, match="policy 2 is not finite"):
+            evaluate_policies(target, (0.1, 0.1, 0.1), WeightingProfile("p", identity_coupling()), sweep)

@@ -246,6 +246,92 @@ class TestMalformedEntries:
         assert errors == ["logic_model.fact_bindings.elements: expected an array"]
 
 
+def fixture_doc(fixtures_dir, name):
+    return json.loads((fixtures_dir / name).read_text(encoding="utf-8"))
+
+
+class TestNoFollowOnFindings:
+    """A section that failed to parse gets its own finding and nothing else."""
+
+    def test_unknown_layer_function(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "fig2.json")
+        doc["layers"][1]["value_function"] = "nope"
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["layers[1].value_function: unknown function 'nope'"]
+
+    def test_non_object_layer(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "fig2.json")
+        doc["layers"] = [1]
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["layers[0]: expected an object"]
+
+    def test_malformed_mapping_nonlinearity(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "consensus.json")
+        doc["mapping_f"]["nonlinearity"] = "x"
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["mapping_f.nonlinearity: expected an object"]
+
+    def test_malformed_survey_is_not_replaced_by_x_w(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["survey"]["scale"] = "five"
+        doc["element_sets"]["X_w"]["variables"].pop()
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["survey.scale: expected an integer, got 'five'"]
+
+    def test_missing_sections_still_reported(self, tmp_path):
+        doc = minimal_layers()
+        doc["consensus"] = {"narrow_layer": "ghost", "wide_layer": "community",
+                            "probes": [[0.0]]}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [
+            "consensus.narrow_layer: unknown scope label 'ghost'",
+            "consensus.wide_layer: layer 'community' declares no element_weights",
+            "consensus: requires a mapping_f section",
+        ]
+
+
+class TestRawFamilyDomain:
+    """A raw family is defined for x >= 0; `validate` reports a grid below it."""
+
+    def raw_fig2(self, fixtures_dir, family="linear", **params):
+        doc = fixture_doc(fixtures_dir, "fig2.json")
+        doc["value_functions"]["raw"] = {"kind": "family", "family": family, **params}
+        doc["layers"][0]["value_function"] = "raw"
+        return doc
+
+    def test_negative_grids_are_errors(self, tmp_path, fixtures_dir):
+        errors, _ = validate_scenario(write(tmp_path, self.raw_fig2(fixtures_dir)))
+        assert errors == [
+            "surface.x_n: grid reaches -20.0, below the linear family's domain x >= 0 "
+            "for layer 'I'",
+            "curve.grid: grid reaches -20.0, below the linear family's domain x >= 0 "
+            "for layer 'I'",
+        ]
+
+    def test_logarithmic_family(self, tmp_path, fixtures_dir):
+        doc = self.raw_fig2(fixtures_dir, "logarithmic", a=1.0)
+        doc["surface"]["x_n"] = {"values": [0.0, 2.0, -0.5]}
+        del doc["curve"]
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [
+            "surface.x_n: grid reaches -0.5, below the logarithmic family's domain "
+            "x >= 0 for layer 'I'"
+        ]
+
+    def test_non_negative_grids_pass(self, tmp_path, fixtures_dir):
+        doc = self.raw_fig2(fixtures_dir)
+        doc["surface"]["x_n"] = {"start": 0.0, "stop": 20.0, "count": 5}
+        doc["curve"]["grid"] = {"values": [-0.0, 1.0]}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == []
+
+    def test_mirrored_family_covers_the_line(self, tmp_path, fixtures_dir):
+        doc = self.raw_fig2(fixtures_dir)
+        doc["value_functions"]["raw"]["kind"] = "mirrored"
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == []
+
+
 def valid_logic_model():
     return {
         "nodes": [{"name": "a", "stage": "inputs"}, {"name": "z", "stage": "impacts"}],
