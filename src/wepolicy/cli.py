@@ -8,16 +8,20 @@ target and picks maximizers per weighting profile, `impact` evaluates the
 logic model, `network` propagates fact deltas to value parameters, and
 `validate` reports scenario findings without running anything.
 
-Outputs are staged in memory and written only after a command fully
-succeeds, so a nonzero exit never leaves partial files behind.
+Outputs are staged in memory until a command fully succeeds, then written
+to a staging directory inside `--out` and renamed into place, so a nonzero
+exit (or a process killed mid-write) never leaves partial output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import re
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +35,7 @@ from .scenario import Scenario, load_scenario, validate_scenario
 from .serialize import csv_table, dump_json, json_rows
 from .survey import (
     aggregate_survey,
+    check_responses,
     fit_target,
     read_survey_csv,
     rescale_answer,
@@ -125,8 +130,9 @@ def _fit_from_survey(sc: Scenario):
             ]
         )
     try:
-        baseline = aggregate_survey(responses, cfg.construct_map, cfg.scale)
-        scores = respondent_scores(responses, cfg.construct_map, cfg.scale)
+        check_responses(responses, cfg.construct_map, cfg.scale)
+        baseline = aggregate_survey(responses, cfg.construct_map, cfg.scale, checked=True)
+        scores = respondent_scores(responses, cfg.construct_map, cfg.scale, checked=True)
     except ValueError as err:
         raise ScenarioError([f"survey.file: {err}"]) from None
     design = [[1.0, *row] for row in scores]
@@ -235,6 +241,32 @@ _DISPATCH = {
 }
 
 
+def _write_outputs(out: Path, outputs: dict[str, str]) -> None:
+    """Write every output into `out`, or none of them.
+
+    The files are written into a staging directory inside `out` and then
+    renamed into place, so a process killed mid-write leaves no partial
+    output file. On an OSError, the staged files, the staging directory
+    and any output already renamed into place are removed before it is
+    raised again.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".wepolicy-", dir=out))
+    placed: list[Path] = []
+    try:
+        for name, text in outputs.items():
+            (stage / name).write_text(text, encoding="utf-8", newline="")
+        for name in outputs:
+            os.replace(stage / name, out / name)
+            placed.append(out / name)
+    except OSError:
+        for path in placed:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
         seed: int | None = None) -> int:
     """Run one command; returns the process exit code.
@@ -261,19 +293,9 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
         return EXIT_IO
 
     out = Path(out_dir)
-    written: list[Path] = []
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in outputs.items():
-            target = out / name
-            target.write_text(text, encoding="utf-8", newline="")
-            written.append(target)
+        _write_outputs(out, outputs)
     except OSError as err:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
 

@@ -296,34 +296,38 @@ class ParameterNetwork:
     fact_nodes: tuple[str, ...]
     value_nodes: tuple[str, ...]
     edges: tuple[NetworkEdge, ...]
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.fact_nodes)) != len(self.fact_nodes):
+        facts, values = set(self.fact_nodes), set(self.value_nodes)
+        if len(facts) != len(self.fact_nodes):
             raise ValueError("fact node names must be unique")
-        if len(set(self.value_nodes)) != len(self.value_nodes):
+        if len(values) != len(self.value_nodes):
             raise ValueError("value node names must be unique")
-        overlap = set(self.fact_nodes) & set(self.value_nodes)
+        overlap = facts & values
         if overlap:
             raise ValueError(f"nodes cannot be both fact and value: {sorted(overlap)}")
-        facts = set(self.fact_nodes)
-        for e in self.edges:
-            if e.target in facts:
-                raise ValueError(f"fact node {e.target!r} cannot have incoming edges")
-            if not math.isfinite(e.weight):
-                raise ValueError(f"edge {e.source}->{e.target} weight must be finite")
+        # Name -> position in node_names(): facts, values, then the other
+        # edge endpoints in first-seen order; one pass also collects the
+        # (source, target) pairs.
+        index = {n: i for i, n in enumerate((*self.fact_nodes, *self.value_nodes))}
+        pairs = []
+        for src, dst, weight in self.edges:
+            if dst in facts:
+                raise ValueError(f"fact node {dst!r} cannot have incoming edges")
+            if not math.isfinite(weight):
+                raise ValueError(f"edge {src}->{dst} weight must be finite")
+            index.setdefault(src, len(index))
+            index.setdefault(dst, len(index))
+            pairs.append((src, dst))
+        names = tuple(index)
+        object.__setattr__(self, "_names", names)
         # Raises CycleError on a cycle; cached for propagation.
-        object.__setattr__(self, "_order", tuple(topological_order(self.node_names(), [
-            (e.source, e.target) for e in self.edges
-        ])))
+        object.__setattr__(self, "_order", tuple(topological_order(names, pairs, index)))
 
     def node_names(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(self.fact_nodes)
-        seen.update(dict.fromkeys(self.value_nodes))
-        for e in self.edges:
-            seen.setdefault(e.source)
-            seen.setdefault(e.target)
-        return tuple(seen)
+        return self._names
 
 
 def propagate_network(

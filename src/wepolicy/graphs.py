@@ -6,27 +6,29 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, NamedTuple, Sequence, Tuple
 
 
 class CycleError(ValueError):
     """The graph contains a directed cycle."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: str
     target: str
     weight: float
 
 
-def topological_order(names: Sequence[str], edges: Sequence[Tuple[str, str]]) -> list[str]:
+def topological_order(names: Sequence[str], edges: Sequence[Tuple[str, str]],
+                      index: Mapping[str, int] | None = None) -> list[str]:
     """Kahn's algorithm; ties broken by declaration order so results are stable.
 
     Raises CycleError naming the nodes left on a cycle. Names must be unique.
+    `index` maps each name to its position in `names`; a caller that has
+    already built it passes it in, otherwise it is built here.
     """
-    index = {n: i for i, n in enumerate(names)}
+    if index is None:
+        index = {n: i for i, n in enumerate(names)}
     indegree = [0] * len(names)
     outgoing: list[list[int]] = [[] for _ in names]
     for src, dst in edges:

@@ -20,6 +20,7 @@ from .graphs import CycleError, Edge, propagate_linear, topological_order
 
 STAGES = ("inputs", "activities", "outputs", "outcomes", "impacts")
 BINDABLE_STAGES = ("inputs", "activities", "outputs")
+_RANK = {stage: i for i, stage in enumerate(STAGES)}
 
 
 @dataclass(frozen=True)
@@ -65,32 +66,31 @@ def _inspect(model: LogicModel) -> tuple[list[str], tuple[str, ...] | None]:
     """
     findings = []
     names = [n.name for n in model.nodes]
-    dupes = sorted(n for n, k in Counter(names).items() if k > 1)
+    index = {name: i for i, name in enumerate(names)}  # a duplicate keeps its last position
+    dupes = len(index) != len(names)
     if dupes:
-        findings.append(f"duplicate node names: {', '.join(dupes)}")
+        dupe_names = sorted(n for n, k in Counter(names).items() if k > 1)
+        findings.append(f"duplicate node names: {', '.join(dupe_names)}")
 
-    by_name = model.node_map()
-    rank = {stage: i for i, stage in enumerate(STAGES)}
-    checkable = []
-    for e in model.edges:
-        unknown = [x for x in (e.source, e.target) if x not in by_name]
-        if unknown:
-            findings.append(
-                f"edge {e.source}->{e.target} references unknown nodes: "
-                + ", ".join(unknown)
-            )
+    ranks = [_RANK[n.stage] for n in model.nodes]
+    pairs = []
+    for src, dst, _ in model.edges:
+        i, j = index.get(src), index.get(dst)
+        if i is None or j is None:
+            unknown = [x for x in (src, dst) if x not in index]
+            findings.append(f"edge {src}->{dst} references unknown nodes: " + ", ".join(unknown))
             continue
-        if rank[by_name[e.source].stage] > rank[by_name[e.target].stage]:
+        if ranks[i] > ranks[j]:
             findings.append(
-                f"edge {e.source}->{e.target} runs backwards: "
-                f"{by_name[e.source].stage} -> {by_name[e.target].stage}"
+                f"edge {src}->{dst} runs backwards: "
+                f"{model.nodes[i].stage} -> {model.nodes[j].stage}"
             )
-        checkable.append((e.source, e.target))
+        pairs.append((src, dst))
 
     order = None
     if not dupes:
         try:
-            order = tuple(topological_order(names, checkable))
+            order = tuple(topological_order(names, pairs, index))
         except CycleError as err:
             findings.append(str(err))
 

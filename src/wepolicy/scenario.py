@@ -25,7 +25,7 @@ from .coupling import (
     ParameterNetwork,
     Saturator,
 )
-from .errors import ScenarioError
+from .errors import DimensionError, ScenarioError
 from .evaluator import WeightingProfile
 from .graphs import Edge
 from .policy_sim import DynamicsConfig
@@ -37,7 +37,7 @@ from .valuefn import (
     ValueFunctionSpec,
     quadratic_monotone_limit,
 )
-from .we_model import WellbeingModel, WELayer, WEScope
+from .we_model import WellbeingModel, WELayer, WEScope, surface_layers
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,21 @@ def _matrix(value, where: str) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
+# The entry loops (`_vector`, `_names`, `_edges`, `_nodes` and the loops over
+# logic-model inputs and bindings and network deltas) check each entry
+# inline and build its field path only when a check fails. They then call
+# the accessors above, which word the finding, or accept what the inline
+# check declined, such as an int or a str subclass. `v - v == 0.0` holds for
+# exactly the finite floats: inf - inf and nan - nan are nan.
+
+
 def _vector(value, where: str) -> list[float]:
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected an array of numbers")
-    return [_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return [
+        v if type(v) is float and v - v == 0.0 else _float(v, f"{where}[{i}]")
+        for i, v in enumerate(value)
+    ]
 
 
 def _array(value, where: str) -> list:
@@ -140,21 +151,58 @@ def _object(value, where: str) -> dict:
 
 
 def _names(value, where: str) -> tuple[str, ...]:
-    return tuple(_str(v, f"{where}[{i}]") for i, v in enumerate(_array(value, where)))
+    names = tuple(_array(value, where))
+    for i, v in enumerate(names):
+        if type(v) is not str or not v:
+            _str(v, f"{where}[{i}]")
+    return names
+
+
+def _edge(e, at: str) -> Edge:
+    e = _object(e, at)
+    return Edge(
+        source=_str(e.get("from"), f"{at}.from"),
+        target=_str(e.get("to"), f"{at}.to"),
+        weight=_float(e.get("weight"), f"{at}.weight"),
+    )
 
 
 def _edges(value, where: str) -> tuple[Edge, ...]:
     edges = []
     for i, e in enumerate(_array(value, where)):
-        e = _object(e, f"{where}[{i}]")
-        edges.append(
-            Edge(
-                source=_str(e.get("from"), f"{where}[{i}].from"),
-                target=_str(e.get("to"), f"{where}[{i}].to"),
-                weight=_float(e.get("weight"), f"{where}[{i}].weight"),
-            )
-        )
+        if type(e) is dict:
+            src, dst, w = e.get("from"), e.get("to"), e.get("weight")
+            if (type(src) is str and src and type(dst) is str and dst
+                    and type(w) is float and w - w == 0.0):
+                edges.append(Edge(src, dst, w))
+                continue
+        edges.append(_edge(e, f"{where}[{i}]"))
     return tuple(edges)
+
+
+def _node(n, at: str) -> logicmodel.Node:
+    n = _object(n, at)
+    return _check(
+        at,
+        logicmodel.Node,
+        _str(n.get("name"), f"{at}.name"),
+        _str(n.get("stage"), f"{at}.stage"),
+        _float(n.get("baseline", 0.0), f"{at}.baseline"),
+    )
+
+
+def _nodes(value, where: str) -> tuple[logicmodel.Node, ...]:
+    nodes = []
+    for i, n in enumerate(_array(value, where)):
+        if type(n) is dict:
+            name, stage, base = n.get("name"), n.get("stage"), n.get("baseline", 0.0)
+            if (type(name) is str and name and type(stage) is str
+                    and stage in logicmodel.STAGES and type(base) is float
+                    and base - base == 0.0):
+                nodes.append(logicmodel.Node(name, stage, base))
+                continue
+        nodes.append(_node(n, f"{where}[{i}]"))
+    return tuple(nodes)
 
 
 def _check(where: str, fn, *args):
@@ -317,11 +365,13 @@ class _Builder:
                     )
                 weights = spec.get("element_weights")
                 built.append(
-                    WELayer(
-                        scope=WEScope(_str(spec.get("scope"), f"{where}.scope")),
-                        value_function=self.sc.value_functions[fn_name],
-                        weight=_float(spec.get("weight"), f"{where}.weight"),
-                        element_weights=(
+                    _check(
+                        f"{where}.weight",
+                        WELayer,
+                        WEScope(_str(spec.get("scope"), f"{where}.scope")),
+                        self.sc.value_functions[fn_name],
+                        _float(spec.get("weight"), f"{where}.weight"),
+                        (
                             tuple(_vector(weights, f"{where}.element_weights"))
                             if weights is not None
                             else None
@@ -403,7 +453,9 @@ class _Builder:
             for k, v in deltas.items():
                 if k not in fact_set:
                     raise ValueError(f"{where}.deltas: {k!r} is not a fact node")
-                self.sc.network_deltas[k] = _float(v, f"{where}.deltas.{k}")
+                self.sc.network_deltas[k] = (
+                    v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.deltas.{k}")
+                )
         except ValueError as err:
             self.error(str(err))
 
@@ -516,21 +568,9 @@ class _Builder:
         where = "logic_model"
         try:
             _object(raw, where)
-            nodes = []
-            for i, n in enumerate(_array(raw.get("nodes", []), f"{where}.nodes")):
-                at = f"{where}.nodes[{i}]"
-                n = _object(n, at)
-                nodes.append(
-                    _check(
-                        at,
-                        logicmodel.Node,
-                        _str(n.get("name"), f"{at}.name"),
-                        _str(n.get("stage"), f"{at}.stage"),
-                        _float(n.get("baseline", 0.0), f"{at}.baseline"),
-                    )
-                )
+            nodes = _nodes(raw.get("nodes", []), f"{where}.nodes")
             edges = _edges(raw.get("edges", []), f"{where}.edges")
-            model = logicmodel.LogicModel(nodes=tuple(nodes), edges=edges)
+            model = logicmodel.LogicModel(nodes=nodes, edges=edges)
             findings = logicmodel.validate(model)
             if findings:
                 raise ValueError(f"{where}: " + "; ".join(findings))
@@ -538,7 +578,9 @@ class _Builder:
 
             inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
             for k, v in inputs.items():
-                self.sc.logic_inputs[k] = _float(v, f"{where}.inputs.{k}")
+                self.sc.logic_inputs[k] = (
+                    v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.inputs.{k}")
+                )
             _check(f"{where}.inputs", logicmodel.check_inputs, model, self.sc.logic_inputs)
 
             fb = raw.get("fact_bindings")
@@ -547,12 +589,12 @@ class _Builder:
                     raise ValueError(f"{where}.fact_bindings.bindings: expected an object")
                 elements = _names(fb.get("elements", []), f"{where}.fact_bindings.elements")
                 values = tuple(_vector(fb.get("values", []), f"{where}.fact_bindings.values"))
-                bindings = {
-                    _str(k, f"{where}.fact_bindings.bindings"): _str(
-                        v, f"{where}.fact_bindings.bindings.{k}"
-                    )
-                    for k, v in fb["bindings"].items()
-                }
+                bindings = {}
+                for k, v in fb["bindings"].items():
+                    if not (type(k) is str and k and type(v) is str and v):
+                        _str(k, f"{where}.fact_bindings.bindings")
+                        _str(v, f"{where}.fact_bindings.bindings.{k}")
+                    bindings[k] = v
                 binding = _check(
                     f"{where}.fact_bindings", logicmodel.FactBinding, bindings, elements, values
                 )
@@ -706,8 +748,14 @@ class _Builder:
         """Walk each (layer, grid) pair that `surface` evaluates. A raw
         family is defined for x >= 0 only, so a grid reaching below 0 is an
         error. Quadratic curves turn over past a/2; warn when a grid reaches
-        beyond that point, since ranking semantics silently flip there."""
+        beyond that point, since ranking semantics silently flip there. A
+        surface also needs a model of exactly two layers."""
         sc = self.sc
+        if sc.surface_grids is not None and sc.model is not None:
+            try:
+                surface_layers(sc.model)
+            except DimensionError as err:
+                self.error(f"surface: {err}")
 
         def limit(fn) -> float | None:
             if isinstance(fn, ValueFunctionSpec) and fn.family == "quadratic":

@@ -67,7 +67,9 @@ def rescale_answer(value: float, scale: int) -> float:
     return 2.0 * (value - 1.0) / (scale - 1.0) - 1.0
 
 
-def _check_responses(responses: Sequence[SurveyResponse], cmap: ConstructMap, scale: int):
+def check_responses(responses: Sequence[SurveyResponse], cmap: ConstructMap, scale: int):
+    """Raise unless there is a response and each has one answer in
+    [1, scale] per question of `cmap`."""
     if not responses:
         raise ValueError("survey has no responses")
     k = cmap.question_count
@@ -84,14 +86,17 @@ def _check_responses(responses: Sequence[SurveyResponse], cmap: ConstructMap, sc
 
 
 def aggregate_survey(
-    responses: Sequence[SurveyResponse], cmap: ConstructMap, scale: int
+    responses: Sequence[SurveyResponse], cmap: ConstructMap, scale: int,
+    *, checked: bool = False,
 ) -> list[float]:
     """Consensus construct vector: per-question means, rescaled, mapped.
 
     Output order follows the construct map rows. Shuffling respondents does
-    not change the result.
+    not change the result. `checked=True` skips `check_responses`, for a
+    caller that has already run it on the same arguments.
     """
-    _check_responses(responses, cmap, scale)
+    if not checked:
+        check_responses(responses, cmap, scale)
     k = cmap.question_count
     n = len(responses)
     means = [sum(r.answers[q] for r in responses) / n for q in range(k)]
@@ -103,7 +108,8 @@ def aggregate_survey(
 
 
 def respondent_scores(
-    responses: Sequence[SurveyResponse], cmap: ConstructMap, scale: int
+    responses: Sequence[SurveyResponse], cmap: ConstructMap, scale: int,
+    *, checked: bool = False,
 ) -> list[list[float]]:
     """Per-respondent construct vectors (rescale each answer, then map).
 
@@ -111,8 +117,10 @@ def respondent_scores(
     ``0.0 + w * z`` over the questions left to right, which is what `sum()`
     over a respondent's terms computes up to Python 3.11 (3.12's `sum()`
     compensates, so the result no longer depends on the Python version).
+    `checked=True` skips `check_responses`, as in `aggregate_survey`.
     """
-    _check_responses(responses, cmap, scale)
+    if not checked:
+        check_responses(responses, cmap, scale)
     # Imported here so that commands which never fit start without numpy.
     import numpy as np
 

@@ -104,6 +104,16 @@ def aggregate(model: WellbeingModel, assignment: Mapping[str, float]) -> float:
     return total
 
 
+def surface_layers(model: WellbeingModel) -> tuple[WELayer, WELayer]:
+    """The (narrow, wide) layers a surface samples; raises DimensionError
+    unless the model has exactly two."""
+    if len(model.layers) != 2:
+        raise DimensionError(
+            f"surface sampling needs exactly 2 layers, model has {len(model.layers)}"
+        )
+    return model.layers
+
+
 def sample_surface(
     model: WellbeingModel,
     xs_narrow: Sequence[float],
@@ -114,13 +124,9 @@ def sample_surface(
     Rows come back in row-major order (narrow axis outer, wide axis inner)
     so CSV output is byte-stable.
     """
-    if len(model.layers) != 2:
-        raise DimensionError(
-            f"surface sampling needs exactly 2 layers, model has {len(model.layers)}"
-        )
+    narrow, wide = surface_layers(model)
     if not xs_narrow or not xs_wide:
         raise ValueError("grid must be non-empty on both axes")
-    narrow, wide = model.layers
     rows = []
     for xn in xs_narrow:
         wn = narrow.weight * narrow.value_function(xn)

@@ -469,3 +469,78 @@ def test_only_the_fit_loads_numpy(fixtures_dir, tmp_path):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+class TestOutputContract:
+    def test_surface_with_three_layers_is_a_finding(self, fixtures_dir, tmp_path, capsys):
+        doc = json.loads((fixtures_dir / "fig2.json").read_text())
+        doc["layers"][1]["weight"] = 0.25
+        doc["layers"].append({"scope": "world", "value_function": "default", "weight": 0.25})
+        scenario = tmp_path / "three_layers.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "surface", "--scenario", str(scenario),
+                                    "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: surface: surface sampling needs exactly 2 layers, model has 3\n"
+        assert not out.exists()
+
+    def test_failed_write_leaves_no_files(self, tmp_path, capsys, monkeypatch):
+        scenario = small_fig2(tmp_path)
+        out = tmp_path / "out"
+        real_write = Path.write_text
+        writes = []
+
+        def second_write_fails(self, *args, **kwargs):
+            writes.append(self.name)
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+            return real_write(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", second_write_fails)
+        code, stdout, err = run_cli(capsys, "surface", "--scenario", str(scenario),
+                                    "--out", str(out))
+        assert writes == ["surface.csv", "curve.csv"]
+        assert code == 3
+        assert stdout == ""
+        assert "No space left on device" in err
+        assert list(out.iterdir()) == []
+
+    def test_rerun_replaces_outputs_in_place(self, tmp_path, capsys):
+        scenario = small_fig2(tmp_path)
+        out = tmp_path / "out"
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, "surface", "--scenario", str(scenario),
+                                 "--out", str(out))
+            assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["curve.csv", "surface.csv"]
+
+    def test_fit_checks_the_answers_once(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        from wepolicy import cli, survey
+
+        calls = []
+        real_check = survey.check_responses
+
+        def counting_check(*args):
+            calls.append(len(args[0]))
+            return real_check(*args)
+
+        monkeypatch.setattr(survey, "check_responses", counting_check)
+        monkeypatch.setattr(cli, "check_responses", counting_check)
+        code, _, _ = run_cli(capsys, "fit", "--scenario", str(fixtures_dir / "pipeline.json"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_answer_outside_the_scale_is_named(self, fixtures_dir, tmp_path, capsys):
+        shutil.copy(fixtures_dir / "pipeline.json", tmp_path / "pipeline.json")
+        lines = (fixtures_dir / "survey.csv").read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",9"
+        (tmp_path / "survey.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "fit", "--scenario", str(tmp_path / "pipeline.json"),
+                               "--out", str(out))
+        assert code == 1
+        assert err == "error: survey.file: respondent 'r0001' answer 9 outside [1, 5]\n"
+        assert not out.exists()

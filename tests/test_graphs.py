@@ -249,6 +249,18 @@ class TestPropagateLinear:
         assert_identical(propagate_network(net, deltas), reference_propagate_network(net, deltas))
 
 
+class TestParameterNetworkNames:
+    @given(parameter_networks())
+    def test_facts_then_values_then_other_endpoints(self, case):
+        net, _ = case
+        seen = dict.fromkeys(net.fact_nodes)
+        seen.update(dict.fromkeys(net.value_nodes))
+        for e in net.edges:
+            seen.setdefault(e.source)
+            seen.setdefault(e.target)
+        assert net.node_names() == tuple(seen)
+
+
 class TestOneEdgeType:
     def test_public_edge_names_are_one_class(self):
         assert logicmodel.Edge is graphs.Edge
@@ -259,9 +271,9 @@ class TestLogicModelSortedOnce:
     def test_propagate_and_couple_facts_do_not_sort_or_validate_again(self, monkeypatch):
         sorts = []
 
-        def counting_order(names, edges):
+        def counting_order(names, edges, index=None):
             sorts.append(len(names))
-            return topological_order(names, edges)
+            return topological_order(names, edges, index)
 
         def no_validate(model):
             raise AssertionError("validate called after the model was built")

@@ -1,9 +1,27 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wepolicy import logicmodel
+from wepolicy.coupling import ParameterNetwork
 from wepolicy.errors import ScenarioError
-from wepolicy.scenario import grid_values, load_scenario, validate_scenario
+from wepolicy.graphs import Edge
+from wepolicy.scenario import (
+    _array,
+    _check,
+    _float,
+    _object,
+    _str,
+    grid_values,
+    load_scenario,
+    parse_scenario,
+    validate_scenario,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write(tmp_path, doc, name="scenario.json"):
@@ -404,3 +422,196 @@ class TestGridValues:
             grid_values({"start": 0.0}, "g")
         with pytest.raises(ValueError):
             grid_values({"values": []}, "g")
+
+
+class TestLayerFindings:
+    def test_surface_needs_two_layers(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "fig2.json")
+        doc["layers"][1]["weight"] = 0.25
+        doc["layers"].append({"scope": "world", "value_function": "default", "weight": 0.25})
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["surface: surface sampling needs exactly 2 layers, model has 3"]
+
+    def test_out_of_range_weights_name_their_path(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "fig2.json")
+        for layer in doc["layers"]:
+            layer["weight"] = 1e308
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [
+            "layers[0].weight: layer 'I' weight must be in [0, 1], got 1e+308",
+            "layers[1].weight: layer 'community' weight must be in [0, 1], got 1e+308",
+        ]
+
+
+# --- the graph sections against a kept copy of the per-field accessor loops ---
+
+
+def reference_graph_sections(doc):
+    """The `parameter_network` and `logic_model` loops as they were before
+    the inline checks: every field goes through its accessor with its path
+    already built. Returns (errors, parsed objects by Scenario attribute)."""
+    errors = []
+    got = {"network": None, "network_deltas": {}, "logic_model": None,
+           "logic_inputs": {}, "fact_binding": None}
+
+    def vector(value, where):
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected an array of numbers")
+        return [_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+    def names(value, where):
+        return tuple(_str(v, f"{where}[{i}]") for i, v in enumerate(_array(value, where)))
+
+    def edges(value, where):
+        out = []
+        for i, e in enumerate(_array(value, where)):
+            e = _object(e, f"{where}[{i}]")
+            out.append(Edge(
+                source=_str(e.get("from"), f"{where}[{i}].from"),
+                target=_str(e.get("to"), f"{where}[{i}].to"),
+                weight=_float(e.get("weight"), f"{where}[{i}].weight"),
+            ))
+        return tuple(out)
+
+    raw = doc.get("parameter_network")
+    if raw is not None:
+        where = "parameter_network"
+        try:
+            _object(raw, where)
+            facts = names(raw.get("facts", []), f"{where}.facts")
+            values = names(raw.get("values", []), f"{where}.values")
+            net_edges = edges(raw.get("edges", []), f"{where}.edges")
+            got["network"] = _check(where, ParameterNetwork, facts, values, net_edges)
+            deltas = _object(raw.get("deltas", {}), f"{where}.deltas")
+            for k, v in deltas.items():
+                if k not in set(facts):
+                    raise ValueError(f"{where}.deltas: {k!r} is not a fact node")
+                got["network_deltas"][k] = _float(v, f"{where}.deltas.{k}")
+        except ValueError as err:
+            errors.append(str(err))
+
+    raw = doc.get("logic_model")
+    if raw is not None:
+        where = "logic_model"
+        try:
+            _object(raw, where)
+            nodes = []
+            for i, n in enumerate(_array(raw.get("nodes", []), f"{where}.nodes")):
+                at = f"{where}.nodes[{i}]"
+                n = _object(n, at)
+                nodes.append(_check(
+                    at,
+                    logicmodel.Node,
+                    _str(n.get("name"), f"{at}.name"),
+                    _str(n.get("stage"), f"{at}.stage"),
+                    _float(n.get("baseline", 0.0), f"{at}.baseline"),
+                ))
+            model = logicmodel.LogicModel(
+                nodes=tuple(nodes), edges=edges(raw.get("edges", []), f"{where}.edges")
+            )
+            findings = logicmodel.validate(model)
+            if findings:
+                raise ValueError(f"{where}: " + "; ".join(findings))
+            got["logic_model"] = model
+            inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
+            for k, v in inputs.items():
+                got["logic_inputs"][k] = _float(v, f"{where}.inputs.{k}")
+            _check(f"{where}.inputs", logicmodel.check_inputs, model, got["logic_inputs"])
+            fb = raw.get("fact_bindings")
+            if fb is not None:
+                if not isinstance(fb, dict) or not isinstance(fb.get("bindings"), dict):
+                    raise ValueError(f"{where}.fact_bindings.bindings: expected an object")
+                elements = names(fb.get("elements", []), f"{where}.fact_bindings.elements")
+                values = tuple(vector(fb.get("values", []), f"{where}.fact_bindings.values"))
+                bindings = {
+                    _str(k, f"{where}.fact_bindings.bindings"): _str(
+                        v, f"{where}.fact_bindings.bindings.{k}"
+                    )
+                    for k, v in fb["bindings"].items()
+                }
+                binding = _check(
+                    f"{where}.fact_bindings", logicmodel.FactBinding, bindings, elements, values
+                )
+                _check(f"{where}.fact_bindings", logicmodel.check_binding, model, binding)
+                got["fact_binding"] = binding
+        except ValueError as err:
+            errors.append(str(err))
+    return errors, got
+
+
+# Replacements by the type of the entry they replace: near misses of each
+# accessor's check, and values it accepts that an inline check might not.
+STR_SWAPS = ["", "x", "funding", "income", "security", "impacts", 1, True, None, ["x"]]
+NUMBER_SWAPS = [True, False, 0, 1, -3, -0.0, 1e308, -1e308, float("inf"), float("nan"),
+                "0.5", None]
+ENTRY_SWAPS = [None, 1, "x", [], {}, [0.5], ["funding"], {"from": "funding"}]
+ODD_KEYS = ["", "ghost", "funding", "income", "weight", "from"]
+
+
+def json_paths(value, path=()):
+    if path:
+        yield path, value
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from json_paths(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from json_paths(v, path + (i,))
+
+
+def swaps_for(value):
+    if isinstance(value, str):
+        return STR_SWAPS
+    if isinstance(value, (int, float)):
+        return NUMBER_SWAPS
+    return ENTRY_SWAPS
+
+
+@st.composite
+def mutated_graph_docs(draw):
+    """pipeline.json's two graph sections with 1-3 entries replaced by a
+    value of another type, deleted, or joined by a new entry."""
+    pipeline = json.loads((FIXTURES / "pipeline.json").read_text(encoding="utf-8"))
+    doc = {k: pipeline[k] for k in ("logic_model", "parameter_network")}
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        leaves = [(p, v) for p, v in paths if not isinstance(v, (dict, list))]
+        targets = st.sampled_from(paths)
+        if leaves:
+            targets = st.sampled_from(leaves) | targets
+        path, old = draw(targets)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if kind == "replace":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(swaps_for(old))))
+        elif kind == "delete":
+            del parent[path[-1]]
+        else:
+            value = copy.deepcopy(draw(st.sampled_from(STR_SWAPS + NUMBER_SWAPS + ENTRY_SWAPS)))
+            if isinstance(parent, dict):
+                parent[draw(st.sampled_from(ODD_KEYS))] = value
+            else:
+                parent.insert(path[-1], value)
+    return doc
+
+
+class TestGraphSectionsMatchAccessors:
+    @settings(max_examples=1000, deadline=None)
+    @given(mutated_graph_docs())
+    def test_same_findings_and_objects(self, doc):
+        sc, errors, _ = parse_scenario(doc, FIXTURES)
+        want_errors, want = reference_graph_sections(doc)
+        assert errors == want_errors
+        for attr, value in want.items():
+            assert repr(getattr(sc, attr)) == repr(value), attr
+
+    def test_unmutated_sections_parse(self):
+        pipeline = json.loads((FIXTURES / "pipeline.json").read_text(encoding="utf-8"))
+        doc = {k: pipeline[k] for k in ("logic_model", "parameter_network")}
+        sc, errors, _ = parse_scenario(doc, FIXTURES)
+        assert errors == [] == reference_graph_sections(doc)[0]
+        assert sc.logic_model == reference_graph_sections(doc)[1]["logic_model"]

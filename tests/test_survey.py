@@ -83,6 +83,14 @@ class TestAggregateSurvey:
         with pytest.raises(DimensionError):
             aggregate_survey([SurveyResponse("a", (1, 2))], self._cmap(), 5)
 
+    @pytest.mark.parametrize("answers, error", [
+        ([], ValueError), ([(6, 1, 1)], ValueError), ([(1, 2)], DimensionError),
+    ])
+    def test_respondent_scores_rejects_bad_answers(self, answers, error):
+        responses = [SurveyResponse(f"r{i}", a) for i, a in enumerate(answers)]
+        with pytest.raises(error):
+            respondent_scores(responses, self._cmap(), 5)
+
     def test_respondent_scores_mean_matches_aggregate(self):
         # aggregation commutes with the per-respondent construct scores
         rng = random.Random(11)
