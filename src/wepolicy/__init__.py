@@ -36,7 +36,6 @@ from .evaluator import (
     RankedPolicies,
     RankedRow,
     WeightingProfile,
-    compare_profiles,
     evaluate_policies,
     select_best,
 )
@@ -61,7 +60,7 @@ from .policy_sim import (
 from .survey import (
     ConstructMap,
     RegressionModel,
-    SurveyResponse,
+    SurveyColumns,
     aggregate_survey,
     fit_target,
     predict,
@@ -84,7 +83,6 @@ from .valuefn import (
     sarch_regime,
 )
 from .we_model import (
-    GRADATION,
     WellbeingModel,
     WELayer,
     WEScope,

@@ -119,9 +119,10 @@ def _fit_from_survey(sc: Scenario):
     if not path.is_absolute():
         path = sc.base_dir / path
     try:
-        responses, k = read_survey_csv(path.read_text(encoding="utf-8"))
+        survey = read_survey_csv(path.read_text(encoding="utf-8"))
     except ValueError as err:
         raise ScenarioError([f"survey.file: {err}"]) from None
+    k = len(survey.answers)
     if k != cfg.construct_map.question_count:
         raise ScenarioError(
             [
@@ -130,13 +131,17 @@ def _fit_from_survey(sc: Scenario):
             ]
         )
     try:
-        check_responses(responses, cfg.construct_map, cfg.scale)
-        baseline = aggregate_survey(responses, cfg.construct_map, cfg.scale, checked=True)
-        scores = respondent_scores(responses, cfg.construct_map, cfg.scale, checked=True)
+        check_responses(survey, cfg.construct_map, cfg.scale)
+        baseline = aggregate_survey(survey, cfg.construct_map, cfg.scale, checked=True)
+        scores = respondent_scores(survey, cfg.construct_map, cfg.scale, checked=True)
     except ValueError as err:
         raise ScenarioError([f"survey.file: {err}"]) from None
-    design = [[1.0, *row] for row in scores]
-    y = [rescale_answer(r.answers[cfg.target_question - 1], cfg.scale) for r in responses]
+    # numpy is loaded by now: respondent_scores imports it.
+    import numpy as np
+
+    design = np.column_stack((np.ones(len(scores)), scores))
+    target = np.array(survey.answers[cfg.target_question - 1], dtype=float)
+    y = rescale_answer(target, cfg.scale)
     model = fit_target(design, y, column_names=cfg.construct_map.constructs)
     return model, baseline
 
@@ -175,9 +180,7 @@ def _cmd_sweep(sc: Scenario, fmt: str, seed):
     outputs[name] = text
     name, text = _table(fmt, "ternary", ("policy_id", "p_econ", "p_env", "p_soc"), ternary_rows)
     outputs[name] = text
-    outputs["skipped.json"] = dump_json(
-        [{"s": s, "t": t, "v": v} for s, t, v in table.skipped]
-    )
+    outputs["skipped.json"] = json_rows(("s", "t", "v"), table.skipped)
     warnings = []
     if table.skipped:
         warnings.append(
@@ -201,12 +204,10 @@ def _cmd_select(sc: Scenario, fmt: str, seed):
         if ranked.perturbation_warnings:
             warnings.append(
                 f"profile {profile.name!r}: perturbation ratio above threshold on "
-                f"{ranked.perturbation_warnings} of {len(ranked.rows)} rows"
+                f"{ranked.perturbation_warnings} of {len(ranked.policy_ids)} rows"
             )
-        rows = [
-            (i + 1, r.policy_id, r.w_prime, *r.x_w_prime)
-            for i, r in enumerate(ranked.rows)
-        ]
+        ranks = range(1, len(ranked.policy_ids) + 1)
+        rows = list(zip(ranks, ranked.policy_ids, ranked.w_prime, *ranked.x_w_prime))
         name, text = _table(fmt, f"ranked_{_slug(profile.name)}", header, rows)
         outputs[name] = text
     outputs["selection.json"] = dump_json(selection)

@@ -33,10 +33,18 @@ class RankedRow:
 
 @dataclass(frozen=True)
 class RankedPolicies:
-    """Rows sorted by score descending, then policy id ascending."""
+    """Sorted columns, score descending, then policy id ascending:
+    `x_w_prime[j][i]` is construct j of the i-th ranked policy."""
 
-    rows: tuple[RankedRow, ...]
+    policy_ids: Sequence[int]
+    w_prime: Sequence[float]
+    x_w_prime: Sequence[Sequence[float]]
     perturbation_warnings: int = 0
+
+    @property
+    def rows(self) -> tuple[RankedRow, ...]:
+        """The ranking as one `RankedRow` per policy, built on each call."""
+        return tuple(map(RankedRow, self.policy_ids, zip(*self.x_w_prime), self.w_prime))
 
 
 def evaluate_policies(
@@ -72,31 +80,16 @@ def evaluate_policies(
     ids = [r.policy_id for r in rows]
     # lexsort's last key is the primary one: score descending, then id.
     order = np.lexsort((ids, -score))
-    sorted_ids = map(ids.__getitem__, order.tolist())
-    x_w_prime = zip(*(col[order].tolist() for col in prime))
     return RankedPolicies(
-        rows=tuple(map(RankedRow, sorted_ids, x_w_prime, score[order].tolist())),
+        policy_ids=list(map(ids.__getitem__, order.tolist())),
+        w_prime=score[order].tolist(),
+        x_w_prime=tuple(col[order].tolist() for col in prime),
         perturbation_warnings=int(np.count_nonzero(ratio > profile.coupling.warn_threshold)),
     )
 
 
 def select_best(ranked: RankedPolicies) -> int:
     """Policy id with the highest coupled score (ties: smallest id)."""
-    if not ranked.rows:
+    if not ranked.policy_ids:
         raise ValueError("cannot select from an empty ranking")
-    return ranked.rows[0].policy_id
-
-
-def compare_profiles(
-    target: RegressionModel,
-    baseline_x_w: Sequence[float],
-    profiles: Sequence[WeightingProfile],
-    sweep: SweepTable,
-) -> dict[str, int]:
-    """Selected policy id per profile, in profile order."""
-    if not profiles:
-        raise ValueError("need at least one weighting profile")
-    return {
-        p.name: select_best(evaluate_policies(target, baseline_x_w, p, sweep))
-        for p in profiles
-    }
+    return ranked.policy_ids[0]

@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from .numeric import left_sum
+
 
 @dataclass(frozen=True)
 class DynamicsConfig:
@@ -86,7 +88,7 @@ def _simulate(cfg: DynamicsConfig, policies: Sequence[PolicyKnobs]):
     n = cfg.agents
     rng = random.Random(cfg.seed)
     incomes = [1.0 + cfg.income_spread * rng.uniform(-1.0, 1.0) for _ in range(n)]
-    total = sum(incomes)
+    total = left_sum(incomes)
     for knobs in policies:
         t, s, v = knobs.tax, knobs.subsidy, knobs.service
         pool = t * total
@@ -95,10 +97,11 @@ def _simulate(cfg: DynamicsConfig, policies: Sequence[PolicyKnobs]):
             rho = min(1.0, rho + cfg.renewable_rate * s * pool / n)
             connection = max(0.0, connection + cfg.connection_rate * v - cfg.connection_decay)
         disposable = [y * (1.0 - t) + v * pool / n for y in incomes]
-        # per-agent operands kept: sum([c] * n) / n may differ from c in the last bit
-        economic = sum(disposable) / n
-        environmental = 1.0 - (sum([1.0] * n) / n) * (1.0 - rho)
-        yield (economic, environmental, sum([connection] * n) / n)
+        # per-agent operands kept: left_sum([c] * n) / n may differ from c in
+        # the last bit, except for c = 1.0, whose partial sums are exact
+        economic = left_sum(disposable) / n
+        environmental = 1.0 - (1.0 - rho)
+        yield (economic, environmental, left_sum([connection] * n) / n)
 
 
 def run_policy(cfg: DynamicsConfig, knobs: PolicyKnobs) -> tuple[float, float, float]:
@@ -156,7 +159,7 @@ def normalize_ternary(table: SweepTable) -> list[tuple[float, float, float]]:
             (v - l) / (h - l) if h > l else 0.0
             for v, l, h in zip(row.indicators, lo, hi)
         ]
-        total = sum(norm)
+        total = left_sum(norm)
         if total == 0.0:
             out.append((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
         else:

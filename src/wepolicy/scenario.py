@@ -92,7 +92,10 @@ class Scenario:
 def _float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ValueError(f"{where}: value must be finite")
     return v

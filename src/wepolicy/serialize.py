@@ -1,14 +1,15 @@
 """Byte-stable serialization: shortest round-trip floats, CSV tables, JSON reports.
 
-Every number written to an output file goes through `fmt_float`, which uses
-Python's shortest round-trip repr (up to 17 significant digits, `.` decimal
-separator, no locale dependence). Two runs over the same inputs therefore
-produce byte-identical files.
+Every float written to an output file is Python's shortest round-trip repr
+(up to 17 significant digits, `.` decimal separator, no locale dependence),
+from `fmt_float` or from `float.__repr__` over a whole column. Two runs
+over the same inputs therefore produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Sequence
 
 
@@ -17,12 +18,27 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def csv_table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render a CSV with '\\n' line endings and round-trip float cells."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def csv_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Render a CSV with '\\n' line endings and round-trip float cells.
+
+    Rows must all have the same length. Cells are formatted a column at a
+    time; a column of exact floats or exact ints takes the type's own repr,
+    which is what `_cell` gives each of its cells.
+    """
+    cols = [_column(col, _cell) for col in zip(*rows, strict=True)]
+    body = map(",".join, zip(*cols)) if cols else [""] * len(rows)
+    return "\n".join([",".join(header), *body]) + "\n"
+
+
+def _column(col: Sequence[object], cell, finite: bool = False) -> Iterable[str]:
+    """A column's cells as strings; `cell` formats a mixed column. With
+    `finite`, a float column holding inf or nan is also left to `cell`."""
+    kinds = set(map(type, col))
+    if kinds == {float} and (not finite or all(map(math.isfinite, col))):
+        return map(float.__repr__, col)
+    if kinds == {int}:
+        return map(int.__repr__, col)
+    return map(cell, col)
 
 
 def _cell(v: object) -> str:
@@ -38,6 +54,24 @@ def dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def json_rows(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Same table as `csv_table` rendered as a JSON array of objects."""
-    return dump_json([dict(zip(header, row)) for row in rows])
+def json_rows(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Same table as `csv_table` rendered as a JSON array of objects.
+
+    The text equals `dump_json([dict(zip(header, row)) for row in rows])`
+    for distinct header names and rows of one length, and a non-finite
+    float raises ValueError as there, but cells are formatted a column at
+    a time and each object comes from one template.
+    """
+    if not rows:
+        return "[]\n"
+    cols = [_column(col, _json_cell, finite=True)
+            for _, col in zip(header, zip(*rows, strict=True))]
+    keys = [json.dumps(name).replace("%", "%%") + ": %s" for name in header[:len(cols)]]
+    template = "{\n    " + ",\n    ".join(keys) + "\n  }"
+    objects = map(template.__mod__, zip(*cols)) if cols else ["{}"] * len(rows)
+    return "[\n  " + ",\n  ".join(objects) + "\n]\n"
+
+
+def _json_cell(v: object) -> str:
+    # A non-finite float raises here. Nested values sit two levels deep.
+    return json.dumps(v, indent=2, allow_nan=False).replace("\n", "\n    ")

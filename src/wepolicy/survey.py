@@ -11,19 +11,23 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, RankDeficiencyError
+from .numeric import left_sum
 
 ROW_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SurveyResponse:
-    respondent: str
-    answers: tuple[int, ...]
+class SurveyColumns(NamedTuple):
+    """Survey answers by question: `answers[q][i]` is respondent i's
+    answer to question q + 1."""
+
+    respondents: Sequence[str]
+    answers: Sequence[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ class ConstructMap:
                 raise ValueError("construct matrix rows must all have the same length")
             if any(w < 0 for w in row):
                 raise ValueError(f"construct {name!r} has negative weights")
-            total = sum(row)
+            total = left_sum(row)
             if abs(total - 1.0) > ROW_SUM_TOL:
                 raise ValueError(f"construct {name!r} weights sum to {total!r}, not 1")
 
@@ -67,70 +71,72 @@ def rescale_answer(value: float, scale: int) -> float:
     return 2.0 * (value - 1.0) / (scale - 1.0) - 1.0
 
 
-def check_responses(responses: Sequence[SurveyResponse], cmap: ConstructMap, scale: int):
-    """Raise unless there is a response and each has one answer in
-    [1, scale] per question of `cmap`."""
-    if not responses:
+def check_responses(survey: SurveyColumns, cmap: ConstructMap, scale: int):
+    """Raise unless there is a respondent and each has one answer in
+    [1, scale] per question of `cmap`.
+
+    The range is checked by each column's min and max; only when one is out
+    of range are the answers scanned respondent by respondent, so that the
+    error names the first offending respondent in file order."""
+    n = len(survey.respondents)
+    if not n:
         raise ValueError("survey has no responses")
     k = cmap.question_count
-    for r in responses:
-        if len(r.answers) != k:
-            raise DimensionError(
-                f"respondent {r.respondent!r} has {len(r.answers)} answers, expected {k}"
-            )
-        for a in r.answers:
-            if not 1 <= a <= scale:
+    if len(survey.answers) != k:
+        raise DimensionError(f"survey has {len(survey.answers)} questions, expected {k}")
+    for q, col in enumerate(survey.answers, start=1):
+        if len(col) != n:
+            raise DimensionError(f"question {q} has {len(col)} answers for {n} respondents")
+    if all(1 <= min(col) and max(col) <= scale for col in survey.answers):
+        return
+    for i, respondent in enumerate(survey.respondents):
+        for col in survey.answers:
+            if not 1 <= col[i] <= scale:
                 raise ValueError(
-                    f"respondent {r.respondent!r} answer {a} outside [1, {scale}]"
+                    f"respondent {respondent!r} answer {col[i]} outside [1, {scale}]"
                 )
 
 
 def aggregate_survey(
-    responses: Sequence[SurveyResponse], cmap: ConstructMap, scale: int,
-    *, checked: bool = False,
+    survey: SurveyColumns, cmap: ConstructMap, scale: int, *, checked: bool = False,
 ) -> list[float]:
     """Consensus construct vector: per-question means, rescaled, mapped.
 
     Output order follows the construct map rows. Shuffling respondents does
-    not change the result. `checked=True` skips `check_responses`, for a
-    caller that has already run it on the same arguments.
+    not change the result: each mean is an exact integer sum divided once.
+    `checked=True` skips `check_responses`, for a caller that has already
+    run it on the same arguments.
     """
     if not checked:
-        check_responses(responses, cmap, scale)
-    k = cmap.question_count
-    n = len(responses)
-    means = [sum(r.answers[q] for r in responses) / n for q in range(k)]
-    rescaled = [rescale_answer(m, scale) for m in means]
-    return [
-        sum(w * z for w, z in zip(row, rescaled))
-        for row in cmap.matrix
-    ]
+        check_responses(survey, cmap, scale)
+    n = len(survey.respondents)
+    rescaled = [rescale_answer(sum(col) / n, scale) for col in survey.answers]
+    return [left_sum(map(operator.mul, row, rescaled)) for row in cmap.matrix]
 
 
 def respondent_scores(
-    responses: Sequence[SurveyResponse], cmap: ConstructMap, scale: int,
-    *, checked: bool = False,
-) -> list[list[float]]:
-    """Per-respondent construct vectors (rescale each answer, then map).
+    survey: SurveyColumns, cmap: ConstructMap, scale: int, *, checked: bool = False,
+):
+    """Per-respondent construct vectors (rescale each answer, then map), as
+    an array with one row per respondent and one column per construct.
 
     Runs as numpy column passes: each construct column accumulates
-    ``0.0 + w * z`` over the questions left to right, which is what `sum()`
-    over a respondent's terms computes up to Python 3.11 (3.12's `sum()`
-    compensates, so the result no longer depends on the Python version).
-    `checked=True` skips `check_responses`, as in `aggregate_survey`.
+    ``0.0 + w * z`` over the questions left to right, which is the
+    `left_sum` of a respondent's terms. `checked=True` skips
+    `check_responses`, as in `aggregate_survey`.
     """
     if not checked:
-        check_responses(responses, cmap, scale)
+        check_responses(survey, cmap, scale)
     # Imported here so that commands which never fit start without numpy.
     import numpy as np
 
-    n = len(responses)
+    n = len(survey.respondents)
     cols = [np.zeros(n) for _ in cmap.matrix]
-    for q in range(cmap.question_count):
-        z = rescale_answer(np.fromiter((r.answers[q] for r in responses), float, n), scale)
+    for q, answers in enumerate(survey.answers):
+        z = rescale_answer(np.array(answers, dtype=float), scale)
         for acc, row in zip(cols, cmap.matrix):
             acc += row[q] * z
-    return np.column_stack(cols).tolist()
+    return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -210,7 +216,7 @@ def fit_target(
         coefficients=tuple(float(b) for b in beta[1:]),
         names=names,
         r_squared=r2,
-        residuals=tuple(float(r) for r in resid),
+        residuals=tuple(resid.tolist()),
     )
 
 
@@ -226,13 +232,21 @@ def predict(model: RegressionModel, x: Sequence[float]) -> float:
     return acc
 
 
-def read_survey_csv(text: str) -> tuple[list[SurveyResponse], int]:
-    """Parse `respondent,q1..qK` CSV text; returns responses and K."""
+def read_survey_csv(text: str) -> SurveyColumns:
+    """Parse `respondent,q1..qK` CSV text into columns; K is
+    `len(result.answers)`.
+
+    Field counts and integers are checked column by column; only when that
+    fails is the text read again row by row to name the first bad line.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("survey CSV is empty") from None
+        header = next(reader, None)
+        rows = [row for row in reader if row]
+    except csv.Error as err:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"survey CSV line {reader.line_num}: {err}") from None
+    if header is None:
+        raise ValueError("survey CSV is empty")
     if not header or header[0] != "respondent":
         raise ValueError("survey CSV must start with a 'respondent' column")
     k = len(header) - 1
@@ -241,27 +255,42 @@ def read_survey_csv(text: str) -> tuple[list[SurveyResponse], int]:
     expected = [f"q{i}" for i in range(1, k + 1)]
     if header[1:] != expected:
         raise ValueError(f"survey CSV question columns must be q1..q{k}")
-    responses = []
+    if not rows:
+        return SurveyColumns((), ((),) * k)
+    try:
+        respondents, *cols = zip(*rows, strict=True)
+        if len(cols) != k:
+            raise ValueError
+        answers = tuple(list(map(int, col)) for col in cols)
+    except ValueError:
+        _raise_first_bad_line(text, k)
+    return SurveyColumns(respondents, answers)
+
+
+def _raise_first_bad_line(text: str, k: int):
+    """Raise for the first row, in file order, with other than k + 1 fields
+    or a non-integer answer (line numbers count CSV records)."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != k + 1:
-            raise ValueError(f"survey CSV line {lineno}: expected {k + 1} fields")
+            raise ValueError(f"survey CSV line {lineno}: expected {k + 1} fields") from None
         try:
-            answers = tuple(int(v) for v in row[1:])
+            for v in row[1:]:
+                int(v)
         except ValueError:
             raise ValueError(f"survey CSV line {lineno}: answers must be integers") from None
-        responses.append(SurveyResponse(respondent=row[0], answers=answers))
-    return responses, k
 
 
-def survey_to_csv(responses: Sequence[SurveyResponse]) -> str:
-    if not responses:
+def survey_to_csv(survey: SurveyColumns) -> str:
+    if not survey.respondents:
         raise ValueError("no responses to serialize")
-    k = len(responses[0].answers)
+    k = len(survey.answers)
     lines = ["respondent," + ",".join(f"q{i}" for i in range(1, k + 1))]
-    for r in responses:
-        lines.append(r.respondent + "," + ",".join(str(a) for a in r.answers))
+    for respondent, *answers in zip(survey.respondents, *survey.answers):
+        lines.append(respondent + "," + ",".join(map(str, answers)))
     return "\n".join(lines) + "\n"
 
 
@@ -270,7 +299,7 @@ def synthesize_survey(
     respondents: int,
     question_probs: Sequence[Sequence[float]],
     scale: int,
-) -> list[SurveyResponse]:
+) -> SurveyColumns:
     """Seeded synthetic responses with declared per-question answer
     distributions (each a probability vector over [1..L])."""
     if respondents < 1:
@@ -278,13 +307,12 @@ def synthesize_survey(
     for qi, probs in enumerate(question_probs):
         if len(probs) != scale:
             raise DimensionError(f"question {qi + 1} needs {scale} probabilities")
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        if any(p < 0 for p in probs) or abs(left_sum(probs) - 1.0) > 1e-9:
             raise ValueError(f"question {qi + 1} probabilities must be a distribution")
     rng = random.Random(seed)
-    out = []
-    for i in range(respondents):
-        answers = []
-        for probs in question_probs:
+    answers = [[] for _ in question_probs]
+    for _ in range(respondents):
+        for col, probs in zip(answers, question_probs):
             u = rng.random()
             acc = 0.0
             pick = scale
@@ -293,6 +321,5 @@ def synthesize_survey(
                 if u < acc:
                     pick = level
                     break
-            answers.append(pick)
-        out.append(SurveyResponse(respondent=f"r{i:04d}", answers=tuple(answers)))
-    return out
+            col.append(pick)
+    return SurveyColumns(tuple(f"r{i:04d}" for i in range(respondents)), tuple(answers))

@@ -15,10 +15,6 @@ from typing import Mapping, Sequence
 from .errors import DimensionError, MissingScopeError
 from .valuefn import AsymmetricSpec, ValueCurve
 
-# Canonical gradation of scope labels, small to large. Free-form labels are
-# equally valid; this tuple just names the conventional rungs.
-GRADATION = ("I", "family", "community", "municipality", "nation", "world")
-
 WEIGHT_SUM_TOL = 1e-12
 
 

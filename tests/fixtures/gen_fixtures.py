@@ -36,10 +36,10 @@ def write_json(name: str, doc: dict):
 
 
 def make_survey():
-    responses = synthesize_survey(
+    survey = synthesize_survey(
         seed=20240809, respondents=60, question_probs=QUESTION_PROBS, scale=5
     )
-    (HERE / "survey.csv").write_text(survey_to_csv(responses), encoding="utf-8")
+    (HERE / "survey.csv").write_text(survey_to_csv(survey), encoding="utf-8")
 
 
 def make_fig2():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -298,6 +299,34 @@ class TestRejectedInputs:
         assert err == "error: numerical failure: SVD did not converge in Linear Least Squares\n"
 
 
+class TestHugeJsonInteger:
+    """A JSON integer beyond the float range is a finding, not a traceback."""
+
+    def _scenario(self, fixtures_dir, tmp_path):
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        doc["logic_model"]["edges"][0]["weight"] = 10**400
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        return scenario
+
+    def test_validate_reports_it(self, fixtures_dir, tmp_path, capsys):
+        scenario = self._scenario(fixtures_dir, tmp_path)
+        code, stdout, err = run_cli(capsys, "validate", "--scenario", str(scenario))
+        assert code == 1
+        assert json.loads(stdout)["errors"] == ["logic_model.edges[0].weight: value must be finite"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["impact", "fit"])
+    def test_run_exits_1_without_files(self, fixtures_dir, tmp_path, capsys, command):
+        scenario = self._scenario(fixtures_dir, tmp_path)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, command, "--scenario", str(scenario), "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: logic_model.edges[0].weight: value must be finite\n"
+        assert not out.exists()
+
+
 def all_skipped_pipeline(fixtures_dir, tmp_path):
     """The pipeline fixture with a sweep grid whose every (s, v) pair exceeds the pool."""
     doc = json.loads((fixtures_dir / "pipeline.json").read_text())
@@ -306,6 +335,69 @@ def all_skipped_pipeline(fixtures_dir, tmp_path):
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
     return scenario
+
+
+def skipping_pipeline(fixtures_dir, tmp_path):
+    """The pipeline fixture with a sweep grid where 6 of 18 combinations have s + v > 1."""
+    doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+    doc["sweep"] = {"subsidy": [0.25, 0.5, 0.75], "tax": [0.0, 0.1], "service": [0.25, 0.5, 0.75]}
+    scenario = tmp_path / "skipping.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+    return scenario
+
+
+# SHA-256 of the outputs that have no committed golden, recorded with the
+# row-wise table writers (surface.json alone is 3.5 MB, so no copies).
+WRITER_DIGESTS = [
+    ("surface", "fig2.json", "csv", {
+        "surface.csv": "eb09f4ea71e965f24f113d2ef9f01829f220a4be76a26f7ad5e800ff688bd5c8",
+        "curve.csv": "b3f63794509ab3a299eec6a9cc1a4548a80b90281e9fc68c2b0655640b3280b5",
+    }),
+    ("surface", "fig2.json", "json", {
+        "surface.json": "c22fad2ef9a026005ff864ba27379090e05f79ef0be74fc8b524c99b7b316c9c",
+        "curve.json": "d0e2d496e129341cf6803ea4ddd745107eead4be560bbdc214f70ccbddce581f",
+    }),
+    ("consensus-check", "consensus.json", "csv", {
+        "consensus_report.json": "8256dda5ed33ec9378b3fe07e77b6206708e738447423187dbdf6e7065b1a9f5",
+    }),
+    ("sweep", "pipeline.json", "json", {
+        "sweep.json": "b23e9762989cc53fb24019e2ea3494dddcba6188e6efaa2627038a4cc069d9dd",
+        "ternary.json": "3e081399c9e62d264a0c1b71bca4f865aef285ee07013a84949335116844b289",
+        "skipped.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    }),
+    ("select", "pipeline.json", "json", {
+        "ranked_Type_A.json": "695b4c8053d076ef40a341c8f2edbbf2fd7b50cb0b1da3b5578c964c4b05ba77",
+        "ranked_Type_B.json": "6478d897dc9aa90047af243bcc514dc997be8dec7339ec872a31feba5074ebb5",
+        "ranked_Type_C.json": "92bad98cfbf75ba4a3efaca322797b67abacd084ee33a5fb64d1135567ec5d58",
+        "selection.json": "7719e49a8083591011033d9118dd6cd638065ad3e657853c44a7ff86ddb37fa1",
+    }),
+    ("sweep", "skipping", "csv", {
+        "sweep.csv": "58f30243a19b8ef5dce44ddf9097656283c9631deac4ed737bedf1e77e09716e",
+        "ternary.csv": "53189c7221ce33fe4e963c3fd4b71fc226a8994d5ddcf5f78a48dc9206aac819",
+        "skipped.json": "524eab4ae6be29bef5903b504307b1f6de0a9d12f370e7ba4d2b19e0e0c322a0",
+    }),
+    ("sweep", "skipping", "json", {
+        "sweep.json": "3736d2cd73268727d71bb1a09859a9097b142f6306b6ba77980732901bcd9591",
+        "ternary.json": "6a36f8c9705f7b0f50ce45f1e91df589a0f16299ef223d707ee32e4b1cbe91c3",
+        "skipped.json": "524eab4ae6be29bef5903b504307b1f6de0a9d12f370e7ba4d2b19e0e0c322a0",
+    }),
+]
+
+
+class TestWriterDigests:
+    @pytest.mark.parametrize("command, scenario, fmt, digests", WRITER_DIGESTS,
+                             ids=[f"{c}-{s}-{f}" for c, s, f, _ in WRITER_DIGESTS])
+    def test_output_bytes_unchanged(self, fixtures_dir, tmp_path, capsys,
+                                    command, scenario, fmt, digests):
+        path = (skipping_pipeline(fixtures_dir, tmp_path) if scenario == "skipping"
+                else fixtures_dir / scenario)
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, command, "--scenario", str(path), "--out", str(out),
+                             "--format", fmt)
+        assert code == 0
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+        assert got == digests
 
 
 class TestDigest:
@@ -387,11 +479,11 @@ class TestPipelineCommands:
         from wepolicy.coupling import apply_fact_coupling
 
         sc, _ = load_scenario(fixtures_dir / "pipeline.json")
-        responses, _ = read_survey_csv((fixtures_dir / "survey.csv").read_text())
+        survey = read_survey_csv((fixtures_dir / "survey.csv").read_text())
         cmap, scale = sc.survey.construct_map, sc.survey.scale
-        baseline = aggregate_survey(responses, cmap, scale)
-        design = [[1.0, *row] for row in respondent_scores(responses, cmap, scale)]
-        y = [rescale_answer(r.answers[sc.survey.target_question - 1], scale) for r in responses]
+        baseline = aggregate_survey(survey, cmap, scale)
+        design = [[1.0, *row] for row in respondent_scores(survey, cmap, scale).tolist()]
+        y = [rescale_answer(a, scale) for a in survey.answers[sc.survey.target_question - 1]]
         target = fit_target(design, y, column_names=cmap.constructs)
         table = run_sweep(sc.dynamics, sc.sweep_grid["subsidy"], sc.sweep_grid["tax"],
                           sc.sweep_grid["service"])

@@ -9,7 +9,6 @@ from wepolicy.evaluator import (
     RankedPolicies,
     RankedRow,
     WeightingProfile,
-    compare_profiles,
     evaluate_policies,
     select_best,
 )
@@ -139,7 +138,7 @@ class TestSelectBest:
 
     def test_empty_ranking_rejected(self):
         with pytest.raises(ValueError):
-            select_best(RankedPolicies(rows=()))
+            select_best(RankedPolicies(policy_ids=(), w_prime=(), x_w_prime=()))
 
     def test_appending_worse_row_is_stable(self):
         target = make_model(0.0, (1.0, 0.0, 0.0))
@@ -181,47 +180,6 @@ class TestInvariances:
         assert rank_after <= rank_before
 
 
-class TestCompareProfiles:
-    def test_identical_profiles_agree(self):
-        target = make_model(0.0, (1.0, 1.0, 1.0))
-        sweep = make_sweep([(0.2, 0.4, 0.1), (0.6, 0.2, 0.3)])
-        profiles = [
-            WeightingProfile("a", identity_coupling()),
-            WeightingProfile("b", identity_coupling()),
-        ]
-        out = compare_profiles(target, (0.0, 0.0, 0.0), profiles, sweep)
-        assert out["a"] == out["b"]
-
-    def test_disjoint_emphases_pick_different_rows(self):
-        # each indicator peaks at a different policy; profiles that only
-        # route one indicator must pick that policy
-        target = make_model(0.0, (1.0, 1.0, 1.0))
-        sweep = make_sweep([(0.9, 0.0, 0.0), (0.0, 0.9, 0.0), (0.0, 0.0, 0.9)])
-        def only(k):
-            rows = [[0.0] * 3 for _ in range(3)]
-            rows[k][k] = 1.0
-            return FactCoupling("additive", tuple(tuple(r) for r in rows))
-        profiles = [
-            WeightingProfile("econ", only(0)),
-            WeightingProfile("env", only(1)),
-            WeightingProfile("social", only(2)),
-        ]
-        out = compare_profiles(target, (0.0, 0.0, 0.0), profiles, sweep)
-        assert out == {"econ": 0, "env": 1, "social": 2}
-
-    def test_single_profile_matches_select_best(self):
-        target = make_model(0.0, (0.3, 0.3, 0.3))
-        sweep = make_sweep([(0.2, 0.4, 0.1), (0.6, 0.2, 0.3)])
-        profile = WeightingProfile("only", identity_coupling())
-        out = compare_profiles(target, (0.0, 0.0, 0.0), [profile], sweep)
-        assert out == {"only": select_best(evaluate_policies(target, (0.0, 0.0, 0.0), profile, sweep))}
-
-    def test_no_profiles_rejected(self):
-        target = make_model(0.0, (1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            compare_profiles(target, (0.0, 0.0, 0.0), [], make_sweep([(0.1, 0.1, 0.1)]))
-
-
 # --- reference copy of the per-row scan that the column pass replaced -------
 
 
@@ -260,14 +218,14 @@ def reference_evaluate(target, baseline_x_w, profile, sweep):
         warnings += warned
         scored.append(RankedRow(row.policy_id, prime, predict(target, prime)))
     scored.sort(key=lambda r: (-r.w_prime, r.policy_id))
-    return RankedPolicies(rows=tuple(scored), perturbation_warnings=warnings)
+    return tuple(scored), warnings
 
 
-def fingerprint(ranked):
+def fingerprint(rows, warnings):
     """Row order, every float by repr (so -0.0 and the last bit count), warnings."""
     return (
-        [(r.policy_id, repr(r.w_prime), [repr(v) for v in r.x_w_prime]) for r in ranked.rows],
-        ranked.perturbation_warnings,
+        [(r.policy_id, repr(r.w_prime), [repr(v) for v in r.x_w_prime]) for r in rows],
+        warnings,
     )
 
 
@@ -319,8 +277,9 @@ class TestColumnPassMatchesRowScan:
     ))
     def test_bit_identical(self, case):
         target, baseline, profile, sweep = case
-        assert fingerprint(evaluate_policies(target, baseline, profile, sweep)) == \
-            fingerprint(reference_evaluate(target, baseline, profile, sweep))
+        ranked = evaluate_policies(target, baseline, profile, sweep)
+        assert fingerprint(ranked.rows, ranked.perturbation_warnings) == \
+            fingerprint(*reference_evaluate(target, baseline, profile, sweep))
 
     @pytest.mark.parametrize("baseline, indicators, n_coefficients", [
         ((0.0, 0.0), [(0.1, 0.2, 0.3)], 3),  # x_w length

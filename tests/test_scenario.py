@@ -263,6 +263,15 @@ class TestMalformedEntries:
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert errors == ["logic_model.fact_bindings.elements: expected an array"]
 
+    def test_int_beyond_float_range_is_a_finding(self, tmp_path):
+        # a 401-digit JSON integer: float() of it raises OverflowError
+        doc = json.loads((FIXTURES / "pipeline.json").read_text(encoding="utf-8"))
+        doc["logic_model"]["edges"][0]["weight"] = 10**400
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["logic_model.edges[0].weight: value must be finite"]
+        with pytest.raises(ValueError, match="^w: value must be finite$"):
+            _float(-(10**400), "w")
+
 
 def fixture_doc(fixtures_dir, name):
     return json.loads((fixtures_dir / name).read_text(encoding="utf-8"))

@@ -1,0 +1,87 @@
+"""The column writers against kept copies of the row-wise writers they replaced."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
+
+from wepolicy.serialize import _cell, csv_table, dump_json, json_rows
+
+
+def reference_csv_table(header, rows):
+    """The row-wise CSV writer: every cell through `_cell`."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_rows(header, rows):
+    """The record writer: one dict per row through `dump_json`."""
+    return dump_json([dict(zip(header, row)) for row in rows])
+
+
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16, 1e-7])
+finite_floats = st.one_of(edge_floats, st.floats(allow_nan=False, allow_infinity=False))
+any_floats = st.one_of(finite_floats, st.sampled_from([math.inf, -math.inf, math.nan]))
+ints = st.one_of(st.integers(-10, 10), st.integers(), st.just(2**70))
+# JSON escapes: quotes, backslashes, control and non-ASCII characters, and
+# `%`, which the JSON row template must not read as a format directive.
+texts = st.one_of(st.sampled_from(['', 'a"b', "back\\slash", "tab\tnew\nline", "é", "%s", "%"]),
+                  st.text(max_size=6))
+cells = {
+    "float": any_floats,
+    "int": ints,
+    "bool": st.booleans(),
+    "str": texts,
+    "float64": any_floats.map(np.float64),
+    "mixed": st.one_of(any_floats, ints, st.booleans(), texts, st.none()),
+}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(cells)), max_size=4))
+    header = draw(st.lists(texts.filter(lambda t: "," not in t), min_size=len(kinds),
+                           max_size=len(kinds), unique=True))
+    n = draw(st.integers(0, 6))
+    rows = [tuple(draw(cells[kind]) for kind in kinds) for _ in range(n)]
+    return tuple(header), rows
+
+
+class TestCsvTable:
+    @given(tables())
+    @example(((), [(), ()]))
+    @example((("x", "W"), [(-0.0, 5e-324), (1e308, -1e308), (1, True)]))
+    def test_matches_row_writer(self, table):
+        header, rows = table
+        assert csv_table(header, rows) == reference_csv_table(header, rows)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError):
+            csv_table(("a", "b"), [(1, 2), (3,)])
+
+
+class TestJsonRows:
+    @given(tables())
+    @example(((), [(), ()]))
+    @example((("s", "t", "v"), [(0.5, 0.0, 0.75), (-0.0, 5e-324, 1e308)]))
+    @example((("a",), [([1, {"b": [2.5]}],), ({},)]))
+    def test_matches_record_writer(self, table):
+        header, rows = table
+        try:
+            expected = reference_json_rows(header, rows)
+        except ValueError:
+            with pytest.raises(ValueError):
+                json_rows(header, rows)
+        else:
+            assert json_rows(header, rows) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_non_finite_float_raises(self, bad):
+        with pytest.raises(ValueError):
+            json_rows(("a", "b"), [(0.5, 1), (bad, 2)])
+
+    def test_no_rows(self):
+        assert json_rows(("s", "t", "v"), ()) == "[]\n" == reference_json_rows(("s", "t", "v"), ())

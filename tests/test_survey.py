@@ -4,13 +4,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wepolicy.errors import DimensionError, RankDeficiencyError
 from wepolicy.survey import (
     ConstructMap,
-    SurveyResponse,
+    SurveyColumns,
     aggregate_survey,
+    check_responses,
     fit_target,
     predict,
     read_survey_csv,
@@ -19,6 +20,12 @@ from wepolicy.survey import (
     survey_to_csv,
     synthesize_survey,
 )
+
+
+def survey_of(*answers, k=3):
+    """Columns for one answer tuple per respondent, as the CSV reader gives them."""
+    respondents = tuple(f"r{i}" for i in range(len(answers)))
+    return SurveyColumns(respondents, tuple(zip(*answers)) if answers else ((),) * k)
 
 
 def normal_equations_oracle(design, y):
@@ -47,60 +54,49 @@ class TestAggregateSurvey:
         )
 
     def test_midpoint_answers_map_to_zero(self):
-        responses = [SurveyResponse(f"r{i}", (3, 3, 3)) for i in range(4)]
-        assert aggregate_survey(responses, self._cmap(), 5) == [0.0, 0.0]
+        assert aggregate_survey(survey_of(*[(3, 3, 3)] * 4), self._cmap(), 5) == [0.0, 0.0]
 
     def test_top_answers_map_to_one(self):
-        responses = [SurveyResponse(f"r{i}", (5, 5, 5)) for i in range(3)]
-        out = aggregate_survey(responses, self._cmap(), 5)
+        out = aggregate_survey(survey_of(*[(5, 5, 5)] * 3), self._cmap(), 5)
         assert out == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_extreme_pair_cancels(self):
         cmap = ConstructMap(constructs=("c",), matrix=((1.0,),))
-        responses = [SurveyResponse("a", (1,)), SurveyResponse("b", (5,))]
-        assert aggregate_survey(responses, cmap, 5) == [0.0]
+        assert aggregate_survey(survey_of((1,), (5,)), cmap, 5) == [0.0]
 
     def test_shuffle_invariance(self):
         rng = random.Random(3)
-        responses = [
-            SurveyResponse(f"r{i}", tuple(rng.randint(1, 5) for _ in range(3)))
-            for i in range(20)
-        ]
-        base = aggregate_survey(responses, self._cmap(), 5)
-        shuffled = responses[:]
-        rng.shuffle(shuffled)
-        assert aggregate_survey(shuffled, self._cmap(), 5) == base
+        answers = [tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(20)]
+        base = aggregate_survey(survey_of(*answers), self._cmap(), 5)
+        rng.shuffle(answers)
+        assert aggregate_survey(survey_of(*answers), self._cmap(), 5) == base
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no responses"):
-            aggregate_survey([], self._cmap(), 5)
+            aggregate_survey(survey_of(), self._cmap(), 5)
 
     def test_scale_violation_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            aggregate_survey([SurveyResponse("a", (6, 1, 1))], self._cmap(), 5)
+            aggregate_survey(survey_of((6, 1, 1)), self._cmap(), 5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            aggregate_survey([SurveyResponse("a", (1, 2))], self._cmap(), 5)
+            aggregate_survey(survey_of((1, 2)), self._cmap(), 5)
 
     @pytest.mark.parametrize("answers, error", [
         ([], ValueError), ([(6, 1, 1)], ValueError), ([(1, 2)], DimensionError),
     ])
     def test_respondent_scores_rejects_bad_answers(self, answers, error):
-        responses = [SurveyResponse(f"r{i}", a) for i, a in enumerate(answers)]
         with pytest.raises(error):
-            respondent_scores(responses, self._cmap(), 5)
+            respondent_scores(survey_of(*answers), self._cmap(), 5)
 
     def test_respondent_scores_mean_matches_aggregate(self):
         # aggregation commutes with the per-respondent construct scores
         rng = random.Random(11)
-        responses = [
-            SurveyResponse(f"r{i}", tuple(rng.randint(1, 5) for _ in range(3)))
-            for i in range(10)
-        ]
-        scores = respondent_scores(responses, self._cmap(), 5)
+        survey = survey_of(*[tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(10)])
+        scores = respondent_scores(survey, self._cmap(), 5).tolist()
         means = [sum(col) / len(col) for col in zip(*scores)]
-        agg = aggregate_survey(responses, self._cmap(), 5)
+        agg = aggregate_survey(survey, self._cmap(), 5)
         assert means == pytest.approx(agg, abs=1e-12)
 
 
@@ -224,11 +220,10 @@ class TestPredict:
 
 class TestCsvRoundTrip:
     def test_round_trip(self):
-        responses = [SurveyResponse("r0", (1, 5, 3)), SurveyResponse("r1", (2, 2, 4))]
-        text = survey_to_csv(responses)
-        parsed, k = read_survey_csv(text)
-        assert k == 3
-        assert parsed == responses
+        survey = survey_of((1, 5, 3), (2, 2, 4))
+        parsed = read_survey_csv(survey_to_csv(survey))
+        assert parsed.respondents == ("r0", "r1")
+        assert [tuple(col) for col in parsed.answers] == [(1, 2), (5, 2), (3, 4)]
 
     def test_header_checked(self):
         with pytest.raises(ValueError, match="respondent"):
@@ -254,11 +249,12 @@ class TestSynthesize:
 
     def test_answers_within_scale(self):
         probs = [(0.5, 0.5, 0.0), (0.0, 0.0, 1.0)]
-        responses = synthesize_survey(1, 50, probs, 3)
-        for r in responses:
-            assert all(1 <= a <= 3 for a in r.answers)
+        survey = synthesize_survey(1, 50, probs, 3)
+        assert len(survey.respondents) == 50
+        for col in survey.answers:
+            assert len(col) == 50 and all(1 <= a <= 3 for a in col)
         # the degenerate question always lands on its certain level
-        assert all(r.answers[1] == 3 for r in responses)
+        assert set(survey.answers[1]) == {3}
 
     def test_distribution_validated(self):
         with pytest.raises(ValueError, match="distribution"):
@@ -270,7 +266,7 @@ class TestSynthesize:
     def test_any_seed_accepted(self, seed):
         probs = [(1.0, 0.0)]
         out = synthesize_survey(seed, 1, probs, 2)
-        assert out[0].answers == (1,)
+        assert [list(col) for col in out.answers] == [[1]]
 
 
 def reference_respondent_scores(responses, cmap, scale):
@@ -278,8 +274,8 @@ def reference_respondent_scores(responses, cmap, scale):
     `sum(w * v ...)`; up to Python 3.11 that is the left fold from 0 below
     (3.12's `sum()` compensates), so the fold is kept as the reference."""
     out = []
-    for r in responses:
-        z = [rescale_answer(a, scale) for a in r.answers]
+    for answers in responses:
+        z = [rescale_answer(a, scale) for a in answers]
         out.append([
             functools.reduce(operator.add, (w * v for w, v in zip(row, z)), 0)
             for row in cmap.matrix
@@ -303,18 +299,134 @@ def survey_cases(draw):
         cmap = ConstructMap(tuple(f"c{i}" for i in range(len(rows))), tuple(rows))
     except ValueError:  # normalised weights missed 1 by more than the tolerance
         cmap = ConstructMap(("c0",), ((1.0,) + (0.0,) * (k - 1),))
-    responses = [
-        SurveyResponse(f"r{i}", tuple(draw(st.integers(1, scale)) for _ in range(k)))
-        for i in range(draw(st.integers(1, 30)))
+    answers = [
+        tuple(draw(st.integers(1, scale)) for _ in range(k))
+        for _ in range(draw(st.integers(1, 30)))
     ]
-    return responses, cmap, scale
+    return answers, cmap, scale
 
 
 class TestRespondentScoresColumnPass:
     @given(survey_cases())
     def test_bit_identical_to_row_loop(self, case):
-        responses, cmap, scale = case
-        got = respondent_scores(responses, cmap, scale)
-        expected = reference_respondent_scores(responses, cmap, scale)
+        answers, cmap, scale = case
+        got = respondent_scores(survey_of(*answers, k=cmap.question_count), cmap, scale).tolist()
+        expected = reference_respondent_scores(answers, cmap, scale)
         assert [[repr(v) for v in row] for row in got] == \
             [[repr(v) for v in row] for row in expected]
+
+
+# --- reference copy of the per-row reader the column reader replaced --------
+
+
+def reference_read_survey_csv(text):
+    """The per-row reader: (respondent, answers) per record, and K."""
+    import csv
+    import io
+
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("survey CSV is empty") from None
+    if not header or header[0] != "respondent":
+        raise ValueError("survey CSV must start with a 'respondent' column")
+    k = len(header) - 1
+    if k < 1:
+        raise ValueError("survey CSV has no question columns")
+    if header[1:] != [f"q{i}" for i in range(1, k + 1)]:
+        raise ValueError(f"survey CSV question columns must be q1..q{k}")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != k + 1:
+            raise ValueError(f"survey CSV line {lineno}: expected {k + 1} fields")
+        try:
+            answers = tuple(int(v) for v in row[1:])
+        except ValueError:
+            raise ValueError(f"survey CSV line {lineno}: answers must be integers") from None
+        rows.append((row[0], answers))
+    return rows, k
+
+
+def reference_check_responses(rows, k, scale):
+    if not rows:
+        raise ValueError("survey has no responses")
+    for respondent, answers in rows:
+        if len(answers) != k:
+            raise DimensionError(f"respondent {respondent!r} has {len(answers)} answers, expected {k}")
+        for a in answers:
+            if not 1 <= a <= scale:
+                raise ValueError(f"respondent {respondent!r} answer {a} outside [1, {scale}]")
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+
+
+# Answers in and out of [1, 5], integers that `int()` reads with signs,
+# spaces or non-ASCII digits, non-integers, and quoted fields. Most fields
+# are plain answers, so that many texts parse and reach the range check.
+odd_answers = st.sampled_from(["0", "6", "-1", "+2", " 4", "٣", "3.5", "x", "", '"3"', '"4,"'])
+respondent_fields = st.sampled_from(["r0", "r1", '"r,2"', '"r\n3"', '""', "r 4"])
+
+
+def mostly(draw, usual, unusual, one_in=6):
+    return draw(unusual) if draw(st.integers(1, one_in)) == 1 else draw(usual)
+
+
+@st.composite
+def survey_texts(draw):
+    k = draw(st.integers(1, 4))
+    header = mostly(draw, st.just("respondent," + ",".join(f"q{i}" for i in range(1, k + 1))),
+                    st.sampled_from(["id,q1", f"respondent,q2,q{k + 2}", "respondent", ""]))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(1, 6)) == 1:
+            lines.append("")  # blank line
+            continue
+        width = mostly(draw, st.just(k), st.sampled_from([k - 1, k + 1]))
+        answers = [mostly(draw, st.sampled_from("12345"), odd_answers, one_in=8)
+                   for _ in range(width)]
+        lines.append(",".join([draw(respondent_fields), *answers]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestColumnReaderMatchesRowReader:
+    @given(survey_texts())
+    @example("respondent,q1,q2\nr0,3,1\n\nr1,x,3\nr2,9\n")
+    @example("respondent,q1\r\n\"r\n0\",3\r\n\r\nr1,6\r\n")
+    @example("respondent,q1,q2\n")
+    def test_same_columns_and_errors(self, text):
+        got = outcome(read_survey_csv, text)
+        expected = outcome(reference_read_survey_csv, text)
+        if expected[0] != "ok":
+            assert got == expected
+            return
+        rows, k = expected[1]
+        survey = got[1]
+        assert len(survey.answers) == k
+        assert list(survey.respondents) == [r for r, _ in rows]
+        assert [list(col) for col in survey.answers] == \
+            [[answers[q] for _, answers in rows] for q in range(k)]
+        cmap = ConstructMap(("c",), ((1.0,) + (0.0,) * (k - 1),))
+        assert outcome(check_responses, survey, cmap, 5) == \
+            outcome(reference_check_responses, rows, k, 5)
+
+    def test_out_of_range_names_first_respondent_in_file_order(self):
+        # r1's bad answer is in a later column than r2's, but r1 comes first
+        survey = read_survey_csv("respondent,q1,q2\nr0,1,1\nr1,1,7\nr2,0,1\n")
+        cmap = ConstructMap(("c",), ((0.5, 0.5),))
+        with pytest.raises(ValueError, match=r"^respondent 'r1' answer 7 outside \[1, 5\]$"):
+            check_responses(survey, cmap, 5)
+
+    def test_oversized_field_is_a_value_error(self):
+        text = "respondent,q1\nr0,1\n\"" + "x" * 200_000 + "\",1\n"
+        with pytest.raises(ValueError, match="^survey CSV line 3: field larger than field limit"):
+            read_survey_csv(text)
