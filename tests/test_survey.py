@@ -83,6 +83,11 @@ class TestAggregateSurvey:
         with pytest.raises(DimensionError):
             aggregate_survey(survey_of((1, 2)), self._cmap(), 5)
 
+    def test_short_column_rejected(self):
+        survey = SurveyColumns(("a", "b"), ((1, 2), (1, 2), (1,)))
+        with pytest.raises(DimensionError, match="^question 3 has 1 answers for 2 respondents$"):
+            check_responses(survey, self._cmap(), 5)
+
     @pytest.mark.parametrize("answers, error", [
         ([], ValueError), ([(6, 1, 1)], ValueError), ([(1, 2)], DimensionError),
     ])
