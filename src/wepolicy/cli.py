@@ -11,11 +11,18 @@ logic model, `network` propagates fact deltas to value parameters, and
 Outputs are staged in memory until a command fully succeeds, then written
 to a staging directory inside `--out` and renamed into place, so a nonzero
 exit (or a process killed mid-write) never leaves partial output files.
+
+A command runs with the cyclic garbage collector off: what it builds (the
+scenario tree, survey columns, output tables and text) is acyclic, so each
+collection would only walk it again. `entry`, the process entry point,
+also freezes the heap before exit, so that the interpreter's shutdown
+collection skips it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import os
 import re
@@ -323,26 +330,51 @@ def _run_validate(scenario_path: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="wepolicy",
-        description="Scenario-driven well-being policy evaluation pipelines.",
-    )
-    parser.add_argument("command", choices=COMMANDS + ("validate",))
-    parser.add_argument("--scenario", required=True, help="scenario JSON file")
-    parser.add_argument("--out", help="output directory (all commands except validate)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt",
-                        help="table output format (reports are always JSON)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario's dynamics seed (sweep and select only)")
-    args = parser.parse_args(argv)
+    """Parse `argv` and run one command; returns the exit code.
 
-    if args.command == "validate":
-        return _run_validate(args.scenario)
-    if not args.out:
-        print("error: --out is required for this command", file=sys.stderr)
-        return EXIT_VALIDATION
-    return run(args.command, args.scenario, args.out, fmt=args.fmt, seed=args.seed)
+    The cyclic garbage collector is off while the command runs and is
+    switched back on afterwards only if it was on before, so an in-process
+    caller keeps its collector state, also when argparse exits.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parser = argparse.ArgumentParser(
+            prog="wepolicy",
+            description="Scenario-driven well-being policy evaluation pipelines.",
+        )
+        parser.add_argument("command", choices=COMMANDS + ("validate",))
+        parser.add_argument("--scenario", required=True, help="scenario JSON file")
+        parser.add_argument("--out", help="output directory (all commands except validate)")
+        parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt",
+                            help="table output format (reports are always JSON)")
+        parser.add_argument("--seed", type=int, default=None,
+                            help="override the scenario's dynamics seed (sweep and select only)")
+        args = parser.parse_args(argv)
+
+        if args.command == "validate":
+            return _run_validate(args.scenario)
+        if not args.out:
+            print("error: --out is required for this command", file=sys.stderr)
+            return EXIT_VALIDATION
+        return run(args.command, args.scenario, args.out, fmt=args.fmt, seed=args.seed)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def entry() -> None:
+    """Process entry point: run `main` on the command line, then exit.
+
+    The heap is frozen first: the process is about to end, and a frozen
+    object is not walked by the collection at interpreter shutdown.
+    Freezing is kept out of `main`, where an in-process caller would keep
+    the command's garbage frozen.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

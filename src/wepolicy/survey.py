@@ -191,7 +191,9 @@ def fit_target(
         raise DimensionError(f"{len(names)} names for {p1 - 1} non-intercept columns")
 
     try:
-        rank = np.linalg.matrix_rank(X)
+        # lstsq's rank uses matrix_rank's cutoff (s > eps * max(n, p) * s_max),
+        # so a full-rank design is decomposed once.
+        beta, _, rank, _ = np.linalg.lstsq(X, yv, rcond=None)
         if rank < p1:
             dependent = []
             prev = 0
@@ -201,7 +203,6 @@ def fit_target(
                     dependent.append("intercept" if j == 0 else names[j - 1])
                 prev = cur
             raise RankDeficiencyError(dependent)
-        beta, _, _, _ = np.linalg.lstsq(X, yv, rcond=None)
     except np.linalg.LinAlgError as err:
         raise FloatingPointError(str(err)) from err
     fitted = X @ beta
@@ -269,12 +270,15 @@ def read_survey_csv(text: str) -> SurveyColumns:
 
 def _raise_first_bad_line(text: str, k: int):
     """Raise for the first row, in file order, with other than k + 1 fields
-    or a non-integer answer (line numbers count CSV records)."""
+    or a non-integer answer. The line number is the physical line the row
+    ends on, as for a `csv.Error`, so a quoted field spanning lines does
+    not shift it."""
     reader = csv.reader(io.StringIO(text))
     next(reader)
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num
         if len(row) != k + 1:
             raise ValueError(f"survey CSV line {lineno}: expected {k + 1} fields") from None
         try:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -636,3 +637,166 @@ class TestOutputContract:
         assert code == 1
         assert err == "error: survey.file: respondent 'r0001' answer 9 outside [1, 5]\n"
         assert not out.exists()
+
+
+FIXTURE_COMMANDS = [
+    ("validate", "pipeline.json"), ("surface", "fig2.json"),
+    ("consensus-check", "consensus.json"), ("fit", "pipeline.json"),
+    ("sweep", "pipeline.json"), ("select", "pipeline.json"),
+    ("impact", "pipeline.json"), ("network", "pipeline.json"),
+]
+
+
+def run_process(cwd, *args):
+    """`python -m wepolicy.cli *args` in a fresh interpreter."""
+    src = str(Path(wepolicy.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "wepolicy.cli", *args],
+        capture_output=True, text=True, timeout=120, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+class TestProcessEntry:
+    """The command as a process, through its exit path."""
+
+    @pytest.mark.parametrize("command, fixture", FIXTURE_COMMANDS,
+                             ids=[c for c, _ in FIXTURE_COMMANDS])
+    def test_fixture_command(self, fixtures_dir, goldens_dir, tmp_path, command, fixture):
+        out = tmp_path / "out"
+        args = [command, "--scenario", str(fixtures_dir / fixture)]
+        if command != "validate":
+            args += ["--out", str(out)]
+        proc = run_process(tmp_path, *args)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        if command == "validate":
+            assert report == {"ok": True, "errors": [], "warnings": []}
+            assert not out.exists()
+            return
+        golden = goldens_dir / command
+        if golden.is_dir():
+            expected = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in golden.iterdir()}
+        else:
+            expected = next(d for c, s, f, d in WRITER_DIGESTS
+                            if (c, s, f) == (command, fixture, "csv"))
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == expected
+        assert report["command"] == command
+        assert sorted(report["outputs"]) == sorted(str(out / name) for name in expected)
+
+    def test_missing_scenario_exits_3(self, tmp_path):
+        out = tmp_path / "out"
+        proc = run_process(tmp_path, "impact", "--scenario", str(tmp_path / "nope.json"),
+                           "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+def overflowing_impact(fixtures_dir, tmp_path):
+    """The pipeline fixture with a logic model whose propagation overflows."""
+    doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+    for edge in doc["logic_model"]["edges"]:
+        edge["weight"] = 1e308
+    for name in doc["logic_model"]["inputs"]:
+        doc["logic_model"]["inputs"][name] = 1e10
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    return scenario
+
+
+def repeated_logic_model(fixtures_dir, tmp_path, copies):
+    """A scenario holding `copies` renamed copies of the pipeline logic model."""
+    model = json.loads((fixtures_dir / "pipeline.json").read_text())["logic_model"]
+    bindings = model["fact_bindings"]["bindings"]
+    big = {"nodes": [], "edges": [], "inputs": {},
+           "fact_bindings": {**model["fact_bindings"], "bindings": {}}}
+    for i in range(copies):
+        big["nodes"] += [{**n, "name": f"{n['name']}_{i}"} for n in model["nodes"]]
+        big["edges"] += [{**e, "from": f"{e['from']}_{i}", "to": f"{e['to']}_{i}"}
+                         for e in model["edges"]]
+        big["inputs"].update({f"{k}_{i}": v for k, v in model["inputs"].items()})
+        big["fact_bindings"]["bindings"].update({f"{k}_{i}": v for k, v in bindings.items()})
+    scenario = tmp_path / f"logic_x{copies}.json"
+    scenario.write_text(json.dumps({"logic_model": big}), encoding="utf-8")
+    return scenario
+
+
+class TestCollectorState:
+    """`main` runs with the cyclic collector off and restores the state it found."""
+
+    @pytest.fixture
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("case, expected", [
+        ("ok", 0), ("validation", 1), ("numerical", 2), ("io", 3), ("usage", "SystemExit"),
+    ])
+    def test_state_is_restored(self, fixtures_dir, tmp_path, capsys, restore_collector,
+                               enabled, case, expected):
+        pipeline = str(fixtures_dir / "pipeline.json")
+        out = str(tmp_path / "out")
+        argv = {
+            "ok": ["network", "--scenario", pipeline, "--out", out],
+            "validation": ["network", "--scenario", pipeline],
+            "numerical": ["impact", "--scenario",
+                          str(overflowing_impact(fixtures_dir, tmp_path)), "--out", out],
+            "io": ["network", "--scenario", str(tmp_path / "nope.json"), "--out", out],
+            "usage": ["no-such-command", "--scenario", pipeline],
+        }[case]
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        try:
+            code = main(argv)
+        except SystemExit:
+            code = "SystemExit"
+        assert gc.isenabled() is enabled
+        assert code == expected
+
+    def test_off_while_the_command_runs(self, fixtures_dir, tmp_path, capsys, monkeypatch,
+                                        restore_collector):
+        from wepolicy import cli
+
+        seen = []
+        real_load = cli.load_scenario
+
+        def recording_load(path):
+            seen.append(gc.isenabled())
+            return real_load(path)
+
+        monkeypatch.setattr(cli, "load_scenario", recording_load)
+        gc.enable()
+        code, _, _ = run_cli(capsys, "network", "--scenario", str(fixtures_dir / "pipeline.json"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_garbage_left_does_not_grow_with_input(self, fixtures_dir, tmp_path, capsys,
+                                                   restore_collector):
+        def garbage_after_impact(scenario):
+            gc.disable()
+            gc.collect()
+            code = main(["impact", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+            found = gc.collect()
+            assert code == 0
+            return found
+
+        pipeline = fixtures_dir / "pipeline.json"
+        garbage_after_impact(pipeline)  # lets lazy imports settle
+        small = garbage_after_impact(pipeline)
+        large = garbage_after_impact(repeated_logic_model(fixtures_dir, tmp_path, 20))
+        assert small < 1000
+        assert large == small

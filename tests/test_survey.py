@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wepolicy.errors import DimensionError, RankDeficiencyError
 from wepolicy.survey import (
@@ -119,6 +119,29 @@ class TestConstructMap:
             ConstructMap(("c1", "c2"), ((1.0,),))
 
 
+@st.composite
+def likert_designs(draw):
+    """An intercept column, then columns of answers in [1, 5], constants, or
+    exact integer combinations of earlier columns; optionally rescaled to
+    [-1, 1] as the fit sees them. Returns the design and a target column."""
+    n = draw(st.integers(2, 40))
+    answers = st.lists(st.integers(1, 5), min_size=n, max_size=n)
+    cols = [[1] * n]
+    for _ in range(draw(st.integers(0, min(n, 6) - 1))):
+        kind = draw(st.sampled_from(["answers", "answers", "constant", "combination"]))
+        if kind == "answers":
+            cols.append(draw(answers))
+        elif kind == "constant":
+            cols.append([draw(st.integers(1, 5))] * n)
+        else:
+            coefs = draw(st.lists(st.integers(-3, 3), min_size=len(cols), max_size=len(cols)))
+            cols.append([sum(map(operator.mul, coefs, row)) for row in zip(*cols)])
+    X = np.array(cols, dtype=float).T
+    if draw(st.booleans()):
+        X[:, 1:] = rescale_answer(X[:, 1:], 5)
+    return X, np.array(draw(answers), dtype=float)
+
+
 class TestFitTarget:
     def _generic_design(self, n=10):
         rng = random.Random(42)
@@ -147,6 +170,17 @@ class TestFitTarget:
         with pytest.raises(RankDeficiencyError) as err:
             fit_target(design, [0.0, 1.0, 2.0, 3.0], column_names=("x1", "x2"))
         assert "x2" in err.value.columns
+
+    @settings(max_examples=300, deadline=None)
+    @given(likert_designs())
+    def test_rank_decision_matches_matrix_rank(self, case):
+        X, y = case
+        try:
+            fit_target(X, y)
+            deficient = False
+        except RankDeficiencyError:
+            deficient = True
+        assert deficient == (np.linalg.matrix_rank(X) < X.shape[1])
 
     def test_residual_orthogonality(self):
         design = self._generic_design(30)
@@ -244,6 +278,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="fields"):
             read_survey_csv("respondent,q1,q2\nr0,3\n")
 
+    @pytest.mark.parametrize("text, finding", [
+        # r0's quoted id spans lines 2 and 3, so the bad row is on line 4
+        ('respondent,q1\n"r\n0",1\nr1,x\n', "line 4: answers must be integers"),
+        ('respondent,q1\n"r\n0",1\nr1,2,3\n', "line 4: expected 2 fields"),
+        ("respondent,q1\nr0,1\n\nr1,x", "line 4: answers must be integers"),
+    ])
+    def test_findings_name_the_physical_line(self, text, finding):
+        with pytest.raises(ValueError, match=f"^survey CSV {finding}$"):
+            read_survey_csv(text)
+
 
 class TestSynthesize:
     def test_deterministic(self):
@@ -325,7 +369,8 @@ class TestRespondentScoresColumnPass:
 
 
 def reference_read_survey_csv(text):
-    """The per-row reader: (respondent, answers) per record, and K."""
+    """The per-row reader: (respondent, answers) per record, and K. A bad
+    record is named by the physical line it ends on."""
     import csv
     import io
 
@@ -342,9 +387,10 @@ def reference_read_survey_csv(text):
     if header[1:] != [f"q{i}" for i in range(1, k + 1)]:
         raise ValueError(f"survey CSV question columns must be q1..q{k}")
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num
         if len(row) != k + 1:
             raise ValueError(f"survey CSV line {lineno}: expected {k + 1} fields")
         try:
