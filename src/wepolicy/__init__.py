@@ -73,14 +73,11 @@ from .survey import (
 from .valuefn import (
     AsymmetricSpec,
     MirroredFamily,
-    SarchSpec,
     ValueFunctionSpec,
     asymmetric_derivative,
     evaluate_asymmetric,
     evaluate_family,
-    evaluate_sarch,
     quadratic_monotone_limit,
-    sarch_regime,
 )
 from .we_model import (
     WellbeingModel,

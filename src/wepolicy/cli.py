@@ -15,8 +15,8 @@ exit (or a process killed mid-write) never leaves partial output files.
 A command runs with the cyclic garbage collector off: what it builds (the
 scenario tree, survey columns, output tables and text) is acyclic, so each
 collection would only walk it again. `entry`, the process entry point,
-also freezes the heap before exit, so that the interpreter's shutdown
-collection skips it.
+ends the process without interpreter teardown once the command has
+returned and its output is flushed.
 """
 
 from __future__ import annotations
@@ -30,16 +30,15 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import logicmodel
 from .coupling import ScopeFunction, check_consensus, propagate_network
 from .errors import RankDeficiencyError, ScenarioError
 from .evaluator import evaluate_policies, select_best
-from .policy_sim import normalize_ternary, run_sweep
+from .policy_sim import DynamicsConfig, normalize_ternary, run_sweep
 from .scenario import Scenario, load_scenario, validate_scenario
-from .serialize import csv_table, dump_json, json_rows
+from .serialize import csv_table, dump_json, fmt_float, json_rows
 from .survey import (
     aggregate_survey,
     check_responses,
@@ -84,8 +83,16 @@ def _slug(name: str) -> str:
 
 def _cmd_surface(sc: Scenario, fmt: str, seed):
     model = _require(sc, "model", "layers")
-    grids = _require(sc, "surface_grids", "surface")
-    rows = sample_surface(model, grids[0], grids[1])
+    xs_n, xs_w = _require(sc, "surface_grids", "surface")
+    rows = sample_surface(model, xs_n, xs_w)
+    if fmt == "csv":
+        # Each grid value fills a whole row or column of the grid, so it is
+        # formatted once per grid index; csv_table writes text cells as is.
+        rows = list(zip(
+            [t for t in map(fmt_float, xs_n) for _ in xs_w],
+            list(map(fmt_float, xs_w)) * len(xs_n),
+            [r[2] for r in rows],
+        ))
     name, text = _table(fmt, "surface", ("x_n", "x_w", "W"), rows)
     outputs = {name: text}
     if sc.curve is not None:
@@ -149,7 +156,12 @@ def _fit_from_survey(sc: Scenario):
     design = np.column_stack((np.ones(len(scores)), scores))
     target = np.array(survey.answers[cfg.target_question - 1], dtype=float)
     y = rescale_answer(target, cfg.scale)
-    model = fit_target(design, y, column_names=cfg.construct_map.constructs)
+    try:
+        model = fit_target(design, y, column_names=cfg.construct_map.constructs)
+    except RankDeficiencyError:
+        raise
+    except ValueError as err:  # such as fewer respondents than design columns
+        raise ScenarioError([f"survey.file: {err}"]) from None
     return model, baseline
 
 
@@ -167,7 +179,8 @@ def _run_sweep(sc: Scenario, seed):
     grid = _require(sc, "sweep_grid", "sweep")
     if seed is not None:
         try:
-            dynamics = replace(dynamics, seed=seed)
+            # Through the constructor, which checks the seed.
+            dynamics = DynamicsConfig(**dict(dynamics._asdict(), seed=seed))
         except ValueError as err:
             raise ScenarioError([f"--seed: {err}"]) from None
     table = run_sweep(dynamics, grid["subsidy"], grid["tax"], grid["service"])
@@ -366,14 +379,15 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> None:
     """Process entry point: run `main` on the command line, then exit.
 
-    The heap is frozen first: the process is about to end, and a frozen
-    object is not walked by the collection at interpreter shutdown.
-    Freezing is kept out of `main`, where an in-process caller would keep
-    the command's garbage frozen.
+    Once `main` returns, the outputs are written and closed, so after
+    flushing stdout and stderr the process ends with `os._exit`, skipping
+    the interpreter's teardown of the heap. `main` itself returns normally,
+    for in-process callers.
     """
     code = main()
-    gc.freeze()
-    raise SystemExit(code)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ Four pieces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from collections import namedtuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, UnknownNodeError
 from .graphs import Edge as NetworkEdge, propagate_linear, topological_order
@@ -34,23 +34,21 @@ MULTIPLICATIVE = "multiplicative"
 DEFAULT_WARN_THRESHOLD = 0.2
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     name: str
     unit: str = ""
 
 
-@dataclass(frozen=True)
-class ElementSet:
+class ElementSet(namedtuple("ElementSet", "name elements")):
     """Ordered named elements; order defines the vector layout."""
 
-    name: str
-    elements: tuple[Element, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = [e.name for e in self.elements]
+    def __new__(cls, name: str, elements: tuple[Element, ...]):
+        names = [e.name for e in elements]
         if len(set(names)) != len(names):
-            raise ValueError(f"element names in {self.name!r} must be unique: {names}")
+            raise ValueError(f"element names in {name!r} must be unique: {names}")
+        return super().__new__(cls, name, elements)
 
     @property
     def dim(self) -> int:
@@ -61,42 +59,39 @@ class ElementSet:
         return tuple(e.name for e in self.elements)
 
 
-@dataclass(frozen=True)
-class Saturator:
+class Saturator(namedtuple("Saturator", "scale")):
     """Elementwise saturation y -> scale * tanh(y / scale); identity as
     scale grows large."""
 
-    scale: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"saturator scale must be > 0, got {self.scale}")
+    def __new__(cls, scale: float):
+        if not scale > 0:
+            raise ValueError(f"saturator scale must be > 0, got {scale}")
+        return super().__new__(cls, scale)
 
     def __call__(self, y: float) -> float:
         return self.scale * math.tanh(y / self.scale)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(namedtuple("LinearMap", "matrix offset nonlinearity")):
     """Affine map between element layouts: matrix @ x + offset, then an
     optional elementwise saturator. Rows = target dim, cols = source dim."""
 
-    matrix: tuple[tuple[float, ...], ...]
-    offset: tuple[float, ...]
-    nonlinearity: Saturator | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.matrix:
+    def __new__(cls, matrix: tuple[tuple[float, ...], ...], offset: tuple[float, ...],
+                nonlinearity: Saturator | None = None):
+        if not matrix:
             raise ValueError("matrix must have at least one row")
-        width = len(self.matrix[0])
+        width = len(matrix[0])
         if width == 0:
             raise ValueError("matrix must have at least one column")
-        if any(len(row) != width for row in self.matrix):
+        if any(len(row) != width for row in matrix):
             raise ValueError("matrix rows must all have the same length")
-        if len(self.offset) != len(self.matrix):
-            raise DimensionError(
-                f"offset length {len(self.offset)} != matrix rows {len(self.matrix)}"
-            )
+        if len(offset) != len(matrix):
+            raise DimensionError(f"offset length {len(offset)} != matrix rows {len(matrix)}")
+        return super().__new__(cls, matrix, offset, nonlinearity)
 
     @property
     def source_dim(self) -> int:
@@ -120,8 +115,7 @@ def apply_map(m: LinearMap, x: Sequence[float]) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class ScopeFunction:
+class ScopeFunction(NamedTuple):
     """Scalar well-being of an element vector: weighted sum, then curve."""
 
     element_weights: tuple[float, ...]
@@ -139,8 +133,7 @@ class ScopeFunction:
         return self.value_function(acc)
 
 
-@dataclass(frozen=True)
-class ConsensusReport:
+class ConsensusReport(NamedTuple):
     holds: bool
     max_deviation: float
     worst_point: tuple[float, ...]
@@ -189,8 +182,7 @@ def check_consensus(
     )
 
 
-@dataclass(frozen=True)
-class FactCoupling:
+class FactCoupling(namedtuple("FactCoupling", "mode matrix warn_threshold")):
     """Perturbative coupling of fact indicators into the subjective vector.
 
     additive:        x_w' = x_w + C @ x_c
@@ -199,20 +191,20 @@ class FactCoupling:
     A zero fact vector leaves x_w untouched in both modes.
     """
 
-    mode: str
-    matrix: tuple[tuple[float, ...], ...]
-    warn_threshold: float = DEFAULT_WARN_THRESHOLD
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in (ADDITIVE, MULTIPLICATIVE):
-            raise ValueError(f"mode must be additive or multiplicative, got {self.mode!r}")
-        if not self.matrix:
+    def __new__(cls, mode: str, matrix: tuple[tuple[float, ...], ...],
+                warn_threshold: float = DEFAULT_WARN_THRESHOLD):
+        if mode not in (ADDITIVE, MULTIPLICATIVE):
+            raise ValueError(f"mode must be additive or multiplicative, got {mode!r}")
+        if not matrix:
             raise ValueError("coupling matrix must have at least one row")
-        width = len(self.matrix[0])
-        if any(len(row) != width for row in self.matrix):
+        width = len(matrix[0])
+        if any(len(row) != width for row in matrix):
             raise ValueError("coupling matrix rows must all have the same length")
-        if not self.warn_threshold >= 0:
+        if not warn_threshold >= 0:
             raise ValueError("warn threshold must be >= 0")
+        return super().__new__(cls, mode, matrix, warn_threshold)
 
     @property
     def subjective_dim(self) -> int:
@@ -223,8 +215,7 @@ class FactCoupling:
         return len(self.matrix[0])
 
 
-@dataclass(frozen=True)
-class CouplingResult:
+class CouplingResult(NamedTuple):
     x_w_prime: tuple[float, ...]
     perturbation_ratio: float
     warned: bool
@@ -287,23 +278,21 @@ def apply_fact_coupling(
     )
 
 
-@dataclass(frozen=True)
-class ParameterNetwork:
+class ParameterNetwork(namedtuple("ParameterNetwork", "fact_nodes value_nodes edges")):
     """Acyclic weighted graph carrying fact-parameter deltas to value
     parameters. Fact nodes are exogenous (no incoming edges); nodes that are
-    neither fact nor value act as intermediates."""
+    neither fact nor value act as intermediates.
 
-    fact_nodes: tuple[str, ...]
-    value_nodes: tuple[str, ...]
-    edges: tuple[NetworkEdge, ...]
-    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    The node names and their topological order are derived once, when the
+    network is built, and kept as instance attributes outside equality and
+    repr."""
 
-    def __post_init__(self):
-        facts, values = set(self.fact_nodes), set(self.value_nodes)
-        if len(facts) != len(self.fact_nodes):
+    def __new__(cls, fact_nodes: tuple[str, ...], value_nodes: tuple[str, ...],
+                edges: tuple[NetworkEdge, ...]):
+        facts, values = set(fact_nodes), set(value_nodes)
+        if len(facts) != len(fact_nodes):
             raise ValueError("fact node names must be unique")
-        if len(values) != len(self.value_nodes):
+        if len(values) != len(value_nodes):
             raise ValueError("value node names must be unique")
         overlap = facts & values
         if overlap:
@@ -311,9 +300,9 @@ class ParameterNetwork:
         # Name -> position in node_names(): facts, values, then the other
         # edge endpoints in first-seen order; one pass also collects the
         # (source, target) pairs.
-        index = {n: i for i, n in enumerate((*self.fact_nodes, *self.value_nodes))}
+        index = {n: i for i, n in enumerate((*fact_nodes, *value_nodes))}
         pairs = []
-        for src, dst, weight in self.edges:
+        for src, dst, weight in edges:
             if dst in facts:
                 raise ValueError(f"fact node {dst!r} cannot have incoming edges")
             if not math.isfinite(weight):
@@ -321,10 +310,11 @@ class ParameterNetwork:
             index.setdefault(src, len(index))
             index.setdefault(dst, len(index))
             pairs.append((src, dst))
-        names = tuple(index)
-        object.__setattr__(self, "_names", names)
+        self = super().__new__(cls, fact_nodes, value_nodes, edges)
+        self._names = tuple(index)
         # Raises CycleError on a cycle; cached for propagation.
-        object.__setattr__(self, "_order", tuple(topological_order(names, pairs, index)))
+        self._order = tuple(topological_order(self._names, pairs, index))
+        return self
 
     def node_names(self) -> tuple[str, ...]:
         return self._names

@@ -9,8 +9,7 @@ emphases and generally select different policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # `apply_fact_coupling` stays importable from here: perfbench/tracer.py wraps it.
 from .coupling import FactCoupling, apply_fact_coupling, couple_rows
@@ -18,21 +17,18 @@ from .policy_sim import SweepTable
 from .survey import RegressionModel, predict
 
 
-@dataclass(frozen=True)
-class WeightingProfile:
+class WeightingProfile(NamedTuple):
     name: str
     coupling: FactCoupling
 
 
-@dataclass(frozen=True)
-class RankedRow:
+class RankedRow(NamedTuple):
     policy_id: int
     x_w_prime: tuple[float, ...]
     w_prime: float
 
 
-@dataclass(frozen=True)
-class RankedPolicies:
+class RankedPolicies(NamedTuple):
     """Sorted columns, score descending, then policy id ascending:
     `x_w_prime[j][i]` is construct j of the i-th ranked policy."""
 

@@ -11,8 +11,7 @@ Negative edge weights are allowed so policies can carry negative impact.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from typing import Mapping
 
 from .errors import StageBindingError, UnknownNodeError
@@ -23,32 +22,29 @@ BINDABLE_STAGES = ("inputs", "activities", "outputs")
 _RANK = {stage: i for i, stage in enumerate(STAGES)}
 
 
-@dataclass(frozen=True)
-class Node:
-    name: str
-    stage: str
-    baseline: float = 0.0
+class Node(namedtuple("Node", "name stage baseline")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ValueError(f"unknown stage {self.stage!r} for node {self.name!r}")
-        if not math.isfinite(self.baseline):
-            raise ValueError(f"node {self.name!r} baseline must be finite")
+    def __new__(cls, name: str, stage: str, baseline: float = 0.0):
+        if stage not in STAGES:
+            raise ValueError(f"unknown stage {stage!r} for node {name!r}")
+        if not math.isfinite(baseline):
+            raise ValueError(f"node {name!r} baseline must be finite")
+        return super().__new__(cls, name, stage, baseline)
 
 
-@dataclass(frozen=True)
-class LogicModel:
-    """Validated and sorted once, when built; `validate` reports findings."""
+class LogicModel(namedtuple("LogicModel", "nodes edges")):
+    """Validated and sorted once, when built; `validate` reports findings.
 
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
-    _findings: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _order: tuple[str, ...] | None = field(init=False, repr=False, compare=False)
+    The findings and the topological order (None when the model has
+    duplicate names or a cycle) are instance attributes, outside equality
+    and repr."""
 
-    def __post_init__(self):
-        findings, order = _inspect(self)
-        object.__setattr__(self, "_findings", tuple(findings))
-        object.__setattr__(self, "_order", order)
+    def __new__(cls, nodes: tuple[Node, ...], edges: tuple[Edge, ...]):
+        self = super().__new__(cls, nodes, edges)
+        findings, self._order = _inspect(self)
+        self._findings = tuple(findings)
+        return self
 
     def node_map(self) -> dict[str, Node]:
         return {n.name: n for n in self.nodes}
@@ -146,26 +142,24 @@ def propagate(
     return _propagate_values(model, dict(input_values))
 
 
-@dataclass(frozen=True)
-class FactBinding:
-    """Fact elements bound onto left-side nodes of a logic model."""
+class FactBinding(namedtuple("FactBinding", "bindings elements values")):
+    """Fact elements bound onto left-side nodes of a logic model;
+    `bindings` maps a node name to a fact element name."""
 
-    bindings: Mapping[str, str]  # node name -> fact element name
-    elements: tuple[str, ...]
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.elements) != len(self.values):
-            raise ValueError(
-                f"{len(self.elements)} element names for {len(self.values)} values"
-            )
-        if len(set(self.elements)) != len(self.elements):
+    def __new__(cls, bindings: Mapping[str, str], elements: tuple[str, ...],
+                values: tuple[float, ...]):
+        if len(elements) != len(values):
+            raise ValueError(f"{len(elements)} element names for {len(values)} values")
+        if len(set(elements)) != len(elements):
             raise ValueError("fact element names must be unique")
-        unknown = [e for e in self.bindings.values() if e not in self.elements]
+        unknown = [e for e in bindings.values() if e not in elements]
         if unknown:
             raise UnknownNodeError(
                 f"bindings reference unknown fact elements: {', '.join(sorted(set(unknown)))}"
             )
+        return super().__new__(cls, bindings, elements, values)
 
     def value_for(self, node: str) -> float:
         return self.values[self.elements.index(self.bindings[node])]

@@ -17,67 +17,64 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from .numeric import left_sum
 
 
-@dataclass(frozen=True)
-class DynamicsConfig:
-    agents: int
-    steps: int
-    seed: int
-    income_spread: float = 0.0
-    renewable_rate: float = 0.1  # pool-to-renewables uptake per step
-    connection_rate: float = 0.1  # service-driven connection growth per step
-    connection_decay: float = 0.05
+class DynamicsConfig(namedtuple(
+    "DynamicsConfig",
+    "agents steps seed income_spread renewable_rate connection_rate connection_decay",
+)):
+    """Simulator settings. Per step, `renewable_rate` is the pool-to-
+    renewables uptake and `connection_rate` the service-driven connection
+    growth."""
 
-    def __post_init__(self):
-        if self.agents < 1:
-            raise ValueError(f"agents must be >= 1, got {self.agents}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.seed < 0:
+    __slots__ = ()
+
+    def __new__(cls, agents: int, steps: int, seed: int, income_spread: float = 0.0,
+                renewable_rate: float = 0.1, connection_rate: float = 0.1,
+                connection_decay: float = 0.05):
+        if agents < 1:
+            raise ValueError(f"agents must be >= 1, got {agents}")
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
+        if seed < 0:
             # random.Random seeds from abs(seed): -7 would draw 7's incomes
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("income_spread", "renewable_rate", "connection_rate", "connection_decay"):
-            v = getattr(self, name)
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        rates = (income_spread, renewable_rate, connection_rate, connection_decay)
+        for name, v in zip(cls._fields[3:], rates):
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        return super().__new__(cls, agents, steps, seed, *rates)
 
 
-@dataclass(frozen=True)
-class PolicyKnobs:
+class PolicyKnobs(namedtuple("PolicyKnobs", "subsidy tax service")):
     """Operating parameters: subsidy and service shares of the tax pool,
     and the tax rate itself. Shares cannot exceed the whole pool."""
 
-    subsidy: float
-    tax: float
-    service: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.subsidy <= 1.0:
-            raise ValueError(f"subsidy must be in [0, 1], got {self.subsidy}")
-        if not 0.0 <= self.tax <= 0.5:
-            raise ValueError(f"tax must be in [0, 0.5], got {self.tax}")
-        if not 0.0 <= self.service <= 1.0:
-            raise ValueError(f"service must be in [0, 1], got {self.service}")
-        if self.subsidy + self.service > 1.0:
-            raise ValueError(
-                f"budget shares exceed the pool: s + v = {self.subsidy + self.service}"
-            )
+    def __new__(cls, subsidy: float, tax: float, service: float):
+        if not 0.0 <= subsidy <= 1.0:
+            raise ValueError(f"subsidy must be in [0, 1], got {subsidy}")
+        if not 0.0 <= tax <= 0.5:
+            raise ValueError(f"tax must be in [0, 0.5], got {tax}")
+        if not 0.0 <= service <= 1.0:
+            raise ValueError(f"service must be in [0, 1], got {service}")
+        if subsidy + service > 1.0:
+            raise ValueError(f"budget shares exceed the pool: s + v = {subsidy + service}")
+        return super().__new__(cls, subsidy, tax, service)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     policy_id: int
     knobs: PolicyKnobs
     indicators: tuple[float, float, float]  # (economic, environmental, social)
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     rows: tuple[SweepRow, ...]
     # Inadmissible (s, t, v) combinations hit during the sweep, grid order.
     skipped: tuple[tuple[float, float, float], ...] = ()

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import logicmodel
 from .coupling import (
@@ -40,47 +40,45 @@ from .valuefn import (
 from .we_model import WellbeingModel, WELayer, WEScope, surface_layers
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
+class SurveyConfig(NamedTuple):
     file: str
     scale: int
     construct_map: ConstructMap
     target_question: int  # 1-based question index holding the rating
 
 
-@dataclass(frozen=True)
-class ConsensusConfig:
+class ConsensusConfig(NamedTuple):
     narrow_label: str
     wide_label: str
     probes: tuple[tuple[float, ...], ...]
     tol: float
 
 
-@dataclass
 class Scenario:
     """Parsed scenario with constructed module objects (None when absent)."""
 
-    doc: dict
-    base_dir: Path
-    value_functions: dict[str, ValueCurve] = field(default_factory=dict)
-    layers: list[WELayer] = field(default_factory=list)
-    model: WellbeingModel | None = None
-    element_sets: dict[str, ElementSet] = field(default_factory=dict)
-    mapping_f: LinearMap | None = None
-    fact_coupling: FactCoupling | None = None
-    network: ParameterNetwork | None = None
-    network_deltas: dict[str, float] = field(default_factory=dict)
-    survey: SurveyConfig | None = None
-    dynamics: DynamicsConfig | None = None
-    sweep_grid: dict[str, list[float]] | None = None
-    profiles: list[WeightingProfile] = field(default_factory=list)
-    logic_model: logicmodel.LogicModel | None = None
-    logic_inputs: dict[str, float] = field(default_factory=dict)
-    fact_binding: logicmodel.FactBinding | None = None
-    surface_grids: tuple[list[float], list[float]] | None = None
-    curve: tuple[str, list[float]] | None = None
-    consensus: ConsensusConfig | None = None
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self, doc: dict, base_dir: Path):
+        self.doc = doc
+        self.base_dir = base_dir
+        self.value_functions: dict[str, ValueCurve] = {}
+        self.layers: list[WELayer] = []
+        self.model: WellbeingModel | None = None
+        self.element_sets: dict[str, ElementSet] = {}
+        self.mapping_f: LinearMap | None = None
+        self.fact_coupling: FactCoupling | None = None
+        self.network: ParameterNetwork | None = None
+        self.network_deltas: dict[str, float] = {}
+        self.survey: SurveyConfig | None = None
+        self.dynamics: DynamicsConfig | None = None
+        self.sweep_grid: dict[str, list[float]] | None = None
+        self.profiles: list[WeightingProfile] = []
+        self.logic_model: logicmodel.LogicModel | None = None
+        self.logic_inputs: dict[str, float] = {}
+        self.fact_binding: logicmodel.FactBinding | None = None
+        self.surface_grids: tuple[list[float], list[float]] | None = None
+        self.curve: tuple[str, list[float]] | None = None
+        self.consensus: ConsensusConfig | None = None
+        self.warnings: list[str] = []
 
     def layer_by_label(self, label: str) -> WELayer:
         for layer in self.layers:

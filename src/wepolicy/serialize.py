@@ -23,7 +23,8 @@ def csv_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
     Rows must all have the same length. Cells are formatted a column at a
     time; a column of exact floats or exact ints takes the type's own repr,
-    which is what `_cell` gives each of its cells.
+    and a column of exact strs is written as it is, which is what `_cell`
+    gives each of its cells.
     """
     cols = [_column(col, _cell) for col in zip(*rows, strict=True)]
     body = map(",".join, zip(*cols)) if cols else [""] * len(rows)
@@ -32,12 +33,16 @@ def csv_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 def _column(col: Sequence[object], cell, finite: bool = False) -> Iterable[str]:
     """A column's cells as strings; `cell` formats a mixed column. With
-    `finite`, a float column holding inf or nan is also left to `cell`."""
+    `finite`, a float column holding inf or nan is also left to `cell`.
+    A str column is kept as it is when `cell` is `_cell`, which returns
+    each str cell unchanged."""
     kinds = set(map(type, col))
     if kinds == {float} and (not finite or all(map(math.isfinite, col))):
         return map(float.__repr__, col)
     if kinds == {int}:
         return map(int.__repr__, col)
+    if kinds == {str} and cell is _cell:
+        return col
     return map(cell, col)
 
 

@@ -13,6 +13,7 @@ import csv
 import io
 import operator
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -30,27 +31,25 @@ class SurveyColumns(NamedTuple):
     answers: Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class ConstructMap:
+class ConstructMap(namedtuple("ConstructMap", "constructs matrix")):
     """Row-stochastic matrix folding question scores into constructs.
 
     Rows = constructs (subjective vector layout), cols = questions.
     """
 
-    constructs: tuple[str, ...]
-    matrix: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.constructs) != len(self.matrix):
+    def __new__(cls, constructs: tuple[str, ...], matrix: tuple[tuple[float, ...], ...]):
+        if len(constructs) != len(matrix):
             raise DimensionError(
-                f"{len(self.constructs)} construct names for {len(self.matrix)} matrix rows"
+                f"{len(constructs)} construct names for {len(matrix)} matrix rows"
             )
-        if len(set(self.constructs)) != len(self.constructs):
+        if len(set(constructs)) != len(constructs):
             raise ValueError("construct names must be unique")
-        if not self.matrix:
+        if not matrix:
             raise ValueError("construct map needs at least one row")
-        width = len(self.matrix[0])
-        for name, row in zip(self.constructs, self.matrix):
+        width = len(matrix[0])
+        for name, row in zip(constructs, matrix):
             if len(row) != width:
                 raise ValueError("construct matrix rows must all have the same length")
             if any(w < 0 for w in row):
@@ -58,6 +57,7 @@ class ConstructMap:
             total = left_sum(row)
             if abs(total - 1.0) > ROW_SUM_TOL:
                 raise ValueError(f"construct {name!r} weights sum to {total!r}, not 1")
+        return super().__new__(cls, constructs, matrix)
 
     @property
     def question_count(self) -> int:
@@ -139,6 +139,8 @@ def respondent_scores(
     return np.column_stack(cols)
 
 
+# A dataclass, unlike the other value types: callers rescale a fitted
+# model with `dataclasses.replace`.
 @dataclass(frozen=True)
 class RegressionModel:
     """Fitted linear target: intercept + coefficients over named variables."""
@@ -167,7 +169,9 @@ def fit_target(
     Solved by an orthogonalization method (LAPACK SVD via lstsq); rank
     deficiency raises RankDeficiencyError naming the dependent columns, and
     a LAPACK failure (numpy's LinAlgError) raises FloatingPointError with
-    the same message.
+    the same message. A NaN or infinity in the design or in y raises
+    FloatingPointError naming which of the two holds it, before LAPACK
+    sees it.
     """
     # Imported here so that commands which never fit start without numpy.
     import numpy as np
@@ -181,6 +185,9 @@ def fit_target(
         raise DimensionError(f"y has length {yv.shape}, design has {n} rows")
     if n < p1:
         raise ValueError(f"need at least {p1} rows to fit {p1} columns, got {n}")
+    for label, values in (("design", X), ("y", yv)):
+        if not np.isfinite(values).all():
+            raise FloatingPointError(f"{label} has a non-finite value")
     if not np.all(X[:, 0] == 1.0):
         raise ValueError("first design column must be the all-ones intercept")
 

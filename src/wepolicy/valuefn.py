@@ -1,13 +1,11 @@
 """Well-being value functions.
 
-Three families live here:
+Two families live here:
 
 * `ValueFunctionSpec` — the classic curve menagerie (linear, logarithmic,
   power, quadratic, exponential, linear+exponential), defined for x >= 0.
 * `AsymmetricSpec` — the loss-averse two-branch exponential: saturating
   gains, amplified losses, continuous and zero at the origin.
-* `SarchSpec` — a signed power form whose exponent discounts (< 1) or
-  inflates (> 1) increments of net enjoyment.
 
 All specs are immutable and callable; evaluation is pure, so concurrent use
 is safe.
@@ -16,19 +14,14 @@ is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
 FAMILIES = ("linear", "logarithmic", "power", "quadratic", "exponential", "lin_exp")
 
-REGIME_DISCOUNTED = "discounted"
-REGIME_NEUTRAL = "neutral"
-REGIME_INFLATED = "inflated"
 
-
-@dataclass(frozen=True)
-class ValueFunctionSpec:
+class ValueFunctionSpec(namedtuple("ValueFunctionSpec", "family a b")):
     """One member of the curve menagerie, defined on x >= 0.
 
     Coefficient meaning per family:
@@ -41,19 +34,18 @@ class ValueFunctionSpec:
         lin_exp      b*x - e^(-a*x)
     """
 
-    family: str
-    a: float = 1.0
-    b: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
+    def __new__(cls, family: str, a: float = 1.0, b: float = 1.0):
+        if family not in FAMILIES:
             raise ValueError(
-                f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
+                f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}"
             )
-        if self.family in ("logarithmic", "power", "exponential") and not self.a > 0:
-            raise ValueError(f"{self.family} family requires a > 0, got {self.a}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+        if family in ("logarithmic", "power", "exponential") and not a > 0:
+            raise ValueError(f"{family} family requires a > 0, got {a}")
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("coefficients must be finite")
+        return super().__new__(cls, family, a, b)
 
     def __call__(self, x: float) -> float:
         return evaluate_family(self, x)
@@ -90,8 +82,7 @@ def quadratic_monotone_limit(spec: ValueFunctionSpec) -> float:
     return spec.a / 2.0
 
 
-@dataclass(frozen=True)
-class AsymmetricSpec:
+class AsymmetricSpec(namedtuple("AsymmetricSpec", "gain_alpha loss_beta loss_lambda")):
     """Loss-averse two-branch exponential value function.
 
         W(x) = 1 - e^(-gain_alpha * x)            x >= 0
@@ -102,17 +93,17 @@ class AsymmetricSpec:
     large as gains.
     """
 
-    gain_alpha: float = 1.0
-    loss_beta: float = 1.0
-    loss_lambda: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.gain_alpha > 0:
-            raise ValueError(f"gain_alpha must be > 0, got {self.gain_alpha}")
-        if not self.loss_beta > 0:
-            raise ValueError(f"loss_beta must be > 0, got {self.loss_beta}")
-        if not self.loss_lambda >= 1:
-            raise ValueError(f"loss_lambda must be >= 1, got {self.loss_lambda}")
+    def __new__(cls, gain_alpha: float = 1.0, loss_beta: float = 1.0,
+                loss_lambda: float = 2.0):
+        if not gain_alpha > 0:
+            raise ValueError(f"gain_alpha must be > 0, got {gain_alpha}")
+        if not loss_beta > 0:
+            raise ValueError(f"loss_beta must be > 0, got {loss_beta}")
+        if not loss_lambda >= 1:
+            raise ValueError(f"loss_lambda must be >= 1, got {loss_lambda}")
+        return super().__new__(cls, gain_alpha, loss_beta, loss_lambda)
 
     def __call__(self, x: float) -> float:
         return evaluate_asymmetric(self, x)
@@ -131,8 +122,7 @@ def asymmetric_derivative(spec: AsymmetricSpec, x: float) -> float:
     return spec.loss_lambda * spec.loss_beta * math.exp(spec.loss_beta * x)
 
 
-@dataclass(frozen=True)
-class MirroredFamily:
+class MirroredFamily(namedtuple("MirroredFamily", "base loss_lambda")):
     """Any x >= 0 family extended to losses as -loss_lambda * family(-x).
 
     The asymmetric exponential is exactly this wrapper applied to the
@@ -140,50 +130,17 @@ class MirroredFamily:
     on the full line with the same loss asymmetry.
     """
 
-    base: ValueFunctionSpec
-    loss_lambda: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.loss_lambda >= 1:
-            raise ValueError(f"loss_lambda must be >= 1, got {self.loss_lambda}")
+    def __new__(cls, base: ValueFunctionSpec, loss_lambda: float = 2.0):
+        if not loss_lambda >= 1:
+            raise ValueError(f"loss_lambda must be >= 1, got {loss_lambda}")
+        return super().__new__(cls, base, loss_lambda)
 
     def __call__(self, x: float) -> float:
         if x >= 0:
             return evaluate_family(self.base, x)
         return -self.loss_lambda * evaluate_family(self.base, -x)
-
-
-@dataclass(frozen=True)
-class SarchSpec:
-    """Signed power form with an achievement-conditioned exponent.
-
-    The exponent is taken as a direct numeric input; only its position
-    relative to 1 matters for the regime.
-    """
-
-    exponent: float
-
-    def __post_init__(self):
-        if not self.exponent > 0:
-            raise ValueError(f"exponent must be > 0, got {self.exponent}")
-
-    def __call__(self, x: float) -> float:
-        return evaluate_sarch(self, x)
-
-
-def evaluate_sarch(spec: SarchSpec, x: float) -> float:
-    if x >= 0:
-        return x**spec.exponent
-    return -((-x) ** spec.exponent)
-
-
-def sarch_regime(spec: SarchSpec) -> str:
-    """Classify the exponent: < 1 discounted, = 1 neutral, > 1 inflated."""
-    if spec.exponent < 1:
-        return REGIME_DISCOUNTED
-    if spec.exponent == 1:
-        return REGIME_NEUTRAL
-    return REGIME_INFLATED
 
 
 # Anything a WE layer can evaluate: full-line curves plus the raw families

@@ -9,6 +9,7 @@ the 3-d surface over a two-scope grid and the single consensus curve.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -18,17 +19,19 @@ from .valuefn import AsymmetricSpec, ValueCurve
 WEIGHT_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class WEScope:
+class WEScope(namedtuple("WEScope", "label")):
     """A named scope on the I-to-world gradation (or any free-form group)."""
 
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.label:
+    def __new__(cls, label: str):
+        if not label:
             raise ValueError("scope label must be non-empty")
+        return super().__new__(cls, label)
 
 
+# A dataclass, unlike the other value types: callers vary one field of a
+# layer with `dataclasses.replace`.
 @dataclass(frozen=True)
 class WELayer:
     """One scope's contribution: value function, weight, optional aggregator.
@@ -50,21 +53,21 @@ class WELayer:
             )
 
 
-@dataclass(frozen=True)
-class WellbeingModel:
+class WellbeingModel(namedtuple("WellbeingModel", "layers")):
     """Ordered scope layers whose weights form a convex combination."""
 
-    layers: tuple[WELayer, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.layers:
+    def __new__(cls, layers: tuple[WELayer, ...]):
+        if not layers:
             raise ValueError("model needs at least one layer")
-        labels = [layer.scope.label for layer in self.layers]
+        labels = [layer.scope.label for layer in layers]
         if len(set(labels)) != len(labels):
             raise ValueError(f"scope labels must be unique, got {labels}")
-        total = math.fsum(layer.weight for layer in self.layers)
+        total = math.fsum(layer.weight for layer in layers)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"layer weights must sum to 1, got {total!r}")
+        return super().__new__(cls, layers)
 
 
 def weighted_pair(
@@ -118,16 +121,17 @@ def sample_surface(
     """Evaluate a two-layer model over a rectangular grid.
 
     Rows come back in row-major order (narrow axis outer, wide axis inner)
-    so CSV output is byte-stable.
+    so CSV output is byte-stable. Each layer's weighted curve is evaluated
+    once per grid value; a cell adds the two.
     """
     narrow, wide = surface_layers(model)
     if not xs_narrow or not xs_wide:
         raise ValueError("grid must be non-empty on both axes")
+    wide_terms = [wide.weight * wide.value_function(xw) for xw in xs_wide]
     rows = []
     for xn in xs_narrow:
         wn = narrow.weight * narrow.value_function(xn)
-        for xw in xs_wide:
-            rows.append((xn, xw, wn + wide.weight * wide.value_function(xw)))
+        rows += [(xn, xw, wn + t) for xw, t in zip(xs_wide, wide_terms)]
     return rows
 
 

@@ -288,6 +288,18 @@ class TestRejectedInputs:
             "x >= 0 for layer 'I'\n"
         )
 
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_survey_smaller_than_the_design_is_a_finding(
+        self, capsys, tmp_path, fixtures_dir, command
+    ):
+        # two respondents for an intercept and three construct columns
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        lines = (fixtures_dir / "survey.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "survey.csv").write_text("".join(lines[:3]), encoding="utf-8")
+        code, err = self._run(capsys, tmp_path, command, doc)
+        assert code == 1
+        assert err == "error: survey.file: need at least 4 rows to fit 4 columns, got 2\n"
+
     def test_lapack_failure_in_fit_is_numerical(self, capsys, tmp_path, fixtures_dir, monkeypatch):
         def failing_lstsq(*args, **kwargs):
             raise numpy.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
@@ -553,6 +565,33 @@ assert "numpy" in sys.modules, "fit ran without numpy"
 """
 
 
+DATACLASS_PROBE = """
+import dataclasses, sys
+import wepolicy.cli
+
+print(sorted(
+    f"{name}.{attr}"
+    for name, module in list(sys.modules.items()) if name.startswith("wepolicy")
+    for attr, obj in vars(module).items()
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == name
+))
+"""
+
+
+def test_value_types_are_not_dataclasses():
+    """Importing the command line builds only the two dataclasses whose
+    `dataclasses.replace` callers exist; every other value type is a named
+    tuple, which needs no code generated at import."""
+    src = str(Path(wepolicy.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", DATACLASS_PROBE],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['wepolicy.survey.RegressionModel', 'wepolicy.we_model.WELayer']\n"
+
+
 def test_only_the_fit_loads_numpy(fixtures_dir, tmp_path):
     """A fresh interpreter runs every command but fit and select without numpy."""
     src = str(Path(wepolicy.__file__).resolve().parent.parent)
@@ -648,12 +687,15 @@ FIXTURE_COMMANDS = [
 
 
 def run_process(cwd, *args):
-    """`python -m wepolicy.cli *args` in a fresh interpreter."""
+    """`python -m wepolicy.cli *args` in a fresh interpreter, with stdout
+    block-buffered as it is by default on a pipe, so that output the exit
+    path fails to flush is lost."""
     src = str(Path(wepolicy.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [sys.executable, "-m", "wepolicy.cli", *args],
         capture_output=True, text=True, timeout=120, cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(env, PYTHONPATH=src),
     )
 
 
@@ -685,6 +727,17 @@ class TestProcessEntry:
         assert got == expected
         assert report["command"] == command
         assert sorted(report["outputs"]) == sorted(str(out / name) for name in expected)
+
+    def test_validation_failure_exits_1_with_its_error_line(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        proc = run_process(tmp_path, "network", "--scenario", str(fixtures_dir / "fig2.json"),
+                           "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: parameter_network: section required by this command is missing\n"
+        )
+        assert not out.exists()
 
     def test_missing_scenario_exits_3(self, tmp_path):
         out = tmp_path / "out"

@@ -213,6 +213,19 @@ class TestFitTarget:
             [c * b for b in base.coefficients], rel=1e-10
         )
 
+    @pytest.mark.parametrize("where", ["design", "y"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_is_rejected_before_lapack(self, capfd, where, bad):
+        design = self._generic_design()
+        y = [0.5 * row[1] for row in design]
+        if where == "design":
+            design[3][2] = bad
+        else:
+            y[3] = bad
+        with pytest.raises(FloatingPointError, match=f"^{where} has a non-finite value$"):
+            fit_target(design, y)
+        assert capfd.readouterr().err == ""
+
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="at least"):
             fit_target([[1.0, 2.0]], [1.0])

@@ -7,14 +7,11 @@ from wepolicy.errors import DomainError
 from wepolicy.valuefn import (
     AsymmetricSpec,
     MirroredFamily,
-    SarchSpec,
     ValueFunctionSpec,
     asymmetric_derivative,
     evaluate_asymmetric,
     evaluate_family,
-    evaluate_sarch,
     quadratic_monotone_limit,
-    sarch_regime,
 )
 
 
@@ -139,30 +136,3 @@ class TestMirroredFamily:
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             MirroredFamily(ValueFunctionSpec("linear"), loss_lambda=0.9)
-
-
-class TestSarch:
-    def test_discounted_gain(self):
-        assert evaluate_sarch(SarchSpec(0.5), 4.0) == 2.0
-
-    def test_discounted_loss(self):
-        assert evaluate_sarch(SarchSpec(0.5), -4.0) == -2.0
-
-    def test_identity_exponent(self):
-        assert evaluate_sarch(SarchSpec(1.0), 7.3) == 7.3
-
-    @given(st.floats(min_value=0.0, max_value=100.0), st.floats(min_value=0.1, max_value=3.0))
-    def test_odd(self, x, e):
-        spec = SarchSpec(e)
-        assert evaluate_sarch(spec, -x) == -evaluate_sarch(spec, x)
-
-    def test_regimes(self):
-        assert sarch_regime(SarchSpec(0.5)) == "discounted"
-        assert sarch_regime(SarchSpec(1.0)) == "neutral"
-        assert sarch_regime(SarchSpec(2.0)) == "inflated"
-
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            SarchSpec(0.0)
-        with pytest.raises(ValueError):
-            SarchSpec(-1.0)
