@@ -33,15 +33,16 @@ import time
 from pathlib import Path
 
 from . import logicmodel
-from .coupling import ScopeFunction, check_consensus, propagate_network
+from .coupling import check_consensus, propagate_network
 from .errors import RankDeficiencyError, ScenarioError
 from .evaluator import evaluate_policies, select_best
 from .policy_sim import DynamicsConfig, normalize_ternary, run_sweep
 from .scenario import Scenario, load_scenario, validate_scenario
 from .serialize import csv_table, dump_json, fmt_float, json_rows
-from .survey import (
+from .survey import (  # check_responses is not called here; tests patch it on cli
     aggregate_survey,
     check_responses,
+    check_survey,
     fit_target,
     read_survey_csv,
     rescale_answer,
@@ -103,21 +104,13 @@ def _cmd_surface(sc: Scenario, fmt: str, seed):
     return outputs, [], None
 
 
-def _scope_function(sc: Scenario, label: str) -> ScopeFunction:
-    layer = sc.layer_by_label(label)
-    return ScopeFunction(
-        element_weights=tuple(layer.element_weights),
-        value_function=layer.value_function,
-    )
-
-
 def _cmd_consensus(sc: Scenario, fmt: str, seed):
     cfg = _require(sc, "consensus", "consensus")
     mapping = _require(sc, "mapping_f", "mapping_f")
     report = check_consensus(
-        narrow=_scope_function(sc, cfg.narrow_label),
+        narrow=sc.layer_by_label(cfg.narrow_label).scope_function(),
         f=mapping,
-        wide=_scope_function(sc, cfg.wide_label),
+        wide=sc.layer_by_label(cfg.wide_label).scope_function(),
         probe_grid=cfg.probes,
         tol=cfg.tol,
     )
@@ -129,40 +122,20 @@ def _cmd_consensus(sc: Scenario, fmt: str, seed):
 
 def _fit_from_survey(sc: Scenario):
     cfg = _require(sc, "survey", "survey")
-    path = Path(cfg.file)
-    if not path.is_absolute():
-        path = sc.base_dir / path
     try:
-        survey = read_survey_csv(path.read_text(encoding="utf-8"))
+        survey = read_survey_csv((sc.base_dir / cfg.file).read_text(encoding="utf-8"))
+        check_survey(survey, cfg.construct_map, cfg.scale)
     except ValueError as err:
         raise ScenarioError([f"survey.file: {err}"]) from None
-    k = len(survey.answers)
-    if k != cfg.construct_map.question_count:
-        raise ScenarioError(
-            [
-                f"survey.file: CSV has {k} questions, construct_matrix expects "
-                f"{cfg.construct_map.question_count}"
-            ]
-        )
-    try:
-        check_responses(survey, cfg.construct_map, cfg.scale)
-        baseline = aggregate_survey(survey, cfg.construct_map, cfg.scale, checked=True)
-        scores = respondent_scores(survey, cfg.construct_map, cfg.scale, checked=True)
-    except ValueError as err:
-        raise ScenarioError([f"survey.file: {err}"]) from None
+    baseline = aggregate_survey(survey, cfg.construct_map, cfg.scale, checked=True)
+    scores = respondent_scores(survey, cfg.construct_map, cfg.scale, checked=True)
     # numpy is loaded by now: respondent_scores imports it.
     import numpy as np
 
     design = np.column_stack((np.ones(len(scores)), scores))
     target = np.array(survey.answers[cfg.target_question - 1], dtype=float)
     y = rescale_answer(target, cfg.scale)
-    try:
-        model = fit_target(design, y, column_names=cfg.construct_map.constructs)
-    except RankDeficiencyError:
-        raise
-    except ValueError as err:  # such as fewer respondents than design columns
-        raise ScenarioError([f"survey.file: {err}"]) from None
-    return model, baseline
+    return fit_target(design, y, column_names=cfg.construct_map.constructs), baseline
 
 
 def _cmd_fit(sc: Scenario, fmt: str, seed):

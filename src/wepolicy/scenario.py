@@ -5,14 +5,15 @@ value functions, scope layers, element sets, mappings, couplings, survey
 and dynamics configuration, sweep grids, weighting profiles, a logic model,
 and sampling grids. Validation walks every present section, collects
 errors naming `section.field`, and cross-checks dimensions between
-sections before anything runs.
+sections before anything runs. It also bounds the work a scenario may ask
+for before any grid or sweep is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
+from bisect import bisect_right
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,7 +30,7 @@ from .errors import DimensionError, ScenarioError
 from .evaluator import WeightingProfile
 from .graphs import Edge
 from .policy_sim import DynamicsConfig
-from .survey import ConstructMap
+from .survey import ConstructMap, check_survey, read_survey_csv
 from .valuefn import (
     AsymmetricSpec,
     MirroredFamily,
@@ -38,6 +39,11 @@ from .valuefn import (
     quadratic_monotone_limit,
 )
 from .we_model import WellbeingModel, WELayer, WEScope, surface_layers
+
+# The most points a `surface` (x_n by x_w cells) or a `curve` may sample, and
+# the most work a sweep may ask for: admissible rows x (agents + steps).
+MAX_GRID_POINTS = 1_000_000
+MAX_SWEEP_WORK = 10_000_000
 
 
 class SurveyConfig(NamedTuple):
@@ -57,8 +63,7 @@ class ConsensusConfig(NamedTuple):
 class Scenario:
     """Parsed scenario with constructed module objects (None when absent)."""
 
-    def __init__(self, doc: dict, base_dir: Path):
-        self.doc = doc
+    def __init__(self, base_dir: Path):
         self.base_dir = base_dir
         self.value_functions: dict[str, ValueCurve] = {}
         self.layers: list[WELayer] = []
@@ -237,7 +242,19 @@ def grid_values(spec, where: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def _parse_value_function(name: str, spec, where: str) -> ValueCurve:
+def _grid_len(spec) -> int:
+    """The number of points `grid_values` builds from `spec`, read without
+    building them; 1 for a spec it rejects or a count below 1, which it
+    then reports."""
+    if not isinstance(spec, dict):
+        return 1
+    if "values" in spec:
+        return len(spec["values"]) if isinstance(spec["values"], list) else 1
+    count = spec.get("count")
+    return max(count, 1) if isinstance(count, int) else 1
+
+
+def _parse_value_function(spec, where: str) -> ValueCurve:
     if not isinstance(spec, dict):
         raise ValueError(f"{where}: expected an object")
     kind = spec.get("kind", "asymmetric")
@@ -247,23 +264,35 @@ def _parse_value_function(name: str, spec, where: str) -> ValueCurve:
             loss_beta=_float(spec.get("loss_beta", 1.0), f"{where}.loss_beta"),
             loss_lambda=_float(spec.get("loss_lambda", 2.0), f"{where}.loss_lambda"),
         )
+    if kind not in ("family", "mirrored"):
+        raise ValueError(f"{where}.kind: unknown kind {kind!r}")
+    base = ValueFunctionSpec(
+        family=_str(spec.get("family", ""), f"{where}.family"),
+        a=_float(spec.get("a", 1.0), f"{where}.a"),
+        b=_float(spec.get("b", 1.0), f"{where}.b"),
+    )
     if kind == "family":
-        return ValueFunctionSpec(
-            family=_str(spec.get("family", ""), f"{where}.family"),
-            a=_float(spec.get("a", 1.0), f"{where}.a"),
-            b=_float(spec.get("b", 1.0), f"{where}.b"),
+        return base
+    return MirroredFamily(
+        base=base,
+        loss_lambda=_float(spec.get("loss_lambda", 2.0), f"{where}.loss_lambda"),
+    )
+
+
+def _parse_element_set(name: str, spec, where: str) -> ElementSet:
+    if not isinstance(spec, dict) or not isinstance(spec.get("variables"), list):
+        raise ValueError(f"{where}.variables: expected an array")
+    variables = [
+        _object(v, f"{where}.variables[{i}]") for i, v in enumerate(spec["variables"])
+    ]
+    elements = tuple(
+        Element(
+            name=_str(v.get("name"), f"{where}.variables[{i}].name"),
+            unit=str(v.get("unit", "")),
         )
-    if kind == "mirrored":
-        base = ValueFunctionSpec(
-            family=_str(spec.get("family", ""), f"{where}.family"),
-            a=_float(spec.get("a", 1.0), f"{where}.a"),
-            b=_float(spec.get("b", 1.0), f"{where}.b"),
-        )
-        return MirroredFamily(
-            base=base,
-            loss_lambda=_float(spec.get("loss_lambda", 2.0), f"{where}.loss_lambda"),
-        )
-    raise ValueError(f"{where}.kind: unknown kind {kind!r}")
+        for i, v in enumerate(variables)
+    )
+    return ElementSet(name=name, elements=elements)
 
 
 def _parse_coupling(spec, where: str) -> FactCoupling:
@@ -276,398 +305,305 @@ def _parse_coupling(spec, where: str) -> FactCoupling:
     )
 
 
+def _parse_profile(spec, where: str, names: set[str]) -> WeightingProfile:
+    spec = _object(spec, where)
+    name = _str(spec.get("name"), f"{where}.name")
+    if name in names:
+        raise ValueError(f"{where}.name: duplicate profile name {name!r}")
+    names.add(name)
+    return WeightingProfile(name=name, coupling=_parse_coupling(spec, where))
+
+
 class _Builder:
-    def __init__(self, doc: dict, base_dir: Path):
-        self.sc = Scenario(doc=doc, base_dir=base_dir)
+    """Builds a Scenario section by section (see `_SECTIONS`).
+
+    Every finding of a section goes through `attempt`, which also records
+    the section as failed, so that a cross-check can skip a section that
+    already has its own finding."""
+
+    def __init__(self, base_dir: Path):
+        self.sc = Scenario(base_dir)
         self.errors: list[str] = []
+        self.failed: set[str] = set()
+        self.section = ""
 
     def error(self, msg: str):
         self.errors.append(msg)
 
-    def section(self, name: str):
-        return self.sc.doc.get(name)
+    def attempt(self, parse, *args):
+        """parse(*args), or None when it raises a ValueError, whose message
+        becomes a finding of the section being parsed."""
+        try:
+            return parse(*args)
+        except ValueError as err:
+            self.error(str(err))
+            self.failed.add(self.section)
+            return None
 
-    def build(self) -> None:
-        for step in (
-            self._value_functions,
-            self._element_sets,
-            self._layers,
-            self._mapping,
-            self._fact_coupling,
-            self._network,
-            self._survey,
-            self._dynamics,
-            self._sweep,
-            self._profiles,
-            self._logic_model,
-            self._grids,
-            self._consensus,
-        ):
-            step()
-        self._cross_checks()
+    def layer(self, label: str) -> WELayer | None:
+        """The first layer with scope `label`, or None."""
+        return next((l for l in self.sc.layers if l.scope.label == label), None)
 
-    def _value_functions(self):
-        raw = self.section("value_functions")
-        if raw is None:
-            return
+    def _value_functions(self, raw):
         if not isinstance(raw, dict):
-            self.error("value_functions: expected an object of named functions")
-            return
+            raise ValueError("value_functions: expected an object of named functions")
         for name, spec in raw.items():
-            try:
-                self.sc.value_functions[name] = _parse_value_function(
-                    name, spec, f"value_functions.{name}"
-                )
-            except ValueError as err:
-                self.error(str(err))
+            fn = self.attempt(_parse_value_function, spec, f"value_functions.{name}")
+            if fn is not None:
+                self.sc.value_functions[name] = fn
 
-    def _element_sets(self):
-        raw = self.section("element_sets")
-        if raw is None:
-            return
+    def _element_sets(self, raw):
         if not isinstance(raw, dict):
-            self.error("element_sets: expected an object of named sets")
-            return
+            raise ValueError("element_sets: expected an object of named sets")
         for name, spec in raw.items():
-            where = f"element_sets.{name}"
-            try:
-                if not isinstance(spec, dict) or not isinstance(spec.get("variables"), list):
-                    raise ValueError(f"{where}.variables: expected an array")
-                variables = [
-                    _object(v, f"{where}.variables[{i}]") for i, v in enumerate(spec["variables"])
-                ]
-                elements = tuple(
-                    Element(
-                        name=_str(v.get("name"), f"{where}.variables[{i}].name"),
-                        unit=str(v.get("unit", "")),
-                    )
-                    for i, v in enumerate(variables)
-                )
-                self.sc.element_sets[name] = ElementSet(name=name, elements=elements)
-            except ValueError as err:
-                self.error(str(err))
+            es = self.attempt(_parse_element_set, name, spec, f"element_sets.{name}")
+            if es is not None:
+                self.sc.element_sets[name] = es
 
-    def _layers(self):
-        raw = self.section("layers")
-        if raw is None:
-            return
+    def _layer(self, spec, where: str) -> WELayer:
+        spec = _object(spec, where)
+        fn_name = _str(spec.get("value_function"), f"{where}.value_function")
+        if fn_name not in self.sc.value_functions:
+            raise ValueError(f"{where}.value_function: unknown function {fn_name!r}")
+        weights = spec.get("element_weights")
+        return _check(
+            f"{where}.weight",
+            WELayer,
+            WEScope(_str(spec.get("scope"), f"{where}.scope")),
+            self.sc.value_functions[fn_name],
+            _float(spec.get("weight"), f"{where}.weight"),
+            tuple(_vector(weights, f"{where}.element_weights")) if weights is not None else None,
+        )
+
+    def _layers(self, raw):
         if not isinstance(raw, list) or not raw:
-            self.error("layers: expected a non-empty array")
-            return
-        built = []
-        for i, spec in enumerate(raw):
-            where = f"layers[{i}]"
-            try:
-                spec = _object(spec, where)
-                fn_name = _str(spec.get("value_function"), f"{where}.value_function")
-                if fn_name not in self.sc.value_functions:
-                    raise ValueError(
-                        f"{where}.value_function: unknown function {fn_name!r}"
-                    )
-                weights = spec.get("element_weights")
-                built.append(
-                    _check(
-                        f"{where}.weight",
-                        WELayer,
-                        WEScope(_str(spec.get("scope"), f"{where}.scope")),
-                        self.sc.value_functions[fn_name],
-                        _float(spec.get("weight"), f"{where}.weight"),
-                        (
-                            tuple(_vector(weights, f"{where}.element_weights"))
-                            if weights is not None
-                            else None
-                        ),
-                    )
-                )
-            except ValueError as err:
-                self.error(str(err))
-        if len(built) == len(raw):
+            raise ValueError("layers: expected a non-empty array")
+        built = [self.attempt(self._layer, spec, f"layers[{i}]") for i, spec in enumerate(raw)]
+        if None not in built:
             self.sc.layers = built
-            try:
-                self.sc.model = WellbeingModel(layers=tuple(built))
-            except ValueError as err:
-                self.error(f"layers: {err}")
+            self.sc.model = _check("layers", WellbeingModel, tuple(built))
 
-    def _mapping(self):
-        raw = self.section("mapping_f")
-        if raw is None:
-            return
+    def _mapping(self, raw):
         where = "mapping_f"
-        try:
-            if not isinstance(raw, dict):
-                raise ValueError(f"{where}: expected an object")
-            nl = raw.get("nonlinearity")
-            saturator = None
-            if nl is not None:
-                nl = _object(nl, f"{where}.nonlinearity")
-                kind = nl.get("kind", "none")
-                if kind == "saturator":
-                    saturator = Saturator(scale=_float(nl.get("scale"), f"{where}.nonlinearity.scale"))
-                elif kind != "none":
-                    raise ValueError(f"{where}.nonlinearity.kind: unknown kind {kind!r}")
-            m = _matrix(raw.get("matrix"), f"{where}.matrix")
-            offset = raw.get("offset", [0.0] * len(m))
-            self.sc.mapping_f = LinearMap(
-                matrix=m,
-                offset=tuple(_vector(offset, f"{where}.offset")),
-                nonlinearity=saturator,
-            )
-            src, dst = raw.get("source"), raw.get("target")
-            if src is not None and src in self.sc.element_sets:
-                if self.sc.element_sets[src].dim != self.sc.mapping_f.source_dim:
-                    raise ValueError(
-                        f"{where}.matrix: {self.sc.mapping_f.source_dim} columns for "
-                        f"{self.sc.element_sets[src].dim}-element set {src!r}"
-                    )
-            if dst is not None and dst in self.sc.element_sets:
-                if self.sc.element_sets[dst].dim != self.sc.mapping_f.target_dim:
-                    raise ValueError(
-                        f"{where}.matrix: {self.sc.mapping_f.target_dim} rows for "
-                        f"{self.sc.element_sets[dst].dim}-element set {dst!r}"
-                    )
-        except ValueError as err:
-            self.error(str(err))
+        _object(raw, where)
+        nl = raw.get("nonlinearity")
+        saturator = None
+        if nl is not None:
+            nl = _object(nl, f"{where}.nonlinearity")
+            kind = nl.get("kind", "none")
+            if kind == "saturator":
+                saturator = Saturator(scale=_float(nl.get("scale"), f"{where}.nonlinearity.scale"))
+            elif kind != "none":
+                raise ValueError(f"{where}.nonlinearity.kind: unknown kind {kind!r}")
+        m = _matrix(raw.get("matrix"), f"{where}.matrix")
+        offset = raw.get("offset", [0.0] * len(m))
+        f = self.sc.mapping_f = LinearMap(
+            matrix=m,
+            offset=tuple(_vector(offset, f"{where}.offset")),
+            nonlinearity=saturator,
+        )
+        sets = self.sc.element_sets
+        for key, dim, side in (
+            ("source", f.source_dim, "columns"), ("target", f.target_dim, "rows")
+        ):
+            name = raw.get(key)
+            if name is not None and name in sets and sets[name].dim != dim:
+                raise ValueError(
+                    f"{where}.matrix: {dim} {side} for {sets[name].dim}-element set {name!r}"
+                )
 
-    def _fact_coupling(self):
-        raw = self.section("fact_coupling")
-        if raw is None:
-            return
-        try:
-            self.sc.fact_coupling = _parse_coupling(raw, "fact_coupling")
-        except ValueError as err:
-            self.error(str(err))
+    def _fact_coupling(self, raw):
+        self.sc.fact_coupling = _parse_coupling(raw, "fact_coupling")
 
-    def _network(self):
-        raw = self.section("parameter_network")
-        if raw is None:
-            return
+    def _network(self, raw):
         where = "parameter_network"
-        try:
-            _object(raw, where)
-            facts = _names(raw.get("facts", []), f"{where}.facts")
-            values = _names(raw.get("values", []), f"{where}.values")
-            edges = _edges(raw.get("edges", []), f"{where}.edges")
-            net = _check(where, ParameterNetwork, facts, values, edges)
-            self.sc.network = net
-            deltas = _object(raw.get("deltas", {}), f"{where}.deltas")
-            fact_set = set(facts)
-            for k, v in deltas.items():
-                if k not in fact_set:
-                    raise ValueError(f"{where}.deltas: {k!r} is not a fact node")
-                self.sc.network_deltas[k] = (
-                    v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.deltas.{k}")
-                )
-        except ValueError as err:
-            self.error(str(err))
+        _object(raw, where)
+        facts = _names(raw.get("facts", []), f"{where}.facts")
+        values = _names(raw.get("values", []), f"{where}.values")
+        edges = _edges(raw.get("edges", []), f"{where}.edges")
+        self.sc.network = _check(where, ParameterNetwork, facts, values, edges)
+        deltas = _object(raw.get("deltas", {}), f"{where}.deltas")
+        fact_set = set(facts)
+        for k, v in deltas.items():
+            if k not in fact_set:
+                raise ValueError(f"{where}.deltas: {k!r} is not a fact node")
+            self.sc.network_deltas[k] = (
+                v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.deltas.{k}")
+            )
 
-    def _survey(self):
-        raw = self.section("survey")
-        if raw is None:
-            return
+    def _survey(self, raw):
         where = "survey"
-        try:
-            if not isinstance(raw, dict):
-                raise ValueError(f"{where}: expected an object")
-            constructs = raw.get("constructs")
-            if not isinstance(constructs, list) or not constructs:
-                raise ValueError(f"{where}.constructs: expected a non-empty array")
-            cmap = ConstructMap(
-                constructs=tuple(_str(c, f"{where}.constructs[{i}]") for i, c in enumerate(constructs)),
-                matrix=_matrix(raw.get("construct_matrix"), f"{where}.construct_matrix"),
+        _object(raw, where)
+        constructs = raw.get("constructs")
+        if not isinstance(constructs, list) or not constructs:
+            raise ValueError(f"{where}.constructs: expected a non-empty array")
+        cmap = ConstructMap(
+            constructs=tuple(_str(c, f"{where}.constructs[{i}]") for i, c in enumerate(constructs)),
+            matrix=_matrix(raw.get("construct_matrix"), f"{where}.construct_matrix"),
+        )
+        scale = _int(raw.get("scale"), f"{where}.scale")
+        if scale < 2:
+            raise ValueError(f"{where}.scale: must be >= 2, got {scale}")
+        target_q = _int(raw.get("target_question"), f"{where}.target_question")
+        if not 1 <= target_q <= cmap.question_count:
+            raise ValueError(
+                f"{where}.target_question: {target_q} outside 1..{cmap.question_count}"
             )
-            scale = _int(raw.get("scale"), f"{where}.scale")
-            if scale < 2:
-                raise ValueError(f"{where}.scale: must be >= 2, got {scale}")
-            target_q = _int(raw.get("target_question"), f"{where}.target_question")
-            if not 1 <= target_q <= cmap.question_count:
-                raise ValueError(
-                    f"{where}.target_question: {target_q} outside 1..{cmap.question_count}"
-                )
-            self.sc.survey = SurveyConfig(
-                file=_str(raw.get("file"), f"{where}.file"),
-                scale=scale,
-                construct_map=cmap,
-                target_question=target_q,
-            )
-        except ValueError as err:
-            self.error(str(err))
+        self.sc.survey = SurveyConfig(
+            file=_str(raw.get("file"), f"{where}.file"),
+            scale=scale,
+            construct_map=cmap,
+            target_question=target_q,
+        )
 
-    def _dynamics(self):
-        raw = self.section("dynamics")
-        if raw is None:
-            return
+    def _dynamics(self, raw):
         where = "dynamics"
+        _object(raw, where)
+        fields = (
+            _int(raw.get("agents"), f"{where}.agents"),
+            _int(raw.get("steps"), f"{where}.steps"),
+            _int(raw.get("seed"), f"{where}.seed"),
+            _float(raw.get("income_spread", 0.0), f"{where}.income_spread"),
+            _float(raw.get("renewable_rate", 0.1), f"{where}.renewable_rate"),
+            _float(raw.get("connection_rate", 0.1), f"{where}.connection_rate"),
+            _float(raw.get("connection_decay", 0.05), f"{where}.connection_decay"),
+        )
         try:
-            if not isinstance(raw, dict):
-                raise ValueError(f"{where}: expected an object")
-            self.sc.dynamics = DynamicsConfig(
-                agents=_int(raw.get("agents"), f"{where}.agents"),
-                steps=_int(raw.get("steps"), f"{where}.steps"),
-                seed=_int(raw.get("seed"), f"{where}.seed"),
-                income_spread=_float(raw.get("income_spread", 0.0), f"{where}.income_spread"),
-                renewable_rate=_float(raw.get("renewable_rate", 0.1), f"{where}.renewable_rate"),
-                connection_rate=_float(raw.get("connection_rate", 0.1), f"{where}.connection_rate"),
-                connection_decay=_float(raw.get("connection_decay", 0.05), f"{where}.connection_decay"),
-            )
-        except ValueError as err:
-            self.error(str(err) if str(err).startswith(where) else f"{where}.{err}")
+            self.sc.dynamics = DynamicsConfig(*fields)
+        except ValueError as err:  # worded from the field: "seed must be >= 0, got -7"
+            raise ValueError(f"{where}.{err}") from None
 
-    def _sweep(self):
-        raw = self.section("sweep")
-        if raw is None:
-            return
+    def _sweep(self, raw):
         where = "sweep"
-        try:
-            if not isinstance(raw, dict):
-                raise ValueError(f"{where}: expected an object")
-            grid = {}
-            for knob in ("subsidy", "tax", "service"):
-                grid[knob] = _vector(raw.get(knob), f"{where}.{knob}")
-                if not grid[knob]:
-                    raise ValueError(f"{where}.{knob}: grid must be non-empty")
-            lo_hi = {"subsidy": (0.0, 1.0), "tax": (0.0, 0.5), "service": (0.0, 1.0)}
-            for knob, vals in grid.items():
-                lo, hi = lo_hi[knob]
-                for v in vals:
-                    if not lo <= v <= hi:
-                        raise ValueError(f"{where}.{knob}: value {v} outside [{lo}, {hi}]")
-            if min(grid["subsidy"]) + min(grid["service"]) > 1.0:
+        _object(raw, where)
+        grid = {}
+        for knob in ("subsidy", "tax", "service"):
+            grid[knob] = _vector(raw.get(knob), f"{where}.{knob}")
+            if not grid[knob]:
+                raise ValueError(f"{where}.{knob}: grid must be non-empty")
+        lo_hi = {"subsidy": (0.0, 1.0), "tax": (0.0, 0.5), "service": (0.0, 1.0)}
+        for knob, vals in grid.items():
+            lo, hi = lo_hi[knob]
+            for v in vals:
+                if not lo <= v <= hi:
+                    raise ValueError(f"{where}.{knob}: value {v} outside [{lo}, {hi}]")
+        # s + v grows with v, so the services admissible with s (s + v <= 1,
+        # as run_sweep decides it) are a prefix of the sorted services.
+        services = sorted(grid["service"])
+        pairs = sum(bisect_right(services, 1.0, key=lambda v: s + v) for s in grid["subsidy"])
+        if not pairs:
+            raise ValueError(
+                f"{where}: s + v > 1 for every (subsidy, service) pair; "
+                "no admissible policy to simulate"
+            )
+        dyn = self.sc.dynamics
+        if dyn is not None:
+            rows = pairs * len(grid["tax"])
+            work = rows * (dyn.agents + dyn.steps)
+            if work > MAX_SWEEP_WORK:
                 raise ValueError(
-                    f"{where}: s + v > 1 for every (subsidy, service) pair; "
-                    "no admissible policy to simulate"
+                    f"{where}: {rows} admissible rows x ({dyn.agents} agents + {dyn.steps} "
+                    f"steps) = {work} exceeds the cap of {MAX_SWEEP_WORK}"
                 )
-            self.sc.sweep_grid = grid
-        except ValueError as err:
-            self.error(str(err))
+        self.sc.sweep_grid = grid
 
-    def _profiles(self):
-        raw = self.section("weighting_profiles")
-        if raw is None:
-            return
+    def _profiles(self, raw):
         if not isinstance(raw, list):
-            self.error("weighting_profiles: expected an array")
-            return
-        names = set()
+            raise ValueError("weighting_profiles: expected an array")
+        names: set[str] = set()
         for i, spec in enumerate(raw):
-            where = f"weighting_profiles[{i}]"
-            try:
-                spec = _object(spec, where)
-                name = _str(spec.get("name"), f"{where}.name")
-                if name in names:
-                    raise ValueError(f"{where}.name: duplicate profile name {name!r}")
-                names.add(name)
-                self.sc.profiles.append(
-                    WeightingProfile(name=name, coupling=_parse_coupling(spec, where))
-                )
-            except ValueError as err:
-                self.error(str(err))
+            profile = self.attempt(_parse_profile, spec, f"weighting_profiles[{i}]", names)
+            if profile is not None:
+                self.sc.profiles.append(profile)
 
-    def _logic_model(self):
-        raw = self.section("logic_model")
-        if raw is None:
-            return
+    def _logic_model(self, raw):
         where = "logic_model"
-        try:
-            _object(raw, where)
-            nodes = _nodes(raw.get("nodes", []), f"{where}.nodes")
-            edges = _edges(raw.get("edges", []), f"{where}.edges")
-            model = logicmodel.LogicModel(nodes=nodes, edges=edges)
-            findings = logicmodel.validate(model)
-            if findings:
-                raise ValueError(f"{where}: " + "; ".join(findings))
-            self.sc.logic_model = model
+        _object(raw, where)
+        nodes = _nodes(raw.get("nodes", []), f"{where}.nodes")
+        edges = _edges(raw.get("edges", []), f"{where}.edges")
+        model = logicmodel.LogicModel(nodes=nodes, edges=edges)
+        findings = logicmodel.validate(model)
+        if findings:
+            raise ValueError(f"{where}: " + "; ".join(findings))
+        self.sc.logic_model = model
 
-            inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
-            for k, v in inputs.items():
-                self.sc.logic_inputs[k] = (
-                    v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.inputs.{k}")
-                )
-            _check(f"{where}.inputs", logicmodel.check_inputs, model, self.sc.logic_inputs)
+        inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
+        for k, v in inputs.items():
+            self.sc.logic_inputs[k] = (
+                v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.inputs.{k}")
+            )
+        _check(f"{where}.inputs", logicmodel.check_inputs, model, self.sc.logic_inputs)
 
-            fb = raw.get("fact_bindings")
-            if fb is not None:
-                if not isinstance(fb, dict) or not isinstance(fb.get("bindings"), dict):
-                    raise ValueError(f"{where}.fact_bindings.bindings: expected an object")
-                elements = _names(fb.get("elements", []), f"{where}.fact_bindings.elements")
-                values = tuple(_vector(fb.get("values", []), f"{where}.fact_bindings.values"))
-                bindings = {}
-                for k, v in fb["bindings"].items():
-                    if not (type(k) is str and k and type(v) is str and v):
-                        _str(k, f"{where}.fact_bindings.bindings")
-                        _str(v, f"{where}.fact_bindings.bindings.{k}")
-                    bindings[k] = v
-                binding = _check(
-                    f"{where}.fact_bindings", logicmodel.FactBinding, bindings, elements, values
-                )
-                _check(f"{where}.fact_bindings", logicmodel.check_binding, model, binding)
-                self.sc.fact_binding = binding
-        except ValueError as err:
-            self.error(str(err))
+        fb = raw.get("fact_bindings")
+        if fb is not None:
+            if not isinstance(fb, dict) or not isinstance(fb.get("bindings"), dict):
+                raise ValueError(f"{where}.fact_bindings.bindings: expected an object")
+            elements = _names(fb.get("elements", []), f"{where}.fact_bindings.elements")
+            values = tuple(_vector(fb.get("values", []), f"{where}.fact_bindings.values"))
+            bindings = {}
+            for k, v in fb["bindings"].items():
+                if not (type(k) is str and k and type(v) is str and v):
+                    _str(k, f"{where}.fact_bindings.bindings")
+                    _str(v, f"{where}.fact_bindings.bindings.{k}")
+                bindings[k] = v
+            binding = _check(
+                f"{where}.fact_bindings", logicmodel.FactBinding, bindings, elements, values
+            )
+            _check(f"{where}.fact_bindings", logicmodel.check_binding, model, binding)
+            self.sc.fact_binding = binding
 
-    def _grids(self):
-        raw = self.section("surface")
-        if raw is not None:
-            try:
-                if not isinstance(raw, dict):
-                    raise ValueError("surface: expected an object")
-                xs_n = grid_values(raw.get("x_n"), "surface.x_n")
-                xs_w = grid_values(raw.get("x_w"), "surface.x_w")
-                self.sc.surface_grids = (xs_n, xs_w)
-            except ValueError as err:
-                self.error(str(err))
-        raw = self.section("curve")
-        if raw is not None:
-            try:
-                if not isinstance(raw, dict):
-                    raise ValueError("curve: expected an object")
-                label = _str(raw.get("layer"), "curve.layer")
-                xs = grid_values(raw.get("grid"), "curve.grid")
-                self.sc.curve = (label, xs)
-            except ValueError as err:
-                self.error(str(err))
+    def _surface(self, raw):
+        _object(raw, "surface")
+        x_n, x_w = raw.get("x_n"), raw.get("x_w")
+        n, w = _grid_len(x_n), _grid_len(x_w)
+        if n * w > MAX_GRID_POINTS:
+            raise ValueError(
+                f"surface: {n} x {w} = {n * w} cells exceeds the cap of {MAX_GRID_POINTS}"
+            )
+        self.sc.surface_grids = (grid_values(x_n, "surface.x_n"), grid_values(x_w, "surface.x_w"))
 
-    def _consensus(self):
-        raw = self.section("consensus")
-        if raw is None:
-            return
+    def _curve(self, raw):
+        _object(raw, "curve")
+        label = _str(raw.get("layer"), "curve.layer")
+        n = _grid_len(raw.get("grid"))
+        if n > MAX_GRID_POINTS:
+            raise ValueError(f"curve.grid: {n} points exceeds the cap of {MAX_GRID_POINTS}")
+        self.sc.curve = (label, grid_values(raw.get("grid"), "curve.grid"))
+
+    def _consensus(self, raw):
         where = "consensus"
-        try:
-            if not isinstance(raw, dict):
-                raise ValueError(f"{where}: expected an object")
-            probes_raw = raw.get("probes")
-            if not isinstance(probes_raw, list) or not probes_raw:
-                raise ValueError(f"{where}.probes: expected a non-empty array of vectors")
-            probes = tuple(
-                tuple(_vector(p, f"{where}.probes[{i}]")) for i, p in enumerate(probes_raw)
-            )
-            tol = _float(raw.get("tol", 1e-9), f"{where}.tol")
-            if not tol > 0:
-                raise ValueError(f"{where}.tol: must be > 0")
-            self.sc.consensus = ConsensusConfig(
-                narrow_label=_str(raw.get("narrow_layer"), f"{where}.narrow_layer"),
-                wide_label=_str(raw.get("wide_layer"), f"{where}.wide_layer"),
-                probes=probes,
-                tol=tol,
-            )
-        except ValueError as err:
-            self.error(str(err))
+        _object(raw, where)
+        probes_raw = raw.get("probes")
+        if not isinstance(probes_raw, list) or not probes_raw:
+            raise ValueError(f"{where}.probes: expected a non-empty array of vectors")
+        probes = tuple(
+            tuple(_vector(p, f"{where}.probes[{i}]")) for i, p in enumerate(probes_raw)
+        )
+        tol = _float(raw.get("tol", 1e-9), f"{where}.tol")
+        if not tol > 0:
+            raise ValueError(f"{where}.tol: must be > 0")
+        self.sc.consensus = ConsensusConfig(
+            narrow_label=_str(raw.get("narrow_layer"), f"{where}.narrow_layer"),
+            wide_label=_str(raw.get("wide_layer"), f"{where}.wide_layer"),
+            probes=probes,
+            tol=tol,
+        )
 
-    def _cross_checks(self):
+    def cross_checks(self):
         """Checks between sections; a check is skipped when a section it
         reads already has a finding, so no follow-on finding names the
-        wrong cause (every finding starts with its section's name)."""
-        sc = self.sc
-        failed = {re.split(r"[.\[:]", e, maxsplit=1)[0] for e in self.errors}
+        wrong cause."""
+        sc, failed = self.sc, self.failed
         if sc.curve is not None and "layers" not in failed:
             label = sc.curve[0]
-            if all(l.scope.label != label for l in sc.layers):
+            if self.layer(label) is None:
                 self.error(f"curve.layer: unknown scope label {label!r}")
         if sc.consensus is not None and "layers" not in failed:
             for key, label in (
                 ("narrow_layer", sc.consensus.narrow_label),
                 ("wide_layer", sc.consensus.wide_label),
             ):
-                layer = next((l for l in sc.layers if l.scope.label == label), None)
+                layer = self.layer(label)
                 if layer is None:
                     self.error(f"consensus.{key}: unknown scope label {label!r}")
                 elif layer.element_weights is None:
@@ -685,12 +621,8 @@ class _Builder:
                             f"dimension {sc.mapping_f.source_dim}"
                         )
                         break
-                narrow = next(
-                    (l for l in sc.layers if l.scope.label == sc.consensus.narrow_label), None
-                )
-                wide = next(
-                    (l for l in sc.layers if l.scope.label == sc.consensus.wide_label), None
-                )
+                narrow = self.layer(sc.consensus.narrow_label)
+                wide = self.layer(sc.consensus.wide_label)
                 if narrow is not None and narrow.element_weights is not None:
                     if len(narrow.element_weights) != sc.mapping_f.target_dim:
                         self.error(
@@ -770,7 +702,7 @@ class _Builder:
             checks.append((sc.layers[0], sc.surface_grids[0], "surface.x_n"))
             checks.append((sc.layers[1], sc.surface_grids[1], "surface.x_w"))
         if sc.curve is not None:
-            layer = next((l for l in sc.layers if l.scope.label == sc.curve[0]), None)
+            layer = self.layer(sc.curve[0])
             if layer is not None:
                 checks.append((layer, sc.curve[1], "curve.grid"))
         for layer, xs, where in checks:
@@ -788,6 +720,27 @@ class _Builder:
                 )
 
 
+# Every section a scenario may hold, in the order it is parsed: a section
+# may read those before it (layers read value_functions, mapping_f reads
+# element_sets, sweep reads dynamics).
+_SECTIONS = (
+    ("value_functions", _Builder._value_functions),
+    ("element_sets", _Builder._element_sets),
+    ("layers", _Builder._layers),
+    ("mapping_f", _Builder._mapping),
+    ("fact_coupling", _Builder._fact_coupling),
+    ("parameter_network", _Builder._network),
+    ("survey", _Builder._survey),
+    ("dynamics", _Builder._dynamics),
+    ("sweep", _Builder._sweep),
+    ("weighting_profiles", _Builder._profiles),
+    ("logic_model", _Builder._logic_model),
+    ("surface", _Builder._surface),
+    ("curve", _Builder._curve),
+    ("consensus", _Builder._consensus),
+)
+
+
 def parse_scenario(doc: dict, base_dir: Path) -> tuple[Scenario, list[str], list[str]]:
     """Construct module objects from a scenario document.
 
@@ -795,9 +748,14 @@ def parse_scenario(doc: dict, base_dir: Path) -> tuple[Scenario, list[str], list
     errors is empty.
     """
     if not isinstance(doc, dict):
-        return Scenario(doc={}, base_dir=base_dir), ["scenario: expected a JSON object"], []
-    builder = _Builder(doc, base_dir)
-    builder.build()
+        return Scenario(base_dir), ["scenario: expected a JSON object"], []
+    builder = _Builder(base_dir)
+    for name, parse in _SECTIONS:
+        raw = doc.get(name)
+        if raw is not None:
+            builder.section = name
+            builder.attempt(parse, builder, raw)
+    builder.cross_checks()
     return builder.sc, builder.errors, builder.sc.warnings
 
 
@@ -829,11 +787,20 @@ def load_scenario(path: str | Path) -> tuple[Scenario, bytes]:
 def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
     """Full cross-section consistency findings without running anything.
 
-    Returns (errors, warnings). I/O problems propagate as OSError.
+    A scenario without other findings has its survey file read and checked
+    as `fit` checks it. Returns (errors, warnings). I/O problems propagate
+    as OSError.
     """
     try:
         doc, _ = read_scenario_file(path)
     except ScenarioError as err:
         return list(err.findings), []
-    _, errors, warnings = parse_scenario(doc, Path(path).resolve().parent)
+    sc, errors, warnings = parse_scenario(doc, Path(path).resolve().parent)
+    if not errors and sc.survey is not None:
+        cfg = sc.survey
+        try:
+            survey = read_survey_csv((sc.base_dir / cfg.file).read_text(encoding="utf-8"))
+            check_survey(survey, cfg.construct_map, cfg.scale)
+        except ValueError as err:
+            errors.append(f"survey.file: {err}")
     return errors, warnings

@@ -97,6 +97,20 @@ def check_responses(survey: SurveyColumns, cmap: ConstructMap, scale: int):
                 )
 
 
+def check_survey(survey: SurveyColumns, cmap: ConstructMap, scale: int):
+    """Raise unless `survey` can be fitted on `cmap`: one column per
+    question of the construct matrix, answers that pass `check_responses`,
+    and a respondent per design column (the intercept and one per
+    construct)."""
+    k = len(survey.answers)
+    if k != cmap.question_count:
+        raise ValueError(f"CSV has {k} questions, construct_matrix expects {cmap.question_count}")
+    check_responses(survey, cmap, scale)
+    n, p1 = len(survey.respondents), len(cmap.constructs) + 1
+    if n < p1:
+        raise ValueError(f"need at least {p1} rows to fit {p1} columns, got {n}")
+
+
 def aggregate_survey(
     survey: SurveyColumns, cmap: ConstructMap, scale: int, *, checked: bool = False,
 ) -> list[float]:

@@ -13,6 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .coupling import ScopeFunction
 from .errors import DimensionError, MissingScopeError
 from .valuefn import AsymmetricSpec, ValueCurve
 
@@ -51,6 +52,11 @@ class WELayer:
             raise ValueError(
                 f"layer {self.scope.label!r} weight must be in [0, 1], got {self.weight}"
             )
+
+    def scope_function(self) -> ScopeFunction:
+        """The layer's map from an element vector to its value; needs
+        `element_weights`."""
+        return ScopeFunction(self.element_weights, self.value_function)
 
 
 class WellbeingModel(namedtuple("WellbeingModel", "layers")):

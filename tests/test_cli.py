@@ -853,3 +853,47 @@ class TestCollectorState:
         large = garbage_after_impact(repeated_logic_model(fixtures_dir, tmp_path, 20))
         assert small < 1000
         assert large == small
+
+
+def _drop_last_question(lines):
+    return [line.rsplit(",", 1)[0] for line in lines]
+
+
+def _last_answer(value):
+    def edit(lines):
+        return lines[:2] + [lines[2].rsplit(",", 1)[0] + f",{value}"] + lines[3:]
+    return edit
+
+
+class TestValidateChecksTheSurvey:
+    """`validate` reads the survey file and reports what `fit` would exit 1 on."""
+
+    @pytest.mark.parametrize("edit, finding", [
+        (lambda lines: lines[:3], "survey.file: need at least 4 rows to fit 4 columns, got 2"),
+        (_last_answer(9), "survey.file: respondent 'r0001' answer 9 outside [1, 5]"),
+        (_last_answer("x"), "survey.file: survey CSV line 3: answers must be integers"),
+        (_drop_last_question, "survey.file: CSV has 9 questions, construct_matrix expects 10"),
+    ], ids=["too-few-respondents", "answer-out-of-range", "answer-not-an-integer",
+            "wrong-question-count"])
+    def test_validate_reports_what_fit_reports(self, fixtures_dir, tmp_path, capsys,
+                                               edit, finding):
+        shutil.copy(fixtures_dir / "pipeline.json", tmp_path / "pipeline.json")
+        lines = (fixtures_dir / "survey.csv").read_text(encoding="utf-8").splitlines()
+        (tmp_path / "survey.csv").write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        scenario = str(tmp_path / "pipeline.json")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "fit", "--scenario", scenario, "--out", str(out))
+        assert (code, err) == (1, f"error: {finding}\n")
+        assert not out.exists()
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", scenario)
+        assert code == 1
+        assert json.loads(stdout) == {"ok": False, "errors": [finding], "warnings": []}
+
+    def test_missing_survey_file_is_an_io_error(self, fixtures_dir, tmp_path, capsys):
+        shutil.copy(fixtures_dir / "pipeline.json", tmp_path / "pipeline.json")
+        scenario = str(tmp_path / "pipeline.json")
+        code, _, err = run_cli(capsys, "fit", "--scenario", scenario,
+                               "--out", str(tmp_path / "out"))
+        assert code == 3
+        code, stdout, err_validate = run_cli(capsys, "validate", "--scenario", scenario)
+        assert (code, stdout, err_validate) == (3, "", err)

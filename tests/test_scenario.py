@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wepolicy import logicmodel
+from wepolicy import logicmodel, scenario
 from wepolicy.coupling import ParameterNetwork
 from wepolicy.errors import ScenarioError
 from wepolicy.graphs import Edge
@@ -315,6 +315,70 @@ class TestNoFollowOnFindings:
             "consensus.wide_layer: layer 'community' declares no element_weights",
             "consensus: requires a mapping_f section",
         ]
+
+
+class TestFailedSectionsSkipCrossChecks:
+    """A section with a finding is skipped by the cross-checks, also when
+    the finding's text does not start with the section's name."""
+
+    def test_mapping_offset_mismatch(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "consensus.json")
+        doc["mapping_f"]["offset"] = [0.0]
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["offset length 1 != matrix rows 2"]
+
+    def test_construct_rows_not_stochastic(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["survey"]["construct_matrix"][0] = [0.0] * 10
+        doc["element_sets"]["X_w"]["variables"].pop()
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["construct 'social' weights sum to 0.0, not 1"]
+
+
+class TestWorkCaps:
+    """The work a scenario asks for is bounded before any grid or sweep is built."""
+
+    def test_surface_cells(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "fig2.json")
+        doc["surface"] = {"x_n": {"start": -1.0, "stop": 1.0, "count": 1001},
+                          "x_w": {"values": [0.0] * 1000}}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["surface: 1001 x 1000 = 1001000 cells exceeds the cap of 1000000"]
+        doc["surface"]["x_n"]["count"] = 1000
+        assert validate_scenario(write(tmp_path, doc)) == ([], [])
+
+    def test_curve_points(self, tmp_path, fixtures_dir, monkeypatch):
+        monkeypatch.setattr(scenario, "MAX_GRID_POINTS", 4)
+        doc = fixture_doc(fixtures_dir, "fig2.json")
+        del doc["surface"]
+        doc["curve"]["grid"] = {"start": 0.0, "stop": 1.0, "count": 5}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["curve.grid: 5 points exceeds the cap of 4"]
+
+    def test_sweep_work(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["dynamics"]["agents"] = 10**9
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [
+            "sweep: 27 admissible rows x (1000000000 agents + 6 steps) = 27000000162 "
+            "exceeds the cap of 10000000"
+        ]
+
+    def test_sweep_work_counts_admissible_rows_only(self, tmp_path, fixtures_dir):
+        # 6 of the 18 combinations have s + v > 1; 12 rows x 833,336 is just over the cap
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["sweep"] = {"subsidy": [0.25, 0.5, 0.75], "tax": [0.0, 0.1],
+                        "service": [0.75, 0.25, 0.5]}
+        doc["dynamics"]["agents"] = 833_330
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [
+            "sweep: 12 admissible rows x (833330 agents + 6 steps) = 10000032 "
+            "exceeds the cap of 10000000"
+        ]
+        doc["dynamics"]["agents"] = 833_327
+        (tmp_path / "survey.csv").write_bytes((fixtures_dir / "survey.csv").read_bytes())
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == []
 
 
 class TestRawFamilyDomain:

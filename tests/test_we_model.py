@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from wepolicy.coupling import ScopeFunction
 from wepolicy.errors import DimensionError, MissingScopeError
 from wepolicy.valuefn import AsymmetricSpec
 from wepolicy.we_model import (
@@ -156,3 +157,9 @@ class TestConsensusCurve:
         curve = dict(consensus_curve(model.layers[0], xs))
         for x in xs:
             assert abs(diag[x] - curve[x]) <= 1e-12
+
+
+def test_layer_hands_out_its_scope_function():
+    layer = WELayer(WEScope("I"), AsymmetricSpec(), 0.5, (0.6, 0.4))
+    assert layer.scope_function() == ScopeFunction((0.6, 0.4), AsymmetricSpec())
+    assert layer.scope_function()((1.0, -2.0)) == AsymmetricSpec()(0.6 * 1.0 + 0.4 * -2.0)
