@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import importlib
 import os
 import re
 import shutil
@@ -35,20 +36,37 @@ from pathlib import Path
 from . import logicmodel
 from .coupling import check_consensus, propagate_network
 from .errors import RankDeficiencyError, ScenarioError
-from .evaluator import evaluate_policies, select_best
-from .policy_sim import DynamicsConfig, normalize_ternary, run_sweep
 from .scenario import Scenario, load_scenario, validate_scenario
 from .serialize import csv_table, dump_json, fmt_float, json_rows
-from .survey import (  # check_responses is not called here; tests patch it on cli
-    aggregate_survey,
-    check_responses,
-    check_survey,
-    fit_target,
-    read_survey_csv,
-    rescale_answer,
-    respondent_scores,
-)
-from .we_model import consensus_curve, sample_surface
+
+# Names taken from the modules that only some commands use. A command binds
+# a module's names here with `_bind` before it calls them, and `__getattr__`
+# binds them when one is read from outside first. Either way a name already
+# set on this module (a tracing wrapper, a test's replacement) is kept.
+# check_responses is not called here; tests patch it on cli.
+_LAZY = {
+    "survey": ("aggregate_survey", "check_responses", "check_survey", "fit_target",
+               "read_survey_csv", "rescale_answer", "respondent_scores"),
+    "policy_sim": ("DynamicsConfig", "normalize_ternary", "run_sweep"),
+    "evaluator": ("evaluate_policies", "select_best"),
+    "we_model": ("consensus_curve", "sample_surface"),
+}
+
+
+def _bind(module: str) -> None:
+    names = globals()
+    imported = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        names.setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 COMMANDS = ("surface", "consensus-check", "fit", "sweep", "select", "impact", "network")
 
@@ -85,6 +103,7 @@ def _slug(name: str) -> str:
 def _cmd_surface(sc: Scenario, fmt: str, seed):
     model = _require(sc, "model", "layers")
     xs_n, xs_w = _require(sc, "surface_grids", "surface")
+    _bind("we_model")
     rows = sample_surface(model, xs_n, xs_w)
     if fmt == "csv":
         # Each grid value fills a whole row or column of the grid, so it is
@@ -122,6 +141,7 @@ def _cmd_consensus(sc: Scenario, fmt: str, seed):
 
 def _fit_from_survey(sc: Scenario):
     cfg = _require(sc, "survey", "survey")
+    _bind("survey")
     try:
         survey = read_survey_csv((sc.base_dir / cfg.file).read_text(encoding="utf-8"))
         check_survey(survey, cfg.construct_map, cfg.scale)
@@ -150,6 +170,7 @@ def _cmd_fit(sc: Scenario, fmt: str, seed):
 def _run_sweep(sc: Scenario, seed):
     dynamics = _require(sc, "dynamics", "dynamics")
     grid = _require(sc, "sweep_grid", "sweep")
+    _bind("policy_sim")
     if seed is not None:
         try:
             # Through the constructor, which checks the seed.
@@ -184,6 +205,7 @@ def _cmd_sweep(sc: Scenario, fmt: str, seed):
 
 def _cmd_select(sc: Scenario, fmt: str, seed):
     profiles = _require(sc, "profiles", "weighting_profiles")
+    _bind("evaluator")
     model, baseline = _fit_from_survey(sc)
     table, effective_seed = _run_sweep(sc, seed)
     constructs = sc.survey.construct_map.constructs

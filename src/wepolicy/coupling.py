@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, UnknownNodeError
 from .graphs import Edge as NetworkEdge, propagate_linear, topological_order
-from .valuefn import ValueCurve
+
+if TYPE_CHECKING:  # an annotation only; valuefn is not loaded at run time
+    from .valuefn import ValueCurve
 
 VectorFn = Callable[[Sequence[float]], float]
 

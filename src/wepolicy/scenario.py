@@ -15,7 +15,7 @@ import json
 import math
 from bisect import bisect_right
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import logicmodel
 from .coupling import (
@@ -27,21 +27,21 @@ from .coupling import (
     Saturator,
 )
 from .errors import DimensionError, ScenarioError
-from .evaluator import WeightingProfile
 from .graphs import Edge
-from .policy_sim import DynamicsConfig
-from .survey import ConstructMap, check_survey, read_survey_csv
-from .valuefn import (
-    AsymmetricSpec,
-    MirroredFamily,
-    ValueCurve,
-    ValueFunctionSpec,
-    quadratic_monotone_limit,
-)
-from .we_model import WellbeingModel, WELayer, WEScope, surface_layers
 
-# The most points a `surface` (x_n by x_w cells) or a `curve` may sample, and
-# the most work a sweep may ask for: admissible rows x (agents + steps).
+# The section parsers and checks import the modules of the other pipelines
+# (evaluator, policy_sim, survey, valuefn, we_model) where they use them, so
+# a scenario loads only the modules its sections need.
+if TYPE_CHECKING:
+    from .evaluator import WeightingProfile
+    from .policy_sim import DynamicsConfig
+    from .survey import ConstructMap
+    from .valuefn import ValueCurve
+    from .we_model import WellbeingModel, WELayer
+
+# The most points a `surface` (x_n by x_w cells) or a `curve` may sample, or
+# (subsidy, tax, service) combinations a `sweep` may list; and the most work
+# a sweep may ask for: admissible rows x (agents + steps).
 MAX_GRID_POINTS = 1_000_000
 MAX_SWEEP_WORK = 10_000_000
 
@@ -211,10 +211,10 @@ def _nodes(value, where: str) -> tuple[logicmodel.Node, ...]:
     return tuple(nodes)
 
 
-def _check(where: str, fn, *args):
+def _check(where: str, fn, *args, **kwargs):
     """Call fn, prefixing the message of any ValueError with the field path."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None
 
@@ -255,25 +255,33 @@ def _grid_len(spec) -> int:
 
 
 def _parse_value_function(spec, where: str) -> ValueCurve:
+    from .valuefn import AsymmetricSpec, MirroredFamily, ValueFunctionSpec
+
     if not isinstance(spec, dict):
         raise ValueError(f"{where}: expected an object")
     kind = spec.get("kind", "asymmetric")
     if kind == "asymmetric":
-        return AsymmetricSpec(
+        return _check(
+            where,
+            AsymmetricSpec,
             gain_alpha=_float(spec.get("gain_alpha", 1.0), f"{where}.gain_alpha"),
             loss_beta=_float(spec.get("loss_beta", 1.0), f"{where}.loss_beta"),
             loss_lambda=_float(spec.get("loss_lambda", 2.0), f"{where}.loss_lambda"),
         )
     if kind not in ("family", "mirrored"):
         raise ValueError(f"{where}.kind: unknown kind {kind!r}")
-    base = ValueFunctionSpec(
+    base = _check(
+        where,
+        ValueFunctionSpec,
         family=_str(spec.get("family", ""), f"{where}.family"),
         a=_float(spec.get("a", 1.0), f"{where}.a"),
         b=_float(spec.get("b", 1.0), f"{where}.b"),
     )
     if kind == "family":
         return base
-    return MirroredFamily(
+    return _check(
+        where,
+        MirroredFamily,
         base=base,
         loss_lambda=_float(spec.get("loss_lambda", 2.0), f"{where}.loss_lambda"),
     )
@@ -292,13 +300,15 @@ def _parse_element_set(name: str, spec, where: str) -> ElementSet:
         )
         for i, v in enumerate(variables)
     )
-    return ElementSet(name=name, elements=elements)
+    return _check(where, ElementSet, name=name, elements=elements)
 
 
 def _parse_coupling(spec, where: str) -> FactCoupling:
     if not isinstance(spec, dict):
         raise ValueError(f"{where}: expected an object")
-    return FactCoupling(
+    return _check(
+        where,
+        FactCoupling,
         mode=_str(spec.get("mode", "additive"), f"{where}.mode"),
         matrix=_matrix(spec.get("matrix"), f"{where}.matrix"),
         warn_threshold=_float(spec.get("warn_threshold", 0.2), f"{where}.warn_threshold"),
@@ -306,6 +316,8 @@ def _parse_coupling(spec, where: str) -> FactCoupling:
 
 
 def _parse_profile(spec, where: str, names: set[str]) -> WeightingProfile:
+    from .evaluator import WeightingProfile
+
     spec = _object(spec, where)
     name = _str(spec.get("name"), f"{where}.name")
     if name in names:
@@ -361,6 +373,8 @@ class _Builder:
                 self.sc.element_sets[name] = es
 
     def _layer(self, spec, where: str) -> WELayer:
+        from .we_model import WELayer, WEScope
+
         spec = _object(spec, where)
         fn_name = _str(spec.get("value_function"), f"{where}.value_function")
         if fn_name not in self.sc.value_functions:
@@ -376,6 +390,8 @@ class _Builder:
         )
 
     def _layers(self, raw):
+        from .we_model import WellbeingModel
+
         if not isinstance(raw, list) or not raw:
             raise ValueError("layers: expected a non-empty array")
         built = [self.attempt(self._layer, spec, f"layers[{i}]") for i, spec in enumerate(raw)]
@@ -392,12 +408,18 @@ class _Builder:
             nl = _object(nl, f"{where}.nonlinearity")
             kind = nl.get("kind", "none")
             if kind == "saturator":
-                saturator = Saturator(scale=_float(nl.get("scale"), f"{where}.nonlinearity.scale"))
+                saturator = _check(
+                    f"{where}.nonlinearity",
+                    Saturator,
+                    scale=_float(nl.get("scale"), f"{where}.nonlinearity.scale"),
+                )
             elif kind != "none":
                 raise ValueError(f"{where}.nonlinearity.kind: unknown kind {kind!r}")
         m = _matrix(raw.get("matrix"), f"{where}.matrix")
         offset = raw.get("offset", [0.0] * len(m))
-        f = self.sc.mapping_f = LinearMap(
+        f = self.sc.mapping_f = _check(
+            where,
+            LinearMap,
             matrix=m,
             offset=tuple(_vector(offset, f"{where}.offset")),
             nonlinearity=saturator,
@@ -407,7 +429,9 @@ class _Builder:
             ("source", f.source_dim, "columns"), ("target", f.target_dim, "rows")
         ):
             name = raw.get(key)
-            if name is not None and name in sets and sets[name].dim != dim:
+            if name is not None:
+                _str(name, f"{where}.{key}")
+            if name in sets and sets[name].dim != dim:
                 raise ValueError(
                     f"{where}.matrix: {dim} {side} for {sets[name].dim}-element set {name!r}"
                 )
@@ -432,12 +456,16 @@ class _Builder:
             )
 
     def _survey(self, raw):
+        from .survey import ConstructMap
+
         where = "survey"
         _object(raw, where)
         constructs = raw.get("constructs")
         if not isinstance(constructs, list) or not constructs:
             raise ValueError(f"{where}.constructs: expected a non-empty array")
-        cmap = ConstructMap(
+        cmap = _check(
+            where,
+            ConstructMap,
             constructs=tuple(_str(c, f"{where}.constructs[{i}]") for i, c in enumerate(constructs)),
             matrix=_matrix(raw.get("construct_matrix"), f"{where}.construct_matrix"),
         )
@@ -457,6 +485,8 @@ class _Builder:
         )
 
     def _dynamics(self, raw):
+        from .policy_sim import DynamicsConfig
+
         where = "dynamics"
         _object(raw, where)
         fields = (
@@ -481,6 +511,13 @@ class _Builder:
             grid[knob] = _vector(raw.get(knob), f"{where}.{knob}")
             if not grid[knob]:
                 raise ValueError(f"{where}.{knob}: grid must be non-empty")
+        # run_sweep lists every (s, t, v) combination, as a row or as skipped.
+        sizes = [len(vals) for vals in grid.values()]
+        if math.prod(sizes) > MAX_GRID_POINTS:
+            raise ValueError(
+                f"{where}: {' x '.join(map(str, sizes))} = {math.prod(sizes)} combinations "
+                f"exceeds the cap of {MAX_GRID_POINTS}"
+            )
         lo_hi = {"subsidy": (0.0, 1.0), "tax": (0.0, 0.5), "service": (0.0, 1.0)}
         for knob, vals in grid.items():
             lo, hi = lo_hi[knob]
@@ -684,6 +721,11 @@ class _Builder:
         beyond that point, since ranking semantics silently flip there. A
         surface also needs a model of exactly two layers."""
         sc = self.sc
+        if sc.surface_grids is None and sc.curve is None:
+            return
+        from .valuefn import MirroredFamily, ValueFunctionSpec, quadratic_monotone_limit
+        from .we_model import surface_layers
+
         if sc.surface_grids is not None and sc.model is not None:
             try:
                 surface_layers(sc.model)
@@ -797,6 +839,8 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
         return list(err.findings), []
     sc, errors, warnings = parse_scenario(doc, Path(path).resolve().parent)
     if not errors and sc.survey is not None:
+        from .survey import check_survey, read_survey_csv
+
         cfg = sc.survey
         try:
             survey = read_survey_csv((sc.base_dir / cfg.file).read_text(encoding="utf-8"))

@@ -225,6 +225,15 @@ class TestRejectedInputs:
         assert "Traceback" not in err
         assert finding in json.loads(stdout)["errors"]
 
+    @pytest.mark.parametrize("key", ["source", "target"])
+    @pytest.mark.parametrize("value", [["X_w"], 5])
+    def test_mapping_set_name_must_be_a_string(self, capsys, tmp_path, fixtures_dir, key, value):
+        doc = json.loads((fixtures_dir / "consensus.json").read_text())
+        doc["mapping_f"][key] = value
+        code, err = self._run(capsys, tmp_path, "consensus-check", doc)
+        assert code == 1
+        assert err == f"error: mapping_f.{key}: expected a non-empty string, got {value!r}\n"
+
     @pytest.mark.parametrize("command", ["sweep", "select"])
     def test_negative_seed_flag(self, capsys, tmp_path, fixtures_dir, command):
         doc = json.loads((fixtures_dir / "pipeline.json").read_text())
@@ -566,9 +575,11 @@ assert "numpy" in sys.modules, "fit ran without numpy"
 
 
 DATACLASS_PROBE = """
-import dataclasses, sys
-import wepolicy.cli
+import dataclasses, importlib, pkgutil, sys
+import wepolicy
 
+for info in pkgutil.iter_modules(wepolicy.__path__, "wepolicy."):
+    importlib.import_module(info.name)
 print(sorted(
     f"{name}.{attr}"
     for name, module in list(sys.modules.items()) if name.startswith("wepolicy")
@@ -579,7 +590,7 @@ print(sorted(
 
 
 def test_value_types_are_not_dataclasses():
-    """Importing the command line builds only the two dataclasses whose
+    """The package builds only the two dataclasses whose
     `dataclasses.replace` callers exist; every other value type is a named
     tuple, which needs no code generated at import."""
     src = str(Path(wepolicy.__file__).resolve().parent.parent)
@@ -601,6 +612,51 @@ def test_only_the_fit_loads_numpy(fixtures_dir, tmp_path):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+STARTUP_PROBE = """
+import json, sys
+from wepolicy import cli
+
+command, scenario, out = sys.argv[1:]
+argv = [command, "--scenario", scenario]
+if command != "validate":
+    argv += ["--out", out]
+assert cli.main(argv) == 0, command
+print(json.dumps(sorted(sys.modules)))
+"""
+
+# What a scenario holding only a logic model and a parameter network does
+# not need, and what `surface` on fig2.json does not need.
+GRAPHS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
+                 "wepolicy.we_model", "dataclasses", "numpy")
+SURFACE_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim", "numpy")
+
+
+@pytest.mark.parametrize("command, fixture, unused", [
+    ("validate", None, GRAPHS_UNUSED),
+    ("impact", None, GRAPHS_UNUSED),
+    ("network", None, GRAPHS_UNUSED),
+    ("surface", "fig2.json", SURFACE_UNUSED),
+], ids=["validate", "impact", "network", "surface"])
+def test_a_command_loads_only_what_it_uses(fixtures_dir, tmp_path, command, fixture, unused):
+    """A fresh interpreter running one command imports none of the modules
+    of the pipelines that the command and its scenario do not use."""
+    if fixture is None:
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        scenario = tmp_path / "graphs.json"
+        scenario.write_text(json.dumps({k: doc[k] for k in ("logic_model", "parameter_network")}))
+    else:
+        scenario = fixtures_dir / fixture
+    src = str(Path(wepolicy.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, command, str(scenario), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert [name for name in unused if name in loaded] == []
 
 
 class TestOutputContract:

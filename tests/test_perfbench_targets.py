@@ -1,8 +1,15 @@
 """The benchmark's traced run wraps library functions by module attribute;
-every name it looks up must still resolve, or `run.py --trace 1` fails."""
+every name it looks up must still resolve, or `run.py --trace 1` fails, and
+each wrapper must be what the commands call, or its spans go missing."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import wepolicy
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -19,3 +26,33 @@ def test_every_traced_name_resolves():
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+
+fixtures, out = sys.argv[2:]
+with tracer.Tracer() as traced:
+    from wepolicy import cli
+
+    for command in ("fit", "impact"):
+        argv = [command, "--scenario", f"{fixtures}/pipeline.json", "--out", f"{out}/{command}"]
+        assert cli.main(argv) == 0, command
+print(json.dumps(sorted({span[0] for span in traced.spans})))
+"""
+
+
+def test_wrappers_see_the_calls_of_a_fresh_process(fixtures_dir, tmp_path):
+    """A wrapper installed on `cli` before any command has run is the
+    function the command calls, so its span is recorded."""
+    src = str(Path(wepolicy.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACER.parent), str(fixtures_dir), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {"scenario.load", "survey.read", "survey.fit", "logicmodel.propagate"} <= spans

@@ -59,6 +59,15 @@ class TestValidation:
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert any("unknown family" in e for e in errors)
 
+    @pytest.mark.parametrize("kind", ["family", "mirrored"])
+    def test_unknown_family_finding_names_the_function(self, tmp_path, kind):
+        doc = {"value_functions": {"bad": {"kind": kind, "family": "cubic"}}}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [
+            "value_functions.bad: unknown family 'cubic'; expected one of "
+            "linear, logarithmic, power, quadratic, exponential, lin_exp"
+        ]
+
     def test_unknown_kind_named(self, tmp_path):
         doc = {"value_functions": {"bad": {"kind": "mystery"}}}
         errors, _ = validate_scenario(write(tmp_path, doc))
@@ -318,21 +327,20 @@ class TestNoFollowOnFindings:
 
 
 class TestFailedSectionsSkipCrossChecks:
-    """A section with a finding is skipped by the cross-checks, also when
-    the finding's text does not start with the section's name."""
+    """A section with a finding is skipped by the cross-checks."""
 
     def test_mapping_offset_mismatch(self, tmp_path, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "consensus.json")
         doc["mapping_f"]["offset"] = [0.0]
         errors, _ = validate_scenario(write(tmp_path, doc))
-        assert errors == ["offset length 1 != matrix rows 2"]
+        assert errors == ["mapping_f: offset length 1 != matrix rows 2"]
 
     def test_construct_rows_not_stochastic(self, tmp_path, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "pipeline.json")
         doc["survey"]["construct_matrix"][0] = [0.0] * 10
         doc["element_sets"]["X_w"]["variables"].pop()
         errors, _ = validate_scenario(write(tmp_path, doc))
-        assert errors == ["construct 'social' weights sum to 0.0, not 1"]
+        assert errors == ["survey: construct 'social' weights sum to 0.0, not 1"]
 
 
 class TestWorkCaps:
@@ -363,6 +371,18 @@ class TestWorkCaps:
             "sweep: 27 admissible rows x (1000000000 agents + 6 steps) = 27000000162 "
             "exceeds the cap of 10000000"
         ]
+
+    def test_sweep_combinations(self, tmp_path, fixtures_dir, monkeypatch):
+        # one admissible (s, v) pair: the other combinations are listed as skipped
+        monkeypatch.setattr(scenario, "MAX_GRID_POINTS", 26)
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["sweep"] = {"subsidy": [0.5, 0.75, 1.0], "tax": [0.0, 0.1, 0.2],
+                        "service": [0.5, 0.75, 1.0]}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["sweep: 3 x 3 x 3 = 27 combinations exceeds the cap of 26"]
+        monkeypatch.setattr(scenario, "MAX_GRID_POINTS", 27)
+        (tmp_path / "survey.csv").write_bytes((fixtures_dir / "survey.csv").read_bytes())
+        assert validate_scenario(write(tmp_path, doc)) == ([], [])
 
     def test_sweep_work_counts_admissible_rows_only(self, tmp_path, fixtures_dir):
         # 6 of the 18 combinations have s + v > 1; 12 rows x 833,336 is just over the cap
