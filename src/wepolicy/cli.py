@@ -43,10 +43,9 @@ from .serialize import csv_table, dump_json, fmt_float, json_rows
 # a module's names here with `_bind` before it calls them, and `__getattr__`
 # binds them when one is read from outside first. Either way a name already
 # set on this module (a tracing wrapper, a test's replacement) is kept.
-# check_responses is not called here; tests patch it on cli.
 _LAZY = {
-    "survey": ("aggregate_survey", "check_responses", "check_survey", "fit_target",
-               "read_survey_csv", "rescale_answer", "respondent_scores"),
+    "survey": ("aggregate_survey", "check_survey", "fit_target", "read_survey_csv",
+               "rescale_answer", "respondent_scores"),
     "policy_sim": ("DynamicsConfig", "normalize_ternary", "run_sweep"),
     "evaluator": ("evaluate_policies", "select_best"),
     "we_model": ("consensus_curve", "sample_surface"),

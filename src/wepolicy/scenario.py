@@ -3,9 +3,10 @@
 A scenario is a single self-describing JSON object whose sections declare
 value functions, scope layers, element sets, mappings, couplings, survey
 and dynamics configuration, sweep grids, weighting profiles, a logic model,
-and sampling grids. Validation walks every present section, collects
-errors naming `section.field`, and cross-checks dimensions between
-sections before anything runs. It also bounds the work a scenario may ask
+and sampling grids. Validation walks the present sections once, in a
+fixed order, before anything runs: each section checks its own fields and
+its agreement with the sections before it, and reports findings naming
+`section.field` in that order. It also bounds the work a scenario may ask
 for before any grid or sweep is built.
 """
 
@@ -26,7 +27,7 @@ from .coupling import (
     ParameterNetwork,
     Saturator,
 )
-from .errors import DimensionError, ScenarioError
+from .errors import ScenarioError
 from .graphs import Edge
 
 # The section parsers and checks import the modules of the other pipelines
@@ -66,7 +67,6 @@ class Scenario:
     def __init__(self, base_dir: Path):
         self.base_dir = base_dir
         self.value_functions: dict[str, ValueCurve] = {}
-        self.layers: list[WELayer] = []
         self.model: WellbeingModel | None = None
         self.element_sets: dict[str, ElementSet] = {}
         self.mapping_f: LinearMap | None = None
@@ -85,11 +85,11 @@ class Scenario:
         self.consensus: ConsensusConfig | None = None
         self.warnings: list[str] = []
 
-    def layer_by_label(self, label: str) -> WELayer:
-        for layer in self.layers:
-            if layer.scope.label == label:
-                return layer
-        raise KeyError(label)
+    def layer_by_label(self, label: str) -> WELayer | None:
+        """The layer with scope `label`, or None (also without a model)."""
+        if self.model is None:
+            return None
+        return next((l for l in self.model.layers if l.scope.label == label), None)
 
 
 def _float(value, where: str) -> float:
@@ -329,9 +329,10 @@ def _parse_profile(spec, where: str, names: set[str]) -> WeightingProfile:
 class _Builder:
     """Builds a Scenario section by section (see `_SECTIONS`).
 
-    Every finding of a section goes through `attempt`, which also records
-    the section as failed, so that a cross-check can skip a section that
-    already has its own finding."""
+    Every finding goes through `error`, which also records the section
+    being parsed as failed. A check that reads an earlier section skips it
+    when it has a finding of its own, so no follow-on finding names the
+    wrong cause."""
 
     def __init__(self, base_dir: Path):
         self.sc = Scenario(base_dir)
@@ -341,6 +342,7 @@ class _Builder:
 
     def error(self, msg: str):
         self.errors.append(msg)
+        self.failed.add(self.section)
 
     def attempt(self, parse, *args):
         """parse(*args), or None when it raises a ValueError, whose message
@@ -349,12 +351,14 @@ class _Builder:
             return parse(*args)
         except ValueError as err:
             self.error(str(err))
-            self.failed.add(self.section)
             return None
 
-    def layer(self, label: str) -> WELayer | None:
-        """The first layer with scope `label`, or None."""
-        return next((l for l in self.sc.layers if l.scope.label == label), None)
+    def layer(self, label: str, where: str) -> WELayer | None:
+        """The layer with scope `label`, or None and a finding at `where`."""
+        layer = self.sc.layer_by_label(label)
+        if layer is None:
+            self.error(f"{where}: unknown scope label {label!r}")
+        return layer
 
     def _value_functions(self, raw):
         if not isinstance(raw, dict):
@@ -396,7 +400,6 @@ class _Builder:
             raise ValueError("layers: expected a non-empty array")
         built = [self.attempt(self._layer, spec, f"layers[{i}]") for i, spec in enumerate(raw)]
         if None not in built:
-            self.sc.layers = built
             self.sc.model = _check("layers", WellbeingModel, tuple(built))
 
     def _mapping(self, raw):
@@ -424,20 +427,39 @@ class _Builder:
             offset=tuple(_vector(offset, f"{where}.offset")),
             nonlinearity=saturator,
         )
-        sets = self.sc.element_sets
         for key, dim, side in (
             ("source", f.source_dim, "columns"), ("target", f.target_dim, "rows")
         ):
             name = raw.get(key)
-            if name is not None:
-                _str(name, f"{where}.{key}")
-            if name in sets and sets[name].dim != dim:
-                raise ValueError(
-                    f"{where}.matrix: {dim} {side} for {sets[name].dim}-element set {name!r}"
-                )
+            if name is None:
+                continue
+            es = self.sc.element_sets.get(_str(name, f"{where}.{key}"))
+            if es is None:
+                if "element_sets" not in self.failed:
+                    raise ValueError(f"{where}.{key}: unknown element set {name!r}")
+            elif es.dim != dim:
+                raise ValueError(f"{where}.matrix: {dim} {side} for {es.dim}-element set {name!r}")
+
+    def _coupling_dims(self, c: FactCoupling, where: str):
+        """Check a coupling's rows against the subjective constructs (the
+        survey's, else those of X_w) and its columns against X_c."""
+        sc = self.sc
+        subjective = None
+        if sc.survey is not None:
+            subjective = len(sc.survey.construct_map.constructs)
+        elif "X_w" in sc.element_sets and "survey" not in self.failed:
+            subjective = sc.element_sets["X_w"].dim
+        facts = sc.element_sets.get("X_c")
+        if subjective is not None and c.subjective_dim != subjective:
+            self.error(
+                f"{where}.matrix: {c.subjective_dim} rows for {subjective} subjective constructs"
+            )
+        if facts is not None and c.fact_dim != facts.dim:
+            self.error(f"{where}.matrix: {c.fact_dim} columns for {facts.dim} fact elements")
 
     def _fact_coupling(self, raw):
-        self.sc.fact_coupling = _parse_coupling(raw, "fact_coupling")
+        c = self.sc.fact_coupling = _parse_coupling(raw, "fact_coupling")
+        self._coupling_dims(c, "fact_coupling")
 
     def _network(self, raw):
         where = "parameter_network"
@@ -472,6 +494,7 @@ class _Builder:
         scale = _int(raw.get("scale"), f"{where}.scale")
         if scale < 2:
             raise ValueError(f"{where}.scale: must be >= 2, got {scale}")
+        _float(scale, f"{where}.scale")  # answers are rescaled in floats
         target_q = _int(raw.get("target_question"), f"{where}.target_question")
         if not 1 <= target_q <= cmap.question_count:
             raise ValueError(
@@ -483,6 +506,12 @@ class _Builder:
             construct_map=cmap,
             target_question=target_q,
         )
+        xw = self.sc.element_sets.get("X_w")
+        if xw is not None and xw.names != cmap.constructs:
+            raise ValueError(
+                f"{where}.constructs: must match element_sets.X_w variable names "
+                f"({list(xw.names)})"
+            )
 
     def _dynamics(self, raw):
         from .policy_sim import DynamicsConfig
@@ -552,6 +581,7 @@ class _Builder:
             profile = self.attempt(_parse_profile, spec, f"weighting_profiles[{i}]", names)
             if profile is not None:
                 self.sc.profiles.append(profile)
+                self._coupling_dims(profile.coupling, f"weighting_profiles[{profile.name!r}]")
 
     def _logic_model(self, raw):
         where = "logic_model"
@@ -597,7 +627,14 @@ class _Builder:
             raise ValueError(
                 f"surface: {n} x {w} = {n * w} cells exceeds the cap of {MAX_GRID_POINTS}"
             )
-        self.sc.surface_grids = (grid_values(x_n, "surface.x_n"), grid_values(x_w, "surface.x_w"))
+        grids = (grid_values(x_n, "surface.x_n"), grid_values(x_w, "surface.x_w"))
+        self.sc.surface_grids = grids
+        if self.sc.model is not None:
+            from .we_model import surface_layers
+
+            layers = _check("surface", surface_layers, self.sc.model)
+            for layer, xs, where in zip(layers, grids, ("surface.x_n", "surface.x_w")):
+                self._grid_check(layer, xs, where)
 
     def _curve(self, raw):
         _object(raw, "curve")
@@ -606,6 +643,32 @@ class _Builder:
         if n > MAX_GRID_POINTS:
             raise ValueError(f"curve.grid: {n} points exceeds the cap of {MAX_GRID_POINTS}")
         self.sc.curve = (label, grid_values(raw.get("grid"), "curve.grid"))
+        if "layers" not in self.failed:
+            layer = self.layer(label, "curve.layer")
+            if layer is not None:
+                self._grid_check(layer, self.sc.curve[1], "curve.grid")
+
+    def _grid_check(self, layer: WELayer, xs: list[float], where: str):
+        """A raw family is defined for x >= 0 only, so a grid reaching below
+        0 is a finding. Quadratic curves turn over past a/2; warn when a grid
+        reaches beyond that point, since ranking semantics silently flip
+        there."""
+        from .valuefn import MirroredFamily, ValueFunctionSpec, quadratic_monotone_limit
+
+        fn = layer.value_function
+        if isinstance(fn, ValueFunctionSpec) and min(xs) < 0:
+            self.error(
+                f"{where}: grid reaches {min(xs)!r}, below the {fn.family} family's "
+                f"domain x >= 0 for layer {layer.scope.label!r}"
+            )
+        base = fn.base if isinstance(fn, MirroredFamily) else fn
+        if isinstance(base, ValueFunctionSpec) and base.family == "quadratic":
+            lim = quadratic_monotone_limit(base)
+            if any(abs(x) > lim for x in xs):
+                self.sc.warnings.append(
+                    f"{where}: grid reaches beyond the quadratic peak at {lim!r} for "
+                    f"layer {layer.scope.label!r}; values are non-monotone past it"
+                )
 
     def _consensus(self, raw):
         where = "consensus"
@@ -619,160 +682,58 @@ class _Builder:
         tol = _float(raw.get("tol", 1e-9), f"{where}.tol")
         if not tol > 0:
             raise ValueError(f"{where}.tol: must be > 0")
-        self.sc.consensus = ConsensusConfig(
+        cfg = self.sc.consensus = ConsensusConfig(
             narrow_label=_str(raw.get("narrow_layer"), f"{where}.narrow_layer"),
             wide_label=_str(raw.get("wide_layer"), f"{where}.wide_layer"),
             probes=probes,
             tol=tol,
         )
-
-    def cross_checks(self):
-        """Checks between sections; a check is skipped when a section it
-        reads already has a finding, so no follow-on finding names the
-        wrong cause."""
-        sc, failed = self.sc, self.failed
-        if sc.curve is not None and "layers" not in failed:
-            label = sc.curve[0]
-            if self.layer(label) is None:
-                self.error(f"curve.layer: unknown scope label {label!r}")
-        if sc.consensus is not None and "layers" not in failed:
-            for key, label in (
-                ("narrow_layer", sc.consensus.narrow_label),
-                ("wide_layer", sc.consensus.wide_label),
+        f = None if "mapping_f" in self.failed else self.sc.mapping_f
+        if "layers" not in self.failed:
+            # The narrow layer weighs the mapping's target, the wide its source.
+            for key, label, side in (
+                ("narrow_layer", cfg.narrow_label, "target"),
+                ("wide_layer", cfg.wide_label, "source"),
             ):
-                layer = self.layer(label)
+                layer = self.layer(label, f"{where}.{key}")
                 if layer is None:
-                    self.error(f"consensus.{key}: unknown scope label {label!r}")
-                elif layer.element_weights is None:
-                    self.error(
-                        f"consensus.{key}: layer {label!r} declares no element_weights"
-                    )
-        if sc.consensus is not None and "mapping_f" not in failed:
-            if sc.mapping_f is None:
-                self.error("consensus: requires a mapping_f section")
-            else:
-                for i, p in enumerate(sc.consensus.probes):
-                    if len(p) != sc.mapping_f.source_dim:
+                    continue
+                weights = layer.element_weights
+                if weights is None:
+                    self.error(f"{where}.{key}: layer {label!r} declares no element_weights")
+                elif f is not None:
+                    dim = f.target_dim if side == "target" else f.source_dim
+                    if len(weights) != dim:
                         self.error(
-                            f"consensus.probes[{i}]: length {len(p)} != mapping source "
-                            f"dimension {sc.mapping_f.source_dim}"
+                            f"{where}.{key}: element_weights length {len(weights)} != "
+                            f"mapping {side} dimension {dim}"
                         )
-                        break
-                narrow = self.layer(sc.consensus.narrow_label)
-                wide = self.layer(sc.consensus.wide_label)
-                if narrow is not None and narrow.element_weights is not None:
-                    if len(narrow.element_weights) != sc.mapping_f.target_dim:
-                        self.error(
-                            "consensus.narrow_layer: element_weights length "
-                            f"{len(narrow.element_weights)} != mapping target dimension "
-                            f"{sc.mapping_f.target_dim}"
-                        )
-                if wide is not None and wide.element_weights is not None:
-                    if len(wide.element_weights) != sc.mapping_f.source_dim:
-                        self.error(
-                            "consensus.wide_layer: element_weights length "
-                            f"{len(wide.element_weights)} != mapping source dimension "
-                            f"{sc.mapping_f.source_dim}"
-                        )
-
-        subjective_dim = None
-        if sc.survey is not None:
-            subjective_dim = len(sc.survey.construct_map.constructs)
-            xw = sc.element_sets.get("X_w")
-            if xw is not None and xw.names != sc.survey.construct_map.constructs:
-                self.error(
-                    "survey.constructs: must match element_sets.X_w variable names "
-                    f"({list(xw.names)})"
-                )
-        elif "X_w" in sc.element_sets and "survey" not in failed:
-            subjective_dim = sc.element_sets["X_w"].dim
-
-        fact_dim = sc.element_sets["X_c"].dim if "X_c" in sc.element_sets else None
-        for profile in sc.profiles:
-            c = profile.coupling
-            if subjective_dim is not None and c.subjective_dim != subjective_dim:
-                self.error(
-                    f"weighting_profiles[{profile.name!r}].matrix: {c.subjective_dim} rows "
-                    f"for {subjective_dim} subjective constructs"
-                )
-            if fact_dim is not None and c.fact_dim != fact_dim:
-                self.error(
-                    f"weighting_profiles[{profile.name!r}].matrix: {c.fact_dim} columns "
-                    f"for {fact_dim} fact elements"
-                )
-        if sc.fact_coupling is not None:
-            if subjective_dim is not None and sc.fact_coupling.subjective_dim != subjective_dim:
-                self.error(
-                    f"fact_coupling.matrix: {sc.fact_coupling.subjective_dim} rows for "
-                    f"{subjective_dim} subjective constructs"
-                )
-            if fact_dim is not None and sc.fact_coupling.fact_dim != fact_dim:
-                self.error(
-                    f"fact_coupling.matrix: {sc.fact_coupling.fact_dim} columns for "
-                    f"{fact_dim} fact elements"
-                )
-
-        self._grid_checks()
-
-    def _grid_checks(self):
-        """Walk each (layer, grid) pair that `surface` evaluates. A raw
-        family is defined for x >= 0 only, so a grid reaching below 0 is an
-        error. Quadratic curves turn over past a/2; warn when a grid reaches
-        beyond that point, since ranking semantics silently flip there. A
-        surface also needs a model of exactly two layers."""
-        sc = self.sc
-        if sc.surface_grids is None and sc.curve is None:
+        if "mapping_f" in self.failed:
             return
-        from .valuefn import MirroredFamily, ValueFunctionSpec, quadratic_monotone_limit
-        from .we_model import surface_layers
-
-        if sc.surface_grids is not None and sc.model is not None:
-            try:
-                surface_layers(sc.model)
-            except DimensionError as err:
-                self.error(f"surface: {err}")
-
-        def limit(fn) -> float | None:
-            if isinstance(fn, ValueFunctionSpec) and fn.family == "quadratic":
-                return quadratic_monotone_limit(fn)
-            if isinstance(fn, MirroredFamily) and fn.base.family == "quadratic":
-                return quadratic_monotone_limit(fn.base)
-            return None
-
-        checks = []
-        if sc.surface_grids is not None and len(sc.layers) == 2:
-            checks.append((sc.layers[0], sc.surface_grids[0], "surface.x_n"))
-            checks.append((sc.layers[1], sc.surface_grids[1], "surface.x_w"))
-        if sc.curve is not None:
-            layer = self.layer(sc.curve[0])
-            if layer is not None:
-                checks.append((layer, sc.curve[1], "curve.grid"))
-        for layer, xs, where in checks:
-            fn = layer.value_function
-            if isinstance(fn, ValueFunctionSpec) and min(xs) < 0:
-                self.error(
-                    f"{where}: grid reaches {min(xs)!r}, below the {fn.family} family's "
-                    f"domain x >= 0 for layer {layer.scope.label!r}"
-                )
-            lim = limit(fn)
-            if lim is not None and any(abs(x) > lim for x in xs):
-                sc.warnings.append(
-                    f"{where}: grid reaches beyond the quadratic peak at {lim!r} for "
-                    f"layer {layer.scope.label!r}; values are non-monotone past it"
+        if f is None:
+            raise ValueError(f"{where}: requires a mapping_f section")
+        for i, p in enumerate(probes):
+            if len(p) != f.source_dim:
+                raise ValueError(
+                    f"{where}.probes[{i}]: length {len(p)} != mapping source dimension "
+                    f"{f.source_dim}"
                 )
 
 
-# Every section a scenario may hold, in the order it is parsed: a section
-# may read those before it (layers read value_functions, mapping_f reads
-# element_sets, sweep reads dynamics).
+# Every section a scenario may hold, in the order it is parsed and its
+# findings are reported. A section checks its agreement with those before
+# it: layers read value_functions; mapping_f reads element_sets; survey
+# reads element_sets; fact_coupling and weighting_profiles read survey and
+# element_sets; sweep reads dynamics; surface and curve read layers; and
+# consensus reads layers and mapping_f.
 _SECTIONS = (
     ("value_functions", _Builder._value_functions),
     ("element_sets", _Builder._element_sets),
     ("layers", _Builder._layers),
     ("mapping_f", _Builder._mapping),
-    ("fact_coupling", _Builder._fact_coupling),
     ("parameter_network", _Builder._network),
     ("survey", _Builder._survey),
+    ("fact_coupling", _Builder._fact_coupling),
     ("dynamics", _Builder._dynamics),
     ("sweep", _Builder._sweep),
     ("weighting_profiles", _Builder._profiles),
@@ -797,7 +758,6 @@ def parse_scenario(doc: dict, base_dir: Path) -> tuple[Scenario, list[str], list
         if raw is not None:
             builder.section = name
             builder.attempt(parse, builder, raw)
-    builder.cross_checks()
     return builder.sc, builder.errors, builder.sc.warnings
 
 

@@ -234,6 +234,21 @@ class TestRejectedInputs:
         assert code == 1
         assert err == f"error: mapping_f.{key}: expected a non-empty string, got {value!r}\n"
 
+    def test_mapping_set_name_must_be_declared(self, capsys, tmp_path, fixtures_dir):
+        doc = json.loads((fixtures_dir / "consensus.json").read_text())
+        doc["mapping_f"]["source"] = "X_nope"
+        code, err = self._run(capsys, tmp_path, "consensus-check", doc)
+        assert code == 1
+        assert err == "error: mapping_f.source: unknown element set 'X_nope'\n"
+
+    def test_survey_scale_beyond_float_range(self, capsys, tmp_path, fixtures_dir):
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        doc["survey"]["scale"] = 10**400
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        code, err = self._run(capsys, tmp_path, "fit", doc)
+        assert code == 1
+        assert err == "error: survey.scale: value must be finite\n"
+
     @pytest.mark.parametrize("command", ["sweep", "select"])
     def test_negative_seed_flag(self, capsys, tmp_path, fixtures_dir, command):
         doc = json.loads((fixtures_dir / "pipeline.json").read_text())
@@ -705,7 +720,7 @@ class TestOutputContract:
         assert sorted(p.name for p in out.iterdir()) == ["curve.csv", "surface.csv"]
 
     def test_fit_checks_the_answers_once(self, fixtures_dir, tmp_path, capsys, monkeypatch):
-        from wepolicy import cli, survey
+        from wepolicy import survey
 
         calls = []
         real_check = survey.check_responses
@@ -715,7 +730,6 @@ class TestOutputContract:
             return real_check(*args)
 
         monkeypatch.setattr(survey, "check_responses", counting_check)
-        monkeypatch.setattr(cli, "check_responses", counting_check)
         code, _, _ = run_cli(capsys, "fit", "--scenario", str(fixtures_dir / "pipeline.json"),
                              "--out", str(tmp_path / "out"))
         assert code == 0

@@ -272,6 +272,19 @@ class TestMalformedEntries:
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert errors == ["logic_model.fact_bindings.elements: expected an array"]
 
+    def test_survey_scale_beyond_float_range(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["survey"]["scale"] = 10**400
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["survey.scale: value must be finite"]
+
+    @pytest.mark.parametrize("key, name", [("source", "X_nope"), ("target", "X_w ")])
+    def test_mapping_set_must_be_declared(self, tmp_path, fixtures_dir, key, name):
+        doc = fixture_doc(fixtures_dir, "consensus.json")
+        doc["mapping_f"][key] = name
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [f"mapping_f.{key}: unknown element set {name!r}"]
+
     def test_int_beyond_float_range_is_a_finding(self, tmp_path):
         # a 401-digit JSON integer: float() of it raises OverflowError
         doc = json.loads((FIXTURES / "pipeline.json").read_text(encoding="utf-8"))
@@ -327,7 +340,7 @@ class TestNoFollowOnFindings:
 
 
 class TestFailedSectionsSkipCrossChecks:
-    """A section with a finding is skipped by the cross-checks."""
+    """A section with a finding is skipped by the checks of later sections."""
 
     def test_mapping_offset_mismatch(self, tmp_path, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "consensus.json")
@@ -341,6 +354,66 @@ class TestFailedSectionsSkipCrossChecks:
         doc["element_sets"]["X_w"]["variables"].pop()
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert errors == ["survey: construct 'social' weights sum to 0.0, not 1"]
+
+    def test_mapping_built_but_set_size_wrong(self, tmp_path, fixtures_dir):
+        # The mapping is built before its set-size check fails; consensus
+        # must not measure its probes or element weights against it.
+        doc = fixture_doc(fixtures_dir, "consensus.json")
+        doc["element_sets"]["X_w"]["variables"].append({"name": "w3"})
+        doc["layers"][1]["element_weights"].append(0.0)
+        doc["consensus"]["probes"] = [[0.0, 0.0, 0.0]]
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["mapping_f.matrix: 2 columns for 3-element set 'X_w'"]
+
+    def test_unsummed_layer_weights(self, tmp_path, fixtures_dir):
+        doc = TestRawFamilyDomain().raw_fig2(fixtures_dir)
+        doc["layers"][1]["weight"] = 0.6
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["layers: layer weights must sum to 1, got 1.1"]
+
+    def test_mapping_set_of_failed_element_sets(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "consensus.json")
+        doc["element_sets"]["X_w"] = {"variables": "w1"}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["element_sets.X_w.variables: expected an array"]
+
+    def test_failed_survey_skips_the_coupling_rows(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["survey"]["scale"] = 1
+        doc["fact_coupling"] = {"matrix": [[1.0]]}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [
+            "survey.scale: must be >= 2, got 1",
+            "fact_coupling.matrix: 1 columns for 3 fact elements",
+        ]
+
+
+class TestSectionOrder:
+    """Findings come in the order the sections are parsed (`_SECTIONS`)."""
+
+    def test_survey_before_consensus(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["element_sets"]["X_w"]["variables"].pop()
+        doc["consensus"] = {"narrow_layer": "ghost", "wide_layer": "community",
+                            "probes": [[0.0]]}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [
+            "survey.constructs: must match element_sets.X_w variable names "
+            "(['social', 'environmental'])",
+            "consensus.narrow_layer: unknown scope label 'ghost'",
+            "consensus.wide_layer: unknown scope label 'community'",
+            "consensus: requires a mapping_f section",
+        ]
+
+    def test_fact_coupling_after_survey(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["parameter_network"]["facts"] = 5
+        doc["fact_coupling"] = {"mode": "bogus", "matrix": [[1.0]]}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [
+            "parameter_network.facts: expected an array",
+            "fact_coupling: mode must be additive or multiplicative, got 'bogus'",
+        ]
 
 
 class TestWorkCaps:
