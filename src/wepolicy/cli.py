@@ -67,8 +67,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-COMMANDS = ("surface", "consensus-check", "fit", "sweep", "select", "impact", "network")
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
@@ -350,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
             prog="wepolicy",
             description="Scenario-driven well-being policy evaluation pipelines.",
         )
-        parser.add_argument("command", choices=COMMANDS + ("validate",))
+        parser.add_argument("command", choices=[*_DISPATCH, "validate"])
         parser.add_argument("--scenario", required=True, help="scenario JSON file")
         parser.add_argument("--out", help="output directory (all commands except validate)")
         parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt",

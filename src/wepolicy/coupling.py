@@ -143,13 +143,7 @@ class ConsensusReport(NamedTuple):
     probes: int
 
     def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "max_deviation": self.max_deviation,
-            "worst_point": list(self.worst_point),
-            "tol": self.tol,
-            "probes": self.probes,
-        }
+        return dict(self._asdict(), worst_point=list(self.worst_point))
 
 
 def check_consensus(

@@ -98,7 +98,11 @@ def _simulate(cfg: DynamicsConfig, policies: Sequence[PolicyKnobs]):
         # the last bit, except for c = 1.0, whose partial sums are exact
         economic = left_sum(disposable) / n
         environmental = 1.0 - (1.0 - rho)
-        yield (economic, environmental, left_sum([connection] * n) / n)
+        social = left_sum([connection] * n) / n
+        indicators = (economic, environmental, social)
+        if not (math.isfinite(economic) and math.isfinite(environmental) and math.isfinite(social)):
+            raise FloatingPointError(f"non-finite indicators {indicators} for {knobs!r}")
+        yield indicators
 
 
 def run_policy(cfg: DynamicsConfig, knobs: PolicyKnobs) -> tuple[float, float, float]:

@@ -7,7 +7,8 @@ and sampling grids. Validation walks the present sections once, in a
 fixed order, before anything runs: each section checks its own fields and
 its agreement with the sections before it, and reports findings naming
 `section.field` in that order. It also bounds the work a scenario may ask
-for before any grid or sweep is built.
+for before any grid or sweep is built. An optional number that a section
+leaves out takes the default its value type's constructor declares.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ def _float(value, where: str) -> float:
     if not math.isfinite(v):
         raise ValueError(f"{where}: value must be finite")
     return v
+
+
+def _floats(spec: dict, where: str, keys: tuple[str, ...]) -> dict[str, float]:
+    """`spec`'s numbers for `keys`, in order; an absent key takes its field's default."""
+    return {k: _float(spec[k], f"{where}.{k}") for k in keys if k in spec}
 
 
 def _int(value, where: str) -> int:
@@ -261,30 +267,18 @@ def _parse_value_function(spec, where: str) -> ValueCurve:
         raise ValueError(f"{where}: expected an object")
     kind = spec.get("kind", "asymmetric")
     if kind == "asymmetric":
-        return _check(
-            where,
-            AsymmetricSpec,
-            gain_alpha=_float(spec.get("gain_alpha", 1.0), f"{where}.gain_alpha"),
-            loss_beta=_float(spec.get("loss_beta", 1.0), f"{where}.loss_beta"),
-            loss_lambda=_float(spec.get("loss_lambda", 2.0), f"{where}.loss_lambda"),
-        )
+        return _check(where, AsymmetricSpec, **_floats(spec, where, AsymmetricSpec._fields))
     if kind not in ("family", "mirrored"):
         raise ValueError(f"{where}.kind: unknown kind {kind!r}")
     base = _check(
         where,
         ValueFunctionSpec,
         family=_str(spec.get("family", ""), f"{where}.family"),
-        a=_float(spec.get("a", 1.0), f"{where}.a"),
-        b=_float(spec.get("b", 1.0), f"{where}.b"),
+        **_floats(spec, where, ("a", "b")),
     )
     if kind == "family":
         return base
-    return _check(
-        where,
-        MirroredFamily,
-        base=base,
-        loss_lambda=_float(spec.get("loss_lambda", 2.0), f"{where}.loss_lambda"),
-    )
+    return _check(where, MirroredFamily, base, **_floats(spec, where, ("loss_lambda",)))
 
 
 def _parse_element_set(name: str, spec, where: str) -> ElementSet:
@@ -311,7 +305,7 @@ def _parse_coupling(spec, where: str) -> FactCoupling:
         FactCoupling,
         mode=_str(spec.get("mode", "additive"), f"{where}.mode"),
         matrix=_matrix(spec.get("matrix"), f"{where}.matrix"),
-        warn_threshold=_float(spec.get("warn_threshold", 0.2), f"{where}.warn_threshold"),
+        **_floats(spec, where, ("warn_threshold",)),
     )
 
 
@@ -518,17 +512,10 @@ class _Builder:
 
         where = "dynamics"
         _object(raw, where)
-        fields = (
-            _int(raw.get("agents"), f"{where}.agents"),
-            _int(raw.get("steps"), f"{where}.steps"),
-            _int(raw.get("seed"), f"{where}.seed"),
-            _float(raw.get("income_spread", 0.0), f"{where}.income_spread"),
-            _float(raw.get("renewable_rate", 0.1), f"{where}.renewable_rate"),
-            _float(raw.get("connection_rate", 0.1), f"{where}.connection_rate"),
-            _float(raw.get("connection_decay", 0.05), f"{where}.connection_decay"),
-        )
+        counts = [_int(raw.get(k), f"{where}.{k}") for k in ("agents", "steps", "seed")]
+        rates = _floats(raw, where, DynamicsConfig._fields[3:])
         try:
-            self.sc.dynamics = DynamicsConfig(*fields)
+            self.sc.dynamics = DynamicsConfig(*counts, **rates)
         except ValueError as err:  # worded from the field: "seed must be >= 0, got -7"
             raise ValueError(f"{where}.{err}") from None
 
@@ -635,6 +622,8 @@ class _Builder:
             layers = _check("surface", surface_layers, self.sc.model)
             for layer, xs, where in zip(layers, grids, ("surface.x_n", "surface.x_w")):
                 self._grid_check(layer, xs, where)
+        elif "layers" not in self.failed:
+            raise ValueError("surface: requires a layers section")
 
     def _curve(self, raw):
         _object(raw, "curve")

@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import json
@@ -5,14 +6,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import wepolicy
 
 from wepolicy.cli import main, run
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(capsys, *args):
@@ -300,6 +305,20 @@ class TestRejectedInputs:
             "error: numerical failure: profile 'Type A': coupled vector or score of "
             "policy 0 is not finite\n"
         )
+
+    @pytest.mark.parametrize("command", ["sweep", "select"])
+    @pytest.mark.parametrize("field, service", [("income_spread", 0.0), ("connection_rate", 0.25)])
+    def test_non_finite_indicators_are_numerical(
+        self, capsys, tmp_path, fixtures_dir, command, field, service
+    ):
+        # the first policy whose indicators overflow is named
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        doc["dynamics"][field] = 1e308
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        code, err = self._run(capsys, tmp_path, command, doc)
+        assert code == 2
+        assert err.startswith("error: numerical failure: non-finite indicators (")
+        assert err.endswith(f") for PolicyKnobs(subsidy=0.0, tax=0.0, service={service})\n")
 
     def test_raw_family_below_its_domain_is_a_finding(self, capsys, tmp_path, fixtures_dir):
         doc = json.loads((fixtures_dir / "fig2.json").read_text())
@@ -967,3 +986,111 @@ class TestValidateChecksTheSurvey:
         assert code == 3
         code, stdout, err_validate = run_cli(capsys, "validate", "--scenario", scenario)
         assert (code, stdout, err_validate) == (3, "", err)
+
+
+# --- the exit-code contract on mutated fixtures ---
+
+# The caps are lowered so that a count one past a cap stays small.
+FUZZ_GRID_CAP = 64
+FUZZ_WORK_CAP = 2_000
+NUMBER_SWAPS = [0, 1, 2, -1, -0.0, 0.5, 1e308, -1e308, FUZZ_GRID_CAP, FUZZ_GRID_CAP + 1,
+                FUZZ_WORK_CAP, FUZZ_WORK_CAP + 1, "0.5", None]
+ENTRY_SWAPS = [None, True, "", "x", [], {}, [0.5], 1, 1e308]
+# The sections whose absence each command reports as missing (`cli._require`).
+REQUIRED_SECTIONS = {
+    "surface": ("layers", "surface"),
+    "consensus-check": ("consensus", "mapping_f"),
+    "fit": ("survey",),
+    "sweep": ("dynamics", "sweep"),
+    "select": ("weighting_profiles", "survey", "dynamics", "sweep"),
+    "impact": ("logic_model",),
+    "network": ("parameter_network",),
+}
+
+
+def fuzz_fixtures():
+    """The three fixtures, with grids and probes cut to fit the lowered caps."""
+    docs = [json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+            for name in ("pipeline.json", "consensus.json", "fig2.json")]
+    docs[1]["consensus"]["probes"] = docs[1]["consensus"]["probes"][:3]
+    for grid in (docs[2]["surface"]["x_n"], docs[2]["surface"]["x_w"], docs[2]["curve"]["grid"]):
+        grid["count"] = 5
+    return docs
+
+
+def json_paths(value, path):
+    yield path
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from json_paths(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from json_paths(v, path + (i,))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture without up to two of its sections and with 0-3 entries
+    replaced (a number by a count at or one past a cap, 1e308, -0.0 or a
+    value of another type), deleted, or joined by a new entry."""
+    doc = draw(st.sampled_from(fuzz_fixtures()))
+    for section in draw(st.sets(st.sampled_from(sorted(doc)), max_size=2)):
+        del doc[section]
+    for _ in range(draw(st.integers(0, 3))):
+        paths = [p for section in sorted(doc) for p in json_paths(doc[section], (section,))]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        swaps = NUMBER_SWAPS if isinstance(old, (int, float)) else ENTRY_SWAPS
+        value = copy.deepcopy(draw(st.sampled_from(swaps)))
+        kind = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if kind == "replace":
+            parent[path[-1]] = value
+        elif kind == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(["ghost", "offset", "tol", "loss_lambda"]))] = value
+        else:
+            parent.insert(path[-1], value)
+    return doc
+
+
+def pipeline_with_dynamics(field, value):
+    doc = fuzz_fixtures()[0]
+    doc["dynamics"][field] = value
+    return doc
+
+
+class TestExitCodeContract:
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=mutated_fixtures())
+    @example(doc={"surface": fuzz_fixtures()[2]["surface"]})
+    @example(doc=pipeline_with_dynamics("income_spread", 1e308))
+    @example(doc=pipeline_with_dynamics("connection_rate", 1e308))
+    def test_mutated_fixtures(self, tmp_path, capsys, monkeypatch, doc):
+        """Every command exits 0-3 without a traceback, leaves no file after
+        a nonzero exit, and, when `validate` passes, does not exit 1 unless
+        it lacks a section it requires."""
+        monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
+        monkeypatch.setattr("wepolicy.scenario.MAX_SWEEP_WORK", FUZZ_WORK_CAP)
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        shutil.copy(FIXTURES / "survey.csv", work / "survey.csv")
+        path = work / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
+        assert code in (0, 1, 3) and "Traceback" not in err
+        valid = code == 0
+        for command, sections in REQUIRED_SECTIONS.items():
+            out = work / command
+            code, _, err = run_cli(capsys, command, "--scenario", str(path), "--out", str(out))
+            assert code in (0, 1, 2, 3), command
+            assert "Traceback" not in err
+            if code:
+                assert not out.exists() or not any(out.iterdir()), command
+            if valid and all(doc.get(s) not in (None, [], {}) for s in sections):
+                assert code != 1, (command, err)

@@ -371,6 +371,12 @@ class TestFailedSectionsSkipCrossChecks:
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert errors == ["layers: layer weights must sum to 1, got 1.1"]
 
+    def test_failed_layers_skip_the_surface_check(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "fig2.json")
+        doc["layers"] = []
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["layers: expected a non-empty array"]
+
     def test_mapping_set_of_failed_element_sets(self, tmp_path, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "consensus.json")
         doc["element_sets"]["X_w"] = {"variables": "w1"}
@@ -597,6 +603,11 @@ class TestLayerFindings:
         doc["layers"].append({"scope": "world", "value_function": "default", "weight": 0.25})
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert errors == ["surface: surface sampling needs exactly 2 layers, model has 3"]
+
+    def test_surface_requires_layers(self, tmp_path, fixtures_dir):
+        doc = {"surface": fixture_doc(fixtures_dir, "fig2.json")["surface"]}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["surface: requires a layers section"]
 
     def test_out_of_range_weights_name_their_path(self, tmp_path, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "fig2.json")
