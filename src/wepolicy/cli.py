@@ -26,7 +26,6 @@ import gc
 import hashlib
 import importlib
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -36,7 +35,7 @@ from pathlib import Path
 from . import logicmodel
 from .coupling import check_consensus, propagate_network
 from .errors import RankDeficiencyError, ScenarioError
-from .scenario import Scenario, load_scenario, validate_scenario
+from .scenario import Scenario, load_scenario, profile_slug, validate_scenario
 from .serialize import csv_table, dump_json, fmt_float, json_rows
 
 # Names taken from the modules that only some commands use. A command binds
@@ -93,10 +92,6 @@ def _table(fmt: str, stem: str, header, rows) -> tuple[str, str]:
     return f"{stem}.csv", csv_table(header, rows)
 
 
-def _slug(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
-
-
 def _cmd_surface(sc: Scenario, fmt: str, seed):
     model = _require(sc, "model", "layers")
     xs_n, xs_w = _require(sc, "surface_grids", "surface")
@@ -144,8 +139,8 @@ def _fit_from_survey(sc: Scenario):
         check_survey(survey, cfg.construct_map, cfg.scale)
     except ValueError as err:
         raise ScenarioError([f"survey.file: {err}"]) from None
-    baseline = aggregate_survey(survey, cfg.construct_map, cfg.scale, checked=True)
-    scores = respondent_scores(survey, cfg.construct_map, cfg.scale, checked=True)
+    baseline = aggregate_survey(survey, cfg.construct_map, cfg.scale)
+    scores = respondent_scores(survey, cfg.construct_map, cfg.scale)
     # numpy is loaded by now: respondent_scores imports it.
     import numpy as np
 
@@ -220,7 +215,7 @@ def _cmd_select(sc: Scenario, fmt: str, seed):
             )
         ranks = range(1, len(ranked.policy_ids) + 1)
         rows = list(zip(ranks, ranked.policy_ids, ranked.w_prime, *ranked.x_w_prime))
-        name, text = _table(fmt, f"ranked_{_slug(profile.name)}", header, rows)
+        name, text = _table(fmt, f"ranked_{profile_slug(profile.name)}", header, rows)
         outputs[name] = text
     outputs["selection.json"] = dump_json(selection)
     return outputs, warnings, effective_seed

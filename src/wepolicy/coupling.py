@@ -1,9 +1,10 @@
-"""Element sets and the mappings between them.
+"""Maps between element vectors, and the couplings built on them.
 
-Four pieces:
+An element vector lists the values of one element set (X_n, X_w or X_c) in
+the order the scenario declares its variables. Four pieces:
 
-* `ElementSet` / `LinearMap` — named element vectors and the affine map
-  (optionally saturated) carrying wide-scope vectors into narrow-scope ones.
+* `LinearMap` — the affine map (optionally saturated) carrying wide-scope
+  vectors into narrow-scope ones.
 * `check_consensus` — grid test of whether the narrow function composed with
   the map coincides with the wide function; when it does, scope weights stop
   mattering.
@@ -34,31 +35,6 @@ MULTIPLICATIVE = "multiplicative"
 # Relative perturbation above which fact coupling warns. The coupling is
 # meant to nudge a consensus, not replace it; 20% is the default ceiling.
 DEFAULT_WARN_THRESHOLD = 0.2
-
-
-class Element(NamedTuple):
-    name: str
-    unit: str = ""
-
-
-class ElementSet(namedtuple("ElementSet", "name elements")):
-    """Ordered named elements; order defines the vector layout."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, elements: tuple[Element, ...]):
-        names = [e.name for e in elements]
-        if len(set(names)) != len(names):
-            raise ValueError(f"element names in {name!r} must be unique: {names}")
-        return super().__new__(cls, name, elements)
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.elements)
 
 
 class Saturator(namedtuple("Saturator", "scale")):

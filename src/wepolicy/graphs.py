@@ -20,15 +20,12 @@ class Edge(NamedTuple):
 
 
 def topological_order(names: Sequence[str], edges: Sequence[Tuple[str, str]],
-                      index: Mapping[str, int] | None = None) -> list[str]:
+                      index: Mapping[str, int]) -> list[str]:
     """Kahn's algorithm; ties broken by declaration order so results are stable.
 
     Raises CycleError naming the nodes left on a cycle. Names must be unique.
-    `index` maps each name to its position in `names`; a caller that has
-    already built it passes it in, otherwise it is built here.
+    `index` maps each name to its position in `names`.
     """
-    if index is None:
-        index = {n: i for i, n in enumerate(names)}
     indegree = [0] * len(names)
     outgoing: list[list[int]] = [[] for _ in names]
     for src, dst in edges:

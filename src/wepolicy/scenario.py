@@ -15,19 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_right
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import logicmodel
-from .coupling import (
-    Element,
-    ElementSet,
-    FactCoupling,
-    LinearMap,
-    ParameterNetwork,
-    Saturator,
-)
+from .coupling import FactCoupling, LinearMap, ParameterNetwork, Saturator
 from .errors import ScenarioError
 from .graphs import Edge
 
@@ -69,7 +63,7 @@ class Scenario:
         self.base_dir = base_dir
         self.value_functions: dict[str, ValueCurve] = {}
         self.model: WellbeingModel | None = None
-        self.element_sets: dict[str, ElementSet] = {}
+        self.element_sets: dict[str, tuple[str, ...]] = {}  # set name -> variable names
         self.mapping_f: LinearMap | None = None
         self.fact_coupling: FactCoupling | None = None
         self.network: ParameterNetwork | None = None
@@ -281,20 +275,18 @@ def _parse_value_function(spec, where: str) -> ValueCurve:
     return _check(where, MirroredFamily, base, **_floats(spec, where, ("loss_lambda",)))
 
 
-def _parse_element_set(name: str, spec, where: str) -> ElementSet:
+def _parse_element_set(name: str, spec, where: str) -> tuple[str, ...]:
+    """The set's variable names in declaration order, which is the layout of
+    its vectors. A variable's `unit` is a label that is not read."""
     if not isinstance(spec, dict) or not isinstance(spec.get("variables"), list):
         raise ValueError(f"{where}.variables: expected an array")
     variables = [
         _object(v, f"{where}.variables[{i}]") for i, v in enumerate(spec["variables"])
     ]
-    elements = tuple(
-        Element(
-            name=_str(v.get("name"), f"{where}.variables[{i}].name"),
-            unit=str(v.get("unit", "")),
-        )
-        for i, v in enumerate(variables)
-    )
-    return _check(where, ElementSet, name=name, elements=elements)
+    names = [_str(v.get("name"), f"{where}.variables[{i}].name") for i, v in enumerate(variables)]
+    if len(set(names)) != len(names):
+        raise ValueError(f"{where}: element names in {name!r} must be unique: {names}")
+    return tuple(names)
 
 
 def _parse_coupling(spec, where: str) -> FactCoupling:
@@ -309,14 +301,27 @@ def _parse_coupling(spec, where: str) -> FactCoupling:
     )
 
 
-def _parse_profile(spec, where: str, names: set[str]) -> WeightingProfile:
+def profile_slug(name: str) -> str:
+    """The stem of a profile's ranked table: `select` writes `ranked_<slug>`."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
+
+
+def _parse_profile(spec, where: str, slugs: dict[str, str]) -> WeightingProfile:
+    """A profile whose name and slug no earlier profile has taken; `slugs`
+    maps each earlier profile's slug to its name."""
     from .evaluator import WeightingProfile
 
     spec = _object(spec, where)
     name = _str(spec.get("name"), f"{where}.name")
-    if name in names:
+    slug = profile_slug(name)
+    other = slugs.get(slug)
+    if other == name:
         raise ValueError(f"{where}.name: duplicate profile name {name!r}")
-    names.add(name)
+    if other is not None:
+        raise ValueError(
+            f"{where}.name: profiles {other!r} and {name!r} would both write ranked_{slug}"
+        )
+    slugs[slug] = name
     return WeightingProfile(name=name, coupling=_parse_coupling(spec, where))
 
 
@@ -431,8 +436,8 @@ class _Builder:
             if es is None:
                 if "element_sets" not in self.failed:
                     raise ValueError(f"{where}.{key}: unknown element set {name!r}")
-            elif es.dim != dim:
-                raise ValueError(f"{where}.matrix: {dim} {side} for {es.dim}-element set {name!r}")
+            elif len(es) != dim:
+                raise ValueError(f"{where}.matrix: {dim} {side} for {len(es)}-element set {name!r}")
 
     def _coupling_dims(self, c: FactCoupling, where: str):
         """Check a coupling's rows against the subjective constructs (the
@@ -442,14 +447,14 @@ class _Builder:
         if sc.survey is not None:
             subjective = len(sc.survey.construct_map.constructs)
         elif "X_w" in sc.element_sets and "survey" not in self.failed:
-            subjective = sc.element_sets["X_w"].dim
+            subjective = len(sc.element_sets["X_w"])
         facts = sc.element_sets.get("X_c")
         if subjective is not None and c.subjective_dim != subjective:
             self.error(
                 f"{where}.matrix: {c.subjective_dim} rows for {subjective} subjective constructs"
             )
-        if facts is not None and c.fact_dim != facts.dim:
-            self.error(f"{where}.matrix: {c.fact_dim} columns for {facts.dim} fact elements")
+        if facts is not None and c.fact_dim != len(facts):
+            self.error(f"{where}.matrix: {c.fact_dim} columns for {len(facts)} fact elements")
 
     def _fact_coupling(self, raw):
         c = self.sc.fact_coupling = _parse_coupling(raw, "fact_coupling")
@@ -501,10 +506,9 @@ class _Builder:
             target_question=target_q,
         )
         xw = self.sc.element_sets.get("X_w")
-        if xw is not None and xw.names != cmap.constructs:
+        if xw is not None and xw != cmap.constructs:
             raise ValueError(
-                f"{where}.constructs: must match element_sets.X_w variable names "
-                f"({list(xw.names)})"
+                f"{where}.constructs: must match element_sets.X_w variable names ({list(xw)})"
             )
 
     def _dynamics(self, raw):
@@ -563,9 +567,9 @@ class _Builder:
     def _profiles(self, raw):
         if not isinstance(raw, list):
             raise ValueError("weighting_profiles: expected an array")
-        names: set[str] = set()
+        slugs: dict[str, str] = {}
         for i, spec in enumerate(raw):
-            profile = self.attempt(_parse_profile, spec, f"weighting_profiles[{i}]", names)
+            profile = self.attempt(_parse_profile, spec, f"weighting_profiles[{i}]", slugs)
             if profile is not None:
                 self.sc.profiles.append(profile)
                 self._coupling_dims(profile.coupling, f"weighting_profiles[{profile.name!r}]")
@@ -762,6 +766,11 @@ def read_scenario_file(path: str | Path) -> tuple[dict, bytes]:
         raise ScenarioError(
             [f"scenario: JSON parse error at line {err.lineno}, column {err.colno}: {err.msg}"]
         ) from None
+    # Worded here: the interpreter's own messages differ between versions.
+    except ValueError:  # int() refuses a literal over sys.get_int_max_str_digits()
+        raise ScenarioError(["scenario: an integer literal has too many digits"]) from None
+    except RecursionError:
+        raise ScenarioError(["scenario: JSON nests arrays or objects too deeply"]) from None
     return doc, data
 
 

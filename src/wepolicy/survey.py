@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import operator
-import random
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -71,76 +70,59 @@ def rescale_answer(value: float, scale: int) -> float:
     return 2.0 * (value - 1.0) / (scale - 1.0) - 1.0
 
 
-def check_responses(survey: SurveyColumns, cmap: ConstructMap, scale: int):
-    """Raise unless there is a respondent and each has one answer in
-    [1, scale] per question of `cmap`.
+def check_survey(survey: SurveyColumns, cmap: ConstructMap, scale: int):
+    """Raise unless `survey` can be fitted on `cmap`: one column per
+    question of the construct matrix, a respondent, one answer in
+    [1, scale] per respondent and question, and a respondent per design
+    column (the intercept and one per construct).
 
     The range is checked by each column's min and max; only when one is out
     of range are the answers scanned respondent by respondent, so that the
     error names the first offending respondent in file order."""
+    k = len(survey.answers)
+    if k != cmap.question_count:
+        raise DimensionError(
+            f"CSV has {k} questions, construct_matrix expects {cmap.question_count}"
+        )
     n = len(survey.respondents)
     if not n:
         raise ValueError("survey has no responses")
-    k = cmap.question_count
-    if len(survey.answers) != k:
-        raise DimensionError(f"survey has {len(survey.answers)} questions, expected {k}")
     for q, col in enumerate(survey.answers, start=1):
         if len(col) != n:
             raise DimensionError(f"question {q} has {len(col)} answers for {n} respondents")
-    if all(1 <= min(col) and max(col) <= scale for col in survey.answers):
-        return
-    for i, respondent in enumerate(survey.respondents):
-        for col in survey.answers:
-            if not 1 <= col[i] <= scale:
-                raise ValueError(
-                    f"respondent {respondent!r} answer {col[i]} outside [1, {scale}]"
-                )
-
-
-def check_survey(survey: SurveyColumns, cmap: ConstructMap, scale: int):
-    """Raise unless `survey` can be fitted on `cmap`: one column per
-    question of the construct matrix, answers that pass `check_responses`,
-    and a respondent per design column (the intercept and one per
-    construct)."""
-    k = len(survey.answers)
-    if k != cmap.question_count:
-        raise ValueError(f"CSV has {k} questions, construct_matrix expects {cmap.question_count}")
-    check_responses(survey, cmap, scale)
-    n, p1 = len(survey.respondents), len(cmap.constructs) + 1
+    if not all(1 <= min(col) and max(col) <= scale for col in survey.answers):
+        for i, respondent in enumerate(survey.respondents):
+            for col in survey.answers:
+                if not 1 <= col[i] <= scale:
+                    raise ValueError(
+                        f"respondent {respondent!r} answer {col[i]} outside [1, {scale}]"
+                    )
+    p1 = len(cmap.constructs) + 1
     if n < p1:
         raise ValueError(f"need at least {p1} rows to fit {p1} columns, got {n}")
 
 
-def aggregate_survey(
-    survey: SurveyColumns, cmap: ConstructMap, scale: int, *, checked: bool = False,
-) -> list[float]:
+def aggregate_survey(survey: SurveyColumns, cmap: ConstructMap, scale: int) -> list[float]:
     """Consensus construct vector: per-question means, rescaled, mapped.
 
     Output order follows the construct map rows. Shuffling respondents does
     not change the result: each mean is an exact integer sum divided once.
-    `checked=True` skips `check_responses`, for a caller that has already
-    run it on the same arguments.
+    `survey` must have passed `check_survey` with the same `cmap` and `scale`.
     """
-    if not checked:
-        check_responses(survey, cmap, scale)
     n = len(survey.respondents)
     rescaled = [rescale_answer(sum(col) / n, scale) for col in survey.answers]
     return [left_sum(map(operator.mul, row, rescaled)) for row in cmap.matrix]
 
 
-def respondent_scores(
-    survey: SurveyColumns, cmap: ConstructMap, scale: int, *, checked: bool = False,
-):
+def respondent_scores(survey: SurveyColumns, cmap: ConstructMap, scale: int):
     """Per-respondent construct vectors (rescale each answer, then map), as
     an array with one row per respondent and one column per construct.
 
     Runs as numpy column passes: each construct column accumulates
     ``0.0 + w * z`` over the questions left to right, which is the
-    `left_sum` of a respondent's terms. `checked=True` skips
-    `check_responses`, as in `aggregate_survey`.
+    `left_sum` of a respondent's terms. `survey` must have passed
+    `check_survey` with the same `cmap` and `scale`.
     """
-    if not checked:
-        check_responses(survey, cmap, scale)
     # Imported here so that commands which never fit start without numpy.
     import numpy as np
 
@@ -307,44 +289,3 @@ def _raise_first_bad_line(text: str, k: int):
                 int(v)
         except ValueError:
             raise ValueError(f"survey CSV line {lineno}: answers must be integers") from None
-
-
-def survey_to_csv(survey: SurveyColumns) -> str:
-    if not survey.respondents:
-        raise ValueError("no responses to serialize")
-    k = len(survey.answers)
-    lines = ["respondent," + ",".join(f"q{i}" for i in range(1, k + 1))]
-    for respondent, *answers in zip(survey.respondents, *survey.answers):
-        lines.append(respondent + "," + ",".join(map(str, answers)))
-    return "\n".join(lines) + "\n"
-
-
-def synthesize_survey(
-    seed: int,
-    respondents: int,
-    question_probs: Sequence[Sequence[float]],
-    scale: int,
-) -> SurveyColumns:
-    """Seeded synthetic responses with declared per-question answer
-    distributions (each a probability vector over [1..L])."""
-    if respondents < 1:
-        raise ValueError("need at least one respondent")
-    for qi, probs in enumerate(question_probs):
-        if len(probs) != scale:
-            raise DimensionError(f"question {qi + 1} needs {scale} probabilities")
-        if any(p < 0 for p in probs) or abs(left_sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"question {qi + 1} probabilities must be a distribution")
-    rng = random.Random(seed)
-    answers = [[] for _ in question_probs]
-    for _ in range(respondents):
-        for col, probs in zip(answers, question_probs):
-            u = rng.random()
-            acc = 0.0
-            pick = scale
-            for level, p in enumerate(probs, start=1):
-                acc += p
-                if u < acc:
-                    pick = level
-                    break
-            col.append(pick)
-    return SurveyColumns(tuple(f"r{i:04d}" for i in range(respondents)), tuple(answers))

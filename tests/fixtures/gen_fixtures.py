@@ -2,16 +2,17 @@
 
 Run from the repository root:
 
-    python tests/fixtures/gen_fixtures.py
+    python tests/fixtures/gen_fixtures.py [OUT_DIR]
 
-Outputs are deterministic; committed files should only change when the
-fixture definitions below change.
+OUT_DIR defaults to this file's directory. Outputs are deterministic;
+committed files should only change when the fixture definitions below
+change.
 """
 
 import json
+import random
+import sys
 from pathlib import Path
-
-from wepolicy.survey import survey_to_csv, synthesize_survey
 
 HERE = Path(__file__).parent
 
@@ -31,20 +32,35 @@ QUESTION_PROBS = [
 ]
 
 
-def write_json(name: str, doc: dict):
-    (HERE / name).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+def write_json(out: Path, name: str, doc: dict):
+    (out / name).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def make_survey():
-    survey = synthesize_survey(
-        seed=20240809, respondents=60, question_probs=QUESTION_PROBS, scale=5
-    )
-    (HERE / "survey.csv").write_text(survey_to_csv(survey), encoding="utf-8")
+def draw_answer(u: float, probs: list[float]) -> int:
+    """The first answer level whose cumulative probability exceeds `u`; the
+    top level when rounding leaves the sum at or below `u`."""
+    acc = 0.0
+    for level, p in enumerate(probs, start=1):
+        acc += p
+        if u < acc:
+            return level
+    return len(probs)
 
 
-def make_fig2():
+def make_survey(out: Path):
+    """60 seeded respondents answering each question of QUESTION_PROBS on a
+    1..5 scale, drawn respondent by respondent."""
+    rng = random.Random(20240809)
+    lines = ["respondent," + ",".join(f"q{i}" for i in range(1, len(QUESTION_PROBS) + 1))]
+    for r in range(60):
+        answers = [draw_answer(rng.random(), probs) for probs in QUESTION_PROBS]
+        lines.append(f"r{r:04d}," + ",".join(map(str, answers)))
+    (out / "survey.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def make_fig2(out: Path):
     grid = {"start": -20.0, "stop": 20.0, "count": 201}
-    write_json("fig2.json", {
+    write_json(out, "fig2.json", {
         "value_functions": {
             "default": {"kind": "asymmetric", "gain_alpha": 1.0, "loss_beta": 1.0, "loss_lambda": 2.0}
         },
@@ -57,10 +73,10 @@ def make_fig2():
     })
 
 
-def make_consensus():
+def make_consensus(out: Path):
     side = [-2.0 + i * (4.0 / 9.0) for i in range(10)]
     probes = [[x, y] for x in side for y in side]
-    write_json("consensus.json", {
+    write_json(out, "consensus.json", {
         "value_functions": {
             "default": {"kind": "asymmetric", "gain_alpha": 1.0, "loss_beta": 1.0, "loss_lambda": 2.0}
         },
@@ -85,14 +101,14 @@ def make_consensus():
     })
 
 
-def make_pipeline():
+def make_pipeline(out: Path):
     row = lambda *vals: list(vals)
     construct_matrix = [
         row(THIRD, THIRD, THIRD, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
         row(0.0, 0.0, 0.0, THIRD, THIRD, THIRD, 0.0, 0.0, 0.0, 0.0),
         row(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, THIRD, THIRD, THIRD, 0.0),
     ]
-    write_json("pipeline.json", {
+    write_json(out, "pipeline.json", {
         "element_sets": {
             "X_w": {"variables": [
                 {"name": "social"}, {"name": "environmental"}, {"name": "economic"},
@@ -173,8 +189,7 @@ def make_pipeline():
 
 
 if __name__ == "__main__":
-    make_survey()
-    make_fig2()
-    make_consensus()
-    make_pipeline()
-    print("fixtures written to", HERE)
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else HERE
+    for make in (make_survey, make_fig2, make_consensus, make_pipeline):
+        make(out)
+    print("fixtures written to", out)

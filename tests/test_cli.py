@@ -239,6 +239,41 @@ class TestRejectedInputs:
         assert code == 1
         assert err == f"error: mapping_f.{key}: expected a non-empty string, got {value!r}\n"
 
+    @pytest.mark.parametrize("text, finding", [
+        ("[" * 200_000 + "]" * 200_000, "scenario: JSON nests arrays or objects too deeply"),
+        ('{"dynamics": {"agents": ' + "7" * 5000 + "}}",
+         "scenario: an integer literal has too many digits"),
+    ], ids=["deep", "digits"])
+    @pytest.mark.parametrize("command", ["validate", "impact"])
+    def test_json_beyond_the_parser_limits(self, capsys, tmp_path, command, text, finding):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["--scenario", str(scenario)] + (["--out", str(out)] if command != "validate" else [])
+        code, stdout, err = run_cli(capsys, command, *args)
+        assert code == 1
+        if command == "validate":
+            assert (json.loads(stdout)["errors"], err) == ([finding], "")
+        else:
+            assert (stdout, err) == ("", f"error: {finding}\n")
+        assert not out.exists()
+
+    def test_profiles_writing_one_file(self, capsys, tmp_path, fixtures_dir):
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        doc["weighting_profiles"][1]["name"] = "Type_A"
+        scenario = tmp_path / "pipeline.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        finding = ("weighting_profiles[1].name: profiles 'Type A' and 'Type_A' "
+                   "would both write ranked_Type_A")
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(scenario))
+        assert (code, json.loads(stdout)["errors"]) == (1, [finding])
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "select", "--scenario", str(scenario),
+                                    "--out", str(out))
+        assert (code, stdout, err) == (1, "", f"error: {finding}\n")
+        assert not out.exists()
+
     def test_mapping_set_name_must_be_declared(self, capsys, tmp_path, fixtures_dir):
         doc = json.loads((fixtures_dir / "consensus.json").read_text())
         doc["mapping_f"]["source"] = "X_nope"
@@ -739,16 +774,16 @@ class TestOutputContract:
         assert sorted(p.name for p in out.iterdir()) == ["curve.csv", "surface.csv"]
 
     def test_fit_checks_the_answers_once(self, fixtures_dir, tmp_path, capsys, monkeypatch):
-        from wepolicy import survey
+        from wepolicy import cli
 
         calls = []
-        real_check = survey.check_responses
+        real_check = cli.check_survey
 
         def counting_check(*args):
             calls.append(len(args[0]))
             return real_check(*args)
 
-        monkeypatch.setattr(survey, "check_responses", counting_check)
+        monkeypatch.setattr(cli, "check_survey", counting_check)
         code, _, _ = run_cli(capsys, "fit", "--scenario", str(fixtures_dir / "pipeline.json"),
                              "--out", str(tmp_path / "out"))
         assert code == 0

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wepolicy.coupling import (
-    Element,
-    ElementSet,
     FactCoupling,
     LinearMap,
     NetworkEdge,
@@ -24,17 +22,6 @@ from wepolicy.valuefn import AsymmetricSpec, ValueFunctionSpec
 from wepolicy.we_model import aggregate, weighted_pair
 
 finite = st.floats(min_value=-100.0, max_value=100.0)
-
-
-class TestElementSet:
-    def test_layout(self):
-        s = ElementSet("X_w", (Element("social"), Element("env", unit="index")))
-        assert s.dim == 2
-        assert s.names == ("social", "env")
-
-    def test_unique_names(self):
-        with pytest.raises(ValueError, match="unique"):
-            ElementSet("X_w", (Element("a"), Element("a")))
 
 
 class TestApplyMap:

@@ -266,6 +266,14 @@ class TestMalformedEntries:
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert finding in errors
 
+    def test_element_names_must_be_unique(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "consensus.json")
+        doc["element_sets"]["X_w"]["variables"].append({"name": "w1"})
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [
+            "element_sets.X_w: element names in 'X_w' must be unique: ['w1', 'w2', 'w1']"
+        ]
+
     def test_fact_binding_elements_must_be_an_array(self, tmp_path):
         doc = {"logic_model": dict(valid_logic_model(), fact_bindings={
             "bindings": {"a": "e"}, "elements": "e", "values": [1.0]})}
