@@ -8,9 +8,12 @@ of policy knobs and a ternary normalization turns the table into simplex
 shares for plotting.
 
 Incomes never change and all agents share one renewable and one connection
-level, so a run costs O(agents + steps). A sweep draws the seeded incomes
-once and every row sees the same incomes, so rows are independent of grid
-ordering and a sweep is bitwise reproducible.
+level. Each indicator reads only some knobs, so a sweep simulates economic
+once per distinct (tax, service) at O(agents), environmental once per
+distinct (subsidy, tax) at O(steps) and social once per distinct service
+at O(agents + steps). A sweep draws the seeded incomes once and every row
+sees the same incomes, so rows are independent of grid ordering and a
+sweep is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .numeric import left_sum
@@ -81,26 +85,42 @@ class SweepTable(NamedTuple):
 
 
 def _simulate(cfg: DynamicsConfig, policies: Sequence[PolicyKnobs]):
-    """Yield (economic, environmental, social) per policy from one income draw."""
+    """Yield (economic, environmental, social) per policy from one income
+    draw. Each indicator is cached on the knobs it reads; a key repeats the
+    same float operations on the same operands, so a cached value is exact."""
     n = cfg.agents
     rng = random.Random(cfg.seed)
     incomes = [1.0 + cfg.income_spread * rng.uniform(-1.0, 1.0) for _ in range(n)]
     total = left_sum(incomes)
-    for knobs in policies:
-        t, s, v = knobs.tax, knobs.subsidy, knobs.service
-        pool = t * total
-        rho = connection = 0.0
-        for _ in range(cfg.steps):
-            rho = min(1.0, rho + cfg.renewable_rate * s * pool / n)
-            connection = max(0.0, connection + cfg.connection_rate * v - cfg.connection_decay)
-        disposable = [y * (1.0 - t) + v * pool / n for y in incomes]
+    steps = range(cfg.steps)
+
+    @cache
+    def economic(t, v):
+        keep, share = 1.0 - t, v * (t * total) / n
+        return left_sum([y * keep + share for y in incomes]) / n
+
+    @cache
+    def environmental(s, t):
+        uptake = cfg.renewable_rate * s * (t * total) / n
+        rho = 0.0
+        for _ in steps:
+            rho = min(1.0, rho + uptake)
+        return 1.0 - (1.0 - rho)
+
+    @cache
+    def social(v):
+        growth, decay = cfg.connection_rate * v, cfg.connection_decay
+        connection = 0.0
+        for _ in steps:
+            connection = max(0.0, connection + growth - decay)
         # per-agent operands kept: left_sum([c] * n) / n may differ from c in
         # the last bit, except for c = 1.0, whose partial sums are exact
-        economic = left_sum(disposable) / n
-        environmental = 1.0 - (1.0 - rho)
-        social = left_sum([connection] * n) / n
-        indicators = (economic, environmental, social)
-        if not (math.isfinite(economic) and math.isfinite(environmental) and math.isfinite(social)):
+        return left_sum([connection] * n) / n
+
+    for knobs in policies:
+        s, t, v = knobs
+        indicators = (economic(t, v), environmental(s, t), social(v))
+        if not all(map(math.isfinite, indicators)):
             raise FloatingPointError(f"non-finite indicators {indicators} for {knobs!r}")
         yield indicators
 
@@ -125,7 +145,7 @@ def run_sweep(
     Combinations violating the budget share constraint are skipped and
     reported, never silently dropped. Policy ids are dense from 0 in grid
     order. The seeded incomes are drawn once and every row sees them, so
-    each row equals run_policy(cfg, row.knobs) at O(agents + steps).
+    each row equals run_policy(cfg, row.knobs).
     """
     if not subsidies or not taxes or not services:
         raise ValueError("sweep grid must be non-empty on all three knobs")

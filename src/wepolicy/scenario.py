@@ -37,7 +37,9 @@ if TYPE_CHECKING:
 
 # The most points a `surface` (x_n by x_w cells) or a `curve` may sample, or
 # (subsidy, tax, service) combinations a `sweep` may list; and the most work
-# a sweep may ask for: admissible rows x (agents + steps).
+# a sweep may ask for: admissible rows x (agents + steps). The simulator runs
+# each indicator once per distinct knob key it reads, so that product is an
+# upper bound on the work done.
 MAX_GRID_POINTS = 1_000_000
 MAX_SWEEP_WORK = 10_000_000
 
@@ -87,9 +89,15 @@ class Scenario:
         return next((l for l in self.model.layers if l.scope.label == label), None)
 
 
+def _quote(value) -> str:
+    """`value`'s repr for a finding, cut after 80 characters with the cut marked."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
 def _float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
+        raise ValueError(f"{where}: expected a number, got {_quote(value)}")
     try:
         v = float(value)
     except OverflowError:  # an int beyond the float range
@@ -106,13 +114,13 @@ def _floats(spec: dict, where: str, keys: tuple[str, ...]) -> dict[str, float]:
 
 def _int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
+        raise ValueError(f"{where}: expected an integer, got {_quote(value)}")
     return value
 
 
 def _str(value, where: str) -> str:
     if not isinstance(value, str) or not value:
-        raise ValueError(f"{where}: expected a non-empty string, got {value!r}")
+        raise ValueError(f"{where}: expected a non-empty string, got {_quote(value)}")
     return value
 
 
@@ -263,7 +271,7 @@ def _parse_value_function(spec, where: str) -> ValueCurve:
     if kind == "asymmetric":
         return _check(where, AsymmetricSpec, **_floats(spec, where, AsymmetricSpec._fields))
     if kind not in ("family", "mirrored"):
-        raise ValueError(f"{where}.kind: unknown kind {kind!r}")
+        raise ValueError(f"{where}.kind: unknown kind {_quote(kind)}")
     base = _check(
         where,
         ValueFunctionSpec,
@@ -416,7 +424,7 @@ class _Builder:
                     scale=_float(nl.get("scale"), f"{where}.nonlinearity.scale"),
                 )
             elif kind != "none":
-                raise ValueError(f"{where}.nonlinearity.kind: unknown kind {kind!r}")
+                raise ValueError(f"{where}.nonlinearity.kind: unknown kind {_quote(kind)}")
         m = _matrix(raw.get("matrix"), f"{where}.matrix")
         offset = raw.get("offset", [0.0] * len(m))
         f = self.sc.mapping_f = _check(

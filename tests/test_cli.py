@@ -239,6 +239,17 @@ class TestRejectedInputs:
         assert code == 1
         assert err == f"error: mapping_f.{key}: expected a non-empty string, got {value!r}\n"
 
+    def test_long_bad_value_is_quoted_in_part(self, capsys, tmp_path, fixtures_dir):
+        # the value's repr is 900,000 characters; the finding quotes its first 80
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        doc["dynamics"]["agents"] = [0] * 300_000
+        finding = ("dynamics.agents: expected an integer, got "
+                   + "[" + "0, " * 26 + "0... (900000 characters)")
+        code, err = self._run(capsys, tmp_path, "sweep", doc)
+        assert (code, err) == (1, f"error: {finding}\n")
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(tmp_path / "scenario.json"))
+        assert (code, json.loads(stdout)["errors"]) == (1, [finding])
+
     @pytest.mark.parametrize("text, finding", [
         ("[" * 200_000 + "]" * 200_000, "scenario: JSON nests arrays or objects too deeply"),
         ('{"dynamics": {"agents": ' + "7" * 5000 + "}}",

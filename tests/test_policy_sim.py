@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wepolicy import policy_sim
+from wepolicy.numeric import left_sum
 from wepolicy.policy_sim import (
     DynamicsConfig,
     PolicyKnobs,
@@ -224,6 +225,64 @@ class TestRunSweep:
     def test_out_of_range_grid_value_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(self._cfg(), [0.1], [0.6], [0.1])
+
+
+class TestIndicatorMemo:
+    """Each indicator is simulated once per distinct key it reads:
+    economic per (tax, service), environmental per (subsidy, tax) and
+    social per service."""
+
+    def test_left_sum_calls_per_distinct_key(self, monkeypatch):
+        calls = []
+
+        def counting_left_sum(xs):
+            calls.append(None)
+            return left_sum(xs)
+
+        monkeypatch.setattr(policy_sim, "left_sum", counting_left_sum)
+        cfg = DynamicsConfig(agents=6, steps=5, seed=4, income_spread=0.4)
+        # service 0.8 is admissible with neither subsidy, so it is never simulated
+        table = run_sweep(cfg, [0.3, 0.6], [0.1, 0.2, 0.1], [0.0, 0.4, 0.4, 0.8])
+        assert (len(table.rows), len(table.skipped)) == (18, 6)
+        knobs = [row.knobs for row in table.rows]
+        distinct = len({(k.tax, k.service) for k in knobs}) + len({k.service for k in knobs})
+        # one sum of the incomes, one per economic key and one per social key
+        assert len(calls) == 1 + distinct == 7
+
+    def test_repeated_values_and_signed_zeros(self):
+        # 0.0 and -0.0 are one key; both give the same indicators
+        cfg = DynamicsConfig(agents=7, steps=6, seed=8, income_spread=0.7,
+                             renewable_rate=0.9, connection_rate=0.3)
+        grid = [0.0, -0.0, 5e-324, 0.25, 0.0, 0.25]
+        table = run_sweep(cfg, grid, [0.5, -0.0, 5e-324, 0.5, 0.0], grid)
+        assert len(table.rows) == 180
+        incomes = seeded_incomes(cfg)
+        for row in table.rows:
+            assert repr(row.indicators) == repr(run_policy(cfg, row.knobs))
+            assert row.indicators == hand_step_reference(cfg, row.knobs, incomes)
+
+    @pytest.mark.parametrize("rates, subsidies, services, message", [
+        # the first row fills the memo; the second reuses its environmental
+        # entry and is the first with a non-finite social indicator
+        ({"connection_rate": 1e308}, [0.0, 0.25], [0.0, 0.5],
+         "non-finite indicators (1.0753776274460642, 0.0, inf) for "
+         "PolicyKnobs(subsidy=0.0, tax=0.1, service=0.5)"),
+        ({"connection_rate": 1e308}, [0.0, 0.25], [0.5, 0.0],
+         "non-finite indicators (1.0753776274460642, 0.0, inf) for "
+         "PolicyKnobs(subsidy=0.0, tax=0.1, service=0.5)"),
+        ({"connection_rate": 1e308}, [0.25, 0.0], [0.0, 0.5],
+         "non-finite indicators (1.0753776274460642, 0.011319764499432283, inf) for "
+         "PolicyKnobs(subsidy=0.25, tax=0.1, service=0.5)"),
+        # the incomes sum to inf, so no row is finite
+        ({"income_spread": 1e308, "agents": 20, "steps": 2}, [0.0, 0.25], [0.0, 0.5],
+         "non-finite indicators (nan, 1.0, 0.0) for "
+         "PolicyKnobs(subsidy=0.0, tax=0.1, service=0.0)"),
+    ], ids=["memo-filled", "first-row", "second-subsidy", "income-overflow"])
+    def test_first_non_finite_row_in_grid_order(self, rates, subsidies, services, message):
+        cfg = DynamicsConfig(**{"agents": 3, "steps": 4, "seed": 5, "income_spread": 0.3, **rates})
+        with pytest.raises(FloatingPointError) as err:
+            run_sweep(cfg, subsidies, [0.1, 0.2], services)
+        assert str(err.value) == message
 
 
 class TestNormalizeTernary:
