@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import importlib
 import os
 import shutil
@@ -32,7 +31,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from . import logicmodel
 from .coupling import check_consensus, propagate_network
 from .errors import RankDeficiencyError, ScenarioError
 from .scenario import Scenario, load_scenario, profile_slug, validate_scenario
@@ -222,6 +220,8 @@ def _cmd_select(sc: Scenario, fmt: str, seed):
 
 
 def _cmd_impact(sc: Scenario, fmt: str, seed):
+    from . import logicmodel
+
     model = _require(sc, "logic_model", "logic_model")
     values, impacts = logicmodel.propagate(model, sc.logic_inputs)
     report = {"node_values": values, "impacts": impacts}
@@ -283,6 +283,8 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
     RunReport JSON goes to stdout. Its seed is the one the dynamics ran
     with, so it is null for every command but sweep and select.
     """
+    import hashlib  # only here: validate takes no digest
+
     started = time.perf_counter()
     try:
         sc, raw = load_scenario(scenario_path)

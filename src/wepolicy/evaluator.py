@@ -9,12 +9,14 @@ emphases and generally select different policies.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 # `apply_fact_coupling` stays importable from here: perfbench/tracer.py wraps it.
 from .coupling import FactCoupling, apply_fact_coupling, couple_rows
-from .policy_sim import SweepTable
-from .survey import RegressionModel, predict
+
+if TYPE_CHECKING:  # annotations only; a scenario's profiles load neither module
+    from .policy_sim import SweepTable
+    from .survey import RegressionModel
 
 
 class WeightingProfile(NamedTuple):
@@ -58,8 +60,11 @@ def evaluate_policies(
     """
     if not sweep.rows:
         raise ValueError("sweep table is empty")
-    # Imported here so that commands which never score start without numpy.
+    # Imported here so that commands which never score start without numpy,
+    # and a scenario's profiles are built without the survey module.
     import numpy as np
+
+    from .survey import predict
 
     rows = sweep.rows
     prime, ratio = couple_rows(profile.coupling, baseline_x_w, [r.indicators for r in rows])

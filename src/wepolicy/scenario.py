@@ -17,21 +17,23 @@ import json
 import math
 import re
 from bisect import bisect_right
+from collections import namedtuple
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import logicmodel
 from .coupling import FactCoupling, LinearMap, ParameterNetwork, Saturator
-from .errors import ScenarioError
+from .errors import DimensionError, ScenarioError
 from .graphs import Edge
+from .numeric import left_sum
 
-# The section parsers and checks import the modules of the other pipelines
-# (evaluator, policy_sim, survey, valuefn, we_model) where they use them, so
-# a scenario loads only the modules its sections need.
+# A section parser imports the modules it builds from (evaluator, logicmodel,
+# policy_sim, valuefn, we_model) where it uses them, so loading a scenario
+# loads only the modules its sections need. Building one never loads survey:
+# only the commands that read the survey file (fit, select, validate) do.
 if TYPE_CHECKING:
     from .evaluator import WeightingProfile
+    from .logicmodel import FactBinding, LogicModel, Node
     from .policy_sim import DynamicsConfig
-    from .survey import ConstructMap
     from .valuefn import ValueCurve
     from .we_model import WellbeingModel, WELayer
 
@@ -42,6 +44,41 @@ if TYPE_CHECKING:
 # upper bound on the work done.
 MAX_GRID_POINTS = 1_000_000
 MAX_SWEEP_WORK = 10_000_000
+
+ROW_SUM_TOL = 1e-12
+
+
+class ConstructMap(namedtuple("ConstructMap", "constructs matrix")):
+    """Row-stochastic matrix folding question scores into constructs.
+
+    Rows = constructs (subjective vector layout), cols = questions.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, constructs: tuple[str, ...], matrix: tuple[tuple[float, ...], ...]):
+        if len(constructs) != len(matrix):
+            raise DimensionError(
+                f"{len(constructs)} construct names for {len(matrix)} matrix rows"
+            )
+        if len(set(constructs)) != len(constructs):
+            raise ValueError("construct names must be unique")
+        if not matrix:
+            raise ValueError("construct map needs at least one row")
+        width = len(matrix[0])
+        for name, row in zip(constructs, matrix):
+            if len(row) != width:
+                raise ValueError("construct matrix rows must all have the same length")
+            if any(w < 0 for w in row):
+                raise ValueError(f"construct {_quote(name)} has negative weights")
+            total = left_sum(row)
+            if abs(total - 1.0) > ROW_SUM_TOL:
+                raise ValueError(f"construct {_quote(name)} weights sum to {total!r}, not 1")
+        return super().__new__(cls, constructs, matrix)
+
+    @property
+    def question_count(self) -> int:
+        return len(self.matrix[0])
 
 
 class SurveyConfig(NamedTuple):
@@ -74,9 +111,9 @@ class Scenario:
         self.dynamics: DynamicsConfig | None = None
         self.sweep_grid: dict[str, list[float]] | None = None
         self.profiles: list[WeightingProfile] = []
-        self.logic_model: logicmodel.LogicModel | None = None
+        self.logic_model: LogicModel | None = None
         self.logic_inputs: dict[str, float] = {}
-        self.fact_binding: logicmodel.FactBinding | None = None
+        self.fact_binding: FactBinding | None = None
         self.surface_grids: tuple[list[float], list[float]] | None = None
         self.curve: tuple[str, list[float]] | None = None
         self.consensus: ConsensusConfig | None = None
@@ -89,10 +126,15 @@ class Scenario:
         return next((l for l in self.model.layers if l.scope.label == label), None)
 
 
-def _quote(value) -> str:
-    """`value`'s repr for a finding, cut after 80 characters with the cut marked."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """`text` cut after 80 characters with the cut marked, so that a finding
+    naming an input key or value stays short however long the input is."""
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
+def _quote(value) -> str:
+    """`value`'s repr for a finding, cut as `_cut` cuts it."""
+    return _cut(repr(value))
 
 
 def _float(value, where: str) -> float:
@@ -194,7 +236,9 @@ def _edges(value, where: str) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-def _node(n, at: str) -> logicmodel.Node:
+def _node(n, at: str) -> Node:
+    from . import logicmodel
+
     n = _object(n, at)
     return _check(
         at,
@@ -205,7 +249,9 @@ def _node(n, at: str) -> logicmodel.Node:
     )
 
 
-def _nodes(value, where: str) -> tuple[logicmodel.Node, ...]:
+def _nodes(value, where: str) -> tuple[Node, ...]:
+    from . import logicmodel
+
     nodes = []
     for i, n in enumerate(_array(value, where)):
         if type(n) is dict:
@@ -293,7 +339,9 @@ def _parse_element_set(name: str, spec, where: str) -> tuple[str, ...]:
     ]
     names = [_str(v.get("name"), f"{where}.variables[{i}].name") for i, v in enumerate(variables)]
     if len(set(names)) != len(names):
-        raise ValueError(f"{where}: element names in {name!r} must be unique: {names}")
+        raise ValueError(
+            f"{where}: element names in {_quote(name)} must be unique: {_quote(names)}"
+        )
     return tuple(names)
 
 
@@ -324,10 +372,11 @@ def _parse_profile(spec, where: str, slugs: dict[str, str]) -> WeightingProfile:
     slug = profile_slug(name)
     other = slugs.get(slug)
     if other == name:
-        raise ValueError(f"{where}.name: duplicate profile name {name!r}")
+        raise ValueError(f"{where}.name: duplicate profile name {_quote(name)}")
     if other is not None:
         raise ValueError(
-            f"{where}.name: profiles {other!r} and {name!r} would both write ranked_{slug}"
+            f"{where}.name: profiles {_quote(other)} and {_quote(name)} would both write "
+            f"ranked_{_cut(slug)}"
         )
     slugs[slug] = name
     return WeightingProfile(name=name, coupling=_parse_coupling(spec, where))
@@ -364,14 +413,14 @@ class _Builder:
         """The layer with scope `label`, or None and a finding at `where`."""
         layer = self.sc.layer_by_label(label)
         if layer is None:
-            self.error(f"{where}: unknown scope label {label!r}")
+            self.error(f"{where}: unknown scope label {_quote(label)}")
         return layer
 
     def _value_functions(self, raw):
         if not isinstance(raw, dict):
             raise ValueError("value_functions: expected an object of named functions")
         for name, spec in raw.items():
-            fn = self.attempt(_parse_value_function, spec, f"value_functions.{name}")
+            fn = self.attempt(_parse_value_function, spec, f"value_functions.{_cut(name)}")
             if fn is not None:
                 self.sc.value_functions[name] = fn
 
@@ -379,7 +428,7 @@ class _Builder:
         if not isinstance(raw, dict):
             raise ValueError("element_sets: expected an object of named sets")
         for name, spec in raw.items():
-            es = self.attempt(_parse_element_set, name, spec, f"element_sets.{name}")
+            es = self.attempt(_parse_element_set, name, spec, f"element_sets.{_cut(name)}")
             if es is not None:
                 self.sc.element_sets[name] = es
 
@@ -389,7 +438,7 @@ class _Builder:
         spec = _object(spec, where)
         fn_name = _str(spec.get("value_function"), f"{where}.value_function")
         if fn_name not in self.sc.value_functions:
-            raise ValueError(f"{where}.value_function: unknown function {fn_name!r}")
+            raise ValueError(f"{where}.value_function: unknown function {_quote(fn_name)}")
         weights = spec.get("element_weights")
         return _check(
             f"{where}.weight",
@@ -443,9 +492,11 @@ class _Builder:
             es = self.sc.element_sets.get(_str(name, f"{where}.{key}"))
             if es is None:
                 if "element_sets" not in self.failed:
-                    raise ValueError(f"{where}.{key}: unknown element set {name!r}")
+                    raise ValueError(f"{where}.{key}: unknown element set {_quote(name)}")
             elif len(es) != dim:
-                raise ValueError(f"{where}.matrix: {dim} {side} for {len(es)}-element set {name!r}")
+                raise ValueError(
+                    f"{where}.matrix: {dim} {side} for {len(es)}-element set {_quote(name)}"
+                )
 
     def _coupling_dims(self, c: FactCoupling, where: str):
         """Check a coupling's rows against the subjective constructs (the
@@ -479,14 +530,12 @@ class _Builder:
         fact_set = set(facts)
         for k, v in deltas.items():
             if k not in fact_set:
-                raise ValueError(f"{where}.deltas: {k!r} is not a fact node")
+                raise ValueError(f"{where}.deltas: {_quote(k)} is not a fact node")
             self.sc.network_deltas[k] = (
-                v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.deltas.{k}")
+                v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.deltas.{_cut(k)}")
             )
 
     def _survey(self, raw):
-        from .survey import ConstructMap
-
         where = "survey"
         _object(raw, where)
         constructs = raw.get("constructs")
@@ -516,7 +565,8 @@ class _Builder:
         xw = self.sc.element_sets.get("X_w")
         if xw is not None and xw != cmap.constructs:
             raise ValueError(
-                f"{where}.constructs: must match element_sets.X_w variable names ({list(xw)})"
+                f"{where}.constructs: must match element_sets.X_w variable names "
+                f"({_quote(list(xw))})"
             )
 
     def _dynamics(self, raw):
@@ -580,9 +630,11 @@ class _Builder:
             profile = self.attempt(_parse_profile, spec, f"weighting_profiles[{i}]", slugs)
             if profile is not None:
                 self.sc.profiles.append(profile)
-                self._coupling_dims(profile.coupling, f"weighting_profiles[{profile.name!r}]")
+                self._coupling_dims(profile.coupling, f"weighting_profiles[{_quote(profile.name)}]")
 
     def _logic_model(self, raw):
+        from . import logicmodel
+
         where = "logic_model"
         _object(raw, where)
         nodes = _nodes(raw.get("nodes", []), f"{where}.nodes")
@@ -596,7 +648,7 @@ class _Builder:
         inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
         for k, v in inputs.items():
             self.sc.logic_inputs[k] = (
-                v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.inputs.{k}")
+                v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.inputs.{_cut(k)}")
             )
         _check(f"{where}.inputs", logicmodel.check_inputs, model, self.sc.logic_inputs)
 
@@ -610,7 +662,7 @@ class _Builder:
             for k, v in fb["bindings"].items():
                 if not (type(k) is str and k and type(v) is str and v):
                     _str(k, f"{where}.fact_bindings.bindings")
-                    _str(v, f"{where}.fact_bindings.bindings.{k}")
+                    _str(v, f"{where}.fact_bindings.bindings.{_cut(k)}")
                 bindings[k] = v
             binding = _check(
                 f"{where}.fact_bindings", logicmodel.FactBinding, bindings, elements, values
@@ -660,7 +712,7 @@ class _Builder:
         if isinstance(fn, ValueFunctionSpec) and min(xs) < 0:
             self.error(
                 f"{where}: grid reaches {min(xs)!r}, below the {fn.family} family's "
-                f"domain x >= 0 for layer {layer.scope.label!r}"
+                f"domain x >= 0 for layer {_quote(layer.scope.label)}"
             )
         base = fn.base if isinstance(fn, MirroredFamily) else fn
         if isinstance(base, ValueFunctionSpec) and base.family == "quadratic":
@@ -668,7 +720,7 @@ class _Builder:
             if any(abs(x) > lim for x in xs):
                 self.sc.warnings.append(
                     f"{where}: grid reaches beyond the quadratic peak at {lim!r} for "
-                    f"layer {layer.scope.label!r}; values are non-monotone past it"
+                    f"layer {_quote(layer.scope.label)}; values are non-monotone past it"
                 )
 
     def _consensus(self, raw):
@@ -701,7 +753,7 @@ class _Builder:
                     continue
                 weights = layer.element_weights
                 if weights is None:
-                    self.error(f"{where}.{key}: layer {label!r} declares no element_weights")
+                    self.error(f"{where}.{key}: layer {_quote(label)} declares no element_weights")
                 elif f is not None:
                     dim = f.target_dim if side == "target" else f.source_dim
                     if len(weights) != dim:

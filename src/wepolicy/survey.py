@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionError, RankDeficiencyError
 from .numeric import left_sum
 
-ROW_SUM_TOL = 1e-12
+if TYPE_CHECKING:  # an annotation only; the scenario builds construct maps
+    from .scenario import ConstructMap
 
 
 class SurveyColumns(NamedTuple):
@@ -28,39 +28,6 @@ class SurveyColumns(NamedTuple):
 
     respondents: Sequence[str]
     answers: Sequence[Sequence[int]]
-
-
-class ConstructMap(namedtuple("ConstructMap", "constructs matrix")):
-    """Row-stochastic matrix folding question scores into constructs.
-
-    Rows = constructs (subjective vector layout), cols = questions.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, constructs: tuple[str, ...], matrix: tuple[tuple[float, ...], ...]):
-        if len(constructs) != len(matrix):
-            raise DimensionError(
-                f"{len(constructs)} construct names for {len(matrix)} matrix rows"
-            )
-        if len(set(constructs)) != len(constructs):
-            raise ValueError("construct names must be unique")
-        if not matrix:
-            raise ValueError("construct map needs at least one row")
-        width = len(matrix[0])
-        for name, row in zip(constructs, matrix):
-            if len(row) != width:
-                raise ValueError("construct matrix rows must all have the same length")
-            if any(w < 0 for w in row):
-                raise ValueError(f"construct {name!r} has negative weights")
-            total = left_sum(row)
-            if abs(total - 1.0) > ROW_SUM_TOL:
-                raise ValueError(f"construct {name!r} weights sum to {total!r}, not 1")
-        return super().__new__(cls, constructs, matrix)
-
-    @property
-    def question_count(self) -> int:
-        return len(self.matrix[0])
 
 
 def rescale_answer(value: float, scale: int) -> float:

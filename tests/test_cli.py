@@ -250,6 +250,20 @@ class TestRejectedInputs:
         code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(tmp_path / "scenario.json"))
         assert (code, json.loads(stdout)["errors"]) == (1, [finding])
 
+    def test_long_input_name_is_quoted_in_part(self, capsys, tmp_path, fixtures_dir):
+        # the key's repr is 100,002 characters; the finding quotes its first 80
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        doc["parameter_network"]["deltas"] = {"x" * 100_000: 1.0}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(scenario))
+        assert code == 1
+        assert len(stdout.encode("utf-8")) < 1024
+        assert json.loads(stdout)["errors"] == [
+            "parameter_network.deltas: '" + "x" * 79
+            + "... (100002 characters) is not a fact node"
+        ]
+
     @pytest.mark.parametrize("text, finding", [
         ("[" * 200_000 + "]" * 200_000, "scenario: JSON nests arrays or objects too deeply"),
         ('{"dynamics": {"agents": ' + "7" * 5000 + "}}",
@@ -707,18 +721,27 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 # What a scenario holding only a logic model and a parameter network does
-# not need, and what `surface` on fig2.json does not need.
+# not need; what the commands that never read the survey file do not need
+# on pipeline.json; and what `surface` on fig2.json and `consensus-check`
+# on consensus.json do not need.
 GRAPHS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
                  "wepolicy.we_model", "dataclasses", "numpy")
-SURFACE_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim", "numpy")
+PIPELINE_UNUSED = ("wepolicy.survey", "dataclasses", "numpy")
+LAYERS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
+                 "wepolicy.logicmodel", "numpy")
 
 
 @pytest.mark.parametrize("command, fixture, unused", [
     ("validate", None, GRAPHS_UNUSED),
     ("impact", None, GRAPHS_UNUSED),
     ("network", None, GRAPHS_UNUSED),
-    ("surface", "fig2.json", SURFACE_UNUSED),
-], ids=["validate", "impact", "network", "surface"])
+    ("surface", "fig2.json", LAYERS_UNUSED),
+    ("consensus-check", "consensus.json", LAYERS_UNUSED),
+    ("sweep", "pipeline.json", PIPELINE_UNUSED),
+    ("impact", "pipeline.json", PIPELINE_UNUSED),
+    ("network", "pipeline.json", PIPELINE_UNUSED),
+], ids=["validate", "impact", "network", "surface", "consensus-check",
+        "sweep-pipeline", "impact-pipeline", "network-pipeline"])
 def test_a_command_loads_only_what_it_uses(fixtures_dir, tmp_path, command, fixture, unused):
     """A fresh interpreter running one command imports none of the modules
     of the pipelines that the command and its scenario do not use."""

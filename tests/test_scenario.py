@@ -303,6 +303,117 @@ class TestMalformedEntries:
             _float(-(10**400), "w")
 
 
+LONG = "n" * 5000
+
+
+def cut(text):
+    return f"{text[:80]}... ({len(text)} characters)"
+
+
+def long_name_docs():
+    """(fixture, mutation, finding) for each finding that names an input
+    key or name, with a 5,000-character name in it."""
+
+    def at(path, value):
+        def mutate(doc):
+            *parents, last = path
+            for key in parents:
+                doc = doc[key]
+            doc[last] = value
+        return mutate
+
+    def profiles(*names):
+        def mutate(doc):
+            for profile, name in zip(doc["weighting_profiles"], names):
+                profile["name"] = name
+        return mutate
+
+    def short_rows(doc):
+        doc["weighting_profiles"][0]["name"] = LONG
+        doc["weighting_profiles"][0]["matrix"].pop()
+
+    def unweighted_layer(doc):
+        doc["layers"][0]["scope"] = doc["consensus"]["narrow_layer"] = LONG
+        del doc["layers"][0]["element_weights"]
+
+    def wrong_size_set(doc):
+        doc["element_sets"][LONG] = {"variables": [{"name": n} for n in "abc"]}
+        doc["mapping_f"]["source"] = LONG
+
+    def raw_family(doc):
+        doc["value_functions"]["default"] = {"kind": "family", "family": "linear"}
+        doc["layers"][0]["scope"] = doc["curve"]["layer"] = LONG
+
+    def fact_node(doc):
+        doc["parameter_network"]["facts"][0] = LONG
+        doc["parameter_network"]["deltas"] = {LONG: "x"}
+
+    return [
+        ("fig2.json", at(("curve", "layer"), LONG),
+         f"curve.layer: unknown scope label {cut(repr(LONG))}"),
+        ("fig2.json", at(("layers", 0, "value_function"), LONG),
+         f"layers[0].value_function: unknown function {cut(repr(LONG))}"),
+        ("fig2.json", at(("value_functions", LONG), {"kind": "k"}),
+         f"value_functions.{cut(LONG)}.kind: unknown kind 'k'"),
+        ("consensus.json", at(("mapping_f", "source"), LONG),
+         f"mapping_f.source: unknown element set {cut(repr(LONG))}"),
+        ("consensus.json", at(("element_sets", LONG), {"variables": 1}),
+         f"element_sets.{cut(LONG)}.variables: expected an array"),
+        ("consensus.json", at(("element_sets", "X_w", "variables"), [{"name": LONG}] * 2),
+         f"element_sets.X_w: element names in 'X_w' must be unique: {cut(repr([LONG] * 2))}"),
+        ("consensus.json", unweighted_layer,
+         f"consensus.narrow_layer: layer {cut(repr(LONG))} declares no element_weights"),
+        ("consensus.json", wrong_size_set,
+         f"mapping_f.matrix: 2 columns for 3-element set {cut(repr(LONG))}"),
+        ("fig2.json", raw_family,
+         "curve.grid: grid reaches -20.0, below the linear family's domain x >= 0 "
+         f"for layer {cut(repr(LONG))}"),
+        ("pipeline.json", at(("parameter_network", "deltas"), {LONG: 1.0}),
+         f"parameter_network.deltas: {cut(repr(LONG))} is not a fact node"),
+        ("pipeline.json", fact_node,
+         f"parameter_network.deltas.{cut(LONG)}: expected a number, got 'x'"),
+        ("pipeline.json", at(("element_sets", "X_w", "variables"),
+                             [{"name": LONG + c} for c in "abc"]),
+         "survey.constructs: must match element_sets.X_w variable names "
+         f"({cut(repr([LONG + c for c in 'abc']))})"),
+        ("pipeline.json", profiles(LONG, LONG),
+         f"weighting_profiles[1].name: duplicate profile name {cut(repr(LONG))}"),
+        ("pipeline.json", profiles(LONG + "!", LONG + "?"),
+         f"weighting_profiles[1].name: profiles {cut(repr(LONG + '!'))} and "
+         f"{cut(repr(LONG + '?'))} would both write ranked_{cut(LONG + '_')}"),
+        ("pipeline.json", short_rows,
+         f"weighting_profiles[{cut(repr(LONG))}].matrix: 2 rows for 3 subjective constructs"),
+        ("pipeline.json", at(("logic_model", "inputs", LONG), "x"),
+         f"logic_model.inputs.{cut(LONG)}: expected a number, got 'x'"),
+        ("pipeline.json", at(("logic_model", "fact_bindings", "bindings", LONG), 5),
+         f"logic_model.fact_bindings.bindings.{cut(LONG)}: expected a non-empty string, got 5"),
+    ]
+
+
+class TestLongNamesAreCut:
+    """A finding quotes at most 80 characters of a name taken from the input."""
+
+    @pytest.mark.parametrize("fixture, mutate, finding", long_name_docs())
+    def test_finding_quotes_the_name_in_part(self, fixtures_dir, fixture, mutate, finding):
+        doc = fixture_doc(fixtures_dir, fixture)
+        mutate(doc)
+        _, errors, _ = parse_scenario(doc, fixtures_dir)
+        assert finding in errors
+        assert all(len(e) < 400 for e in errors)
+
+    def test_construct_names_are_cut(self):
+        with pytest.raises(ValueError) as err:
+            scenario.ConstructMap((LONG,), ((0.5,),))
+        assert str(err.value) == f"construct {cut(repr(LONG))} weights sum to 0.5, not 1"
+
+    def test_short_names_keep_their_text(self, fixtures_dir):
+        name = "n" * 78  # a repr of exactly 80 characters
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["parameter_network"]["deltas"] = {name: 1.0}
+        _, errors, _ = parse_scenario(doc, fixtures_dir)
+        assert errors == [f"parameter_network.deltas: {name!r} is not a fact node"]
+
+
 def fixture_doc(fixtures_dir, name):
     return json.loads((fixtures_dir / name).read_text(encoding="utf-8"))
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wepolicy.errors import DimensionError, RankDeficiencyError
+from wepolicy.scenario import ConstructMap
 from wepolicy.survey import (
-    ConstructMap,
     SurveyColumns,
     aggregate_survey,
     check_survey,
