@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 from .coupling import check_consensus, propagate_network
-from .errors import RankDeficiencyError, ScenarioError
+from .errors import RankDeficiencyError, ScenarioError, _quote
 from .scenario import Scenario, load_scenario, profile_slug, validate_scenario
 from .serialize import csv_table, dump_json, fmt_float, json_rows
 
@@ -106,9 +106,7 @@ def _cmd_surface(sc: Scenario, fmt: str, seed):
     name, text = _table(fmt, "surface", ("x_n", "x_w", "W"), rows)
     outputs = {name: text}
     if sc.curve is not None:
-        layer = sc.layer_by_label(sc.curve[0])
-        curve_rows = consensus_curve(layer, sc.curve[1])
-        name, text = _table(fmt, "curve", ("x", "W"), curve_rows)
+        name, text = _table(fmt, "curve", ("x", "W"), consensus_curve(*sc.curve))
         outputs[name] = text
     return outputs, [], None
 
@@ -208,7 +206,7 @@ def _cmd_select(sc: Scenario, fmt: str, seed):
         selection[profile.name] = select_best(ranked)
         if ranked.perturbation_warnings:
             warnings.append(
-                f"profile {profile.name!r}: perturbation ratio above threshold on "
+                f"profile {_quote(profile.name)}: perturbation ratio above threshold on "
                 f"{ranked.perturbation_warnings} of {len(ranked.policy_ids)} rows"
             )
         ranks = range(1, len(ranked.policy_ids) + 1)

@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from .errors import DimensionError, UnknownNodeError
+from .errors import DimensionError, UnknownNodeError, _cut, _quote
 from .graphs import Edge as NetworkEdge, propagate_linear, topological_order
 
 if TYPE_CHECKING:  # an annotation only; valuefn is not loaded at run time
@@ -168,7 +168,7 @@ class FactCoupling(namedtuple("FactCoupling", "mode matrix warn_threshold")):
     def __new__(cls, mode: str, matrix: tuple[tuple[float, ...], ...],
                 warn_threshold: float = DEFAULT_WARN_THRESHOLD):
         if mode not in (ADDITIVE, MULTIPLICATIVE):
-            raise ValueError(f"mode must be additive or multiplicative, got {mode!r}")
+            raise ValueError(f"mode must be additive or multiplicative, got {_quote(mode)}")
         if not matrix:
             raise ValueError("coupling matrix must have at least one row")
         width = len(matrix[0])
@@ -266,9 +266,9 @@ class ParameterNetwork(namedtuple("ParameterNetwork", "fact_nodes value_nodes ed
             raise ValueError("fact node names must be unique")
         if len(values) != len(value_nodes):
             raise ValueError("value node names must be unique")
-        overlap = facts & values
+        overlap = ", ".join(map(_quote, sorted(facts & values)))  # a list's repr, names cut
         if overlap:
-            raise ValueError(f"nodes cannot be both fact and value: {sorted(overlap)}")
+            raise ValueError(f"nodes cannot be both fact and value: [{overlap}]")
         # Name -> position in node_names(): facts, values, then the other
         # edge endpoints in first-seen order; one pass also collects the
         # (source, target) pairs.
@@ -276,9 +276,9 @@ class ParameterNetwork(namedtuple("ParameterNetwork", "fact_nodes value_nodes ed
         pairs = []
         for src, dst, weight in edges:
             if dst in facts:
-                raise ValueError(f"fact node {dst!r} cannot have incoming edges")
+                raise ValueError(f"fact node {_quote(dst)} cannot have incoming edges")
             if not math.isfinite(weight):
-                raise ValueError(f"edge {src}->{dst} weight must be finite")
+                raise ValueError(f"edge {_cut(src)}->{_cut(dst)} weight must be finite")
             index.setdefault(src, len(index))
             index.setdefault(dst, len(index))
             pairs.append((src, dst))
@@ -303,7 +303,7 @@ def propagate_network(
     facts = set(net.fact_nodes)
     for name in delta_facts:
         if name not in facts:
-            raise UnknownNodeError(f"delta key {name!r} is not a fact node of the network")
+            raise UnknownNodeError(f"delta key {_quote(name)} is not a fact node of the network")
 
     base = {name: float(delta_facts.get(name, 0.0)) for name in net.fact_nodes}
     delta = propagate_linear(net._order, net.edges, base)

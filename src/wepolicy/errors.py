@@ -1,4 +1,14 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the cut for the names they quote."""
+
+
+def _cut(text: str) -> str:
+    """`text` cut after 80 characters, the cut marked: a finding stays short."""
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
+def _quote(value) -> str:
+    """`value`'s repr for a finding, cut as `_cut` cuts it."""
+    return _cut(repr(value))
 
 
 class DomainError(ValueError):
@@ -14,7 +24,7 @@ class MissingScopeError(ValueError):
 
     def __init__(self, missing):
         self.missing = list(missing)
-        super().__init__(f"assignment missing scopes: {', '.join(self.missing)}")
+        super().__init__(f"assignment missing scopes: {', '.join(map(_cut, self.missing))}")
 
 
 class RankDeficiencyError(ValueError):
@@ -23,7 +33,8 @@ class RankDeficiencyError(ValueError):
     def __init__(self, columns):
         self.columns = list(columns)
         super().__init__(
-            f"design matrix is rank deficient; dependent columns: {', '.join(self.columns)}"
+            "design matrix is rank deficient; dependent columns: "
+            + ", ".join(map(_cut, self.columns))
         )
 
 

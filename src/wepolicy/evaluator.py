@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 # `apply_fact_coupling` stays importable from here: perfbench/tracer.py wraps it.
 from .coupling import FactCoupling, apply_fact_coupling, couple_rows
+from .errors import _quote
 
 if TYPE_CHECKING:  # annotations only; a scenario's profiles load neither module
     from .policy_sim import SweepTable
@@ -76,7 +77,7 @@ def evaluate_policies(
     if not finite.all():
         bad = rows[int(np.argmin(finite))].policy_id
         raise FloatingPointError(
-            f"profile {profile.name!r}: coupled vector or score of policy {bad} is not finite"
+            f"profile {_quote(profile.name)}: coupled vector or score of policy {bad} is not finite"
         )
     ids = [r.policy_id for r in rows]
     # lexsort's last key is the primary one: score descending, then id.

@@ -8,6 +8,8 @@ import heapq
 import math
 from typing import Mapping, NamedTuple, Sequence, Tuple
 
+from .errors import _cut, _quote
+
 
 class CycleError(ValueError):
     """The graph contains a directed cycle."""
@@ -43,7 +45,7 @@ def topological_order(names: Sequence[str], edges: Sequence[Tuple[str, str]],
                 heapq.heappush(ready, j)
     if len(order) != len(names):
         stuck = [n for n, d in zip(names, indegree) if d]
-        raise CycleError(f"cycle involving nodes: {', '.join(stuck)}")
+        raise CycleError(f"cycle involving nodes: {', '.join(map(_cut, stuck))}")
     return order
 
 
@@ -64,6 +66,6 @@ def propagate_linear(order: Sequence[str], edges: Sequence[Edge],
         for e in incoming[name]:
             acc += e.weight * values[e.source]
         if not math.isfinite(acc):
-            raise FloatingPointError(f"value of node {name!r} is not finite: {acc!r}")
+            raise FloatingPointError(f"value of node {_quote(name)} is not finite: {acc!r}")
         values[name] = acc
     return values

@@ -14,7 +14,7 @@ import math
 from collections import Counter, namedtuple
 from typing import Mapping
 
-from .errors import StageBindingError, UnknownNodeError
+from .errors import StageBindingError, UnknownNodeError, _cut, _quote
 from .graphs import CycleError, Edge, propagate_linear, topological_order
 
 STAGES = ("inputs", "activities", "outputs", "outcomes", "impacts")
@@ -27,9 +27,9 @@ class Node(namedtuple("Node", "name stage baseline")):
 
     def __new__(cls, name: str, stage: str, baseline: float = 0.0):
         if stage not in STAGES:
-            raise ValueError(f"unknown stage {stage!r} for node {name!r}")
+            raise ValueError(f"unknown stage {_quote(stage)} for node {_quote(name)}")
         if not math.isfinite(baseline):
-            raise ValueError(f"node {name!r} baseline must be finite")
+            raise ValueError(f"node {_quote(name)} baseline must be finite")
         return super().__new__(cls, name, stage, baseline)
 
 
@@ -66,19 +66,19 @@ def _inspect(model: LogicModel) -> tuple[list[str], tuple[str, ...] | None]:
     dupes = len(index) != len(names)
     if dupes:
         dupe_names = sorted(n for n, k in Counter(names).items() if k > 1)
-        findings.append(f"duplicate node names: {', '.join(dupe_names)}")
+        findings.append(f"duplicate node names: {', '.join(map(_cut, dupe_names))}")
 
     ranks = [_RANK[n.stage] for n in model.nodes]
     pairs = []
     for src, dst, _ in model.edges:
         i, j = index.get(src), index.get(dst)
         if i is None or j is None:
-            unknown = [x for x in (src, dst) if x not in index]
-            findings.append(f"edge {src}->{dst} references unknown nodes: " + ", ".join(unknown))
+            unknown = ", ".join(_cut(x) for x in (src, dst) if x not in index)
+            findings.append(f"edge {_cut(src)}->{_cut(dst)} references unknown nodes: {unknown}")
             continue
         if ranks[i] > ranks[j]:
             findings.append(
-                f"edge {src}->{dst} runs backwards: "
+                f"edge {_cut(src)}->{_cut(dst)} runs backwards: "
                 f"{model.nodes[i].stage} -> {model.nodes[j].stage}"
             )
         pairs.append((src, dst))
@@ -111,11 +111,11 @@ def check_inputs(model: LogicModel, input_values: Mapping[str, float]):
     unknown = [k for k in input_values if k not in input_names]
     if unknown:
         raise UnknownNodeError(
-            f"values given for non-inputs nodes: {', '.join(sorted(unknown))}"
+            f"values given for non-inputs nodes: {', '.join(map(_cut, sorted(unknown)))}"
         )
     missing = sorted(input_names - set(input_values))
     if missing:
-        raise ValueError(f"missing values for inputs nodes: {', '.join(missing)}")
+        raise ValueError(f"missing values for inputs nodes: {', '.join(map(_cut, missing))}")
 
 
 def _propagate_values(
@@ -154,10 +154,10 @@ class FactBinding(namedtuple("FactBinding", "bindings elements values")):
             raise ValueError(f"{len(elements)} element names for {len(values)} values")
         if len(set(elements)) != len(elements):
             raise ValueError("fact element names must be unique")
-        unknown = [e for e in bindings.values() if e not in elements]
+        unknown = sorted({e for e in bindings.values() if e not in elements})
         if unknown:
             raise UnknownNodeError(
-                f"bindings reference unknown fact elements: {', '.join(sorted(set(unknown)))}"
+                f"bindings reference unknown fact elements: {', '.join(map(_cut, unknown))}"
             )
         return super().__new__(cls, bindings, elements, values)
 
@@ -170,10 +170,10 @@ def check_binding(model: LogicModel, binding: FactBinding):
     by_name = model.node_map()
     for node in binding.bindings:
         if node not in by_name:
-            raise UnknownNodeError(f"binding references unknown node {node!r}")
+            raise UnknownNodeError(f"binding references unknown node {_quote(node)}")
         if by_name[node].stage not in BINDABLE_STAGES:
             raise StageBindingError(
-                f"cannot bind fact to {by_name[node].stage}-stage node {node!r}; "
+                f"cannot bind fact to {by_name[node].stage}-stage node {_quote(node)}; "
                 f"facts couple to the left side ({', '.join(BINDABLE_STAGES)})"
             )
 

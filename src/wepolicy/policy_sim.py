@@ -26,6 +26,8 @@ from typing import NamedTuple, Sequence
 
 from .numeric import left_sum
 
+INDICATORS = ("economic", "environmental", "social")  # a run's facts, in SweepRow order
+
 
 class DynamicsConfig(namedtuple(
     "DynamicsConfig",

@@ -1,9 +1,9 @@
 """Scenario documents: one JSON file drives every pipeline.
 
 A scenario is a single self-describing JSON object whose sections declare
-value functions, scope layers, element sets, mappings, couplings, survey
-and dynamics configuration, sweep grids, weighting profiles, a logic model,
-and sampling grids. Validation walks the present sections once, in a
+value functions, scope layers, element sets, mappings, survey and
+dynamics configuration, sweep grids, weighting profiles (the fact
+couplings), a logic model, and sampling grids. Validation walks the present sections once, in a
 fixed order, before anything runs: each section checks its own fields and
 its agreement with the sections before it, and reports findings naming
 `section.field` in that order. It also bounds the work a scenario may ask
@@ -21,8 +21,8 @@ from collections import namedtuple
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .coupling import FactCoupling, LinearMap, ParameterNetwork, Saturator
-from .errors import DimensionError, ScenarioError
+from .coupling import FactCoupling, LinearMap, ParameterNetwork, Saturator, apply_map
+from .errors import DimensionError, ScenarioError, _cut, _quote
 from .graphs import Edge
 from .numeric import left_sum
 
@@ -100,11 +100,8 @@ class Scenario:
 
     def __init__(self, base_dir: Path):
         self.base_dir = base_dir
-        self.value_functions: dict[str, ValueCurve] = {}
         self.model: WellbeingModel | None = None
-        self.element_sets: dict[str, tuple[str, ...]] = {}  # set name -> variable names
         self.mapping_f: LinearMap | None = None
-        self.fact_coupling: FactCoupling | None = None
         self.network: ParameterNetwork | None = None
         self.network_deltas: dict[str, float] = {}
         self.survey: SurveyConfig | None = None
@@ -115,7 +112,7 @@ class Scenario:
         self.logic_inputs: dict[str, float] = {}
         self.fact_binding: FactBinding | None = None
         self.surface_grids: tuple[list[float], list[float]] | None = None
-        self.curve: tuple[str, list[float]] | None = None
+        self.curve: tuple[WELayer, list[float]] | None = None
         self.consensus: ConsensusConfig | None = None
         self.warnings: list[str] = []
 
@@ -124,17 +121,6 @@ class Scenario:
         if self.model is None:
             return None
         return next((l for l in self.model.layers if l.scope.label == label), None)
-
-
-def _cut(text: str) -> str:
-    """`text` cut after 80 characters with the cut marked, so that a finding
-    naming an input key or value stays short however long the input is."""
-    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
-
-
-def _quote(value) -> str:
-    """`value`'s repr for a finding, cut as `_cut` cuts it."""
-    return _cut(repr(value))
 
 
 def _float(value, where: str) -> float:
@@ -345,18 +331,6 @@ def _parse_element_set(name: str, spec, where: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _parse_coupling(spec, where: str) -> FactCoupling:
-    if not isinstance(spec, dict):
-        raise ValueError(f"{where}: expected an object")
-    return _check(
-        where,
-        FactCoupling,
-        mode=_str(spec.get("mode", "additive"), f"{where}.mode"),
-        matrix=_matrix(spec.get("matrix"), f"{where}.matrix"),
-        **_floats(spec, where, ("warn_threshold",)),
-    )
-
-
 def profile_slug(name: str) -> str:
     """The stem of a profile's ranked table: `select` writes `ranked_<slug>`."""
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
@@ -379,7 +353,10 @@ def _parse_profile(spec, where: str, slugs: dict[str, str]) -> WeightingProfile:
             f"ranked_{_cut(slug)}"
         )
     slugs[slug] = name
-    return WeightingProfile(name=name, coupling=_parse_coupling(spec, where))
+    mode = _str(spec.get("mode", "additive"), f"{where}.mode")
+    matrix = _matrix(spec.get("matrix"), f"{where}.matrix")
+    rest = _floats(spec, where, ("warn_threshold",))
+    return WeightingProfile(name, _check(where, FactCoupling, mode, matrix, **rest))
 
 
 class _Builder:
@@ -392,6 +369,9 @@ class _Builder:
 
     def __init__(self, base_dir: Path):
         self.sc = Scenario(base_dir)
+        # Read only here, by name: a Scenario keeps what they resolve to.
+        self.value_functions: dict[str, ValueCurve] = {}
+        self.element_sets: dict[str, tuple[str, ...]] = {}  # set name -> variable names
         self.errors: list[str] = []
         self.failed: set[str] = set()
         self.section = ""
@@ -422,7 +402,7 @@ class _Builder:
         for name, spec in raw.items():
             fn = self.attempt(_parse_value_function, spec, f"value_functions.{_cut(name)}")
             if fn is not None:
-                self.sc.value_functions[name] = fn
+                self.value_functions[name] = fn
 
     def _element_sets(self, raw):
         if not isinstance(raw, dict):
@@ -430,21 +410,21 @@ class _Builder:
         for name, spec in raw.items():
             es = self.attempt(_parse_element_set, name, spec, f"element_sets.{_cut(name)}")
             if es is not None:
-                self.sc.element_sets[name] = es
+                self.element_sets[name] = es
 
     def _layer(self, spec, where: str) -> WELayer:
         from .we_model import WELayer, WEScope
 
         spec = _object(spec, where)
         fn_name = _str(spec.get("value_function"), f"{where}.value_function")
-        if fn_name not in self.sc.value_functions:
+        if fn_name not in self.value_functions:
             raise ValueError(f"{where}.value_function: unknown function {_quote(fn_name)}")
         weights = spec.get("element_weights")
         return _check(
             f"{where}.weight",
             WELayer,
             WEScope(_str(spec.get("scope"), f"{where}.scope")),
-            self.sc.value_functions[fn_name],
+            self.value_functions[fn_name],
             _float(spec.get("weight"), f"{where}.weight"),
             tuple(_vector(weights, f"{where}.element_weights")) if weights is not None else None,
         )
@@ -489,7 +469,7 @@ class _Builder:
             name = raw.get(key)
             if name is None:
                 continue
-            es = self.sc.element_sets.get(_str(name, f"{where}.{key}"))
+            es = self.element_sets.get(_str(name, f"{where}.{key}"))
             if es is None:
                 if "element_sets" not in self.failed:
                     raise ValueError(f"{where}.{key}: unknown element set {_quote(name)}")
@@ -497,27 +477,6 @@ class _Builder:
                 raise ValueError(
                     f"{where}.matrix: {dim} {side} for {len(es)}-element set {_quote(name)}"
                 )
-
-    def _coupling_dims(self, c: FactCoupling, where: str):
-        """Check a coupling's rows against the subjective constructs (the
-        survey's, else those of X_w) and its columns against X_c."""
-        sc = self.sc
-        subjective = None
-        if sc.survey is not None:
-            subjective = len(sc.survey.construct_map.constructs)
-        elif "X_w" in sc.element_sets and "survey" not in self.failed:
-            subjective = len(sc.element_sets["X_w"])
-        facts = sc.element_sets.get("X_c")
-        if subjective is not None and c.subjective_dim != subjective:
-            self.error(
-                f"{where}.matrix: {c.subjective_dim} rows for {subjective} subjective constructs"
-            )
-        if facts is not None and c.fact_dim != len(facts):
-            self.error(f"{where}.matrix: {c.fact_dim} columns for {len(facts)} fact elements")
-
-    def _fact_coupling(self, raw):
-        c = self.sc.fact_coupling = _parse_coupling(raw, "fact_coupling")
-        self._coupling_dims(c, "fact_coupling")
 
     def _network(self, raw):
         where = "parameter_network"
@@ -562,7 +521,7 @@ class _Builder:
             construct_map=cmap,
             target_question=target_q,
         )
-        xw = self.sc.element_sets.get("X_w")
+        xw = self.element_sets.get("X_w")
         if xw is not None and xw != cmap.constructs:
             raise ValueError(
                 f"{where}.constructs: must match element_sets.X_w variable names "
@@ -623,14 +582,28 @@ class _Builder:
         self.sc.sweep_grid = grid
 
     def _profiles(self, raw):
+        from .policy_sim import INDICATORS
+
         if not isinstance(raw, list):
             raise ValueError("weighting_profiles: expected an array")
+        subjective = None if "survey" in self.failed else self.element_sets.get("X_w")
+        if self.sc.survey is not None:
+            subjective = self.sc.survey.construct_map.constructs
+        facts = self.element_sets.get("X_c")
         slugs: dict[str, str] = {}
         for i, spec in enumerate(raw):
             profile = self.attempt(_parse_profile, spec, f"weighting_profiles[{i}]", slugs)
-            if profile is not None:
-                self.sc.profiles.append(profile)
-                self._coupling_dims(profile.coupling, f"weighting_profiles[{_quote(profile.name)}]")
+            if profile is None:
+                continue
+            self.sc.profiles.append(profile)
+            where = f"weighting_profiles[{_quote(profile.name)}].matrix"
+            rows, cols = profile.coupling.subjective_dim, profile.coupling.fact_dim
+            if subjective is not None and rows != len(subjective):
+                self.error(f"{where}: {rows} rows for {len(subjective)} subjective constructs")
+            if cols != len(INDICATORS):
+                self.error(f"{where}: {cols} columns for {len(INDICATORS)} simulator indicators")
+            elif facts is not None and cols != len(facts):
+                self.error(f"{where}: {cols} columns for {len(facts)} fact elements")
 
     def _logic_model(self, raw):
         from . import logicmodel
@@ -695,11 +668,12 @@ class _Builder:
         n = _grid_len(raw.get("grid"))
         if n > MAX_GRID_POINTS:
             raise ValueError(f"curve.grid: {n} points exceeds the cap of {MAX_GRID_POINTS}")
-        self.sc.curve = (label, grid_values(raw.get("grid"), "curve.grid"))
+        grid = grid_values(raw.get("grid"), "curve.grid")
         if "layers" not in self.failed:
             layer = self.layer(label, "curve.layer")
             if layer is not None:
-                self._grid_check(layer, self.sc.curve[1], "curve.grid")
+                self.sc.curve = (layer, grid)
+                self._grid_check(layer, grid, "curve.grid")
 
     def _grid_check(self, layer: WELayer, xs: list[float], where: str):
         """A raw family is defined for x >= 0 only, so a grid reaching below
@@ -742,6 +716,7 @@ class _Builder:
             tol=tol,
         )
         f = None if "mapping_f" in self.failed else self.sc.mapping_f
+        layers = []  # the narrow and wide layers that resolve
         if "layers" not in self.failed:
             # The narrow layer weighs the mapping's target, the wide its source.
             for key, label, side in (
@@ -751,6 +726,7 @@ class _Builder:
                 layer = self.layer(label, f"{where}.{key}")
                 if layer is None:
                     continue
+                layers.append(layer)
                 weights = layer.element_weights
                 if weights is None:
                     self.error(f"{where}.{key}: layer {_quote(label)} declares no element_weights")
@@ -771,14 +747,21 @@ class _Builder:
                     f"{where}.probes[{i}]: length {len(p)} != mapping source dimension "
                     f"{f.source_dim}"
                 )
+        if len(layers) < 2 or where in self.failed:
+            return
+        # A layer's input at probe p: its weights times f(p) (narrow) or p (wide).
+        mapped = [apply_map(f, p) for p in probes]
+        for layer, vectors in zip(layers, (mapped, probes)):
+            xs = [left_sum(w * v for w, v in zip(layer.element_weights, x)) for x in vectors]
+            self._grid_check(layer, xs, f"{where}.probes")
 
 
 # Every section a scenario may hold, in the order it is parsed and its
 # findings are reported. A section checks its agreement with those before
 # it: layers read value_functions; mapping_f reads element_sets; survey
-# reads element_sets; fact_coupling and weighting_profiles read survey and
-# element_sets; sweep reads dynamics; surface and curve read layers; and
-# consensus reads layers and mapping_f.
+# reads element_sets; weighting_profiles read survey and element_sets;
+# sweep reads dynamics; surface and curve read layers; and consensus reads
+# layers and mapping_f. Any other key is ignored.
 _SECTIONS = (
     ("value_functions", _Builder._value_functions),
     ("element_sets", _Builder._element_sets),
@@ -786,7 +769,6 @@ _SECTIONS = (
     ("mapping_f", _Builder._mapping),
     ("parameter_network", _Builder._network),
     ("survey", _Builder._survey),
-    ("fact_coupling", _Builder._fact_coupling),
     ("dynamics", _Builder._dynamics),
     ("sweep", _Builder._sweep),
     ("weighting_profiles", _Builder._profiles),

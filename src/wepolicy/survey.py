@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import DimensionError, RankDeficiencyError
+from .errors import DimensionError, RankDeficiencyError, _quote
 from .numeric import left_sum
 
 if TYPE_CHECKING:  # an annotation only; the scenario builds construct maps
@@ -62,7 +62,7 @@ def check_survey(survey: SurveyColumns, cmap: ConstructMap, scale: int):
             for col in survey.answers:
                 if not 1 <= col[i] <= scale:
                     raise ValueError(
-                        f"respondent {respondent!r} answer {col[i]} outside [1, {scale}]"
+                        f"respondent {_quote(respondent)} answer {col[i]} outside [1, {scale}]"
                     )
     p1 = len(cmap.constructs) + 1
     if n < p1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import DomainError, _quote
 
 FAMILIES = ("linear", "logarithmic", "power", "quadratic", "exponential", "lin_exp")
 
@@ -39,7 +39,7 @@ class ValueFunctionSpec(namedtuple("ValueFunctionSpec", "family a b")):
     def __new__(cls, family: str, a: float = 1.0, b: float = 1.0):
         if family not in FAMILIES:
             raise ValueError(
-                f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}"
+                f"unknown family {_quote(family)}; expected one of {', '.join(FAMILIES)}"
             )
         if family in ("logarithmic", "power", "exponential") and not a > 0:
             raise ValueError(f"{family} family requires a > 0, got {a}")

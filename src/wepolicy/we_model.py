@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .coupling import ScopeFunction
-from .errors import DimensionError, MissingScopeError
+from .errors import DimensionError, MissingScopeError, _quote
 from .valuefn import AsymmetricSpec, ValueCurve
 
 WEIGHT_SUM_TOL = 1e-12
@@ -50,7 +50,7 @@ class WELayer:
     def __post_init__(self):
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(
-                f"layer {self.scope.label!r} weight must be in [0, 1], got {self.weight}"
+                f"layer {_quote(self.scope.label)} weight must be in [0, 1], got {self.weight}"
             )
 
     def scope_function(self) -> ScopeFunction:
@@ -69,7 +69,8 @@ class WellbeingModel(namedtuple("WellbeingModel", "layers")):
             raise ValueError("model needs at least one layer")
         labels = [layer.scope.label for layer in layers]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"scope labels must be unique, got {labels}")
+            quoted = ", ".join(map(_quote, labels))  # the list's repr, each label cut
+            raise ValueError(f"scope labels must be unique, got [{quoted}]")
         total = math.fsum(layer.weight for layer in layers)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"layer weights must sum to 1, got {total!r}")

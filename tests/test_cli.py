@@ -26,6 +26,30 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def profiles_of_two_facts(doc, keep_x_c):
+    """`pipeline.json`'s `doc` with every profile coupling two facts, not the
+    simulator's three, and X_c cut to two variables or dropped."""
+    if keep_x_c:
+        del doc["element_sets"]["X_c"]["variables"][2:]
+    else:
+        del doc["element_sets"]["X_c"]
+    for profile in doc["weighting_profiles"]:
+        profile["matrix"] = [row[:2] for row in profile["matrix"]]
+    return doc
+
+
+def log_narrow_layer(doc):
+    """`consensus.json`'s `doc` with layer I on the raw logarithmic family,
+    whose domain the probes leave: the first probe gives it input -2.0."""
+    doc["value_functions"]["log"] = {"kind": "family", "family": "logarithmic", "a": 1.0}
+    doc["layers"][0]["value_function"] = "log"
+    return doc
+
+
+WIDTH_FINDINGS = [f"weighting_profiles[{name!r}].matrix: 2 columns for 3 simulator indicators"
+                  for name in ("Type A", "Type B", "Type C")]
+
+
 def small_fig2(tmp_path):
     doc = {
         "value_functions": {"default": {"kind": "asymmetric"}},
@@ -298,6 +322,39 @@ class TestRejectedInputs:
                                     "--out", str(out))
         assert (code, stdout, err) == (1, "", f"error: {finding}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("fixture, mutate, command, findings", [
+        ("pipeline.json", lambda doc: profiles_of_two_facts(doc, keep_x_c=False), "select",
+         WIDTH_FINDINGS),
+        ("pipeline.json", lambda doc: profiles_of_two_facts(doc, keep_x_c=True), "select",
+         WIDTH_FINDINGS),
+        ("consensus.json", log_narrow_layer, "consensus-check",
+         ["consensus.probes: grid reaches -2.0, below the logarithmic family's domain "
+          "x >= 0 for layer 'I'"]),
+    ], ids=["profiles-without-X_c", "profiles-with-X_c", "consensus-domain"])
+    def test_validate_predicts_the_failure(
+        self, capsys, tmp_path, fixtures_dir, fixture, mutate, command, findings
+    ):
+        doc = mutate(json.loads((fixtures_dir / fixture).read_text()))
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        code, err = self._run(capsys, tmp_path, command, doc)
+        assert (code, err) == (1, "".join(f"error: {f}\n" for f in findings))
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(tmp_path / "scenario.json"))
+        assert (code, json.loads(stdout)["errors"]) == (1, findings)
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_long_respondent_id_is_quoted_in_part(self, capsys, tmp_path, fixtures_dir, command):
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        header, first, *rest = (fixtures_dir / "survey.csv").read_text().splitlines(keepends=True)
+        first = ",".join(["r" * 100_000, "9", *first.split(",")[2:]])
+        (tmp_path / "survey.csv").write_text("".join([header, first, *rest]), encoding="utf-8")
+        finding = ("survey.file: respondent '" + "r" * 79
+                   + "... (100002 characters) answer 9 outside [1, 5]")
+        code, err = self._run(capsys, tmp_path, command, doc)
+        assert (code, err) == (1, f"error: {finding}\n")
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(tmp_path / "scenario.json"))
+        assert (code, json.loads(stdout)["errors"]) == (1, [finding])
+        assert len(stdout.encode("utf-8")) < 1024
 
     def test_mapping_set_name_must_be_declared(self, capsys, tmp_path, fixtures_dir):
         doc = json.loads((fixtures_dir / "consensus.json").read_text())
@@ -1141,6 +1198,9 @@ class TestExitCodeContract:
     @example(doc={"surface": fuzz_fixtures()[2]["surface"]})
     @example(doc=pipeline_with_dynamics("income_spread", 1e308))
     @example(doc=pipeline_with_dynamics("connection_rate", 1e308))
+    @example(doc=profiles_of_two_facts(fuzz_fixtures()[0], keep_x_c=False))
+    @example(doc=profiles_of_two_facts(fuzz_fixtures()[0], keep_x_c=True))
+    @example(doc=log_narrow_layer(fuzz_fixtures()[1]))
     def test_mutated_fixtures(self, tmp_path, capsys, monkeypatch, doc):
         """Every command exits 0-3 without a traceback, leaves no file after
         a nonzero exit, and, when `validate` passes, does not exit 1 unless

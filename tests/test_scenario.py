@@ -79,22 +79,50 @@ class TestValidation:
                 "X_w": {"variables": [{"name": "a"}, {"name": "b"}]},
                 "X_c": {"variables": [{"name": "p"}, {"name": "q"}, {"name": "r"}]},
             },
-            "fact_coupling": {"mode": "additive",
-                              "matrix": [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]]},
+            "weighting_profiles": [{"name": "A", "mode": "additive",
+                                    "matrix": [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]]}],
         }
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert errors == []
 
     def test_coupling_dims_mismatch_rejected(self, tmp_path):
+        # rows against X_w; columns against X_c once they match the simulator
         doc = {
             "element_sets": {
                 "X_w": {"variables": [{"name": "a"}, {"name": "b"}]},
-                "X_c": {"variables": [{"name": "p"}, {"name": "q"}, {"name": "r"}]},
+                "X_c": {"variables": [{"name": "p"}, {"name": "q"}]},
             },
-            "fact_coupling": {"mode": "additive", "matrix": [[0.1, 0.0, 0.0]]},
+            "weighting_profiles": [
+                {"name": "A", "mode": "additive", "matrix": [[0.1, 0.0, 0.0]]},
+                {"name": "B", "mode": "additive", "matrix": [[0.1, 0.0], [0.0, 0.1]]},
+            ],
         }
         errors, _ = validate_scenario(write(tmp_path, doc))
-        assert any("fact_coupling.matrix" in e for e in errors)
+        assert errors == [
+            "weighting_profiles['A'].matrix: 1 rows for 2 subjective constructs",
+            "weighting_profiles['A'].matrix: 3 columns for 2 fact elements",
+            "weighting_profiles['B'].matrix: 2 columns for 3 simulator indicators",
+        ]
+
+    def test_fact_coupling_key_is_ignored(self, tmp_path, fixtures_dir):
+        # not a section: no command reads it
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        doc["fact_coupling"] = {"mode": "bogus", "matrix": 5}
+        (tmp_path / "survey.csv").write_bytes((fixtures_dir / "survey.csv").read_bytes())
+        assert validate_scenario(write(tmp_path, doc)) == ([], [])
+
+    def test_consensus_inputs_below_a_raw_family_domain(self, tmp_path, fixtures_dir):
+        # the narrow layer's input is its weights times f(probe), the wide's
+        # its weights times the probe
+        doc = fixture_doc(fixtures_dir, "consensus.json")
+        doc["value_functions"]["default"] = {"kind": "family", "family": "linear"}
+        domain = "below the linear family's domain x >= 0 for layer"
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [f"consensus.probes: grid reaches -2.0, {domain} 'I'",
+                          f"consensus.probes: grid reaches -2.0, {domain} 'community'"]
+        doc["mapping_f"]["offset"] = [2.0, 2.0]
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [f"consensus.probes: grid reaches -2.0, {domain} 'community'"]
 
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -390,8 +418,86 @@ def long_name_docs():
     ]
 
 
+def library_name_docs():
+    """(fixture, mutation, finding) for each library message that quotes an
+    input name: `mutation(name)` mutates a fixture, and `finding(q, name)` is
+    the message, with `q` cutting a text over 80 characters."""
+
+    def edge_to(name):
+        def mutate(doc):
+            doc["logic_model"]["edges"].append({"from": "funding", "to": name, "weight": 1.0})
+        return mutate
+
+    def layer_scope(name):
+        def mutate(doc):
+            doc["layers"][0].update(scope=name, weight=2.0)
+        return mutate
+
+    def input_key(name):
+        def mutate(doc):
+            doc["logic_model"]["inputs"][name] = 1.0
+        return mutate
+
+    def bound_node(name):
+        def mutate(doc):
+            doc["logic_model"]["fact_bindings"]["bindings"][name] = "econ"
+        return mutate
+
+    def cycle_through(name):
+        def mutate(doc):
+            doc["logic_model"]["nodes"].append({"name": name, "stage": "outcomes"})
+            doc["logic_model"]["edges"] += [{"from": "participation", "to": name, "weight": 1.0},
+                                            {"from": name, "to": "participation", "weight": 1.0}]
+        return mutate
+
+    def both_scopes(name):
+        def mutate(doc):
+            doc["layers"][0]["scope"] = doc["layers"][1]["scope"] = name
+        return mutate
+
+    def fact_and_value(name):
+        def mutate(doc):
+            net = doc["parameter_network"]
+            net["facts"][0] = name
+            net["values"].append(name)
+        return mutate
+
+    return [
+        ("pipeline.json", edge_to,
+         lambda q, n: f"logic_model: edge funding->{q(n)} references unknown nodes: {q(n)}"),
+        ("fig2.json", layer_scope,
+         lambda q, n: f"layers[0].weight: layer {q(repr(n))} weight must be in [0, 1], got 2.0"),
+        ("pipeline.json", input_key,
+         lambda q, n: f"logic_model.inputs: values given for non-inputs nodes: {q(n)}"),
+        ("pipeline.json", bound_node,
+         lambda q, n: f"logic_model.fact_bindings: binding references unknown node {q(repr(n))}"),
+        ("pipeline.json", cycle_through,
+         lambda q, n: f"logic_model: cycle involving nodes: participation, cohesion, prosperity, "
+                      f"{q(n)}"),
+        ("fig2.json", both_scopes,
+         lambda q, n: f"layers: scope labels must be unique, got [{q(repr(n))}, {q(repr(n))}]"),
+        ("pipeline.json", fact_and_value,
+         lambda q, n: f"parameter_network: nodes cannot be both fact and value: [{q(repr(n))}]"),
+    ]
+
+
 class TestLongNamesAreCut:
     """A finding quotes at most 80 characters of a name taken from the input."""
+
+    @pytest.mark.parametrize("fixture, mutation, finding", library_name_docs(),
+                             ids=["edge", "layer-weight", "inputs", "binding", "cycle",
+                                  "scope-labels", "fact-and-value"])
+    @pytest.mark.parametrize("length", [78, 100_000])
+    def test_library_finding_quotes_the_name_in_part(
+        self, fixtures_dir, fixture, mutation, finding, length
+    ):
+        # a name whose repr is 80 characters keeps the text it always had
+        name = "n" * length
+        doc = fixture_doc(fixtures_dir, fixture)
+        mutation(name)(doc)
+        _, errors, _ = parse_scenario(doc, fixtures_dir)
+        assert finding(lambda t: t if len(t) <= 80 else cut(t), name) in errors
+        assert all(len(e.encode("utf-8")) < 1024 for e in errors)
 
     @pytest.mark.parametrize("fixture, mutate, finding", long_name_docs())
     def test_finding_quotes_the_name_in_part(self, fixtures_dir, fixture, mutate, finding):
@@ -505,11 +611,11 @@ class TestFailedSectionsSkipCrossChecks:
     def test_failed_survey_skips_the_coupling_rows(self, tmp_path, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "pipeline.json")
         doc["survey"]["scale"] = 1
-        doc["fact_coupling"] = {"matrix": [[1.0]]}
+        doc["weighting_profiles"][0]["matrix"] = [[1.0]]
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert errors == [
             "survey.scale: must be >= 2, got 1",
-            "fact_coupling.matrix: 1 columns for 3 fact elements",
+            "weighting_profiles['Type A'].matrix: 1 columns for 3 simulator indicators",
         ]
 
 
@@ -530,14 +636,16 @@ class TestSectionOrder:
             "consensus: requires a mapping_f section",
         ]
 
-    def test_fact_coupling_after_survey(self, tmp_path, fixtures_dir):
+    def test_profiles_after_survey(self, tmp_path, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "pipeline.json")
         doc["parameter_network"]["facts"] = 5
-        doc["fact_coupling"] = {"mode": "bogus", "matrix": [[1.0]]}
+        doc["survey"]["scale"] = 1
+        doc["weighting_profiles"][0]["mode"] = "bogus"
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert errors == [
             "parameter_network.facts: expected an array",
-            "fact_coupling: mode must be additive or multiplicative, got 'bogus'",
+            "survey.scale: must be >= 2, got 1",
+            "weighting_profiles[0]: mode must be additive or multiplicative, got 'bogus'",
         ]
 
 

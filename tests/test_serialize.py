@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wepolicy.serialize import _cell, csv_table, dump_json, json_rows
 
@@ -50,7 +50,13 @@ def tables(draw):
     return tuple(header), rows
 
 
+# The first draw of `st.text` in a fresh checkout builds hypothesis's unicode
+# table, which can take seconds; that is not slow input generation.
+first_run_safe = settings(suppress_health_check=[HealthCheck.too_slow])
+
+
 class TestCsvTable:
+    @first_run_safe
     @given(tables())
     @example(((), [(), ()]))
     @example((("x", "W"), [(-0.0, 5e-324), (1e308, -1e308), (1, True)]))
@@ -64,6 +70,7 @@ class TestCsvTable:
 
 
 class TestJsonRows:
+    @first_run_safe
     @given(tables())
     @example(((), [(), ()]))
     @example((("s", "t", "v"), [(0.5, 0.0, 0.75), (-0.0, 5e-324, 1e308)]))
