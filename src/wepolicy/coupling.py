@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from .errors import DimensionError, UnknownNodeError, _cut, _quote
+from .errors import DimensionError, UnknownNodeError, _cut, _listed, _quote
 from .graphs import Edge as NetworkEdge, propagate_linear, topological_order
 
 if TYPE_CHECKING:  # an annotation only; valuefn is not loaded at run time
@@ -266,9 +266,9 @@ class ParameterNetwork(namedtuple("ParameterNetwork", "fact_nodes value_nodes ed
             raise ValueError("fact node names must be unique")
         if len(values) != len(value_nodes):
             raise ValueError("value node names must be unique")
-        overlap = ", ".join(map(_quote, sorted(facts & values)))  # a list's repr, names cut
-        if overlap:
-            raise ValueError(f"nodes cannot be both fact and value: [{overlap}]")
+        overlap = sorted(facts & values)
+        if overlap:  # a list's repr, each name cut
+            raise ValueError(f"nodes cannot be both fact and value: [{_listed(overlap, _quote)}]")
         # Name -> position in node_names(): facts, values, then the other
         # edge endpoints in first-seen order; one pass also collects the
         # (source, target) pairs.

@@ -1,4 +1,6 @@
-"""Exception types shared across the engine, and the cut for the names they quote."""
+"""Exception types shared across the engine, and the cuts for the names they quote."""
+
+MAX_LISTED = 10  # the most names a finding lists; the rest are counted
 
 
 def _cut(text: str) -> str:
@@ -9,6 +11,15 @@ def _cut(text: str) -> str:
 def _quote(value) -> str:
     """`value`'s repr for a finding, cut as `_cut` cuts it."""
     return _cut(repr(value))
+
+
+def _listed(names: list, cut=_cut) -> str:
+    """The first MAX_LISTED of `names`, each cut by `cut`, joined by ", ";
+    the count of the rest marks a longer list."""
+    listed = ", ".join(map(cut, names[:MAX_LISTED]))
+    if len(names) > MAX_LISTED:
+        listed += f", ... ({len(names) - MAX_LISTED} more)"
+    return listed
 
 
 class DomainError(ValueError):
@@ -24,7 +35,7 @@ class MissingScopeError(ValueError):
 
     def __init__(self, missing):
         self.missing = list(missing)
-        super().__init__(f"assignment missing scopes: {', '.join(map(_cut, self.missing))}")
+        super().__init__(f"assignment missing scopes: {_listed(self.missing)}")
 
 
 class RankDeficiencyError(ValueError):
@@ -33,8 +44,7 @@ class RankDeficiencyError(ValueError):
     def __init__(self, columns):
         self.columns = list(columns)
         super().__init__(
-            "design matrix is rank deficient; dependent columns: "
-            + ", ".join(map(_cut, self.columns))
+            f"design matrix is rank deficient; dependent columns: {_listed(self.columns)}"
         )
 
 
@@ -50,7 +60,5 @@ class ScenarioError(ValueError):
     """Scenario document failed validation; the message names the field."""
 
     def __init__(self, findings):
-        if isinstance(findings, str):
-            findings = [findings]
         self.findings = list(findings)
         super().__init__("; ".join(self.findings))

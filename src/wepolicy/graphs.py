@@ -8,7 +8,7 @@ import heapq
 import math
 from typing import Mapping, NamedTuple, Sequence, Tuple
 
-from .errors import _cut, _quote
+from .errors import _listed, _quote
 
 
 class CycleError(ValueError):
@@ -45,7 +45,7 @@ def topological_order(names: Sequence[str], edges: Sequence[Tuple[str, str]],
                 heapq.heappush(ready, j)
     if len(order) != len(names):
         stuck = [n for n, d in zip(names, indegree) if d]
-        raise CycleError(f"cycle involving nodes: {', '.join(map(_cut, stuck))}")
+        raise CycleError(f"cycle involving nodes: {_listed(stuck)}")
     return order
 
 

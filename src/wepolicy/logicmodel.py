@@ -14,7 +14,7 @@ import math
 from collections import Counter, namedtuple
 from typing import Mapping
 
-from .errors import StageBindingError, UnknownNodeError, _cut, _quote
+from .errors import StageBindingError, UnknownNodeError, _cut, _listed, _quote
 from .graphs import CycleError, Edge, propagate_linear, topological_order
 
 STAGES = ("inputs", "activities", "outputs", "outcomes", "impacts")
@@ -66,7 +66,7 @@ def _inspect(model: LogicModel) -> tuple[list[str], tuple[str, ...] | None]:
     dupes = len(index) != len(names)
     if dupes:
         dupe_names = sorted(n for n, k in Counter(names).items() if k > 1)
-        findings.append(f"duplicate node names: {', '.join(map(_cut, dupe_names))}")
+        findings.append(f"duplicate node names: {_listed(dupe_names)}")
 
     ranks = [_RANK[n.stage] for n in model.nodes]
     pairs = []
@@ -110,12 +110,10 @@ def check_inputs(model: LogicModel, input_values: Mapping[str, float]):
     input_names = {n.name for n in model.stage_nodes("inputs")}
     unknown = [k for k in input_values if k not in input_names]
     if unknown:
-        raise UnknownNodeError(
-            f"values given for non-inputs nodes: {', '.join(map(_cut, sorted(unknown)))}"
-        )
+        raise UnknownNodeError(f"values given for non-inputs nodes: {_listed(sorted(unknown))}")
     missing = sorted(input_names - set(input_values))
     if missing:
-        raise ValueError(f"missing values for inputs nodes: {', '.join(map(_cut, missing))}")
+        raise ValueError(f"missing values for inputs nodes: {_listed(missing)}")
 
 
 def _propagate_values(
@@ -157,7 +155,7 @@ class FactBinding(namedtuple("FactBinding", "bindings elements values")):
         unknown = sorted({e for e in bindings.values() if e not in elements})
         if unknown:
             raise UnknownNodeError(
-                f"bindings reference unknown fact elements: {', '.join(map(_cut, unknown))}"
+                f"bindings reference unknown fact elements: {_listed(unknown)}"
             )
         return super().__new__(cls, bindings, elements, values)
 

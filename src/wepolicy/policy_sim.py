@@ -27,6 +27,8 @@ from typing import NamedTuple, Sequence
 from .numeric import left_sum
 
 INDICATORS = ("economic", "environmental", "social")  # a run's facts, in SweepRow order
+# Each knob's closed range, in PolicyKnobs field order.
+KNOB_RANGES = {"subsidy": (0.0, 1.0), "tax": (0.0, 0.5), "service": (0.0, 1.0)}
 
 
 class DynamicsConfig(namedtuple(
@@ -63,15 +65,14 @@ class PolicyKnobs(namedtuple("PolicyKnobs", "subsidy tax service")):
     __slots__ = ()
 
     def __new__(cls, subsidy: float, tax: float, service: float):
-        if not 0.0 <= subsidy <= 1.0:
-            raise ValueError(f"subsidy must be in [0, 1], got {subsidy}")
-        if not 0.0 <= tax <= 0.5:
-            raise ValueError(f"tax must be in [0, 0.5], got {tax}")
-        if not 0.0 <= service <= 1.0:
-            raise ValueError(f"service must be in [0, 1], got {service}")
+        knobs = super().__new__(cls, subsidy, tax, service)
+        for name, v in zip(KNOB_RANGES, knobs):
+            lo, hi = KNOB_RANGES[name]
+            if not lo <= v <= hi:
+                raise ValueError(f"{name} must be in [{lo:g}, {hi:g}], got {v}")
         if subsidy + service > 1.0:
             raise ValueError(f"budget shares exceed the pool: s + v = {subsidy + service}")
-        return super().__new__(cls, subsidy, tax, service)
+        return knobs
 
 
 class SweepRow(NamedTuple):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_right
 from collections import namedtuple
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -163,21 +162,10 @@ def _matrix(value, where: str) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-# The entry loops (`_vector`, `_names`, `_edges`, `_nodes` and the loops over
-# logic-model inputs and bindings and network deltas) check each entry
-# inline and build its field path only when a check fails. They then call
-# the accessors above, which word the finding, or accept what the inline
-# check declined, such as an int or a str subclass. `v - v == 0.0` holds for
-# exactly the finite floats: inf - inf and nan - nan are nan.
-
-
 def _vector(value, where: str) -> list[float]:
     if not isinstance(value, list):
         raise ValueError(f"{where}: expected an array of numbers")
-    return [
-        v if type(v) is float and v - v == 0.0 else _float(v, f"{where}[{i}]")
-        for i, v in enumerate(value)
-    ]
+    return [_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
 def _array(value, where: str) -> list:
@@ -193,20 +181,14 @@ def _object(value, where: str) -> dict:
 
 
 def _names(value, where: str) -> tuple[str, ...]:
-    names = tuple(_array(value, where))
-    for i, v in enumerate(names):
-        if type(v) is not str or not v:
-            _str(v, f"{where}[{i}]")
-    return names
+    return tuple(_str(v, f"{where}[{i}]") for i, v in enumerate(_array(value, where)))
 
 
-def _edge(e, at: str) -> Edge:
-    e = _object(e, at)
-    return Edge(
-        source=_str(e.get("from"), f"{at}.from"),
-        target=_str(e.get("to"), f"{at}.to"),
-        weight=_float(e.get("weight"), f"{at}.weight"),
-    )
+# `_edges` and `_nodes`, whose graphs run to thousands of entries, check each
+# entry inline and build its field path only when a check fails. They then
+# go through the accessors above, which word the finding, or accept what the
+# inline check declined, such as an int or a str subclass. `v - v == 0.0`
+# holds for exactly the finite floats: inf - inf and nan - nan are nan.
 
 
 def _edges(value, where: str) -> tuple[Edge, ...]:
@@ -218,21 +200,14 @@ def _edges(value, where: str) -> tuple[Edge, ...]:
                     and type(w) is float and w - w == 0.0):
                 edges.append(Edge(src, dst, w))
                 continue
-        edges.append(_edge(e, f"{where}[{i}]"))
+        at = f"{where}[{i}]"
+        e = _object(e, at)
+        edges.append(Edge(
+            source=_str(e.get("from"), f"{at}.from"),
+            target=_str(e.get("to"), f"{at}.to"),
+            weight=_float(e.get("weight"), f"{at}.weight"),
+        ))
     return tuple(edges)
-
-
-def _node(n, at: str) -> Node:
-    from . import logicmodel
-
-    n = _object(n, at)
-    return _check(
-        at,
-        logicmodel.Node,
-        _str(n.get("name"), f"{at}.name"),
-        _str(n.get("stage"), f"{at}.stage"),
-        _float(n.get("baseline", 0.0), f"{at}.baseline"),
-    )
 
 
 def _nodes(value, where: str) -> tuple[Node, ...]:
@@ -247,7 +222,15 @@ def _nodes(value, where: str) -> tuple[Node, ...]:
                     and base - base == 0.0):
                 nodes.append(logicmodel.Node(name, stage, base))
                 continue
-        nodes.append(_node(n, f"{where}[{i}]"))
+        at = f"{where}[{i}]"
+        n = _object(n, at)
+        nodes.append(_check(
+            at,
+            logicmodel.Node,
+            _str(n.get("name"), f"{at}.name"),
+            _str(n.get("stage"), f"{at}.stage"),
+            _float(n.get("baseline", 0.0), f"{at}.baseline"),
+        ))
     return tuple(nodes)
 
 
@@ -297,8 +280,7 @@ def _grid_len(spec) -> int:
 def _parse_value_function(spec, where: str) -> ValueCurve:
     from .valuefn import AsymmetricSpec, MirroredFamily, ValueFunctionSpec
 
-    if not isinstance(spec, dict):
-        raise ValueError(f"{where}: expected an object")
+    spec = _object(spec, where)
     kind = spec.get("kind", "asymmetric")
     if kind == "asymmetric":
         return _check(where, AsymmetricSpec, **_floats(spec, where, AsymmetricSpec._fields))
@@ -490,9 +472,7 @@ class _Builder:
         for k, v in deltas.items():
             if k not in fact_set:
                 raise ValueError(f"{where}.deltas: {_quote(k)} is not a fact node")
-            self.sc.network_deltas[k] = (
-                v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.deltas.{_cut(k)}")
-            )
+            self.sc.network_deltas[k] = _float(v, f"{where}.deltas.{_cut(k)}")
 
     def _survey(self, raw):
         where = "survey"
@@ -541,10 +521,12 @@ class _Builder:
             raise ValueError(f"{where}.{err}") from None
 
     def _sweep(self, raw):
+        from .policy_sim import KNOB_RANGES
+
         where = "sweep"
         _object(raw, where)
         grid = {}
-        for knob in ("subsidy", "tax", "service"):
+        for knob in KNOB_RANGES:
             grid[knob] = _vector(raw.get(knob), f"{where}.{knob}")
             if not grid[knob]:
                 raise ValueError(f"{where}.{knob}: grid must be non-empty")
@@ -555,16 +537,12 @@ class _Builder:
                 f"{where}: {' x '.join(map(str, sizes))} = {math.prod(sizes)} combinations "
                 f"exceeds the cap of {MAX_GRID_POINTS}"
             )
-        lo_hi = {"subsidy": (0.0, 1.0), "tax": (0.0, 0.5), "service": (0.0, 1.0)}
-        for knob, vals in grid.items():
-            lo, hi = lo_hi[knob]
-            for v in vals:
+        for knob, (lo, hi) in KNOB_RANGES.items():
+            for v in grid[knob]:
                 if not lo <= v <= hi:
                     raise ValueError(f"{where}.{knob}: value {v} outside [{lo}, {hi}]")
-        # s + v grows with v, so the services admissible with s (s + v <= 1,
-        # as run_sweep decides it) are a prefix of the sorted services.
-        services = sorted(grid["service"])
-        pairs = sum(bisect_right(services, 1.0, key=lambda v: s + v) for s in grid["subsidy"])
+        # Admissible (subsidy, service) pairs, decided as run_sweep decides.
+        pairs = sum(not s + v > 1.0 for s in grid["subsidy"] for v in grid["service"])
         if not pairs:
             raise ValueError(
                 f"{where}: s + v > 1 for every (subsidy, service) pair; "
@@ -620,9 +598,7 @@ class _Builder:
 
         inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
         for k, v in inputs.items():
-            self.sc.logic_inputs[k] = (
-                v if type(v) is float and v - v == 0.0 else _float(v, f"{where}.inputs.{_cut(k)}")
-            )
+            self.sc.logic_inputs[k] = _float(v, f"{where}.inputs.{_cut(k)}")
         _check(f"{where}.inputs", logicmodel.check_inputs, model, self.sc.logic_inputs)
 
         fb = raw.get("fact_bindings")
@@ -633,10 +609,8 @@ class _Builder:
             values = tuple(_vector(fb.get("values", []), f"{where}.fact_bindings.values"))
             bindings = {}
             for k, v in fb["bindings"].items():
-                if not (type(k) is str and k and type(v) is str and v):
-                    _str(k, f"{where}.fact_bindings.bindings")
-                    _str(v, f"{where}.fact_bindings.bindings.{_cut(k)}")
-                bindings[k] = v
+                _str(k, f"{where}.fact_bindings.bindings")
+                bindings[k] = _str(v, f"{where}.fact_bindings.bindings.{_cut(k)}")
             binding = _check(
                 f"{where}.fact_bindings", logicmodel.FactBinding, bindings, elements, values
             )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .coupling import ScopeFunction
-from .errors import DimensionError, MissingScopeError, _quote
+from .errors import DimensionError, MissingScopeError, _listed, _quote
 from .valuefn import AsymmetricSpec, ValueCurve
 
 WEIGHT_SUM_TOL = 1e-12
@@ -69,8 +69,8 @@ class WellbeingModel(namedtuple("WellbeingModel", "layers")):
             raise ValueError("model needs at least one layer")
         labels = [layer.scope.label for layer in layers]
         if len(set(labels)) != len(labels):
-            quoted = ", ".join(map(_quote, labels))  # the list's repr, each label cut
-            raise ValueError(f"scope labels must be unique, got [{quoted}]")
+            # the list's repr, each label cut
+            raise ValueError(f"scope labels must be unique, got [{_listed(labels, _quote)}]")
         total = math.fsum(layer.weight for layer in layers)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"layer weights must sum to 1, got {total!r}")

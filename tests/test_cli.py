@@ -901,16 +901,17 @@ FIXTURE_COMMANDS = [
 ]
 
 
-def run_process(cwd, *args):
+def run_process(cwd, *args, python=sys.executable):
     """`python -m wepolicy.cli *args` in a fresh interpreter, with stdout
     block-buffered as it is by default on a pipe, so that output the exit
-    path fails to flush is lost."""
+    path fails to flush is lost. The interpreter writes no bytecode cache
+    into the source tree."""
     src = str(Path(wepolicy.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
-        [sys.executable, "-m", "wepolicy.cli", *args],
+        [python, "-m", "wepolicy.cli", *args],
         capture_output=True, text=True, timeout=120, cwd=cwd,
-        env=dict(env, PYTHONPATH=src),
+        env=dict(env, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
     )
 
 
@@ -963,6 +964,59 @@ class TestProcessEntry:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+
+def python_on_path(version):
+    """The first `python<version>` on PATH that starts and reports that
+    version, or None: a version manager's shim may fail to start."""
+    for directory in os.environ.get("PATH", "").split(os.pathsep):
+        path = os.path.join(directory, f"python{version}")
+        if not os.access(path, os.X_OK):
+            continue
+        try:
+            proc = subprocess.run(
+                [path, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if proc.returncode == 0 and proc.stdout.strip() == version:
+            return path
+    return None
+
+
+class TestOtherInterpreters:
+    """The commands that need no numpy write the same bytes under every
+    supported interpreter (requires-python >= 3.10)."""
+
+    @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+    def test_numpy_free_commands_match_the_goldens(self, fixtures_dir, goldens_dir, tmp_path,
+                                                   version):
+        python = python_on_path(version)
+        if python is None:
+            pytest.skip(f"no python{version} on PATH starts")
+        for command, fixture in FIXTURE_COMMANDS:
+            if command in ("fit", "select"):  # these load numpy
+                continue
+            out = tmp_path / command
+            args = [command, "--scenario", str(fixtures_dir / fixture)]
+            if command != "validate":
+                args += ["--out", str(out)]
+            proc = run_process(tmp_path, *args, python=python)
+            assert proc.returncode == 0, (command, proc.stderr)
+            report = json.loads(proc.stdout)
+            if command == "validate":
+                assert report == {"ok": True, "errors": [], "warnings": []}
+                continue
+            golden = goldens_dir / command
+            if golden.is_dir():
+                expected = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                            for p in golden.iterdir()}
+            else:
+                expected = next(d for c, s, f, d in WRITER_DIGESTS
+                                if (c, s, f) == (command, fixture, "csv"))
+            got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+            assert got == expected, (command, python)
 
 
 def overflowing_impact(fixtures_dir, tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from wepolicy import logicmodel, scenario
 from wepolicy.coupling import ParameterNetwork
-from wepolicy.errors import ScenarioError
-from wepolicy.graphs import Edge
+from wepolicy.errors import MAX_LISTED, MissingScopeError, RankDeficiencyError, ScenarioError
+from wepolicy.graphs import Edge, topological_order
+from wepolicy.policy_sim import DynamicsConfig, run_sweep
 from wepolicy.scenario import (
     _array,
     _check,
@@ -20,6 +22,8 @@ from wepolicy.scenario import (
     parse_scenario,
     validate_scenario,
 )
+from wepolicy.valuefn import AsymmetricSpec
+from wepolicy.we_model import WELayer, WellbeingModel, WEScope
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -520,6 +524,86 @@ class TestLongNamesAreCut:
         assert errors == [f"parameter_network.deltas: {name!r} is not a fact node"]
 
 
+# Subsidy and service shares whose sums round onto 1.0 from either side:
+# 0.1 + 0.9, 0.7 + 0.3 and 1/3 + 2/3 are 1.0, and one ulp either way of 1 - x.
+BUDGET_EDGE = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 0.8, 0.9, 1 / 3, 2 / 3, 1.0]).flatmap(
+    lambda x: st.sampled_from([x, 1.0 - x, math.nextafter(1.0 - x, 0.0),
+                               math.nextafter(1.0 - x, 1.0)])
+)
+
+
+def listing(names, quote=str):
+    """The names a finding lists: all of them up to MAX_LISTED, joined as
+    they always were; past it the first MAX_LISTED and the count of the rest."""
+    shown = ", ".join(map(quote, names[:MAX_LISTED]))
+    rest = len(names) - MAX_LISTED
+    return shown if rest <= 0 else f"{shown}, ... ({rest} more)"
+
+
+def long_list_docs():
+    """(doc, finding) for logic models whose findings name thousands of nodes."""
+    names = [f"a{i}" for i in range(20_000)]
+
+    def logic_model(nodes, edges=()):
+        nodes = [*nodes, {"name": "impact", "stage": "impacts"}]
+        return {"logic_model": {"nodes": nodes, "edges": list(edges), "inputs": {}}}
+
+    ring = [{"from": a, "to": b, "weight": 1.0} for a, b in zip(names, names[1:] + names[:1])]
+    return [
+        pytest.param(
+            logic_model([{"name": n, "stage": "outcomes"} for n in names], ring),
+            f"logic_model: cycle involving nodes: {listing(names)}", id="cycle"),
+        pytest.param(
+            logic_model([{"name": n, "stage": "inputs"} for n in names]),
+            f"logic_model.inputs: missing values for inputs nodes: {listing(sorted(names))}",
+            id="unfed-inputs"),
+        pytest.param(
+            logic_model([{"name": n, "stage": "outcomes"} for n in names[:5_000] * 2]),
+            f"logic_model: duplicate node names: {listing(sorted(names[:5_000]))}",
+            id="duplicates"),
+    ]
+
+
+class TestLongListsAreCounted:
+    """A finding lists at most MAX_LISTED input names and counts the rest."""
+
+    @pytest.mark.parametrize("doc, finding", long_list_docs())
+    def test_logic_model_finding_stays_short(self, doc, finding):
+        _, errors, _ = parse_scenario(doc, FIXTURES)
+        assert errors == [finding]
+        assert len(finding.encode("utf-8")) < 2048
+
+    @pytest.mark.parametrize("count", [1, MAX_LISTED, MAX_LISTED + 1, 20_000])
+    def test_library_findings_list_the_first_names(self, count):
+        names = [f"n{i:05d}" for i in range(count)]  # sorted as declared
+        labels = [*names, names[0]]
+        layers = tuple(WELayer(WEScope(n), AsymmetricSpec(), 0.0) for n in labels)
+        no_inputs = logicmodel.LogicModel((logicmodel.Node("i", "impacts"),), ())
+        raised = [
+            (MissingScopeError(names), f"assignment missing scopes: {listing(names)}"),
+            (RankDeficiencyError(names),
+             f"design matrix is rank deficient; dependent columns: {listing(names)}"),
+            (lambda: topological_order(names, list(zip(names, names[1:] + names[:1])),
+                                       {n: i for i, n in enumerate(names)}),
+             f"cycle involving nodes: {listing(names)}"),
+            (lambda: ParameterNetwork(tuple(names), tuple(names), ()),
+             f"nodes cannot be both fact and value: [{listing(names, repr)}]"),
+            (lambda: WellbeingModel(layers),
+             f"scope labels must be unique, got [{listing(labels, repr)}]"),
+            (lambda: logicmodel.check_inputs(no_inputs, dict.fromkeys(names, 0.0)),
+             f"values given for non-inputs nodes: {listing(names)}"),
+            (lambda: logicmodel.FactBinding(dict(zip(names, names)), (), ()),
+             f"bindings reference unknown fact elements: {listing(names)}"),
+        ]
+        for fail, finding in raised:
+            if callable(fail):
+                with pytest.raises(ValueError) as err:
+                    fail()
+                fail = err.value
+            assert str(fail) == finding
+            assert len(finding.encode("utf-8")) < 2048
+
+
 def fixture_doc(fixtures_dir, name):
     return json.loads((fixtures_dir / name).read_text(encoding="utf-8"))
 
@@ -705,6 +789,27 @@ class TestWorkCaps:
         (tmp_path / "survey.csv").write_bytes((fixtures_dir / "survey.csv").read_bytes())
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert errors == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(subsidies=st.lists(BUDGET_EDGE, min_size=1, max_size=6),
+           taxes=st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=1, max_size=3),
+           services=st.lists(BUDGET_EDGE, min_size=1, max_size=6))
+    def test_sweep_rows_are_run_sweeps_rows(self, subsidies, taxes, services):
+        """The admissible rows the work cap counts are the rows run_sweep
+        builds, also where s + v rounds onto 1.0 from either side."""
+        agents = scenario.MAX_SWEEP_WORK  # any admissible row trips the cap
+        doc = {"dynamics": {"agents": agents, "steps": 1, "seed": 0},
+               "sweep": {"subsidy": subsidies, "tax": taxes, "service": services}}
+        _, errors, _ = parse_scenario(doc, FIXTURES)
+        rows = len(run_sweep(DynamicsConfig(1, 1, 0), subsidies, taxes, services).rows)
+        if rows:
+            assert errors == [
+                f"sweep: {rows} admissible rows x ({agents} agents + 1 steps) = "
+                f"{rows * (agents + 1)} exceeds the cap of {scenario.MAX_SWEEP_WORK}"
+            ]
+        else:
+            assert errors == ["sweep: s + v > 1 for every (subsidy, service) pair; "
+                              "no admissible policy to simulate"]
 
 
 class TestRawFamilyDomain:
