@@ -84,10 +84,11 @@ def _require(sc: Scenario, attr: str, section: str):
     return value
 
 
-def _table(fmt: str, stem: str, header, rows) -> tuple[str, str]:
+def _table(fmt: str, stem: str, header, rows) -> dict[str, str]:
+    """The `{file name: text}` entry of one table in format `fmt`."""
     if fmt == "json":
-        return f"{stem}.json", json_rows(header, rows)
-    return f"{stem}.csv", csv_table(header, rows)
+        return {f"{stem}.json": json_rows(header, rows)}
+    return {f"{stem}.csv": csv_table(header, rows)}
 
 
 def _cmd_surface(sc: Scenario, fmt: str, seed):
@@ -103,11 +104,9 @@ def _cmd_surface(sc: Scenario, fmt: str, seed):
             list(map(fmt_float, xs_w)) * len(xs_n),
             [r[2] for r in rows],
         ))
-    name, text = _table(fmt, "surface", ("x_n", "x_w", "W"), rows)
-    outputs = {name: text}
+    outputs = _table(fmt, "surface", ("x_n", "x_w", "W"), rows)
     if sc.curve is not None:
-        name, text = _table(fmt, "curve", ("x", "W"), consensus_curve(*sc.curve))
-        outputs[name] = text
+        outputs |= _table(fmt, "curve", ("x", "W"), consensus_curve(*sc.curve))
     return outputs, [], None
 
 
@@ -177,11 +176,8 @@ def _cmd_sweep(sc: Scenario, fmt: str, seed):
     ]
     shares = normalize_ternary(table)
     ternary_rows = [(r.policy_id, *p) for r, p in zip(table.rows, shares)]
-    outputs = {}
-    name, text = _table(fmt, "sweep", ("policy_id", "s", "t", "v", "econ", "env", "social"), sweep_rows)
-    outputs[name] = text
-    name, text = _table(fmt, "ternary", ("policy_id", "p_econ", "p_env", "p_soc"), ternary_rows)
-    outputs[name] = text
+    outputs = _table(fmt, "sweep", ("policy_id", "s", "t", "v", "econ", "env", "social"), sweep_rows)
+    outputs |= _table(fmt, "ternary", ("policy_id", "p_econ", "p_env", "p_soc"), ternary_rows)
     outputs["skipped.json"] = json_rows(("s", "t", "v"), table.skipped)
     warnings = []
     if table.skipped:
@@ -211,8 +207,7 @@ def _cmd_select(sc: Scenario, fmt: str, seed):
             )
         ranks = range(1, len(ranked.policy_ids) + 1)
         rows = list(zip(ranks, ranked.policy_ids, ranked.w_prime, *ranked.x_w_prime))
-        name, text = _table(fmt, f"ranked_{profile_slug(profile.name)}", header, rows)
-        outputs[name] = text
+        outputs |= _table(fmt, f"ranked_{profile_slug(profile.name)}", header, rows)
     outputs["selection.json"] = dump_json(selection)
     return outputs, warnings, effective_seed
 
@@ -289,6 +284,8 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
         digest = hashlib.sha256(raw).hexdigest()
         outputs, warnings, effective_seed = _DISPATCH[command](sc, fmt, seed)
         warnings = list(sc.warnings) + warnings
+        out = Path(out_dir)
+        _write_outputs(out, outputs)
     except ScenarioError as err:
         for finding in err.findings:
             print(f"error: {finding}", file=sys.stderr)
@@ -296,13 +293,6 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
     except _NUMERICAL_ERRORS as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-
-    out = Path(out_dir)
-    try:
-        _write_outputs(out, outputs)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -271,7 +271,7 @@ class ParameterNetwork(namedtuple("ParameterNetwork", "fact_nodes value_nodes ed
             raise ValueError(f"nodes cannot be both fact and value: [{_listed(overlap, _quote)}]")
         # Name -> position in node_names(): facts, values, then the other
         # edge endpoints in first-seen order; one pass also collects the
-        # (source, target) pairs.
+        # (source, target) position pairs.
         index = {n: i for i, n in enumerate((*fact_nodes, *value_nodes))}
         pairs = []
         for src, dst, weight in edges:
@@ -279,13 +279,11 @@ class ParameterNetwork(namedtuple("ParameterNetwork", "fact_nodes value_nodes ed
                 raise ValueError(f"fact node {_quote(dst)} cannot have incoming edges")
             if not math.isfinite(weight):
                 raise ValueError(f"edge {_cut(src)}->{_cut(dst)} weight must be finite")
-            index.setdefault(src, len(index))
-            index.setdefault(dst, len(index))
-            pairs.append((src, dst))
+            pairs.append((index.setdefault(src, len(index)), index.setdefault(dst, len(index))))
         self = super().__new__(cls, fact_nodes, value_nodes, edges)
         self._names = tuple(index)
         # Raises CycleError on a cycle; cached for propagation.
-        self._order = tuple(topological_order(self._names, pairs, index))
+        self._order = tuple(topological_order(self._names, pairs))
         return self
 
     def node_names(self) -> tuple[str, ...]:

@@ -21,18 +21,17 @@ class Edge(NamedTuple):
     weight: float
 
 
-def topological_order(names: Sequence[str], edges: Sequence[Tuple[str, str]],
-                      index: Mapping[str, int]) -> list[str]:
+def topological_order(names: Sequence[str], edges: Sequence[Tuple[int, int]]) -> list[str]:
     """Kahn's algorithm; ties broken by declaration order so results are stable.
 
-    Raises CycleError naming the nodes left on a cycle. Names must be unique.
-    `index` maps each name to its position in `names`.
+    Each edge is a (source, target) pair of positions in `names`. Raises
+    CycleError naming the nodes left on a cycle. Names must be unique.
     """
     indegree = [0] * len(names)
     outgoing: list[list[int]] = [[] for _ in names]
     for src, dst in edges:
-        outgoing[index[src]].append(index[dst])
-        indegree[index[dst]] += 1
+        outgoing[src].append(dst)
+        indegree[dst] += 1
 
     ready = [i for i, d in enumerate(indegree) if d == 0]  # ascending, so a heap
     order: list[str] = []

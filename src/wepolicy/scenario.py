@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coupling import FactCoupling, LinearMap, ParameterNetwork, Saturator, apply_map
-from .errors import DimensionError, ScenarioError, _cut, _quote
+from .errors import MAX_LISTED, DimensionError, ScenarioError, _cut, _quote
 from .graphs import Edge
 from .numeric import left_sum
 
@@ -347,7 +347,8 @@ class _Builder:
     Every finding goes through `error`, which also records the section
     being parsed as failed. A check that reads an earlier section skips it
     when it has a finding of its own, so no follow-on finding names the
-    wrong cause."""
+    wrong cause. A section keeps its first MAX_LISTED findings; one more
+    finding counts the rest."""
 
     def __init__(self, base_dir: Path):
         self.sc = Scenario(base_dir)
@@ -356,11 +357,17 @@ class _Builder:
         self.element_sets: dict[str, tuple[str, ...]] = {}  # set name -> variable names
         self.errors: list[str] = []
         self.failed: set[str] = set()
+        self.counts: dict[str, int] = {}  # section -> its findings so far
         self.section = ""
 
     def error(self, msg: str):
-        self.errors.append(msg)
         self.failed.add(self.section)
+        count = self.counts[self.section] = self.counts.get(self.section, 0) + 1
+        if count > MAX_LISTED:  # a section's findings are contiguous, the count last
+            if count > MAX_LISTED + 1:
+                self.errors.pop()
+            msg = f"{self.section}: ... ({count - MAX_LISTED} more findings)"
+        self.errors.append(msg)
 
     def attempt(self, parse, *args):
         """parse(*args), or None when it raises a ValueError, whose message

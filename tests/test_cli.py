@@ -1,5 +1,6 @@
 import copy
 import gc
+import glob
 import hashlib
 import json
 import os
@@ -966,10 +967,14 @@ class TestProcessEntry:
         assert not out.exists()
 
 
-def python_on_path(version):
-    """The first `python<version>` on PATH that starts and reports that
-    version, or None: a version manager's shim may fail to start."""
-    for directory in os.environ.get("PATH", "").split(os.pathsep):
+def python_that_starts(version):
+    """The first `python<version>` that starts and reports that version, or
+    None. It looks on PATH, then under pyenv's installed versions
+    (`$PYENV_ROOT/versions/<version>.*/bin`, `~/.pyenv` by default): a
+    version manager's shim may fail to start where the interpreter runs."""
+    root = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    installed = glob.glob(os.path.join(glob.escape(root), "versions", f"{version}.*", "bin"))
+    for directory in [*os.environ.get("PATH", "").split(os.pathsep), *sorted(installed)]:
         path = os.path.join(directory, f"python{version}")
         if not os.access(path, os.X_OK):
             continue
@@ -992,9 +997,9 @@ class TestOtherInterpreters:
     @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
     def test_numpy_free_commands_match_the_goldens(self, fixtures_dir, goldens_dir, tmp_path,
                                                    version):
-        python = python_on_path(version)
+        python = python_that_starts(version)
         if python is None:
-            pytest.skip(f"no python{version} on PATH starts")
+            pytest.skip(f"no python{version} on PATH or under pyenv starts")
         for command, fixture in FIXTURE_COMMANDS:
             if command in ("fit", "select"):  # these load numpy
                 continue

@@ -541,7 +541,7 @@ def listing(names, quote=str):
 
 
 def long_list_docs():
-    """(doc, finding) for logic models whose findings name thousands of nodes."""
+    """(doc, finding) for logic models whose findings name thousands of nodes or edges."""
     names = [f"a{i}" for i in range(20_000)]
 
     def logic_model(nodes, edges=()):
@@ -549,7 +549,20 @@ def long_list_docs():
         return {"logic_model": {"nodes": nodes, "edges": list(edges), "inputs": {}}}
 
     ring = [{"from": a, "to": b, "weight": 1.0} for a, b in zip(names, names[1:] + names[:1])]
+    to_unknown = [{"from": "impact", "to": f"x{k}", "weight": 1.0} for k in range(20_000)]
+    backwards = [{"from": "impact", "to": "o", "weight": 1.0}] * 20_000
     return [
+        pytest.param(
+            logic_model([], to_unknown),
+            "logic_model: " + "; ".join(
+                [f"edge impact->x{k} references unknown nodes: x{k}" for k in range(MAX_LISTED)]
+            ) + f"; ... ({20_000 - MAX_LISTED} more edges reference unknown nodes)",
+            id="unknown-edges"),
+        pytest.param(
+            logic_model([{"name": "o", "stage": "outputs"}], backwards),
+            "logic_model: " + "edge impact->o runs backwards: impacts -> outputs; " * MAX_LISTED
+            + f"... ({20_000 - MAX_LISTED} more edges run backwards)",
+            id="backward-edges"),
         pytest.param(
             logic_model([{"name": n, "stage": "outcomes"} for n in names], ring),
             f"logic_model: cycle involving nodes: {listing(names)}", id="cycle"),
@@ -573,6 +586,34 @@ class TestLongListsAreCounted:
         assert errors == [finding]
         assert len(finding.encode("utf-8")) < 2048
 
+    @pytest.mark.parametrize("count", [MAX_LISTED, MAX_LISTED + 1])
+    def test_bad_edges_are_counted_per_kind(self, count):
+        # The two kinds interleave: up to MAX_LISTED of each, the findings
+        # are the per-edge texts in edge order, as they always were.
+        nodes = (logicmodel.Node("o", "outputs"), logicmodel.Node("i", "impacts"))
+        edges, want = [], []
+        for k in range(count):
+            edges += [Edge("o", f"x{k}", 1.0), Edge("i", "o", 1.0)]
+            if k < MAX_LISTED:
+                want += [f"edge o->x{k} references unknown nodes: x{k}",
+                         "edge i->o runs backwards: impacts -> outputs"]
+        if count > MAX_LISTED:
+            want += ["... (1 more edges reference unknown nodes)",
+                     "... (1 more edges run backwards)"]
+        assert logicmodel.validate(logicmodel.LogicModel(nodes, tuple(edges))) == want
+
+    @pytest.mark.parametrize("count", [MAX_LISTED, MAX_LISTED + 1, 20_000])
+    def test_section_findings_are_counted(self, count):
+        doc = {"value_functions": {f"f{k}": {"kind": "nope"} for k in range(count)},
+               "layers": [1]}
+        _, errors, _ = parse_scenario(doc, FIXTURES)
+        want = [f"value_functions.f{k}.kind: unknown kind 'nope'"
+                for k in range(min(count, MAX_LISTED))]
+        if count > MAX_LISTED:
+            want.append(f"value_functions: ... ({count - MAX_LISTED} more findings)")
+        assert errors == [*want, "layers[0]: expected an object"]
+        assert len("".join(errors).encode("utf-8")) < 2048
+
     @pytest.mark.parametrize("count", [1, MAX_LISTED, MAX_LISTED + 1, 20_000])
     def test_library_findings_list_the_first_names(self, count):
         names = [f"n{i:05d}" for i in range(count)]  # sorted as declared
@@ -583,8 +624,7 @@ class TestLongListsAreCounted:
             (MissingScopeError(names), f"assignment missing scopes: {listing(names)}"),
             (RankDeficiencyError(names),
              f"design matrix is rank deficient; dependent columns: {listing(names)}"),
-            (lambda: topological_order(names, list(zip(names, names[1:] + names[:1])),
-                                       {n: i for i, n in enumerate(names)}),
+            (lambda: topological_order(names, [(i, (i + 1) % count) for i in range(count)]),
              f"cycle involving nodes: {listing(names)}"),
             (lambda: ParameterNetwork(tuple(names), tuple(names), ()),
              f"nodes cannot be both fact and value: [{listing(names, repr)}]"),
