@@ -359,8 +359,10 @@ def entry() -> None:
     Once `main` returns, the outputs are written and closed, so after
     flushing stdout and stderr the process ends with `os._exit`, skipping
     the interpreter's teardown of the heap. `main` itself returns normally,
-    for in-process callers.
+    for in-process callers. BLAS is set to one thread before numpy loads, so
+    `fit`'s least squares write the same bytes whatever the CPU count.
     """
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, UnknownNodeError, _cut, _listed, _quote
 from .graphs import Edge as NetworkEdge, propagate_linear, topological_order
+from .numeric import dot
 
 if TYPE_CHECKING:  # an annotation only; valuefn is not loaded at run time
     from .valuefn import ValueCurve
@@ -84,13 +85,8 @@ def apply_map(m: LinearMap, x: Sequence[float]) -> list[float]:
     """matrix @ x + offset with row-sequential dot products."""
     if len(x) != m.source_dim:
         raise DimensionError(f"map expects {m.source_dim}-vectors, got length {len(x)}")
-    out = []
-    for row, off in zip(m.matrix, m.offset):
-        acc = off
-        for w, v in zip(row, x):
-            acc += w * v
-        out.append(m.nonlinearity(acc) if m.nonlinearity is not None else acc)
-    return out
+    out = [dot(row, x, off) for row, off in zip(m.matrix, m.offset)]
+    return out if m.nonlinearity is None else list(map(m.nonlinearity, out))
 
 
 class ScopeFunction(NamedTuple):
@@ -105,10 +101,7 @@ class ScopeFunction(NamedTuple):
                 f"scope function expects {len(self.element_weights)}-vectors, "
                 f"got length {len(x)}"
             )
-        acc = 0.0
-        for w, v in zip(self.element_weights, x):
-            acc += w * v
-        return self.value_function(acc)
+        return self.value_function(dot(self.element_weights, x))
 
 
 class ConsensusReport(NamedTuple):
@@ -198,9 +191,9 @@ def couple_rows(g: FactCoupling, x_w: Sequence[float], rows: Sequence[Sequence[f
 
     Returns (x_w' columns, perturbation ratio column), both float64 arrays
     over `rows`. Every element is computed as the scalar formula would:
-    shifts accumulate ``0.0 + w * x`` left to right, and the perturbation
-    keeps the first maximum, as builtin `max` does. Overflow yields inf (or
-    NaN) without a warning; callers decide whether that is a failure.
+    each shift is a `dot` over the fact columns from a zero column, and the
+    perturbation keeps the first maximum, as builtin `max` does. Overflow
+    yields inf (or NaN) unwarned; callers decide whether that is a failure.
     """
     # Imported here so that commands which never couple start without numpy.
     import numpy as np
@@ -221,9 +214,7 @@ def couple_rows(g: FactCoupling, x_w: Sequence[float], rows: Sequence[Sequence[f
     with np.errstate(over="ignore", invalid="ignore"):
         prime = []
         for wv, row in zip(x_w, g.matrix):
-            shift = np.zeros(len(rows))
-            for k, w in enumerate(row):
-                shift += w * facts[:, k]
+            shift = dot(row, facts.T, np.zeros(len(rows)))
             prime.append(wv + shift if g.mode == ADDITIVE else wv * (1.0 + shift))
         delta = None
         for p, wv in zip(prime, x_w):

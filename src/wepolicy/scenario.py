@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .coupling import FactCoupling, LinearMap, ParameterNetwork, Saturator, apply_map
 from .errors import MAX_LISTED, DimensionError, ScenarioError, _cut, _quote
 from .graphs import Edge
-from .numeric import left_sum
+from .numeric import dot, left_sum
 
 # A section parser imports the modules it builds from (evaluator, logicmodel,
 # policy_sim, valuefn, we_model) where it uses them, so loading a scenario
@@ -733,7 +733,7 @@ class _Builder:
         # A layer's input at probe p: its weights times f(p) (narrow) or p (wide).
         mapped = [apply_map(f, p) for p in probes]
         for layer, vectors in zip(layers, (mapped, probes)):
-            xs = [left_sum(w * v for w, v in zip(layer.element_weights, x)) for x in vectors]
+            xs = [dot(layer.element_weights, x) for x in vectors]
             self._grid_check(layer, xs, f"{where}.probes")
 
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionError, RankDeficiencyError, _quote
-from .numeric import left_sum
+from .numeric import dot
 
 if TYPE_CHECKING:  # an annotation only; the scenario builds construct maps
     from .scenario import ConstructMap
@@ -78,28 +77,24 @@ def aggregate_survey(survey: SurveyColumns, cmap: ConstructMap, scale: int) -> l
     """
     n = len(survey.respondents)
     rescaled = [rescale_answer(sum(col) / n, scale) for col in survey.answers]
-    return [left_sum(map(operator.mul, row, rescaled)) for row in cmap.matrix]
+    return [dot(row, rescaled) for row in cmap.matrix]
 
 
 def respondent_scores(survey: SurveyColumns, cmap: ConstructMap, scale: int):
     """Per-respondent construct vectors (rescale each answer, then map), as
     an array with one row per respondent and one column per construct.
 
-    Runs as numpy column passes: each construct column accumulates
-    ``0.0 + w * z`` over the questions left to right, which is the
-    `left_sum` of a respondent's terms. `survey` must have passed
+    Runs as numpy column passes: each question column is rescaled once, and
+    each construct column is the `dot` of its map row with those columns
+    from a zero column, as a respondent's scalar `dot`. `survey` must have passed
     `check_survey` with the same `cmap` and `scale`.
     """
     # Imported here so that commands which never fit start without numpy.
     import numpy as np
 
-    n = len(survey.respondents)
-    cols = [np.zeros(n) for _ in cmap.matrix]
-    for q, answers in enumerate(survey.answers):
-        z = rescale_answer(np.array(answers, dtype=float), scale)
-        for acc, row in zip(cols, cmap.matrix):
-            acc += row[q] * z
-    return np.column_stack(cols)
+    z = [rescale_answer(np.array(answers, dtype=float), scale) for answers in survey.answers]
+    zero = np.zeros(len(survey.respondents))
+    return np.column_stack([dot(row, z, zero) for row in cmap.matrix])
 
 
 # A dataclass, unlike the other value types: callers rescale a fitted
@@ -197,10 +192,7 @@ def predict(model: RegressionModel, x: Sequence[float]) -> float:
         raise DimensionError(
             f"model has {len(model.coefficients)} coefficients, input has {len(x)}"
         )
-    acc = model.intercept
-    for c, v in zip(model.coefficients, x):
-        acc += c * v
-    return acc
+    return dot(model.coefficients, x, model.intercept)
 
 
 def read_survey_csv(text: str) -> SurveyColumns:

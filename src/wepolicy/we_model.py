@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from .coupling import ScopeFunction
 from .errors import DimensionError, MissingScopeError, _listed, _quote
+from .numeric import dot
 from .valuefn import AsymmetricSpec, ValueCurve
 
 WEIGHT_SUM_TOL = 1e-12
@@ -104,10 +105,8 @@ def aggregate(model: WellbeingModel, assignment: Mapping[str, float]) -> float:
     missing = [l.scope.label for l in model.layers if l.scope.label not in assignment]
     if missing:
         raise MissingScopeError(missing)
-    total = 0.0
-    for layer in model.layers:
-        total += layer.weight * layer.value_function(assignment[layer.scope.label])
-    return total
+    values = [layer.value_function(assignment[layer.scope.label]) for layer in model.layers]
+    return dot([layer.weight for layer in model.layers], values)
 
 
 def surface_layers(model: WellbeingModel) -> tuple[WELayer, WELayer]:

@@ -2,7 +2,9 @@ import copy
 import gc
 import glob
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -19,6 +21,8 @@ import wepolicy
 from wepolicy.cli import main, run
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_cli(capsys, *args):
@@ -206,6 +210,106 @@ class TestValidateCommand:
         report = json.loads(stdout)
         assert not report["ok"]
         assert any(e.startswith("sweep:") and "s + v > 1" in e for e in report["errors"])
+
+
+def _edited(fixture, edit):
+    """A fixture document with `edit` applied to it, as JSON bytes."""
+    doc = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+    edit(doc)
+    return json.dumps(doc).encode("utf-8")
+
+
+def _mapping_f(key, value):
+    return _edited("consensus.json", lambda doc: doc["mapping_f"].__setitem__(key, value))
+
+
+# (scenario bytes, survey.csv text or None for the fixture's, the one finding)
+REACHABLE_FINDINGS = {
+    "not-utf8": (b'{"a": "\xff"}', None, "scenario: not valid UTF-8 ('utf-8' codec can't "
+                 "decode byte 0xff in position 7: invalid start byte)"),
+    "not-an-object": (b"[]", None, "scenario: expected a JSON object"),
+    "empty-grid": (_edited("pipeline.json", lambda doc: doc["sweep"].__setitem__("subsidy", [])),
+                   None, "sweep.subsidy: grid must be non-empty"),
+    "value-nodes": (
+        _edited("pipeline.json", lambda doc: doc["parameter_network"].__setitem__(
+            "values", ["life_satisfaction", "life_satisfaction"])),
+        None, "parameter_network: value node names must be unique"),
+    "constructs": (
+        _edited("pipeline.json", lambda doc: doc["survey"].__setitem__(
+            "constructs", ["social", "social", "economic"])),
+        None, "survey: construct names must be unique"),
+    "empty-csv": ((FIXTURES / "pipeline.json").read_bytes(), "",
+                  "survey.file: survey CSV is empty"),
+    "no-questions": ((FIXTURES / "pipeline.json").read_bytes(), "respondent\nr1\n",
+                     "survey.file: survey CSV has no question columns"),
+    "no-column": (_mapping_f("matrix", [[]]), None,
+                  "mapping_f: matrix must have at least one column"),
+    "saturator-scale": (_mapping_f("nonlinearity", {"kind": "saturator", "scale": 0.0}), None,
+                        "mapping_f.nonlinearity: saturator scale must be > 0, got 0.0"),
+    "unknown-kind": (_mapping_f("nonlinearity", {"kind": "cubic"}), None,
+                     "mapping_f.nonlinearity.kind: unknown kind 'cubic'"),
+}
+
+
+class TestValidateReportsEachFinding:
+    @pytest.mark.parametrize("data, survey, finding", REACHABLE_FINDINGS.values(),
+                             ids=REACHABLE_FINDINGS)
+    def test_the_finding_alone(self, capsys, tmp_path, data, survey, finding):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(data)
+        if survey is None:
+            shutil.copy(FIXTURES / "survey.csv", tmp_path / "survey.csv")
+        else:
+            (tmp_path / "survey.csv").write_text(survey, encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "validate", "--scenario", str(scenario))
+        assert (code, err) == (1, "")
+        assert json.loads(stdout) == {"ok": False, "errors": [finding], "warnings": []}
+
+
+class TestSaturatedConsensus:
+    """`consensus-check` through a saturated mapping, against the scalar
+    formulas: y = scale * tanh((row . x + offset) / scale), then each
+    layer's weighted sum and curve."""
+
+    SCALE = 5.0
+
+    def reference(self, doc):
+        from wepolicy.valuefn import AsymmetricSpec
+
+        curve = AsymmetricSpec()  # the fixture's only value function
+        f, (narrow, wide) = doc["mapping_f"], doc["layers"]
+
+        def weighted(weights, x, total=0.0):
+            for w, v in zip(weights, x):
+                total += w * v
+            return total
+
+        worst, max_dev = None, -1.0
+        for p in doc["consensus"]["probes"]:
+            y = [self.SCALE * math.tanh(weighted(row, p, off) / self.SCALE)
+                 for row, off in zip(f["matrix"], f["offset"])]
+            dev = abs(curve(weighted(narrow["element_weights"], y))
+                      - curve(weighted(wide["element_weights"], p)))
+            if dev > max_dev:
+                worst, max_dev = p, dev
+        tol = doc["consensus"]["tol"]
+        return {"holds": max_dev <= tol, "max_deviation": max_dev, "worst_point": worst,
+                "tol": tol, "probes": len(doc["consensus"]["probes"])}
+
+    def test_report_matches_the_scalar_reference(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "consensus.json").read_text(encoding="utf-8"))
+        doc["mapping_f"]["nonlinearity"] = {"kind": "saturator", "scale": self.SCALE}
+        scenario = tmp_path / "consensus.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(scenario))
+        assert (code, json.loads(stdout)["ok"]) == (0, True)
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "consensus-check", "--scenario", str(scenario),
+                             "--out", str(out))
+        assert code == 0
+        report = json.loads((out / "consensus_report.json").read_text(encoding="utf-8"))
+        assert report == self.reference(doc)
+        assert report["max_deviation"] == 0.05211716255094423
 
 
 class TestRejectedInputs:
@@ -965,6 +1069,25 @@ class TestProcessEntry:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_fit_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, monkeypatch):
+        """On the benchmark's policy-wide survey, numpy's least squares at
+        two BLAS threads gave `r2` a different last bit than at one; the
+        process runs BLAS on one thread whatever its environment says."""
+        spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        gen.generate("policy-wide", 1, tmp_path)
+        expected = json.loads((PERFBENCH / "expected.json").read_text())["policy-wide"]["fit"]
+        for threads in ("1", "2"):
+            for name in BLAS_THREADS:
+                monkeypatch.setenv(name, threads)
+            out = tmp_path / f"out{threads}"
+            proc = run_process(tmp_path, "fit", "--scenario", str(tmp_path / "scenario.json"),
+                               "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            digest = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+            assert digest == expected["model.json"], threads
 
 
 def python_that_starts(version):
