@@ -6,7 +6,8 @@ mapping, `fit` builds the survey-backed target function, `sweep` runs the
 policy grid through the simulator, `select` couples sweep facts into the
 target and picks maximizers per weighting profile, `impact` evaluates the
 logic model, `network` propagates fact deltas to value parameters, and
-`validate` reports scenario findings without running anything.
+`validate` reports scenario findings; of the pipelines it runs only the
+sweep simulation, as it reads only the survey file.
 
 Outputs are staged in memory until a command fully succeeds, then written
 to a staging directory inside `--out` and renamed into place, so a nonzero
@@ -34,7 +35,7 @@ from pathlib import Path
 from .coupling import check_consensus, propagate_network
 from .errors import RankDeficiencyError, ScenarioError, _quote
 from .scenario import Scenario, load_scenario, profile_slug, validate_scenario
-from .serialize import csv_table, dump_json, fmt_float, json_rows
+from .serialize import csv_table, dump_json, json_rows
 
 # Names taken from the modules that only some commands use. A command binds
 # a module's names here with `_bind` before it calls them, and `__getattr__`
@@ -100,8 +101,8 @@ def _cmd_surface(sc: Scenario, fmt: str, seed):
         # Each grid value fills a whole row or column of the grid, so it is
         # formatted once per grid index; csv_table writes text cells as is.
         rows = list(zip(
-            [t for t in map(fmt_float, xs_n) for _ in xs_w],
-            list(map(fmt_float, xs_w)) * len(xs_n),
+            [t for t in map(float.__repr__, xs_n) for _ in xs_w],
+            list(map(float.__repr__, xs_w)) * len(xs_n),
             [r[2] for r in rows],
         ))
     outputs = _table(fmt, "surface", ("x_n", "x_w", "W"), rows)

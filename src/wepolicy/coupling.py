@@ -125,7 +125,8 @@ def check_consensus(
     """Decide narrow∘f == wide on a finite probe grid within tol.
 
     The report carries the worst probe so a failed check is actionable.
-    Raises FloatingPointError when a probe's deviation is NaN.
+    Raises FloatingPointError naming the first probe whose deviation is
+    not finite.
     """
     if not probe_grid:
         raise ValueError("probe grid must be non-empty")
@@ -133,8 +134,8 @@ def check_consensus(
     max_dev = -1.0
     for i, xw in enumerate(probe_grid):
         dev = abs(narrow(apply_map(f, xw)) - wide(xw))
-        if math.isnan(dev):
-            raise FloatingPointError(f"consensus deviation is NaN at probe {i}")
+        if not math.isfinite(dev):
+            raise FloatingPointError(f"consensus deviation at probe {i} is not finite: {dev!r}")
         if dev > max_dev:
             max_dev = dev
             worst = xw

@@ -154,12 +154,7 @@ def _str(value, where: str) -> str:
 def _matrix(value, where: str) -> tuple[tuple[float, ...], ...]:
     if not isinstance(value, list) or not value:
         raise ValueError(f"{where}: expected a non-empty row-major array of rows")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list):
-            raise ValueError(f"{where}[{i}]: expected an array of numbers")
-        rows.append(tuple(_float(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)))
-    return tuple(rows)
+    return tuple(tuple(_vector(row, f"{where}[{i}]")) for i, row in enumerate(value))
 
 
 def _vector(value, where: str) -> list[float]:
@@ -262,7 +257,11 @@ def grid_values(spec, where: str) -> list[float]:
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
+    vals = [start + i * step for i in range(count)]
+    for i, v in enumerate(vals):
+        if not math.isfinite(v):  # stop - start can overflow
+            raise ValueError(f"{where}: grid value {i} is not finite: {v!r}")
+    return vals
 
 
 def _grid_len(spec) -> int:
@@ -356,13 +355,11 @@ class _Builder:
         self.value_functions: dict[str, ValueCurve] = {}
         self.element_sets: dict[str, tuple[str, ...]] = {}  # set name -> variable names
         self.errors: list[str] = []
-        self.failed: set[str] = set()
-        self.counts: dict[str, int] = {}  # section -> its findings so far
+        self.failed: dict[str, int] = {}  # section -> its findings so far
         self.section = ""
 
     def error(self, msg: str):
-        self.failed.add(self.section)
-        count = self.counts[self.section] = self.counts.get(self.section, 0) + 1
+        count = self.failed[self.section] = self.failed.get(self.section, 0) + 1
         if count > MAX_LISTED:  # a section's findings are contiguous, the count last
             if count > MAX_LISTED + 1:
                 self.errors.pop()
@@ -808,11 +805,12 @@ def load_scenario(path: str | Path) -> tuple[Scenario, bytes]:
 
 
 def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
-    """Full cross-section consistency findings without running anything.
+    """Full cross-section consistency findings.
 
     A scenario without other findings has its survey file read and checked
-    as `fit` checks it. Returns (errors, warnings). I/O problems propagate
-    as OSError.
+    as `fit` checks it, and its sweep simulated as `sweep` runs it, so a
+    non-finite indicator is a `sweep:` finding. Returns (errors, warnings).
+    I/O problems propagate as OSError.
     """
     try:
         doc, _ = read_scenario_file(path)
@@ -828,4 +826,11 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
             check_survey(survey, cfg.construct_map, cfg.scale)
         except ValueError as err:
             errors.append(f"survey.file: {err}")
+    if not errors and sc.dynamics is not None and sc.sweep_grid is not None:
+        from .policy_sim import run_sweep
+
+        try:  # the grid is keyed in run_sweep's argument order
+            run_sweep(sc.dynamics, *sc.sweep_grid.values())
+        except FloatingPointError as err:
+            errors.append(f"sweep: {err}")
     return errors, warnings

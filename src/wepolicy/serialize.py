@@ -1,9 +1,9 @@
 """Byte-stable serialization: shortest round-trip floats, CSV tables, JSON reports.
 
-Every float written to an output file is Python's shortest round-trip repr
-(up to 17 significant digits, `.` decimal separator, no locale dependence),
-from `fmt_float` or from `float.__repr__` over a whole column. Two runs
-over the same inputs therefore produce byte-identical files.
+Every float written to an output file is `float.__repr__` text: Python's
+shortest round-trip repr (up to 17 significant digits, `.` decimal
+separator, no locale dependence), also for numpy's float subclasses. Two
+runs over the same inputs therefore produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ from __future__ import annotations
 import json
 import math
 from typing import Iterable, Sequence
-
-
-def fmt_float(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float64."""
-    return repr(float(x))
 
 
 def csv_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -50,7 +45,7 @@ def _cell(v: object) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return fmt_float(v)
+        return float.__repr__(v)
     return str(v)
 
 

@@ -128,7 +128,8 @@ def sample_surface(
 
     Rows come back in row-major order (narrow axis outer, wide axis inner)
     so CSV output is byte-stable. Each layer's weighted curve is evaluated
-    once per grid value; a cell adds the two.
+    once per grid value; a cell adds the two. Raises FloatingPointError
+    naming the first cell, in that order, whose value is not finite.
     """
     narrow, wide = surface_layers(model)
     if not xs_narrow or not xs_wide:
@@ -138,12 +139,23 @@ def sample_surface(
     for xn in xs_narrow:
         wn = narrow.weight * narrow.value_function(xn)
         rows += [(xn, xw, wn + t) for xw, t in zip(xs_wide, wide_terms)]
+    for xn, xw, w in rows:
+        if not math.isfinite(w):
+            raise FloatingPointError(
+                f"surface value at x_n={xn!r}, x_w={xw!r} is not finite: {w!r}"
+            )
     return rows
 
 
 def consensus_curve(layer: WELayer, xs: Sequence[float]) -> list[tuple[float, float]]:
     """Value of a single shared function along a grid — the curve the
-    surface collapses to when both scopes agree, independent of weights."""
+    surface collapses to when both scopes agree, independent of weights.
+    Raises FloatingPointError naming the first point whose value is not
+    finite."""
     if not xs:
         raise ValueError("grid must be non-empty")
-    return [(x, layer.value_function(x)) for x in xs]
+    curve = [(x, layer.value_function(x)) for x in xs]
+    for x, w in curve:
+        if not math.isfinite(w):
+            raise FloatingPointError(f"curve value at x={x!r} is not finite: {w!r}")
+    return curve

@@ -1,8 +1,10 @@
 import copy
+import csv
 import gc
 import glob
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -48,6 +50,33 @@ def log_narrow_layer(doc):
     whose domain the probes leave: the first probe gives it input -2.0."""
     doc["value_functions"]["log"] = {"kind": "family", "family": "logarithmic", "a": 1.0}
     doc["layers"][0]["value_function"] = "log"
+    return doc
+
+
+def overflowing_grid(doc):
+    """`fig2.json`'s `doc` with an x_n grid whose step, stop - start, is inf."""
+    doc["surface"]["x_n"] = {"start": -1e308, "stop": 1e308, "count": 3}
+    return doc
+
+
+def overflowing_quadratic(doc):
+    """`fig2.json`'s `doc` without its curve and with layer I on the raw
+    quadratic family, whose value at x_n = 1e200 overflows to -inf."""
+    doc["value_functions"]["quadratic"] = {"kind": "family", "family": "quadratic", "a": 1.0}
+    doc["layers"][0]["value_function"] = "quadratic"
+    doc["surface"] = {"x_n": {"values": [0.0, 1e200]}, "x_w": {"values": [0.0, 1.0]}}
+    del doc["curve"]
+    return doc
+
+
+def overflowing_consensus(doc):
+    """`consensus.json`'s `doc` with a doubling map, under which the first
+    probe's mapped (narrow) side overflows to inf and its wide side does not."""
+    doc["value_functions"]["linear"] = {"kind": "mirrored", "family": "linear"}
+    for layer in doc["layers"]:
+        layer["value_function"] = "linear"
+    doc["mapping_f"]["matrix"] = [[2.0, 0.0], [0.0, 2.0]]
+    doc["consensus"]["probes"] = [[1e308, 1e308], [0.0, 0.0]]
     return doc
 
 
@@ -497,7 +526,9 @@ class TestRejectedInputs:
         }
         code, err = self._run(capsys, tmp_path, "consensus-check", doc)
         assert code == 2
-        assert "NaN at probe 1" in err
+        assert err == (
+            "error: numerical failure: consensus deviation at probe 1 is not finite: nan\n"
+        )
 
 
     @pytest.mark.parametrize("command, section, given, first_node", [
@@ -533,7 +564,8 @@ class TestRejectedInputs:
     def test_non_finite_indicators_are_numerical(
         self, capsys, tmp_path, fixtures_dir, command, field, service
     ):
-        # the first policy whose indicators overflow is named
+        # the first policy whose indicators overflow is named, and validate
+        # reports the same text as a sweep finding
         doc = json.loads((fixtures_dir / "pipeline.json").read_text())
         doc["dynamics"][field] = 1e308
         shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
@@ -541,6 +573,9 @@ class TestRejectedInputs:
         assert code == 2
         assert err.startswith("error: numerical failure: non-finite indicators (")
         assert err.endswith(f") for PolicyKnobs(subsidy=0.0, tax=0.0, service={service})\n")
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(tmp_path / "scenario.json"))
+        finding = "sweep: " + err.removeprefix("error: numerical failure: ").rstrip("\n")
+        assert (code, json.loads(stdout)["errors"]) == (1, [finding])
 
     def test_raw_family_below_its_domain_is_a_finding(self, capsys, tmp_path, fixtures_dir):
         doc = json.loads((fixtures_dir / "fig2.json").read_text())
@@ -575,6 +610,34 @@ class TestRejectedInputs:
         code, err = self._run(capsys, tmp_path, "fit", doc)
         assert code == 2
         assert err == "error: numerical failure: SVD did not converge in Linear Least Squares\n"
+
+
+class TestNonFiniteValues:
+    """A grid, surface, curve or consensus value that is not finite is a
+    finding or exit 2 in either format, never an output file or a traceback."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fixture, edit, command, findings, code, message", [
+        ("fig2.json", overflowing_grid, "surface",
+         ["surface.x_n: grid value 0 is not finite: nan"], 1,
+         "surface.x_n: grid value 0 is not finite: nan"),
+        ("fig2.json", overflowing_quadratic, "surface", [], 2,
+         "numerical failure: surface value at x_n=1e+200, x_w=0.0 is not finite: -inf"),
+        ("consensus.json", overflowing_consensus, "consensus-check", [], 2,
+         "numerical failure: consensus deviation at probe 0 is not finite: inf"),
+    ], ids=["grid", "quadratic", "consensus"])
+    def test_exit_code_and_message(self, tmp_path, capsys, fmt, fixture, edit, command,
+                                   findings, code, message):
+        scenario = tmp_path / "scenario.json"
+        doc = edit(json.loads((FIXTURES / fixture).read_text(encoding="utf-8")))
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        validate_code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(scenario))
+        assert (validate_code, json.loads(stdout)["errors"]) == (int(bool(findings)), findings)
+        out = tmp_path / "out"
+        got = run_cli(capsys, command, "--scenario", str(scenario), "--out", str(out),
+                      "--format", fmt)
+        assert got == (code, "", f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestHugeJsonInteger:
@@ -1367,6 +1430,31 @@ def mutated_fixtures(draw):
     return doc
 
 
+# The commands that write tables, and consensus-check, run in the drawn format.
+FORMATTED_COMMANDS = ("surface", "consensus-check", "sweep", "select")
+
+
+def reject_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+def assert_finite_outputs(out):
+    """No file in `out` holds nan or +-inf: no CSV cell reads as one, and
+    no JSON text holds NaN, Infinity or -Infinity."""
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=reject_constant)
+            continue
+        for row in csv.reader(io.StringIO(text)):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (path.name, cell)
+
+
 def pipeline_with_dynamics(field, value):
     doc = fuzz_fixtures()[0]
     doc["dynamics"][field] = value
@@ -1376,17 +1464,21 @@ def pipeline_with_dynamics(field, value):
 class TestExitCodeContract:
     @settings(max_examples=1000, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(doc=mutated_fixtures())
-    @example(doc={"surface": fuzz_fixtures()[2]["surface"]})
-    @example(doc=pipeline_with_dynamics("income_spread", 1e308))
-    @example(doc=pipeline_with_dynamics("connection_rate", 1e308))
-    @example(doc=profiles_of_two_facts(fuzz_fixtures()[0], keep_x_c=False))
-    @example(doc=profiles_of_two_facts(fuzz_fixtures()[0], keep_x_c=True))
-    @example(doc=log_narrow_layer(fuzz_fixtures()[1]))
-    def test_mutated_fixtures(self, tmp_path, capsys, monkeypatch, doc):
+    @given(doc=mutated_fixtures(), fmt=st.sampled_from(["csv", "json"]))
+    @example(doc={"surface": fuzz_fixtures()[2]["surface"]}, fmt="csv")
+    @example(doc=pipeline_with_dynamics("income_spread", 1e308), fmt="csv")
+    @example(doc=pipeline_with_dynamics("connection_rate", 1e308), fmt="csv")
+    @example(doc=profiles_of_two_facts(fuzz_fixtures()[0], keep_x_c=False), fmt="csv")
+    @example(doc=profiles_of_two_facts(fuzz_fixtures()[0], keep_x_c=True), fmt="csv")
+    @example(doc=log_narrow_layer(fuzz_fixtures()[1]), fmt="csv")
+    @example(doc=overflowing_grid(fuzz_fixtures()[2]), fmt="json")
+    @example(doc=overflowing_quadratic(fuzz_fixtures()[2]), fmt="csv")
+    @example(doc=overflowing_consensus(fuzz_fixtures()[1]), fmt="csv")
+    def test_mutated_fixtures(self, tmp_path, capsys, monkeypatch, doc, fmt):
         """Every command exits 0-3 without a traceback, leaves no file after
-        a nonzero exit, and, when `validate` passes, does not exit 1 unless
-        it lacks a section it requires."""
+        a nonzero exit and no nan or +-inf in a file after exit 0, and, when
+        `validate` passes, does not exit 1 unless it lacks a section it
+        requires."""
         monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
         monkeypatch.setattr("wepolicy.scenario.MAX_SWEEP_WORK", FUZZ_WORK_CAP)
         work = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -1398,10 +1490,14 @@ class TestExitCodeContract:
         valid = code == 0
         for command, sections in REQUIRED_SECTIONS.items():
             out = work / command
-            code, _, err = run_cli(capsys, command, "--scenario", str(path), "--out", str(out))
+            fmt_args = ("--format", fmt) if command in FORMATTED_COMMANDS else ()
+            code, _, err = run_cli(capsys, command, "--scenario", str(path), "--out", str(out),
+                                   *fmt_args)
             assert code in (0, 1, 2, 3), command
             assert "Traceback" not in err
             if code:
                 assert not out.exists() or not any(out.iterdir()), command
+            else:
+                assert_finite_outputs(out)
             if valid and all(doc.get(s) not in (None, [], {}) for s in sections):
                 assert code != 1, (command, err)

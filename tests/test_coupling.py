@@ -107,6 +107,15 @@ class TestCheckConsensus:
         with pytest.raises(FloatingPointError, match="probe 1"):
             check_consensus(fn, identity, fn, [(1.0,), (1e308,)], 1e-9)
 
+    @pytest.mark.parametrize("weight, scale, dev", [(10.0, 1.0, "nan"), (1.0, 2.0, "inf")])
+    def test_non_finite_deviation_is_named(self, weight, scale, dev):
+        # inf - inf when both sides overflow; inf when only the mapped side does
+        fn = ScopeFunction((weight,), ValueFunctionSpec("linear"))
+        f = LinearMap(matrix=((scale,),), offset=(0.0,))
+        with pytest.raises(FloatingPointError) as err:
+            check_consensus(fn, f, fn, [(1.0,), (1e308,)], 1e-9)
+        assert str(err.value) == f"consensus deviation at probe 1 is not finite: {dev}"
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             check_consensus(self._fn(), self._identity(), self._fn(), [], 1e-6)

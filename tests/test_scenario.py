@@ -967,6 +967,25 @@ class TestGridValues:
         with pytest.raises(ValueError):
             grid_values({"values": []}, "g")
 
+    @pytest.mark.parametrize("count, finding", [
+        (2, "g: grid value 0 is not finite: nan"),  # start + 0 * inf
+        (3, "g: grid value 0 is not finite: nan"),
+    ])
+    def test_overflowing_step_rejected(self, count, finding):
+        # stop - start overflows to inf, so every step is inf
+        with pytest.raises(ValueError) as err:
+            grid_values({"start": -1e308, "stop": 1e308, "count": count}, "g")
+        assert str(err.value) == finding
+
+    @pytest.mark.parametrize("section, key", [
+        ("surface", "x_n"), ("surface", "x_w"), ("curve", "grid"),
+    ])
+    def test_non_finite_grid_is_the_only_finding(self, tmp_path, section, key):
+        doc = json.loads((FIXTURES / "fig2.json").read_text())
+        doc[section][key] = {"start": -1e308, "stop": 1e308, "count": 3}
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == [f"{section}.{key}: grid value 0 is not finite: nan"]
+
 
 class TestLayerFindings:
     def test_surface_needs_two_layers(self, tmp_path, fixtures_dir):

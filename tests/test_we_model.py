@@ -4,7 +4,7 @@ import pytest
 
 from wepolicy.coupling import ScopeFunction
 from wepolicy.errors import DimensionError, MissingScopeError
-from wepolicy.valuefn import AsymmetricSpec
+from wepolicy.valuefn import AsymmetricSpec, ValueFunctionSpec
 from wepolicy.we_model import (
     WellbeingModel,
     WELayer,
@@ -132,6 +132,18 @@ class TestSurface:
         with pytest.raises(ValueError, match="non-empty"):
             sample_surface(weighted_pair(0.5), [], [0.0])
 
+    @pytest.mark.parametrize("quadratic_layer, xs_n, xs_w, cell", [
+        (0, [0.0, 1e200], [0.0, 1.0], "x_n=1e+200, x_w=0.0"),
+        (1, [0.0, 1.0], [0.0, 1e200], "x_n=0.0, x_w=1e+200"),
+    ])
+    def test_first_non_finite_cell_is_named(self, quadratic_layer, xs_n, xs_w, cell):
+        # a*x - x*x overflows to -inf at x = 1e200; cells are named in row-major order
+        fns = [AsymmetricSpec(), AsymmetricSpec()]
+        fns[quadratic_layer] = ValueFunctionSpec("quadratic", a=1.0)
+        with pytest.raises(FloatingPointError) as err:
+            sample_surface(weighted_pair(0.5, *fns), xs_n, xs_w)
+        assert str(err.value) == f"surface value at {cell} is not finite: -inf"
+
 
 class TestConsensusCurve:
     def test_reference_points(self):
@@ -145,6 +157,12 @@ class TestConsensusCurve:
         layer = WELayer(WEScope("both"), AsymmetricSpec(), 1.0)
         with pytest.raises(ValueError):
             consensus_curve(layer, [])
+
+    def test_first_non_finite_point_is_named(self):
+        layer = WELayer(WEScope("both"), ValueFunctionSpec("quadratic", a=1.0), 1.0)
+        with pytest.raises(FloatingPointError) as err:
+            consensus_curve(layer, [0.0, 1e200, 1e300])
+        assert str(err.value) == "curve value at x=1e+200 is not finite: -inf"
 
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.7, 1.0])
     def test_matches_surface_diagonal_for_any_weight(self, r):
