@@ -6,8 +6,8 @@ mapping, `fit` builds the survey-backed target function, `sweep` runs the
 policy grid through the simulator, `select` couples sweep facts into the
 target and picks maximizers per weighting profile, `impact` evaluates the
 logic model, `network` propagates fact deltas to value parameters, and
-`validate` reports scenario findings; of the pipelines it runs only the
-sweep simulation, as it reads only the survey file.
+`validate` reports scenario findings; it reads the survey file with `fit`'s
+code and simulates the sweep with `sweep`'s, but fits nothing.
 
 Outputs are staged in memory until a command fully succeeds, then written
 to a staging directory inside `--out` and renamed into place, so a nonzero
@@ -32,9 +32,10 @@ import tempfile
 import time
 from pathlib import Path
 
+from . import scenario
 from .coupling import check_consensus, propagate_network
 from .errors import RankDeficiencyError, ScenarioError, _quote
-from .scenario import Scenario, load_scenario, profile_slug, validate_scenario
+from .scenario import Scenario, load_scenario, profile_slug, read_scenario_file
 from .serialize import csv_table, dump_json, json_rows
 
 # Names taken from the modules that only some commands use. A command binds
@@ -108,15 +109,14 @@ def _cmd_surface(sc: Scenario, fmt: str, seed):
     outputs = _table(fmt, "surface", ("x_n", "x_w", "W"), rows)
     if sc.curve is not None:
         outputs |= _table(fmt, "curve", ("x", "W"), consensus_curve(*sc.curve))
-    return outputs, [], None
+    return outputs, []
 
 
 def _cmd_consensus(sc: Scenario, fmt: str, seed):
     cfg = _require(sc, "consensus", "consensus")
-    mapping = _require(sc, "mapping_f", "mapping_f")
     report = check_consensus(
         narrow=sc.layer_by_label(cfg.narrow_label).scope_function(),
-        f=mapping,
+        f=sc.mapping_f,
         wide=sc.layer_by_label(cfg.wide_label).scope_function(),
         probe_grid=cfg.probes,
         tol=cfg.tol,
@@ -124,10 +124,11 @@ def _cmd_consensus(sc: Scenario, fmt: str, seed):
     warnings = [] if report.holds else [
         f"consensus does not hold: max deviation {report.max_deviation!r} > tol {cfg.tol!r}"
     ]
-    return {"consensus_report.json": dump_json(report.to_dict())}, warnings, None
+    return {"consensus_report.json": dump_json(report.to_dict())}, warnings
 
 
-def _fit_from_survey(sc: Scenario):
+def _read_survey(sc: Scenario):
+    """The survey file, read and checked; `fit`, `select` and `validate` read it here."""
     cfg = _require(sc, "survey", "survey")
     _bind("survey")
     try:
@@ -135,6 +136,11 @@ def _fit_from_survey(sc: Scenario):
         check_survey(survey, cfg.construct_map, cfg.scale)
     except ValueError as err:
         raise ScenarioError([f"survey.file: {err}"]) from None
+    return survey
+
+
+def _fit_from_survey(sc: Scenario):
+    survey, cfg = _read_survey(sc), sc.survey
     baseline = aggregate_survey(survey, cfg.construct_map, cfg.scale)
     scores = respondent_scores(survey, cfg.construct_map, cfg.scale)
     # numpy is loaded by now: respondent_scores imports it.
@@ -152,25 +158,25 @@ def _cmd_fit(sc: Scenario, fmt: str, seed):
         "model.json": dump_json(model.to_dict()),
         "baseline.json": dump_json(list(baseline)),
     }
-    return outputs, [], None
+    return outputs, []
 
 
 def _run_sweep(sc: Scenario, seed):
-    dynamics = _require(sc, "dynamics", "dynamics")
+    """The sweep table; a `seed` replaces the one in `sc.dynamics`, where `run` reads it."""
+    _require(sc, "dynamics", "dynamics")
     grid = _require(sc, "sweep_grid", "sweep")
     _bind("policy_sim")
     if seed is not None:
         try:
             # Through the constructor, which checks the seed.
-            dynamics = DynamicsConfig(**dict(dynamics._asdict(), seed=seed))
+            sc.dynamics = DynamicsConfig(**dict(sc.dynamics._asdict(), seed=seed))
         except ValueError as err:
             raise ScenarioError([f"--seed: {err}"]) from None
-    table = run_sweep(dynamics, grid["subsidy"], grid["tax"], grid["service"])
-    return table, dynamics.seed
+    return run_sweep(sc.dynamics, grid["subsidy"], grid["tax"], grid["service"])
 
 
 def _cmd_sweep(sc: Scenario, fmt: str, seed):
-    table, effective_seed = _run_sweep(sc, seed)
+    table = _run_sweep(sc, seed)
     sweep_rows = [
         (r.policy_id, r.knobs.subsidy, r.knobs.tax, r.knobs.service, *r.indicators)
         for r in table.rows
@@ -185,14 +191,14 @@ def _cmd_sweep(sc: Scenario, fmt: str, seed):
         warnings.append(
             f"skipped {len(table.skipped)} inadmissible grid combinations (s + v > 1)"
         )
-    return outputs, warnings, effective_seed
+    return outputs, warnings
 
 
 def _cmd_select(sc: Scenario, fmt: str, seed):
     profiles = _require(sc, "profiles", "weighting_profiles")
     _bind("evaluator")
     model, baseline = _fit_from_survey(sc)
-    table, effective_seed = _run_sweep(sc, seed)
+    table = _run_sweep(sc, seed)
     constructs = sc.survey.construct_map.constructs
     header = ("rank", "policy_id", "W_prime", *(f"x_w_prime_{c}" for c in constructs))
     outputs = {}
@@ -210,7 +216,7 @@ def _cmd_select(sc: Scenario, fmt: str, seed):
         rows = list(zip(ranks, ranked.policy_ids, ranked.w_prime, *ranked.x_w_prime))
         outputs |= _table(fmt, f"ranked_{profile_slug(profile.name)}", header, rows)
     outputs["selection.json"] = dump_json(selection)
-    return outputs, warnings, effective_seed
+    return outputs, warnings
 
 
 def _cmd_impact(sc: Scenario, fmt: str, seed):
@@ -223,13 +229,13 @@ def _cmd_impact(sc: Scenario, fmt: str, seed):
         report["coupled_impacts"] = logicmodel.couple_facts(
             model, sc.fact_binding, sc.logic_inputs
         )
-    return {"impact_report.json": dump_json(report)}, [], None
+    return {"impact_report.json": dump_json(report)}, []
 
 
 def _cmd_network(sc: Scenario, fmt: str, seed):
     net = _require(sc, "network", "parameter_network")
     deltas = propagate_network(net, sc.network_deltas)
-    return {"network.json": dump_json({"value_deltas": deltas})}, [], None
+    return {"network.json": dump_json({"value_deltas": deltas})}, []
 
 
 _DISPATCH = {
@@ -283,7 +289,7 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
     try:
         sc, raw = load_scenario(scenario_path)
         digest = hashlib.sha256(raw).hexdigest()
-        outputs, warnings, effective_seed = _DISPATCH[command](sc, fmt, seed)
+        outputs, warnings = _DISPATCH[command](sc, fmt, seed)
         warnings = list(sc.warnings) + warnings
         out = Path(out_dir)
         _write_outputs(out, outputs)
@@ -301,13 +307,38 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
     report = {
         "command": command,
         "scenario_digest": digest,
-        "seed": effective_seed,
+        "seed": sc.dynamics.seed if command in ("sweep", "select") else None,
         "outputs": [str(out / name) for name in outputs],
         "warnings": warnings,
         "wall_time_s": time.perf_counter() - started,
     }
     print(dump_json(report), end="")
     return EXIT_OK
+
+
+def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
+    """Full cross-section consistency findings, as (errors, warnings).
+
+    A scenario without other findings has its survey file checked by `fit`'s
+    step and its sweep simulated by `sweep`'s, so a non-finite indicator is a
+    `sweep:` finding. I/O problems propagate as OSError."""
+    try:
+        doc, _ = read_scenario_file(path)
+    except ScenarioError as err:
+        return err.findings, []
+    # Looked up on the module, as load_scenario does, so a tracing wrapper sees it.
+    sc, errors, warnings = scenario.parse_scenario(doc, Path(path).resolve().parent)
+    if not errors:
+        try:
+            if sc.survey is not None:
+                _read_survey(sc)
+            if sc.dynamics is not None and sc.sweep_grid is not None:
+                _run_sweep(sc, None)
+        except ScenarioError as err:
+            errors = err.findings
+        except FloatingPointError as err:
+            errors = [f"sweep: {err}"]
+    return errors, warnings
 
 
 def _run_validate(scenario_path: str) -> int:

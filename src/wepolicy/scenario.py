@@ -803,34 +803,3 @@ def load_scenario(path: str | Path) -> tuple[Scenario, bytes]:
         raise ScenarioError(errors)
     return sc, data
 
-
-def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
-    """Full cross-section consistency findings.
-
-    A scenario without other findings has its survey file read and checked
-    as `fit` checks it, and its sweep simulated as `sweep` runs it, so a
-    non-finite indicator is a `sweep:` finding. Returns (errors, warnings).
-    I/O problems propagate as OSError.
-    """
-    try:
-        doc, _ = read_scenario_file(path)
-    except ScenarioError as err:
-        return list(err.findings), []
-    sc, errors, warnings = parse_scenario(doc, Path(path).resolve().parent)
-    if not errors and sc.survey is not None:
-        from .survey import check_survey, read_survey_csv
-
-        cfg = sc.survey
-        try:
-            survey = read_survey_csv((sc.base_dir / cfg.file).read_text(encoding="utf-8"))
-            check_survey(survey, cfg.construct_map, cfg.scale)
-        except ValueError as err:
-            errors.append(f"survey.file: {err}")
-    if not errors and sc.dynamics is not None and sc.sweep_grid is not None:
-        from .policy_sim import run_sweep
-
-        try:  # the grid is keyed in run_sweep's argument order
-            run_sweep(sc.dynamics, *sc.sweep_grid.values())
-        except FloatingPointError as err:
-            errors.append(f"sweep: {err}")
-    return errors, warnings

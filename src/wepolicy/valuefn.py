@@ -54,17 +54,14 @@ class ValueFunctionSpec(namedtuple("ValueFunctionSpec", "family a b")):
 def evaluate_family(spec: ValueFunctionSpec, x: float) -> float:
     """Evaluate the family formula at x >= 0.
 
-    Raises DomainError for x < 0 or a non-positive logarithm argument.
+    Raises DomainError for x < 0.
     """
     if x < 0:
         raise DomainError(f"{spec.family} family is defined for x >= 0, got {x}")
     if spec.family == "linear":
         return x
     if spec.family == "logarithmic":
-        arg = spec.a + x
-        if arg <= 0:
-            raise DomainError(f"logarithm argument must be positive, got a + x = {arg}")
-        return math.log(arg)
+        return math.log(spec.a + x)
     if spec.family == "power":
         return x**spec.a
     if spec.family == "quadratic":

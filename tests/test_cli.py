@@ -277,6 +277,16 @@ REACHABLE_FINDINGS = {
                         "mapping_f.nonlinearity: saturator scale must be > 0, got 0.0"),
     "unknown-kind": (_mapping_f("nonlinearity", {"kind": "cubic"}), None,
                      "mapping_f.nonlinearity.kind: unknown kind 'cubic'"),
+    "warn-threshold": (
+        _edited("pipeline.json", lambda doc: doc["weighting_profiles"][0].__setitem__(
+            "warn_threshold", -1.0)),
+        None, "weighting_profiles[0]: warn threshold must be >= 0"),
+    "profiles-object": (_edited("pipeline.json", lambda doc: doc.__setitem__(
+        "weighting_profiles", {})), None, "weighting_profiles: expected an array"),
+    "fact-elements": (
+        _edited("pipeline.json", lambda doc: doc["logic_model"]["fact_bindings"].__setitem__(
+            "elements", ["econ", "econ", "social"])),
+        None, "logic_model.fact_bindings: fact element names must be unique"),
 }
 
 
@@ -1432,6 +1442,8 @@ def mutated_fixtures(draw):
 
 # The commands that write tables, and consensus-check, run in the drawn format.
 FORMATTED_COMMANDS = ("surface", "consensus-check", "sweep", "select")
+# The most bytes one command may print to stdout and stderr together.
+MAX_PRINTED = 64 * 1024
 
 
 def reject_constant(name):
@@ -1475,26 +1487,28 @@ class TestExitCodeContract:
     @example(doc=overflowing_quadratic(fuzz_fixtures()[2]), fmt="csv")
     @example(doc=overflowing_consensus(fuzz_fixtures()[1]), fmt="csv")
     def test_mutated_fixtures(self, tmp_path, capsys, monkeypatch, doc, fmt):
-        """Every command exits 0-3 without a traceback, leaves no file after
-        a nonzero exit and no nan or +-inf in a file after exit 0, and, when
-        `validate` passes, does not exit 1 unless it lacks a section it
-        requires."""
+        """Every command exits 0-3 without a traceback, prints under
+        MAX_PRINTED bytes, leaves no file after a nonzero exit and no nan or
+        +-inf in a file after exit 0, and, when `validate` passes, does not
+        exit 1 unless it lacks a section it requires."""
         monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
         monkeypatch.setattr("wepolicy.scenario.MAX_SWEEP_WORK", FUZZ_WORK_CAP)
         work = Path(tempfile.mkdtemp(dir=tmp_path))
         shutil.copy(FIXTURES / "survey.csv", work / "survey.csv")
         path = work / "scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
+        code, printed, err = run_cli(capsys, "validate", "--scenario", str(path))
         assert code in (0, 1, 3) and "Traceback" not in err
+        assert len((printed + err).encode("utf-8")) < MAX_PRINTED
         valid = code == 0
         for command, sections in REQUIRED_SECTIONS.items():
             out = work / command
             fmt_args = ("--format", fmt) if command in FORMATTED_COMMANDS else ()
-            code, _, err = run_cli(capsys, command, "--scenario", str(path), "--out", str(out),
-                                   *fmt_args)
+            code, printed, err = run_cli(capsys, command, "--scenario", str(path),
+                                         "--out", str(out), *fmt_args)
             assert code in (0, 1, 2, 3), command
             assert "Traceback" not in err
+            assert len((printed + err).encode("utf-8")) < MAX_PRINTED, command
             if code:
                 assert not out.exists() or not any(out.iterdir()), command
             else:

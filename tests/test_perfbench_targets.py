@@ -56,3 +56,33 @@ def test_wrappers_see_the_calls_of_a_fresh_process(fixtures_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     spans = set(json.loads(proc.stdout.splitlines()[-1]))
     assert {"scenario.load", "survey.read", "survey.fit", "logicmodel.propagate"} <= spans
+
+
+TRACED_VALIDATE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+
+with tracer.Tracer() as traced:
+    from wepolicy import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["validate", "--scenario", f"{sys.argv[2]}/pipeline.json"])
+    assert code == 0, code
+print(json.dumps(sorted({span[0] for span in traced.spans})))
+"""
+
+
+def test_a_traced_validate_records_the_survey_read_and_the_sweep(fixtures_dir):
+    """`validate` reads the survey file and runs the sweep through the names
+    the tracer wraps on `cli`, so a process that runs only `validate`
+    records their spans."""
+    src = str(Path(wepolicy.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_VALIDATE, str(TRACER.parent), str(fixtures_dir)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {"scenario.load", "scenario.validate", "survey.read", "policy_sim.sweep"} <= spans

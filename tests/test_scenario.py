@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wepolicy import logicmodel, scenario
+from wepolicy.cli import validate_scenario
 from wepolicy.coupling import ParameterNetwork
 from wepolicy.errors import MAX_LISTED, MissingScopeError, RankDeficiencyError, ScenarioError
 from wepolicy.graphs import Edge, topological_order
@@ -20,7 +21,6 @@ from wepolicy.scenario import (
     grid_values,
     load_scenario,
     parse_scenario,
-    validate_scenario,
 )
 from wepolicy.valuefn import AsymmetricSpec
 from wepolicy.we_model import WELayer, WellbeingModel, WEScope
