@@ -6,8 +6,8 @@ mapping, `fit` builds the survey-backed target function, `sweep` runs the
 policy grid through the simulator, `select` couples sweep facts into the
 target and picks maximizers per weighting profile, `impact` evaluates the
 logic model, `network` propagates fact deltas to value parameters, and
-`validate` reports scenario findings; it reads the survey file with `fit`'s
-code and simulates the sweep with `sweep`'s, but fits nothing.
+`validate` reports scenario findings; it runs `fit`'s survey read, `sweep`'s
+simulation and `consensus-check`'s probes, but fits nothing.
 
 Outputs are staged in memory until a command fully succeeds, then written
 to a staging directory inside `--out` and renamed into place, so a nonzero
@@ -81,7 +81,7 @@ _NUMERICAL_ERRORS: tuple[type[Exception], ...] = (
 
 def _require(sc: Scenario, attr: str, section: str):
     value = getattr(sc, attr)
-    if value is None or (isinstance(value, (list, dict)) and not value):
+    if value is None:
         raise ScenarioError([f"{section}: section required by this command is missing"])
     return value
 
@@ -319,9 +319,9 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
 def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
     """Full cross-section consistency findings, as (errors, warnings).
 
-    A scenario without other findings has its survey file checked by `fit`'s
-    step and its sweep simulated by `sweep`'s, so a non-finite indicator is a
-    `sweep:` finding. I/O problems propagate as OSError."""
+    A scenario without other findings goes through the survey, sweep and
+    consensus steps of the run commands, so a numerical failure there is a
+    `sweep:` or `consensus:` finding. I/O problems propagate as OSError."""
     try:
         doc, _ = read_scenario_file(path)
     except ScenarioError as err:
@@ -329,15 +329,19 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
     # Looked up on the module, as load_scenario does, so a tracing wrapper sees it.
     sc, errors, warnings = scenario.parse_scenario(doc, Path(path).resolve().parent)
     if not errors:
+        step = "sweep"
         try:
             if sc.survey is not None:
                 _read_survey(sc)
             if sc.dynamics is not None and sc.sweep_grid is not None:
                 _run_sweep(sc, None)
+            step = "consensus"
+            if sc.consensus is not None:
+                _cmd_consensus(sc, "csv", None)
         except ScenarioError as err:
             errors = err.findings
-        except FloatingPointError as err:
-            errors = [f"sweep: {err}"]
+        except _NUMERICAL_ERRORS as err:
+            errors = [f"{step}: {err}"]
     return errors, warnings
 
 

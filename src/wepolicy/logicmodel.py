@@ -14,7 +14,7 @@ import math
 from collections import Counter, namedtuple
 from typing import Mapping
 
-from .errors import MAX_LISTED, StageBindingError, UnknownNodeError, _cut, _listed, _quote
+from .errors import StageBindingError, UnknownNodeError, _cut, _listed, _quote
 from .graphs import CycleError, Edge, propagate_linear, topological_order
 
 STAGES = ("inputs", "activities", "outputs", "outcomes", "impacts")
@@ -70,31 +70,18 @@ def _inspect(model: LogicModel) -> tuple[list[str], tuple[str, ...] | None]:
 
     ranks = [_RANK[n.stage] for n in model.nodes]
     pairs = []
-    # Bad edges of each kind: the first MAX_LISTED get a finding each, and
-    # one finding counts the rest.
-    unknown_edges = backward_edges = 0
     for src, dst, _ in model.edges:
         i, j = index.get(src), index.get(dst)
         if i is None or j is None:
-            unknown_edges += 1
-            if unknown_edges <= MAX_LISTED:
-                unknown = ", ".join(_cut(x) for x in (src, dst) if x not in index)
-                findings.append(
-                    f"edge {_cut(src)}->{_cut(dst)} references unknown nodes: {unknown}"
-                )
+            unknown = ", ".join(_cut(x) for x in (src, dst) if x not in index)
+            findings.append(f"edge {_cut(src)}->{_cut(dst)} references unknown nodes: {unknown}")
             continue
         if ranks[i] > ranks[j]:
-            backward_edges += 1
-            if backward_edges <= MAX_LISTED:
-                findings.append(
-                    f"edge {_cut(src)}->{_cut(dst)} runs backwards: "
-                    f"{model.nodes[i].stage} -> {model.nodes[j].stage}"
-                )
+            findings.append(
+                f"edge {_cut(src)}->{_cut(dst)} runs backwards: "
+                f"{model.nodes[i].stage} -> {model.nodes[j].stage}"
+            )
         pairs.append((i, j))
-    for count, kind in ((unknown_edges, "reference unknown nodes"),
-                        (backward_edges, "run backwards")):
-        if count > MAX_LISTED:
-            findings.append(f"... ({count - MAX_LISTED} more edges {kind})")
 
     order = None
     if not dupes:
@@ -115,7 +102,7 @@ def validate(model: LogicModel) -> list[str]:
 
 def _require_valid(model: LogicModel):
     if model._findings:
-        raise ValueError("invalid logic model: " + "; ".join(model._findings))
+        raise ValueError("invalid logic model: " + _listed(model._findings, cut=str))
 
 
 def check_inputs(model: LogicModel, input_values: Mapping[str, float]):

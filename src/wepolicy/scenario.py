@@ -106,7 +106,7 @@ class Scenario:
         self.survey: SurveyConfig | None = None
         self.dynamics: DynamicsConfig | None = None
         self.sweep_grid: dict[str, list[float]] | None = None
-        self.profiles: list[WeightingProfile] = []
+        self.profiles: list[WeightingProfile] | None = None
         self.logic_model: LogicModel | None = None
         self.logic_inputs: dict[str, float] = {}
         self.fact_binding: FactBinding | None = None
@@ -566,13 +566,14 @@ class _Builder:
     def _profiles(self, raw):
         from .policy_sim import INDICATORS
 
-        if not isinstance(raw, list):
-            raise ValueError("weighting_profiles: expected an array")
+        if not isinstance(raw, list) or not raw:
+            raise ValueError("weighting_profiles: expected a non-empty array")
         subjective = None if "survey" in self.failed else self.element_sets.get("X_w")
         if self.sc.survey is not None:
             subjective = self.sc.survey.construct_map.constructs
         facts = self.element_sets.get("X_c")
         slugs: dict[str, str] = {}
+        self.sc.profiles = []
         for i, spec in enumerate(raw):
             profile = self.attempt(_parse_profile, spec, f"weighting_profiles[{i}]", slugs)
             if profile is None:
@@ -596,8 +597,10 @@ class _Builder:
         edges = _edges(raw.get("edges", []), f"{where}.edges")
         model = logicmodel.LogicModel(nodes=nodes, edges=edges)
         findings = logicmodel.validate(model)
+        for finding in findings:
+            self.error(f"{where}: {finding}")
         if findings:
-            raise ValueError(f"{where}: " + "; ".join(findings))
+            return
         self.sc.logic_model = model
 
         inputs = _object(raw.get("inputs", {}), f"{where}.inputs")

@@ -80,6 +80,16 @@ def overflowing_consensus(doc):
     return doc
 
 
+def overflowing_power(doc):
+    """`consensus.json`'s `doc` with both layers on the mirrored power family
+    at a = 400, whose value at the first probe raises OverflowError."""
+    doc["value_functions"]["power"] = {"kind": "mirrored", "family": "power", "a": 400.0}
+    for layer in doc["layers"]:
+        layer["value_function"] = "power"
+    doc["consensus"]["probes"] = [[10, 10], [0, 0]]
+    return doc
+
+
 WIDTH_FINDINGS = [f"weighting_profiles[{name!r}].matrix: 2 columns for 3 simulator indicators"
                   for name in ("Type A", "Type B", "Type C")]
 
@@ -259,6 +269,10 @@ REACHABLE_FINDINGS = {
     "not-an-object": (b"[]", None, "scenario: expected a JSON object"),
     "empty-grid": (_edited("pipeline.json", lambda doc: doc["sweep"].__setitem__("subsidy", [])),
                    None, "sweep.subsidy: grid must be non-empty"),
+    "fact-nodes": (
+        _edited("pipeline.json", lambda doc: doc["parameter_network"].__setitem__(
+            "facts", ["income", "green_energy", "income"])),
+        None, "parameter_network: fact node names must be unique"),
     "value-nodes": (
         _edited("pipeline.json", lambda doc: doc["parameter_network"].__setitem__(
             "values", ["life_satisfaction", "life_satisfaction"])),
@@ -282,7 +296,9 @@ REACHABLE_FINDINGS = {
             "warn_threshold", -1.0)),
         None, "weighting_profiles[0]: warn threshold must be >= 0"),
     "profiles-object": (_edited("pipeline.json", lambda doc: doc.__setitem__(
-        "weighting_profiles", {})), None, "weighting_profiles: expected an array"),
+        "weighting_profiles", {})), None, "weighting_profiles: expected a non-empty array"),
+    "profiles-empty": (_edited("pipeline.json", lambda doc: doc.__setitem__(
+        "weighting_profiles", [])), None, "weighting_profiles: expected a non-empty array"),
     "fact-elements": (
         _edited("pipeline.json", lambda doc: doc["logic_model"]["fact_bindings"].__setitem__(
             "elements", ["econ", "econ", "social"])),
@@ -633,9 +649,13 @@ class TestNonFiniteValues:
          "surface.x_n: grid value 0 is not finite: nan"),
         ("fig2.json", overflowing_quadratic, "surface", [], 2,
          "numerical failure: surface value at x_n=1e+200, x_w=0.0 is not finite: -inf"),
-        ("consensus.json", overflowing_consensus, "consensus-check", [], 2,
+        ("consensus.json", overflowing_consensus, "consensus-check",
+         ["consensus: consensus deviation at probe 0 is not finite: inf"], 2,
          "numerical failure: consensus deviation at probe 0 is not finite: inf"),
-    ], ids=["grid", "quadratic", "consensus"])
+        ("consensus.json", overflowing_power, "consensus-check",
+         ["consensus: (34, 'Numerical result out of range')"], 2,
+         "numerical failure: (34, 'Numerical result out of range')"),
+    ], ids=["grid", "quadratic", "consensus", "consensus-power"])
     def test_exit_code_and_message(self, tmp_path, capsys, fmt, fixture, edit, command,
                                    findings, code, message):
         scenario = tmp_path / "scenario.json"
@@ -1030,6 +1050,26 @@ class TestOutputContract:
         assert writes == ["surface.csv", "curve.csv"]
         assert code == 3
         assert stdout == ""
+        assert "No space left on device" in err
+        assert list(out.iterdir()) == []
+
+    def test_failed_rename_removes_placed_outputs(self, tmp_path, capsys, monkeypatch):
+        scenario = small_fig2(tmp_path)
+        out = tmp_path / "out"
+        real_replace = os.replace
+        renames = []
+
+        def second_rename_fails(src, dst):
+            renames.append(Path(dst).name)
+            if len(renames) == 2:
+                raise OSError(28, "No space left on device")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_rename_fails)
+        code, stdout, err = run_cli(capsys, "surface", "--scenario", str(scenario),
+                                    "--out", str(out))
+        assert renames == ["surface.csv", "curve.csv"]
+        assert (code, stdout) == (3, "")
         assert "No space left on device" in err
         assert list(out.iterdir()) == []
 
@@ -1486,11 +1526,13 @@ class TestExitCodeContract:
     @example(doc=overflowing_grid(fuzz_fixtures()[2]), fmt="json")
     @example(doc=overflowing_quadratic(fuzz_fixtures()[2]), fmt="csv")
     @example(doc=overflowing_consensus(fuzz_fixtures()[1]), fmt="csv")
+    @example(doc=overflowing_power(fuzz_fixtures()[1]), fmt="csv")
     def test_mutated_fixtures(self, tmp_path, capsys, monkeypatch, doc, fmt):
         """Every command exits 0-3 without a traceback, prints under
         MAX_PRINTED bytes, leaves no file after a nonzero exit and no nan or
         +-inf in a file after exit 0, and, when `validate` passes, does not
-        exit 1 unless it lacks a section it requires."""
+        exit 1 unless it lacks a section it requires; nor does consensus-check
+        exit 2."""
         monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
         monkeypatch.setattr("wepolicy.scenario.MAX_SWEEP_WORK", FUZZ_WORK_CAP)
         work = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -1513,5 +1555,7 @@ class TestExitCodeContract:
                 assert not out.exists() or not any(out.iterdir()), command
             else:
                 assert_finite_outputs(out)
-            if valid and all(doc.get(s) not in (None, [], {}) for s in sections):
+            if valid and all(doc.get(s) is not None for s in sections):
                 assert code != 1, (command, err)
+            if valid and command == "consensus-check":
+                assert code != 2, err

@@ -46,6 +46,10 @@ class TestApplyMap:
         with pytest.raises(DimensionError):
             LinearMap(matrix=((1.0,),), offset=(0.0, 0.0))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^matrix must have at least one row$"):
+            LinearMap(matrix=(), offset=())
+
     @given(finite, finite, finite, finite, finite, finite)
     def test_homogeneous_linearity(self, a, b, x1, x2, y1, y2):
         # zero offset: f(a x + b y) == a f(x) + b f(y) up to rounding
@@ -120,6 +124,12 @@ class TestCheckConsensus:
         with pytest.raises(ValueError):
             check_consensus(self._fn(), self._identity(), self._fn(), [], 1e-6)
 
+    def test_scope_function_checks_length(self):
+        fn = ScopeFunction((0.5, 0.5), ValueFunctionSpec("linear"))
+        with pytest.raises(DimensionError,
+                           match="^scope function expects 2-vectors, got length 3$"):
+            fn((1.0, 2.0, 3.0))
+
     def test_weights_disappear_under_consensus(self):
         # consensus makes the scope weights irrelevant at the model level
         fn = self._fn()
@@ -192,6 +202,10 @@ class TestFactCoupling:
         with pytest.raises(ValueError):
             FactCoupling("divisive", ((0.1,),))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^coupling matrix must have at least one row$"):
+            FactCoupling("additive", ())
+
     @given(st.lists(finite, min_size=2, max_size=2), st.sampled_from(["additive", "multiplicative"]))
     def test_zero_fact_identity_property(self, x_w, mode):
         g = FactCoupling(mode, ((0.3, -0.2), (0.1, 0.4)))
@@ -244,6 +258,11 @@ class TestParameterNetwork:
     def test_fact_value_disjoint(self):
         with pytest.raises(ValueError, match="both"):
             ParameterNetwork(("f",), ("f",), ())
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_edge_weight_finite(self, weight):
+        with pytest.raises(ValueError, match="^edge f->v weight must be finite$"):
+            ParameterNetwork(("f",), ("v",), (NetworkEdge("f", "v", weight),))
 
     def test_linearity(self):
         rng = random.Random(20240809)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -84,6 +85,11 @@ class TestValidate:
             edges=(),
         )
         assert any("duplicate" in f for f in validate(model))
+
+    @pytest.mark.parametrize("baseline", [math.inf, math.nan])
+    def test_baseline_finite(self, baseline):
+        with pytest.raises(ValueError, match="^node 'a' baseline must be finite$"):
+            Node("a", "inputs", baseline)
 
 
 class TestPropagate:

@@ -541,7 +541,7 @@ def listing(names, quote=str):
 
 
 def long_list_docs():
-    """(doc, finding) for logic models whose findings name thousands of nodes or edges."""
+    """(doc, findings) for logic models whose findings name thousands of nodes or edges."""
     names = [f"a{i}" for i in range(20_000)]
 
     def logic_model(nodes, edges=()):
@@ -551,28 +551,29 @@ def long_list_docs():
     ring = [{"from": a, "to": b, "weight": 1.0} for a, b in zip(names, names[1:] + names[:1])]
     to_unknown = [{"from": "impact", "to": f"x{k}", "weight": 1.0} for k in range(20_000)]
     backwards = [{"from": "impact", "to": "o", "weight": 1.0}] * 20_000
+    # One finding per bad edge: the section keeps MAX_LISTED and counts the rest.
+    rest = f"logic_model: ... ({20_000 - MAX_LISTED} more findings)"
     return [
         pytest.param(
             logic_model([], to_unknown),
-            "logic_model: " + "; ".join(
-                [f"edge impact->x{k} references unknown nodes: x{k}" for k in range(MAX_LISTED)]
-            ) + f"; ... ({20_000 - MAX_LISTED} more edges reference unknown nodes)",
+            [f"logic_model: edge impact->x{k} references unknown nodes: x{k}"
+             for k in range(MAX_LISTED)] + [rest],
             id="unknown-edges"),
         pytest.param(
             logic_model([{"name": "o", "stage": "outputs"}], backwards),
-            "logic_model: " + "edge impact->o runs backwards: impacts -> outputs; " * MAX_LISTED
-            + f"... ({20_000 - MAX_LISTED} more edges run backwards)",
+            ["logic_model: edge impact->o runs backwards: impacts -> outputs"] * MAX_LISTED
+            + [rest],
             id="backward-edges"),
         pytest.param(
             logic_model([{"name": n, "stage": "outcomes"} for n in names], ring),
-            f"logic_model: cycle involving nodes: {listing(names)}", id="cycle"),
+            [f"logic_model: cycle involving nodes: {listing(names)}"], id="cycle"),
         pytest.param(
             logic_model([{"name": n, "stage": "inputs"} for n in names]),
-            f"logic_model.inputs: missing values for inputs nodes: {listing(sorted(names))}",
+            [f"logic_model.inputs: missing values for inputs nodes: {listing(sorted(names))}"],
             id="unfed-inputs"),
         pytest.param(
             logic_model([{"name": n, "stage": "outcomes"} for n in names[:5_000] * 2]),
-            f"logic_model: duplicate node names: {listing(sorted(names[:5_000]))}",
+            [f"logic_model: duplicate node names: {listing(sorted(names[:5_000]))}"],
             id="duplicates"),
     ]
 
@@ -580,27 +581,35 @@ def long_list_docs():
 class TestLongListsAreCounted:
     """A finding lists at most MAX_LISTED input names and counts the rest."""
 
-    @pytest.mark.parametrize("doc, finding", long_list_docs())
-    def test_logic_model_finding_stays_short(self, doc, finding):
+    @pytest.mark.parametrize("doc, findings", long_list_docs())
+    def test_logic_model_finding_stays_short(self, doc, findings):
         _, errors, _ = parse_scenario(doc, FIXTURES)
-        assert errors == [finding]
-        assert len(finding.encode("utf-8")) < 2048
+        assert errors == findings
+        assert len("".join(findings).encode("utf-8")) < 2048
 
     @pytest.mark.parametrize("count", [MAX_LISTED, MAX_LISTED + 1])
     def test_bad_edges_are_counted_per_kind(self, count):
-        # The two kinds interleave: up to MAX_LISTED of each, the findings
-        # are the per-edge texts in edge order, as they always were.
+        # The two kinds interleave: the model has one finding per bad edge,
+        # in edge order, and the section lists MAX_LISTED and counts the rest.
         nodes = (logicmodel.Node("o", "outputs"), logicmodel.Node("i", "impacts"))
         edges, want = [], []
         for k in range(count):
             edges += [Edge("o", f"x{k}", 1.0), Edge("i", "o", 1.0)]
-            if k < MAX_LISTED:
-                want += [f"edge o->x{k} references unknown nodes: x{k}",
-                         "edge i->o runs backwards: impacts -> outputs"]
-        if count > MAX_LISTED:
-            want += ["... (1 more edges reference unknown nodes)",
-                     "... (1 more edges run backwards)"]
-        assert logicmodel.validate(logicmodel.LogicModel(nodes, tuple(edges))) == want
+            want += [f"edge o->x{k} references unknown nodes: x{k}",
+                     "edge i->o runs backwards: impacts -> outputs"]
+        model = logicmodel.LogicModel(nodes, tuple(edges))
+        assert logicmodel.validate(model) == want
+        with pytest.raises(ValueError) as err:  # a library caller's message is bounded too
+            logicmodel.propagate(model, {})
+        assert str(err.value) == "invalid logic model: " + ", ".join(want[:MAX_LISTED]) + (
+            f", ... ({2 * count - MAX_LISTED} more)")
+        doc = {"logic_model": {
+            "nodes": [{"name": n.name, "stage": n.stage} for n in nodes],
+            "edges": [{"from": e.source, "to": e.target, "weight": e.weight} for e in edges],
+        }}
+        _, errors, _ = parse_scenario(doc, FIXTURES)
+        assert errors == [f"logic_model: {finding}" for finding in want[:MAX_LISTED]] + [
+            f"logic_model: ... ({2 * count - MAX_LISTED} more findings)"]
 
     @pytest.mark.parametrize("count", [MAX_LISTED, MAX_LISTED + 1, 20_000])
     def test_section_findings_are_counted(self, count):
@@ -1078,8 +1087,8 @@ def reference_graph_sections(doc):
                 nodes=tuple(nodes), edges=edges(raw.get("edges", []), f"{where}.edges")
             )
             findings = logicmodel.validate(model)
-            if findings:
-                raise ValueError(f"{where}: " + "; ".join(findings))
+            if findings:  # one finding each; the section is the last one read
+                return errors + [f"{where}: {finding}" for finding in findings], got
             got["logic_model"] = model
             inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
             for k, v in inputs.items():

@@ -116,6 +116,10 @@ class TestConstructMap:
         with pytest.raises(DimensionError):
             ConstructMap(("c1", "c2"), ((1.0,),))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^construct map needs at least one row$"):
+            ConstructMap((), ())
+
 
 @st.composite
 def likert_designs(draw):
@@ -227,6 +231,15 @@ class TestFitTarget:
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="at least"):
             fit_target([[1.0, 2.0]], [1.0])
+
+    @pytest.mark.parametrize("design, y, names, message", [
+        ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], None, r"design must be a 2-d matrix"),
+        ([[1.0, 2.0]] * 3, [1.0, 2.0], None, r"y has length \(2,\), design has 3 rows"),
+        ([[1.0, 2.0]] * 3, [1.0, 2.0, 3.0], ("a", "b"), r"2 names for 1 non-intercept columns"),
+    ], ids=["1-d-design", "y-length", "name-count"])
+    def test_shapes_checked(self, design, y, names, message):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            fit_target(design, y, column_names=names)
 
     def test_intercept_column_required(self):
         with pytest.raises(ValueError, match="intercept"):

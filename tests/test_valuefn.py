@@ -51,6 +51,11 @@ class TestFamilies:
         with pytest.raises(ValueError, match="a > 0"):
             ValueFunctionSpec(family, a=0.0)
 
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_finite_coefficients_required(self, a, b):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            ValueFunctionSpec("linear", a=a, b=b)
+
     def test_quadratic_monotone_limit(self):
         assert quadratic_monotone_limit(ValueFunctionSpec("quadratic", a=2.0)) == 1.0
         with pytest.raises(ValueError):

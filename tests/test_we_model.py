@@ -66,6 +66,16 @@ def test_duplicate_labels_rejected():
         ))
 
 
+def test_scope_label_required():
+    with pytest.raises(ValueError, match="^scope label must be non-empty$"):
+        WEScope("")
+
+
+def test_layers_required():
+    with pytest.raises(ValueError, match="^model needs at least one layer$"):
+        WellbeingModel(layers=())
+
+
 def test_weight_range_enforced():
     with pytest.raises(ValueError, match="weight"):
         WELayer(WEScope("a"), AsymmetricSpec(), 1.5)
