@@ -287,7 +287,7 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
 
     started = time.perf_counter()
     try:
-        sc, raw = load_scenario(scenario_path)
+        sc, raw = load_scenario(scenario_path, command)
         digest = hashlib.sha256(raw).hexdigest()
         outputs, warnings = _DISPATCH[command](sc, fmt, seed)
         warnings = list(sc.warnings) + warnings
@@ -319,29 +319,33 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
 def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
     """Full cross-section consistency findings, as (errors, warnings).
 
-    A scenario without other findings goes through the survey, sweep and
-    consensus steps of the run commands, so a numerical failure there is a
-    `sweep:` or `consensus:` finding. I/O problems propagate as OSError."""
+    When the sections a command reads have no findings, they go through
+    that command's survey, sweep or consensus step, so a numerical failure
+    there is a `sweep:` or `consensus:` finding. An I/O problem propagates
+    as OSError when the document has no other finding."""
     try:
         doc, _ = read_scenario_file(path)
     except ScenarioError as err:
         return err.findings, []
     # Looked up on the module, as load_scenario does, so a tracing wrapper sees it.
     sc, errors, warnings = scenario.parse_scenario(doc, Path(path).resolve().parent)
-    if not errors:
-        step = "sweep"
-        try:
-            if sc.survey is not None:
-                _read_survey(sc)
-            if sc.dynamics is not None and sc.sweep_grid is not None:
-                _run_sweep(sc, None)
-            step = "consensus"
-            if sc.consensus is not None:
-                _cmd_consensus(sc, "csv", None)
-        except ScenarioError as err:
-            errors = err.findings
-        except _NUMERICAL_ERRORS as err:
-            errors = [f"{step}: {err}"]
+    for command, section, present, step in (
+        ("fit", "survey", sc.survey is not None, lambda: _read_survey(sc)),
+        ("sweep", "sweep", sc.dynamics is not None and sc.sweep_grid is not None,
+         lambda: _run_sweep(sc, None)),
+        ("consensus-check", "consensus", sc.consensus is not None,
+         lambda: _cmd_consensus(sc, "csv", None)),
+    ):
+        if present and sc.failed.keys().isdisjoint(scenario.sections_read(command)):
+            try:
+                step()
+            except ScenarioError as err:
+                errors += err.findings
+            except _NUMERICAL_ERRORS as err:
+                errors.append(f"{section}: {err}")
+            except OSError:
+                if not errors:  # a document with findings reports those instead
+                    raise
     return errors, warnings
 
 

@@ -13,12 +13,12 @@ def _quote(value) -> str:
     return _cut(repr(value))
 
 
-def _listed(names: list, cut=_cut) -> str:
-    """The first MAX_LISTED of `names`, each cut by `cut`, joined by ", ";
+def _listed(names: list, cut=_cut, sep=", ") -> str:
+    """The first MAX_LISTED of `names`, each cut by `cut`, joined by `sep`;
     the count of the rest marks a longer list."""
-    listed = ", ".join(map(cut, names[:MAX_LISTED]))
+    listed = sep.join(map(cut, names[:MAX_LISTED]))
     if len(names) > MAX_LISTED:
-        listed += f", ... ({len(names) - MAX_LISTED} more)"
+        listed += f"{sep}... ({len(names) - MAX_LISTED} more)"
     return listed
 
 

@@ -102,7 +102,7 @@ def validate(model: LogicModel) -> list[str]:
 
 def _require_valid(model: LogicModel):
     if model._findings:
-        raise ValueError("invalid logic model: " + _listed(model._findings, cut=str))
+        raise ValueError("invalid logic model: " + _listed(model._findings, cut=str, sep="; "))
 
 
 def check_inputs(model: LogicModel, input_values: Mapping[str, float]):

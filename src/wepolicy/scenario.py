@@ -3,12 +3,13 @@
 A scenario is a single self-describing JSON object whose sections declare
 value functions, scope layers, element sets, mappings, survey and
 dynamics configuration, sweep grids, weighting profiles (the fact
-couplings), a logic model, and sampling grids. Validation walks the present sections once, in a
-fixed order, before anything runs: each section checks its own fields and
-its agreement with the sections before it, and reports findings naming
-`section.field` in that order. It also bounds the work a scenario may ask
-for before any grid or sweep is built. An optional number that a section
-leaves out takes the default its value type's constructor declares.
+couplings), a logic model, and sampling grids. Validation walks the present
+sections once, in a fixed order, before anything runs (a run command only
+those it reads): each section checks its own fields and its agreement with
+the sections before it, and reports findings naming `section.field` in that
+order. It also bounds the work a scenario may ask for before any grid or
+sweep is built. An optional number that a section leaves out takes the
+default its value type's constructor declares.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class ConsensusConfig(NamedTuple):
 
 
 class Scenario:
-    """Parsed scenario with constructed module objects (None when absent)."""
+    """Parsed scenario with constructed module objects (None when absent or not read)."""
 
     def __init__(self, base_dir: Path):
         self.base_dir = base_dir
@@ -114,6 +115,7 @@ class Scenario:
         self.curve: tuple[WELayer, list[float]] | None = None
         self.consensus: ConsensusConfig | None = None
         self.warnings: list[str] = []
+        self.failed: dict[str, int] = {}  # section -> its findings
 
     def layer_by_label(self, label: str) -> WELayer | None:
         """The layer with scope `label`, or None (also without a model)."""
@@ -355,7 +357,7 @@ class _Builder:
         self.value_functions: dict[str, ValueCurve] = {}
         self.element_sets: dict[str, tuple[str, ...]] = {}  # set name -> variable names
         self.errors: list[str] = []
-        self.failed: dict[str, int] = {}  # section -> its findings so far
+        self.failed = self.sc.failed
         self.section = ""
 
     def error(self, msg: str):
@@ -737,31 +739,37 @@ class _Builder:
             self._grid_check(layer, xs, f"{where}.probes")
 
 
-# Every section a scenario may hold, in the order it is parsed and its
-# findings are reported. A section checks its agreement with those before
-# it: layers read value_functions; mapping_f reads element_sets; survey
-# reads element_sets; weighting_profiles read survey and element_sets;
-# sweep reads dynamics; surface and curve read layers; and consensus reads
-# layers and mapping_f. Any other key is ignored.
+# Every section a scenario may hold, in the order it is parsed and its findings
+# are reported, and the run commands that read it. A section checks its agreement
+# with those before it, which a command that reads it reads too: layers read
+# value_functions; mapping_f and survey read element_sets; weighting_profiles read
+# survey and element_sets; sweep reads dynamics; surface and curve read layers;
+# and consensus reads layers and mapping_f. Any other key is ignored.
 _SECTIONS = (
-    ("value_functions", _Builder._value_functions),
-    ("element_sets", _Builder._element_sets),
-    ("layers", _Builder._layers),
-    ("mapping_f", _Builder._mapping),
-    ("parameter_network", _Builder._network),
-    ("survey", _Builder._survey),
-    ("dynamics", _Builder._dynamics),
-    ("sweep", _Builder._sweep),
-    ("weighting_profiles", _Builder._profiles),
-    ("logic_model", _Builder._logic_model),
-    ("surface", _Builder._surface),
-    ("curve", _Builder._curve),
-    ("consensus", _Builder._consensus),
+    ("value_functions", _Builder._value_functions, ("surface", "consensus-check")),
+    ("element_sets", _Builder._element_sets, ("consensus-check", "fit", "select")),
+    ("layers", _Builder._layers, ("surface", "consensus-check")),
+    ("mapping_f", _Builder._mapping, ("consensus-check",)),
+    ("parameter_network", _Builder._network, ("network",)),
+    ("survey", _Builder._survey, ("fit", "select")),
+    ("dynamics", _Builder._dynamics, ("sweep", "select")),
+    ("sweep", _Builder._sweep, ("sweep", "select")),
+    ("weighting_profiles", _Builder._profiles, ("select",)),
+    ("logic_model", _Builder._logic_model, ("impact",)),
+    ("surface", _Builder._surface, ("surface",)),
+    ("curve", _Builder._curve, ("surface",)),
+    ("consensus", _Builder._consensus, ("consensus-check",)),
 )
 
 
-def parse_scenario(doc: dict, base_dir: Path) -> tuple[Scenario, list[str], list[str]]:
-    """Construct module objects from a scenario document.
+def sections_read(command: str | None) -> dict:
+    """Section name -> parser of each section run command `command` reads, in order."""
+    return {name: parse for name, parse, readers in _SECTIONS if command in (None, *readers)}
+
+
+def parse_scenario(doc: dict, base_dir: Path,
+                   command: str | None = None) -> tuple[Scenario, list[str], list[str]]:
+    """Construct module objects from the sections `command` reads (all for None).
 
     Returns (scenario, errors, warnings); the scenario is only usable when
     errors is empty.
@@ -769,7 +777,7 @@ def parse_scenario(doc: dict, base_dir: Path) -> tuple[Scenario, list[str], list
     if not isinstance(doc, dict):
         return Scenario(base_dir), ["scenario: expected a JSON object"], []
     builder = _Builder(base_dir)
-    for name, parse in _SECTIONS:
+    for name, parse in sections_read(command).items():
         raw = doc.get(name)
         if raw is not None:
             builder.section = name
@@ -797,11 +805,11 @@ def read_scenario_file(path: str | Path) -> tuple[dict, bytes]:
     return doc, data
 
 
-def load_scenario(path: str | Path) -> tuple[Scenario, bytes]:
-    """Load and fully validate a scenario file; raises ScenarioError with
-    every finding when validation fails."""
+def load_scenario(path: str | Path, command: str | None = None) -> tuple[Scenario, bytes]:
+    """Load a scenario file and validate the sections `command` reads (all for
+    None); raises ScenarioError with every finding when validation fails."""
     doc, data = read_scenario_file(path)
-    sc, errors, _ = parse_scenario(doc, Path(path).resolve().parent)
+    sc, errors, _ = parse_scenario(doc, Path(path).resolve().parent, command)
     if errors:
         raise ScenarioError(errors)
     return sc, data

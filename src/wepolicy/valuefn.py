@@ -52,7 +52,7 @@ class ValueFunctionSpec(namedtuple("ValueFunctionSpec", "family a b")):
 
 
 def evaluate_family(spec: ValueFunctionSpec, x: float) -> float:
-    """Evaluate the family formula at x >= 0.
+    """Evaluate the family formula at x >= 0, as IEEE rounds past the float range.
 
     Raises DomainError for x < 0.
     """
@@ -62,14 +62,16 @@ def evaluate_family(spec: ValueFunctionSpec, x: float) -> float:
         return x
     if spec.family == "logarithmic":
         return math.log(spec.a + x)
-    if spec.family == "power":
-        return x**spec.a
     if spec.family == "quadratic":
         return spec.a * x - x * x
     if spec.family == "exponential":
         return 1.0 - math.exp(-spec.a * x)
-    # lin_exp
-    return spec.b * x - math.exp(-spec.a * x)
+    try:
+        if spec.family == "power":
+            return x**spec.a
+        return spec.b * x - math.exp(-spec.a * x)  # lin_exp
+    except OverflowError:
+        return math.inf if spec.family == "power" else spec.b * x - math.inf
 
 
 def quadratic_monotone_limit(spec: ValueFunctionSpec) -> float:

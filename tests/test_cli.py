@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -82,11 +83,22 @@ def overflowing_consensus(doc):
 
 def overflowing_power(doc):
     """`consensus.json`'s `doc` with both layers on the mirrored power family
-    at a = 400, whose value at the first probe raises OverflowError."""
+    at a = 400, whose value at the first probe overflows to inf."""
     doc["value_functions"]["power"] = {"kind": "mirrored", "family": "power", "a": 400.0}
     for layer in doc["layers"]:
         layer["value_function"] = "power"
     doc["consensus"]["probes"] = [[10, 10], [0, 0]]
+    return doc
+
+
+def overflowing_power_surface(doc):
+    """`fig2.json`'s `doc` without its curve and with both layers on the
+    mirrored power family at a = 400, whose value at x_n = 10 overflows to inf."""
+    doc["value_functions"]["power"] = {"kind": "mirrored", "family": "power", "a": 400.0}
+    for layer in doc["layers"]:
+        layer["value_function"] = "power"
+    doc["surface"] = {"x_n": {"values": [0.0, 10.0]}, "x_w": {"values": [0.0, 1.0]}}
+    del doc["curve"]
     return doc
 
 
@@ -653,9 +665,11 @@ class TestNonFiniteValues:
          ["consensus: consensus deviation at probe 0 is not finite: inf"], 2,
          "numerical failure: consensus deviation at probe 0 is not finite: inf"),
         ("consensus.json", overflowing_power, "consensus-check",
-         ["consensus: (34, 'Numerical result out of range')"], 2,
-         "numerical failure: (34, 'Numerical result out of range')"),
-    ], ids=["grid", "quadratic", "consensus", "consensus-power"])
+         ["consensus: consensus deviation at probe 0 is not finite: nan"], 2,
+         "numerical failure: consensus deviation at probe 0 is not finite: nan"),
+        ("fig2.json", overflowing_power_surface, "surface", [], 2,
+         "numerical failure: surface value at x_n=10.0, x_w=0.0 is not finite: inf"),
+    ], ids=["grid", "quadratic", "consensus", "consensus-power", "surface-power"])
     def test_exit_code_and_message(self, tmp_path, capsys, fmt, fixture, edit, command,
                                    findings, code, message):
         scenario = tmp_path / "scenario.json"
@@ -687,7 +701,7 @@ class TestHugeJsonInteger:
         assert json.loads(stdout)["errors"] == ["logic_model.edges[0].weight: value must be finite"]
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["impact", "fit"])
+    @pytest.mark.parametrize("command", ["impact"])
     def test_run_exits_1_without_files(self, fixtures_dir, tmp_path, capsys, command):
         scenario = self._scenario(fixtures_dir, tmp_path)
         out = tmp_path / "out"
@@ -696,6 +710,102 @@ class TestHugeJsonInteger:
         assert stdout == ""
         assert err == "error: logic_model.edges[0].weight: value must be finite\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "network"])
+    def test_a_command_that_does_not_read_it_ignores_it(self, fixtures_dir, goldens_dir,
+                                                        tmp_path, capsys, command):
+        scenario = self._scenario(fixtures_dir, tmp_path)
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, command, "--scenario", str(scenario), "--out", str(out))
+        assert (code, err) == (0, "")
+        assert digests(out) == digests(goldens_dir / command)
+
+
+def digests(directory):
+    """SHA-256 of every file in `directory`, by name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+# The sections each run command reads, which `scenario._SECTIONS` records
+# per section; `validate` reads them all.
+READS = {
+    "surface": ("value_functions", "layers", "surface", "curve"),
+    "consensus-check": ("value_functions", "element_sets", "layers", "mapping_f", "consensus"),
+    "fit": ("element_sets", "survey"),
+    "sweep": ("dynamics", "sweep"),
+    "select": ("element_sets", "survey", "dynamics", "sweep", "weighting_profiles"),
+    "impact": ("logic_model",),
+    "network": ("parameter_network",),
+}
+# One field of each `pipeline.json` section, as a path into the section,
+# and a value of the wrong type for it.
+BROKEN_FIELDS = {
+    "element_sets": (("X_w", "variables"), 1),
+    "survey": (("scale",), "5"),
+    "dynamics": (("agents",), "100"),
+    "sweep": (("tax",), "0.1"),
+    "weighting_profiles": ((0, "name"), ""),
+    "logic_model": (("edges", 0, "weight"), "1.0"),
+    "parameter_network": (("facts",), "fact"),
+}
+
+
+def section_of(finding):
+    """The section a finding names first: `survey` of `survey.file: ...`."""
+    return re.match(r"[a-z_]+", finding).group()
+
+
+class TestEachCommandReadsItsSections:
+    @pytest.mark.parametrize("section", BROKEN_FIELDS)
+    def test_only_its_readers_fail(self, fixtures_dir, goldens_dir, tmp_path, capsys, section):
+        """Exactly the commands that read the broken section exit 1, with
+        `validate`'s findings; every other command writes its golden bytes."""
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text(encoding="utf-8"))
+        path, value = BROKEN_FIELDS[section]
+        parent = doc[section]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        scenario = tmp_path / "pipeline.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(scenario))
+        errors = json.loads(stdout)["errors"]
+        assert code == 1 and errors
+        assert {section_of(e) for e in errors} == {section}
+        for command in ("fit", "sweep", "select", "impact", "network"):
+            out = tmp_path / command
+            code, _, err = run_cli(capsys, command, "--scenario", str(scenario), "--out", str(out))
+            if section in READS[command]:
+                assert (code, err) == (1, "".join(f"error: {e}\n" for e in errors)), command
+                assert not out.exists()
+            else:
+                assert (code, err) == (0, ""), command
+                assert digests(out) == digests(goldens_dir / command), command
+
+    @pytest.mark.parametrize("command, sorts", [("impact", 1), ("network", 1), ("validate", 2)])
+    def test_topological_sorts(self, fixtures_dir, tmp_path, capsys, monkeypatch,
+                               command, sorts):
+        """`impact` sorts only the logic model and `network` only the
+        parameter network; `validate` sorts both."""
+        from wepolicy.graphs import topological_order
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(command)
+            return topological_order(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("wepolicy.") and hasattr(module, "topological_order"):
+                monkeypatch.setattr(module, "topological_order", counting)
+        args = [command, "--scenario", str(fixtures_dir / "pipeline.json")]
+        if command != "validate":
+            args += ["--out", str(tmp_path / "out")]
+        code, _, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert len(calls) == sorts
 
 
 def all_skipped_pipeline(fixtures_dir, tmp_path):
@@ -1335,9 +1445,9 @@ class TestCollectorState:
         seen = []
         real_load = cli.load_scenario
 
-        def recording_load(path):
+        def recording_load(path, command=None):
             seen.append(gc.isenabled())
-            return real_load(path)
+            return real_load(path, command)
 
         monkeypatch.setattr(cli, "load_scenario", recording_load)
         gc.enable()
@@ -1507,6 +1617,15 @@ def assert_finite_outputs(out):
                 assert math.isfinite(value), (path.name, cell)
 
 
+def survey_beyond_scale(doc):
+    """`pipeline.json`'s `doc` with a survey scale that the survey file's
+    answers exceed, and a logic-model edge without a weight: `fit` reads
+    the survey file and not the logic model."""
+    doc["survey"]["scale"] = 2
+    doc["logic_model"]["edges"][0]["weight"] = None
+    return doc
+
+
 def pipeline_with_dynamics(field, value):
     doc = fuzz_fixtures()[0]
     doc["dynamics"][field] = value
@@ -1518,6 +1637,7 @@ class TestExitCodeContract:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=mutated_fixtures(), fmt=st.sampled_from(["csv", "json"]))
     @example(doc={"surface": fuzz_fixtures()[2]["surface"]}, fmt="csv")
+    @example(doc=survey_beyond_scale(fuzz_fixtures()[0]), fmt="csv")
     @example(doc=pipeline_with_dynamics("income_spread", 1e308), fmt="csv")
     @example(doc=pipeline_with_dynamics("connection_rate", 1e308), fmt="csv")
     @example(doc=profiles_of_two_facts(fuzz_fixtures()[0], keep_x_c=False), fmt="csv")
@@ -1527,12 +1647,15 @@ class TestExitCodeContract:
     @example(doc=overflowing_quadratic(fuzz_fixtures()[2]), fmt="csv")
     @example(doc=overflowing_consensus(fuzz_fixtures()[1]), fmt="csv")
     @example(doc=overflowing_power(fuzz_fixtures()[1]), fmt="csv")
+    @example(doc=overflowing_power_surface(fuzz_fixtures()[2]), fmt="csv")
     def test_mutated_fixtures(self, tmp_path, capsys, monkeypatch, doc, fmt):
         """Every command exits 0-3 without a traceback, prints under
         MAX_PRINTED bytes, leaves no file after a nonzero exit and no nan or
         +-inf in a file after exit 0, and, when `validate` passes, does not
         exit 1 unless it lacks a section it requires; nor does consensus-check
-        exit 2."""
+        exit 2. Every finding a command exits 1 on, but a missing section, is
+        among `validate`'s, and a command exits nonzero when `validate` has a
+        finding in a section that the command reads."""
         monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
         monkeypatch.setattr("wepolicy.scenario.MAX_SWEEP_WORK", FUZZ_WORK_CAP)
         work = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -1543,6 +1666,7 @@ class TestExitCodeContract:
         assert code in (0, 1, 3) and "Traceback" not in err
         assert len((printed + err).encode("utf-8")) < MAX_PRINTED
         valid = code == 0
+        errors = json.loads(printed)["errors"] if code == 1 else []
         for command, sections in REQUIRED_SECTIONS.items():
             out = work / command
             fmt_args = ("--format", fmt) if command in FORMATTED_COMMANDS else ()
@@ -1559,3 +1683,10 @@ class TestExitCodeContract:
                 assert code != 1, (command, err)
             if valid and command == "consensus-check":
                 assert code != 2, err
+            if code == 1:
+                for line in err.splitlines():
+                    finding = line.removeprefix("error: ")
+                    assert (finding in errors or finding.endswith(
+                        ": section required by this command is missing")), (command, finding)
+            if any(section_of(e) in READS[command] for e in errors):
+                assert code != 0, command

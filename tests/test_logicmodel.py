@@ -122,6 +122,20 @@ class TestPropagate:
         with pytest.raises(ValueError, match="invalid"):
             propagate(model, {"a": 1.0})
 
+    def test_findings_are_kept_apart(self):
+        # Each finding lists its unknown nodes with ", ", so findings are
+        # joined with "; ".
+        model = LogicModel(
+            nodes=(Node("a", "inputs"), Node("z", "impacts")),
+            edges=(Edge("x1", "x2", 1.0), Edge("a", "x3", 1.0)),
+        )
+        with pytest.raises(ValueError) as err:
+            propagate(model, {"a": 1.0})
+        assert str(err.value) == (
+            "invalid logic model: edge x1->x2 references unknown nodes: x1, x2; "
+            "edge a->x3 references unknown nodes: x3"
+        )
+
     def test_additivity_zero_baselines(self):
         model = diamond_model()
         v1, v2 = {"fund": 0.8}, {"fund": -0.3}

@@ -601,8 +601,8 @@ class TestLongListsAreCounted:
         assert logicmodel.validate(model) == want
         with pytest.raises(ValueError) as err:  # a library caller's message is bounded too
             logicmodel.propagate(model, {})
-        assert str(err.value) == "invalid logic model: " + ", ".join(want[:MAX_LISTED]) + (
-            f", ... ({2 * count - MAX_LISTED} more)")
+        assert str(err.value) == "invalid logic model: " + "; ".join(want[:MAX_LISTED]) + (
+            f"; ... ({2 * count - MAX_LISTED} more)")
         doc = {"logic_model": {
             "nodes": [{"name": n.name, "stage": n.stage} for n in nodes],
             "edges": [{"from": e.source, "to": e.target, "weight": e.weight} for e in edges],
