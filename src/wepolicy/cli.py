@@ -7,7 +7,8 @@ policy grid through the simulator, `select` couples sweep facts into the
 target and picks maximizers per weighting profile, `impact` evaluates the
 logic model, `network` propagates fact deltas to value parameters, and
 `validate` reports scenario findings; it runs `fit`'s survey read, `sweep`'s
-simulation and `consensus-check`'s probes, but fits nothing.
+simulation, `surface`'s sampling and `consensus-check`'s probes, but fits
+nothing.
 
 Outputs are staged in memory until a command fully succeeds, then written
 to a staging directory inside `--out` and renamed into place, so a nonzero
@@ -38,10 +39,9 @@ from .errors import RankDeficiencyError, ScenarioError, _quote
 from .scenario import Scenario, load_scenario, profile_slug, read_scenario_file
 from .serialize import csv_table, dump_json, json_rows
 
-# Names taken from the modules that only some commands use. A command binds
-# a module's names here with `_bind` before it calls them, and `__getattr__`
-# binds them when one is read from outside first. Either way a name already
-# set on this module (a tracing wrapper, a test's replacement) is kept.
+# Names from the modules that only some commands use. Each starts as a stub
+# that, on its first call, imports the module and binds the real function
+# here, unless the name was rebound (a tracing wrapper, a test's replacement).
 _LAZY = {
     "survey": ("aggregate_survey", "check_survey", "fit_target", "read_survey_csv",
                "rescale_answer", "respondent_scores"),
@@ -51,19 +51,16 @@ _LAZY = {
 }
 
 
-def _bind(module: str) -> None:
-    names = globals()
-    imported = importlib.import_module(f".{module}", __package__)
-    for name in _LAZY[module]:
-        names.setdefault(name, getattr(imported, name))
+def _lazy(module: str, name: str):
+    def stub(*args, **kwargs):
+        real = getattr(importlib.import_module(f".{module}", __package__), name)
+        if globals()[name] is stub:
+            globals()[name] = real
+        return real(*args, **kwargs)
+    return stub
 
 
-def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+globals().update({name: _lazy(module, name) for module in _LAZY for name in _LAZY[module]})
 
 
 EXIT_OK = 0
@@ -93,10 +90,9 @@ def _table(fmt: str, stem: str, header, rows) -> dict[str, str]:
     return {f"{stem}.csv": csv_table(header, rows)}
 
 
-def _cmd_surface(sc: Scenario, fmt: str, seed):
+def _cmd_surface(sc: Scenario, fmt: str):
     model = _require(sc, "model", "layers")
     xs_n, xs_w = _require(sc, "surface_grids", "surface")
-    _bind("we_model")
     rows = sample_surface(model, xs_n, xs_w)
     if fmt == "csv":
         # Each grid value fills a whole row or column of the grid, so it is
@@ -112,7 +108,7 @@ def _cmd_surface(sc: Scenario, fmt: str, seed):
     return outputs, []
 
 
-def _cmd_consensus(sc: Scenario, fmt: str, seed):
+def _cmd_consensus(sc: Scenario, fmt: str):
     cfg = _require(sc, "consensus", "consensus")
     report = check_consensus(
         narrow=sc.layer_by_label(cfg.narrow_label).scope_function(),
@@ -130,7 +126,6 @@ def _cmd_consensus(sc: Scenario, fmt: str, seed):
 def _read_survey(sc: Scenario):
     """The survey file, read and checked; `fit`, `select` and `validate` read it here."""
     cfg = _require(sc, "survey", "survey")
-    _bind("survey")
     try:
         survey = read_survey_csv((sc.base_dir / cfg.file).read_text(encoding="utf-8"))
         check_survey(survey, cfg.construct_map, cfg.scale)
@@ -152,7 +147,7 @@ def _fit_from_survey(sc: Scenario):
     return fit_target(design, y, column_names=cfg.construct_map.constructs), baseline
 
 
-def _cmd_fit(sc: Scenario, fmt: str, seed):
+def _cmd_fit(sc: Scenario, fmt: str):
     model, baseline = _fit_from_survey(sc)
     outputs = {
         "model.json": dump_json(model.to_dict()),
@@ -161,22 +156,15 @@ def _cmd_fit(sc: Scenario, fmt: str, seed):
     return outputs, []
 
 
-def _run_sweep(sc: Scenario, seed):
-    """The sweep table; a `seed` replaces the one in `sc.dynamics`, where `run` reads it."""
+def _run_sweep(sc: Scenario):
+    """The sweep table of `sc`'s dynamics over its policy grid."""
     _require(sc, "dynamics", "dynamics")
     grid = _require(sc, "sweep_grid", "sweep")
-    _bind("policy_sim")
-    if seed is not None:
-        try:
-            # Through the constructor, which checks the seed.
-            sc.dynamics = DynamicsConfig(**dict(sc.dynamics._asdict(), seed=seed))
-        except ValueError as err:
-            raise ScenarioError([f"--seed: {err}"]) from None
     return run_sweep(sc.dynamics, grid["subsidy"], grid["tax"], grid["service"])
 
 
-def _cmd_sweep(sc: Scenario, fmt: str, seed):
-    table = _run_sweep(sc, seed)
+def _cmd_sweep(sc: Scenario, fmt: str):
+    table = _run_sweep(sc)
     sweep_rows = [
         (r.policy_id, r.knobs.subsidy, r.knobs.tax, r.knobs.service, *r.indicators)
         for r in table.rows
@@ -194,11 +182,10 @@ def _cmd_sweep(sc: Scenario, fmt: str, seed):
     return outputs, warnings
 
 
-def _cmd_select(sc: Scenario, fmt: str, seed):
+def _cmd_select(sc: Scenario, fmt: str):
     profiles = _require(sc, "profiles", "weighting_profiles")
-    _bind("evaluator")
     model, baseline = _fit_from_survey(sc)
-    table = _run_sweep(sc, seed)
+    table = _run_sweep(sc)
     constructs = sc.survey.construct_map.constructs
     header = ("rank", "policy_id", "W_prime", *(f"x_w_prime_{c}" for c in constructs))
     outputs = {}
@@ -219,7 +206,7 @@ def _cmd_select(sc: Scenario, fmt: str, seed):
     return outputs, warnings
 
 
-def _cmd_impact(sc: Scenario, fmt: str, seed):
+def _cmd_impact(sc: Scenario, fmt: str):
     from . import logicmodel
 
     model = _require(sc, "logic_model", "logic_model")
@@ -232,7 +219,7 @@ def _cmd_impact(sc: Scenario, fmt: str, seed):
     return {"impact_report.json": dump_json(report)}, []
 
 
-def _cmd_network(sc: Scenario, fmt: str, seed):
+def _cmd_network(sc: Scenario, fmt: str):
     net = _require(sc, "network", "parameter_network")
     deltas = propagate_network(net, sc.network_deltas)
     return {"network.json": dump_json({"value_deltas": deltas})}, []
@@ -280,16 +267,22 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
     """Run one command; returns the process exit code.
 
     Output files are only created when the whole command succeeds; a
-    RunReport JSON goes to stdout. Its seed is the one the dynamics ran
-    with, so it is null for every command but sweep and select.
+    RunReport JSON goes to stdout. A `seed` replaces the dynamics seed; the
+    report's seed is the one the dynamics ran with, null without dynamics.
     """
     import hashlib  # only here: validate takes no digest
 
     started = time.perf_counter()
     try:
         sc, raw = load_scenario(scenario_path, command)
+        if seed is not None and sc.dynamics is not None:
+            try:
+                # Through the constructor, which checks the seed.
+                sc.dynamics = DynamicsConfig(**dict(sc.dynamics._asdict(), seed=seed))
+            except ValueError as err:
+                raise ScenarioError([f"--seed: {err}"]) from None
         digest = hashlib.sha256(raw).hexdigest()
-        outputs, warnings = _DISPATCH[command](sc, fmt, seed)
+        outputs, warnings = _DISPATCH[command](sc, fmt)
         warnings = list(sc.warnings) + warnings
         out = Path(out_dir)
         _write_outputs(out, outputs)
@@ -307,7 +300,7 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
     report = {
         "command": command,
         "scenario_digest": digest,
-        "seed": sc.dynamics.seed if command in ("sweep", "select") else None,
+        "seed": sc.dynamics.seed if sc.dynamics is not None else None,
         "outputs": [str(out / name) for name in outputs],
         "warnings": warnings,
         "wall_time_s": time.perf_counter() - started,
@@ -320,9 +313,9 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
     """Full cross-section consistency findings, as (errors, warnings).
 
     When the sections a command reads have no findings, they go through
-    that command's survey, sweep or consensus step, so a numerical failure
-    there is a `sweep:` or `consensus:` finding. An I/O problem propagates
-    as OSError when the document has no other finding."""
+    that command's survey, sweep, surface, curve or consensus step, so a
+    numerical failure there is a finding of that section. An I/O problem
+    propagates as OSError when the document has no other finding."""
     try:
         doc, _ = read_scenario_file(path)
     except ScenarioError as err:
@@ -332,9 +325,12 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
     for command, section, present, step in (
         ("fit", "survey", sc.survey is not None, lambda: _read_survey(sc)),
         ("sweep", "sweep", sc.dynamics is not None and sc.sweep_grid is not None,
-         lambda: _run_sweep(sc, None)),
+         lambda: _run_sweep(sc)),
+        ("surface", "surface", sc.surface_grids is not None,
+         lambda: sample_surface(sc.model, *sc.surface_grids)),
+        ("surface", "curve", sc.curve is not None, lambda: consensus_curve(*sc.curve)),
         ("consensus-check", "consensus", sc.consensus is not None,
-         lambda: _cmd_consensus(sc, "csv", None)),
+         lambda: _cmd_consensus(sc, "csv")),
     ):
         if present and sc.failed.keys().isdisjoint(scenario.sections_read(command)):
             try:

@@ -191,19 +191,14 @@ def _names(value, where: str) -> tuple[str, ...]:
 def _edges(value, where: str) -> tuple[Edge, ...]:
     edges = []
     for i, e in enumerate(_array(value, where)):
-        if type(e) is dict:
-            src, dst, w = e.get("from"), e.get("to"), e.get("weight")
-            if (type(src) is str and src and type(dst) is str and dst
-                    and type(w) is float and w - w == 0.0):
-                edges.append(Edge(src, dst, w))
-                continue
-        at = f"{where}[{i}]"
-        e = _object(e, at)
-        edges.append(Edge(
-            source=_str(e.get("from"), f"{at}.from"),
-            target=_str(e.get("to"), f"{at}.to"),
-            weight=_float(e.get("weight"), f"{at}.weight"),
-        ))
+        if type(e) is not dict:
+            e = _object(e, f"{where}[{i}]")
+        src, dst, w = e.get("from"), e.get("to"), e.get("weight")
+        if not (type(src) is str and src and type(dst) is str and dst
+                and type(w) is float and w - w == 0.0):
+            at = f"{where}[{i}]"
+            src, dst, w = _str(src, f"{at}.from"), _str(dst, f"{at}.to"), _float(w, f"{at}.weight")
+        edges.append(Edge(src, dst, w))
     return tuple(edges)
 
 
@@ -376,6 +371,14 @@ class _Builder:
         except ValueError as err:
             self.error(str(err))
             return None
+
+    def model(self, where: str) -> WellbeingModel | None:
+        """The layers' model, or None: with a finding at `where` when the
+        document has no layers section, and without one when that section
+        has findings of its own."""
+        if self.sc.model is None and "layers" not in self.failed:
+            self.error(f"{where}: requires a layers section")
+        return self.sc.model
 
     def layer(self, label: str, where: str) -> WELayer | None:
         """The layer with scope `label`, or None and a finding at `where`."""
@@ -636,14 +639,13 @@ class _Builder:
             )
         grids = (grid_values(x_n, "surface.x_n"), grid_values(x_w, "surface.x_w"))
         self.sc.surface_grids = grids
-        if self.sc.model is not None:
+        model = self.model("surface")
+        if model is not None:
             from .we_model import surface_layers
 
-            layers = _check("surface", surface_layers, self.sc.model)
+            layers = _check("surface", surface_layers, model)
             for layer, xs, where in zip(layers, grids, ("surface.x_n", "surface.x_w")):
                 self._grid_check(layer, xs, where)
-        elif "layers" not in self.failed:
-            raise ValueError("surface: requires a layers section")
 
     def _curve(self, raw):
         _object(raw, "curve")
@@ -652,7 +654,7 @@ class _Builder:
         if n > MAX_GRID_POINTS:
             raise ValueError(f"curve.grid: {n} points exceeds the cap of {MAX_GRID_POINTS}")
         grid = grid_values(raw.get("grid"), "curve.grid")
-        if "layers" not in self.failed:
+        if self.model("curve") is not None:
             layer = self.layer(label, "curve.layer")
             if layer is not None:
                 self.sc.curve = (layer, grid)
@@ -700,7 +702,7 @@ class _Builder:
         )
         f = None if "mapping_f" in self.failed else self.sc.mapping_f
         layers = []  # the narrow and wide layers that resolve
-        if "layers" not in self.failed:
+        if self.model(where) is not None:
             # The narrow layer weighs the mapping's target, the wide its source.
             for key, label, side in (
                 ("narrow_layer", cfg.narrow_label, "target"),

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import wepolicy
 
 from wepolicy.cli import main, run
+from wepolicy.valuefn import FAMILIES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -659,7 +660,8 @@ class TestNonFiniteValues:
         ("fig2.json", overflowing_grid, "surface",
          ["surface.x_n: grid value 0 is not finite: nan"], 1,
          "surface.x_n: grid value 0 is not finite: nan"),
-        ("fig2.json", overflowing_quadratic, "surface", [], 2,
+        ("fig2.json", overflowing_quadratic, "surface",
+         ["surface: surface value at x_n=1e+200, x_w=0.0 is not finite: -inf"], 2,
          "numerical failure: surface value at x_n=1e+200, x_w=0.0 is not finite: -inf"),
         ("consensus.json", overflowing_consensus, "consensus-check",
          ["consensus: consensus deviation at probe 0 is not finite: inf"], 2,
@@ -667,7 +669,8 @@ class TestNonFiniteValues:
         ("consensus.json", overflowing_power, "consensus-check",
          ["consensus: consensus deviation at probe 0 is not finite: nan"], 2,
          "numerical failure: consensus deviation at probe 0 is not finite: nan"),
-        ("fig2.json", overflowing_power_surface, "surface", [], 2,
+        ("fig2.json", overflowing_power_surface, "surface",
+         ["surface: surface value at x_n=10.0, x_w=0.0 is not finite: inf"], 2,
          "numerical failure: surface value at x_n=10.0, x_w=0.0 is not finite: inf"),
     ], ids=["grid", "quadratic", "consensus", "consensus-power", "surface-power"])
     def test_exit_code_and_message(self, tmp_path, capsys, fmt, fixture, edit, command,
@@ -1125,6 +1128,89 @@ def test_a_command_loads_only_what_it_uses(fixtures_dir, tmp_path, command, fixt
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert [name for name in unused if name in loaded] == []
+
+
+def run_probe(probe, *args):
+    """Run `probe` with `args` in a fresh interpreter on this checkout's
+    package; returns the finished process, which exited 0."""
+    src = str(Path(wepolicy.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+LAZY_READ_PROBE = """
+import json, sys
+from wepolicy import cli
+
+assert all(callable(getattr(cli, name)) for names in cli._LAZY.values() for name in names)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+LAZY_REPLACED_PROBE = """
+import sys
+from wepolicy import cli
+
+scenario, out = sys.argv[1:]
+stub, calls = cli.sample_surface, []
+
+
+def replacement(*args, **kwargs):
+    calls.append(len(args))
+    return stub(*args, **kwargs)
+
+
+cli.sample_surface = replacement
+assert cli.main(["surface", "--scenario", scenario, "--out", out]) == 0
+assert calls == [3], calls
+assert cli.sample_surface is replacement
+assert cli.consensus_curve is sys.modules["wepolicy.we_model"].consensus_curve
+"""
+
+SEED_PROBE = """
+import sys
+from wepolicy import cli
+
+scenario, out = sys.argv[1:]
+code = cli.main(["select", "--scenario", scenario, "--out", out, "--seed", "-7"])
+print(code, "numpy" in sys.modules, "wepolicy.survey" in sys.modules)
+"""
+
+
+class TestLazyNames:
+    """Each `_LAZY` name on `cli` binds itself on its first call."""
+
+    def test_reading_the_names_loads_no_module(self):
+        loaded = json.loads(run_probe(LAZY_READ_PROBE).stdout.splitlines()[-1])
+        unused = ("wepolicy.survey", "wepolicy.policy_sim", "wepolicy.evaluator",
+                  "wepolicy.we_model")
+        assert [name for name in unused if name in loaded] == []
+
+    def test_a_call_binds_the_library_function(self, fixtures_dir, tmp_path, capsys):
+        from wepolicy import cli, survey
+
+        code, _, _ = run_cli(capsys, "fit", "--scenario", str(fixtures_dir / "pipeline.json"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert cli.fit_target is survey.fit_target
+
+    def test_a_name_set_before_the_first_call_is_kept(self, fixtures_dir, tmp_path):
+        run_probe(LAZY_REPLACED_PROBE, fixtures_dir / "fig2.json", tmp_path / "out")
+
+    def test_seed_is_checked_before_the_survey_is_read(self, fixtures_dir, tmp_path):
+        """Without survey.csv next to the scenario, `select --seed -7` exits 1
+        on the seed, not 3 on the missing file, and loads neither numpy nor
+        the survey module."""
+        scenario = tmp_path / "pipeline.json"
+        shutil.copy(fixtures_dir / "pipeline.json", scenario)
+        proc = run_probe(SEED_PROBE, scenario, tmp_path / "out")
+        assert (proc.stdout, proc.stderr) == (
+            "1 False False\n", "error: --seed: seed must be >= 0, got -7\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputContract:
@@ -1652,10 +1738,10 @@ class TestExitCodeContract:
         """Every command exits 0-3 without a traceback, prints under
         MAX_PRINTED bytes, leaves no file after a nonzero exit and no nan or
         +-inf in a file after exit 0, and, when `validate` passes, does not
-        exit 1 unless it lacks a section it requires; nor does consensus-check
-        exit 2. Every finding a command exits 1 on, but a missing section, is
-        among `validate`'s, and a command exits nonzero when `validate` has a
-        finding in a section that the command reads."""
+        exit 1 unless it lacks a section it requires; nor do surface, sweep
+        or consensus-check exit 2. Every finding a command exits 1 on, but a
+        missing section, is among `validate`'s, and a command exits nonzero
+        when `validate` has a finding in a section that the command reads."""
         monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
         monkeypatch.setattr("wepolicy.scenario.MAX_SWEEP_WORK", FUZZ_WORK_CAP)
         work = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -1681,8 +1767,8 @@ class TestExitCodeContract:
                 assert_finite_outputs(out)
             if valid and all(doc.get(s) is not None for s in sections):
                 assert code != 1, (command, err)
-            if valid and command == "consensus-check":
-                assert code != 2, err
+            if valid and command in ("surface", "sweep", "consensus-check"):
+                assert code != 2, (command, err)
             if code == 1:
                 for line in err.splitlines():
                     finding = line.removeprefix("error: ")
@@ -1690,3 +1776,113 @@ class TestExitCodeContract:
                         ": section required by this command is missing")), (command, finding)
             if any(section_of(e) in READS[command] for e in errors):
                 assert code != 0, command
+
+
+# --- generated surface scenarios ---
+
+# Values at the float range's edges: the largest magnitudes a grid or a
+# coefficient may hold, the smallest subnormal and negative zero.
+EDGE_NUMBERS = [1e300, -1e300, 5e-324, -5e-324, -0.0, 0.0]
+# Names either side of the 80 characters at which a finding cuts a name.
+EDGE_NAMES = ["I", "community", "n" * 80, "w" * 81]
+
+
+def edge_or_plain_numbers(low=-50.0):
+    return st.one_of(st.sampled_from(EDGE_NUMBERS), st.floats(low, 50.0))
+
+
+@st.composite
+def value_function_specs(draw):
+    """One `value_functions` entry: asymmetric, a raw family or a mirrored one."""
+    kind = draw(st.sampled_from(["asymmetric", "family", "mirrored"]))
+    spec = {} if kind == "asymmetric" and draw(st.booleans()) else {"kind": kind}
+    if kind == "asymmetric":
+        keys = ("gain_alpha", "loss_beta", "loss_lambda")
+    else:
+        spec["family"] = draw(st.sampled_from(FAMILIES))
+        keys = ("a", "b", "loss_lambda") if kind == "mirrored" else ("a", "b")
+    for key in keys:
+        if draw(st.booleans()):
+            spec[key] = draw(st.one_of(edge_or_plain_numbers(low=1.0), st.sampled_from([400.0])))
+    return spec
+
+
+def grid_specs(max_points):
+    """A grid of explicit values, or a start/stop/count grid whose count may
+    pass `max_points` by one."""
+    values = st.lists(edge_or_plain_numbers(), min_size=1, max_size=4).map(
+        lambda vs: {"values": vs})
+    spaced = st.fixed_dictionaries({
+        "start": edge_or_plain_numbers(),
+        "stop": edge_or_plain_numbers(),
+        "count": st.integers(1, max_points + 1),
+    })
+    return st.one_of(values, spaced)
+
+
+@st.composite
+def surface_scenarios(draw):
+    """`value_functions`, two `layers`, a `surface` and maybe a `curve`, as
+    the README's scenario format describes them."""
+    names = draw(st.lists(st.sampled_from(EDGE_NAMES), min_size=1, max_size=2, unique=True))
+    functions = {name: draw(value_function_specs()) for name in names}
+    narrow, wide = draw(st.lists(st.sampled_from(EDGE_NAMES), min_size=2, max_size=2,
+                                 unique=True))
+    weight = draw(st.sampled_from([0.5, 0.25, 5e-324, -0.0, 1.0]))
+    layers = []
+    for scope, w in ((narrow, weight), (wide, 1.0 - weight)):
+        layer = {"scope": scope, "value_function": draw(st.sampled_from(names)), "weight": w}
+        if draw(st.booleans()):
+            layer["element_weights"] = draw(st.lists(edge_or_plain_numbers(), max_size=2))
+        layers.append(layer)
+    side = int(FUZZ_GRID_CAP ** 0.5)
+    doc = {
+        "value_functions": functions,
+        "layers": layers,
+        "surface": {"x_n": draw(grid_specs(side)), "x_w": draw(grid_specs(side))},
+    }
+    if draw(st.booleans()):
+        doc["curve"] = {"layer": draw(st.sampled_from([narrow, wide])),
+                        "grid": draw(grid_specs(FUZZ_GRID_CAP))}
+    return doc
+
+
+class TestGeneratedSurfaceScenarios:
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=surface_scenarios())
+    def test_validate_predicts_the_surface_run(self, tmp_path, capsys, monkeypatch, doc):
+        """`surface` exits 0 in both formats exactly when `validate` is ok.
+        Otherwise it exits 1 with `validate`'s findings or 2 with its first
+        one. Reruns print and write the same bytes, and nothing printed is a
+        traceback or reaches MAX_PRINTED bytes."""
+        monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        path = work / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, printed, err = run_cli(capsys, "validate", "--scenario", str(path))
+        assert code in (0, 1) and err == ""
+        assert len(printed.encode("utf-8")) < MAX_PRINTED
+        errors = json.loads(printed)["errors"]
+        for fmt in ("csv", "json"):
+            runs = []
+            for rerun in ("first", "second"):
+                out = work / f"{fmt}-{rerun}"
+                code, printed, err = run_cli(capsys, "surface", "--scenario", str(path),
+                                             "--out", str(out), "--format", fmt)
+                assert "Traceback" not in err
+                assert len((printed + err).encode("utf-8")) < MAX_PRINTED
+                if code == 0:
+                    assert_finite_outputs(out)
+                    report = json.loads(printed)
+                    del report["wall_time_s"], report["outputs"]
+                    runs.append((code, report, err, digests(out)))
+                else:
+                    assert not out.exists()
+                    runs.append((code, printed, err))
+            assert runs[0] == runs[1], fmt
+            assert (code == 0) == (not errors), (fmt, errors, err)
+            if code == 1:
+                assert err == "".join(f"error: {e}\n" for e in errors)
+            elif code == 2:
+                assert err == f"error: numerical failure: {errors[0].split(': ', 1)[1]}\n"

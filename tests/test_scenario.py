@@ -764,8 +764,7 @@ class TestSectionOrder:
         assert errors == [
             "survey.constructs: must match element_sets.X_w variable names "
             "(['social', 'environmental'])",
-            "consensus.narrow_layer: unknown scope label 'ghost'",
-            "consensus.wide_layer: unknown scope label 'community'",
+            "consensus: requires a layers section",
             "consensus: requires a mapping_f section",
         ]
 
@@ -1008,6 +1007,14 @@ class TestLayerFindings:
         doc = {"surface": fixture_doc(fixtures_dir, "fig2.json")["surface"]}
         errors, _ = validate_scenario(write(tmp_path, doc))
         assert errors == ["surface: requires a layers section"]
+
+    def test_curve_and_consensus_require_layers(self, tmp_path, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "consensus.json")
+        del doc["layers"]
+        doc["curve"] = fixture_doc(fixtures_dir, "fig2.json")["curve"]
+        errors, _ = validate_scenario(write(tmp_path, doc))
+        assert errors == ["curve: requires a layers section",
+                          "consensus: requires a layers section"]
 
     def test_out_of_range_weights_name_their_path(self, tmp_path, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "fig2.json")
