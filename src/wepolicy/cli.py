@@ -7,8 +7,8 @@ policy grid through the simulator, `select` couples sweep facts into the
 target and picks maximizers per weighting profile, `impact` evaluates the
 logic model, `network` propagates fact deltas to value parameters, and
 `validate` reports scenario findings; it runs `fit`'s survey read, `sweep`'s
-simulation, `surface`'s sampling and `consensus-check`'s probes, but fits
-nothing.
+simulation, `surface`'s cell check and curve and `consensus-check`'s probes,
+but fits nothing.
 
 Outputs are staged in memory until a command fully succeeds, then written
 to a staging directory inside `--out` and renamed into place, so a nonzero
@@ -34,9 +34,8 @@ import time
 from pathlib import Path
 
 from . import scenario
-from .coupling import check_consensus, propagate_network
 from .errors import RankDeficiencyError, ScenarioError, _quote
-from .scenario import Scenario, load_scenario, profile_slug, read_scenario_file
+from .scenario import Scenario, load_scenario, read_scenario_file
 from .serialize import csv_table, dump_json, json_rows
 
 # Names from the modules that only some commands use. Each starts as a stub
@@ -46,8 +45,9 @@ _LAZY = {
     "survey": ("aggregate_survey", "check_survey", "fit_target", "read_survey_csv",
                "rescale_answer", "respondent_scores"),
     "policy_sim": ("DynamicsConfig", "normalize_ternary", "run_sweep"),
-    "evaluator": ("evaluate_policies", "select_best"),
-    "we_model": ("consensus_curve", "sample_surface"),
+    "evaluator": ("evaluate_policies", "profile_slug", "select_best"),
+    "we_model": ("consensus_curve", "sample_surface", "surface_terms"),
+    "coupling": ("check_consensus", "propagate_network"),
 }
 
 
@@ -327,7 +327,7 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
         ("sweep", "sweep", sc.dynamics is not None and sc.sweep_grid is not None,
          lambda: _run_sweep(sc)),
         ("surface", "surface", sc.surface_grids is not None,
-         lambda: sample_surface(sc.model, *sc.surface_grids)),
+         lambda: surface_terms(sc.model, *sc.surface_grids)),
         ("surface", "curve", sc.curve is not None, lambda: consensus_curve(*sc.curve)),
         ("consensus-check", "consensus", sc.consensus is not None,
          lambda: _cmd_consensus(sc, "csv")),

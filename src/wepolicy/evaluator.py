@@ -9,11 +9,13 @@ emphases and generally select different policies.
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 # `apply_fact_coupling` stays importable from here: perfbench/tracer.py wraps it.
 from .coupling import FactCoupling, apply_fact_coupling, couple_rows
-from .errors import _quote
+from .errors import _cut, _quote
+from .scenario import _Builder, _check, _floats, _matrix, _object, _str
 
 if TYPE_CHECKING:  # annotations only; a scenario's profiles load neither module
     from .policy_sim import SweepTable
@@ -95,3 +97,55 @@ def select_best(ranked: RankedPolicies) -> int:
     if not ranked.policy_ids:
         raise ValueError("cannot select from an empty ranking")
     return ranked.policy_ids[0]
+
+
+def profile_slug(name: str) -> str:
+    """The stem of a profile's ranked table: `select` writes `ranked_<slug>`."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
+
+
+def _parse_profile(spec, where: str, slugs: dict[str, str]) -> WeightingProfile:
+    """A profile whose name and slug no earlier profile has taken; `slugs`
+    maps each earlier profile's slug to its name."""
+    spec = _object(spec, where)
+    name = _str(spec.get("name"), f"{where}.name")
+    slug = profile_slug(name)
+    other = slugs.get(slug)
+    if other == name:
+        raise ValueError(f"{where}.name: duplicate profile name {_quote(name)}")
+    if other is not None:
+        raise ValueError(
+            f"{where}.name: profiles {_quote(other)} and {_quote(name)} would both write "
+            f"ranked_{_cut(slug)}"
+        )
+    slugs[slug] = name
+    mode = _str(spec.get("mode", "additive"), f"{where}.mode")
+    matrix = _matrix(spec.get("matrix"), f"{where}.matrix")
+    rest = _floats(spec, where, ("warn_threshold",))
+    return WeightingProfile(name, _check(where, FactCoupling, mode, matrix, **rest))
+
+
+def parse_weighting_profiles(b: _Builder, raw):
+    from .policy_sim import INDICATORS
+
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("weighting_profiles: expected a non-empty array")
+    subjective = None if "survey" in b.failed else b.element_sets.get("X_w")
+    if b.sc.survey is not None:
+        subjective = b.sc.survey.construct_map.constructs
+    facts = b.element_sets.get("X_c")
+    slugs: dict[str, str] = {}
+    b.sc.profiles = []
+    for i, spec in enumerate(raw):
+        profile = b.attempt(_parse_profile, spec, f"weighting_profiles[{i}]", slugs)
+        if profile is None:
+            continue
+        b.sc.profiles.append(profile)
+        where = f"weighting_profiles[{_quote(profile.name)}].matrix"
+        rows, cols = profile.coupling.subjective_dim, profile.coupling.fact_dim
+        if subjective is not None and rows != len(subjective):
+            b.error(f"{where}: {rows} rows for {len(subjective)} subjective constructs")
+        if cols != len(INDICATORS):
+            b.error(f"{where}: {cols} columns for {len(INDICATORS)} simulator indicators")
+        elif facts is not None and cols != len(facts):
+            b.error(f"{where}: {cols} columns for {len(facts)} fact elements")

@@ -9,6 +9,7 @@ import math
 from typing import Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import _listed, _quote
+from .scenario import _array, _float, _object, _str
 
 
 class CycleError(ValueError):
@@ -19,6 +20,28 @@ class Edge(NamedTuple):
     source: str
     target: str
     weight: float
+
+
+# A scenario's graphs run to thousands of edges (and logic-model nodes), so
+# `parse_edges` and `logicmodel._nodes` check each entry inline and build its
+# field path only when a check fails. They then go through the scenario's
+# field readers, which word the finding, or accept what the inline check
+# declined, such as an int or a str subclass. `v - v == 0.0` holds for
+# exactly the finite floats: inf - inf and nan - nan are nan.
+
+
+def parse_edges(value, where: str) -> tuple[Edge, ...]:
+    edges = []
+    for i, e in enumerate(_array(value, where)):
+        if type(e) is not dict:
+            e = _object(e, f"{where}[{i}]")
+        src, dst, w = e.get("from"), e.get("to"), e.get("weight")
+        if not (type(src) is str and src and type(dst) is str and dst
+                and type(w) is float and w - w == 0.0):
+            at = f"{where}[{i}]"
+            src, dst, w = _str(src, f"{at}.from"), _str(dst, f"{at}.to"), _float(w, f"{at}.weight")
+        edges.append(Edge(src, dst, w))
+    return tuple(edges)
 
 
 def topological_order(names: Sequence[str], edges: Sequence[Tuple[int, int]]) -> list[str]:

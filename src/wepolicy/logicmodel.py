@@ -15,7 +15,8 @@ from collections import Counter, namedtuple
 from typing import Mapping
 
 from .errors import StageBindingError, UnknownNodeError, _cut, _listed, _quote
-from .graphs import CycleError, Edge, propagate_linear, topological_order
+from .graphs import CycleError, Edge, parse_edges, propagate_linear, topological_order
+from .scenario import _Builder, _array, _check, _float, _names, _object, _str, _vector
 
 STAGES = ("inputs", "activities", "outputs", "outcomes", "impacts")
 BINDABLE_STAGES = ("inputs", "activities", "outputs")
@@ -202,3 +203,55 @@ def couple_facts(
             exogenous[node] = exogenous.get(node, 0.0) + value
     _, impacts = _propagate_values(model, exogenous)
     return impacts
+
+
+def _nodes(value, where: str) -> tuple[Node, ...]:
+    """The logic model's nodes, each checked inline as `graphs.parse_edges` checks an edge."""
+    nodes = []
+    for i, n in enumerate(_array(value, where)):
+        if type(n) is dict:
+            name, stage, base = n.get("name"), n.get("stage"), n.get("baseline", 0.0)
+            if (type(name) is str and name and type(stage) is str
+                    and stage in STAGES and type(base) is float
+                    and base - base == 0.0):
+                nodes.append(Node(name, stage, base))
+                continue
+        at = f"{where}[{i}]"
+        n = _object(n, at)
+        nodes.append(_check(at, Node, _str(n.get("name"), f"{at}.name"),
+                            _str(n.get("stage"), f"{at}.stage"),
+                            _float(n.get("baseline", 0.0), f"{at}.baseline")))
+    return tuple(nodes)
+
+
+def parse_logic_model(b: _Builder, raw):
+    where = "logic_model"
+    _object(raw, where)
+    nodes = _nodes(raw.get("nodes", []), f"{where}.nodes")
+    edges = parse_edges(raw.get("edges", []), f"{where}.edges")
+    model = LogicModel(nodes=nodes, edges=edges)
+    findings = validate(model)
+    for finding in findings:
+        b.error(f"{where}: {finding}")
+    if findings:
+        return
+    b.sc.logic_model = model
+
+    inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
+    for k, v in inputs.items():
+        b.sc.logic_inputs[k] = _float(v, f"{where}.inputs.{_cut(k)}")
+    _check(f"{where}.inputs", check_inputs, model, b.sc.logic_inputs)
+
+    fb = raw.get("fact_bindings")
+    if fb is not None:
+        if not isinstance(fb, dict) or not isinstance(fb.get("bindings"), dict):
+            raise ValueError(f"{where}.fact_bindings.bindings: expected an object")
+        elements = _names(fb.get("elements", []), f"{where}.fact_bindings.elements")
+        values = tuple(_vector(fb.get("values", []), f"{where}.fact_bindings.values"))
+        bindings = {}
+        for k, v in fb["bindings"].items():
+            _str(k, f"{where}.fact_bindings.bindings")
+            bindings[k] = _str(v, f"{where}.fact_bindings.bindings.{_cut(k)}")
+        binding = _check(f"{where}.fact_bindings", FactBinding, bindings, elements, values)
+        _check(f"{where}.fact_bindings", check_binding, model, binding)
+        b.sc.fact_binding = binding

@@ -24,7 +24,9 @@ from collections import namedtuple
 from functools import cache
 from typing import NamedTuple, Sequence
 
+from . import scenario
 from .numeric import left_sum
+from .scenario import _Builder, _floats, _int, _object, _vector
 
 INDICATORS = ("economic", "environmental", "social")  # a run's facts, in SweepRow order
 # Each knob's closed range, in PolicyKnobs field order.
@@ -154,11 +156,17 @@ def run_sweep(
         raise ValueError("sweep grid must be non-empty on all three knobs")
     admissible = []
     skipped = []
-    for s in subsidies:
-        for t in taxes:
-            for v in services:
+    # Each grid value is range-checked once: knobs all in range are built
+    # without the constructor's checks, and any other goes through them.
+    ok = [[lo <= x <= hi for x in xs]
+          for (lo, hi), xs in zip(KNOB_RANGES.values(), (subsidies, taxes, services))]
+    for s, ok_s in zip(subsidies, ok[0]):
+        for t, ok_t in zip(taxes, ok[1]):
+            for v, ok_v in zip(services, ok[2]):
                 if s + v > 1.0:
                     skipped.append((float(s), float(t), float(v)))
+                elif ok_s and ok_t and ok_v:
+                    admissible.append(tuple.__new__(PolicyKnobs, (s, t, v)))
                 else:
                     admissible.append(PolicyKnobs(subsidy=s, tax=t, service=v))
     rows = (
@@ -189,3 +197,52 @@ def normalize_ternary(table: SweepTable) -> list[tuple[float, float, float]]:
         else:
             out.append(tuple(v / total for v in norm))
     return out
+
+
+def parse_dynamics(b: _Builder, raw):
+    where = "dynamics"
+    _object(raw, where)
+    counts = [_int(raw.get(k), f"{where}.{k}") for k in ("agents", "steps", "seed")]
+    rates = _floats(raw, where, DynamicsConfig._fields[3:])
+    try:
+        b.sc.dynamics = DynamicsConfig(*counts, **rates)
+    except ValueError as err:  # worded from the field: "seed must be >= 0, got -7"
+        raise ValueError(f"{where}.{err}") from None
+
+
+def parse_sweep(b: _Builder, raw):
+    where = "sweep"
+    _object(raw, where)
+    grid = {}
+    for knob in KNOB_RANGES:
+        grid[knob] = _vector(raw.get(knob), f"{where}.{knob}")
+        if not grid[knob]:
+            raise ValueError(f"{where}.{knob}: grid must be non-empty")
+    # run_sweep lists every (s, t, v) combination, as a row or as skipped.
+    sizes = [len(vals) for vals in grid.values()]
+    if math.prod(sizes) > scenario.MAX_GRID_POINTS:
+        raise ValueError(
+            f"{where}: {' x '.join(map(str, sizes))} = {math.prod(sizes)} combinations "
+            f"exceeds the cap of {scenario.MAX_GRID_POINTS}"
+        )
+    for knob, (lo, hi) in KNOB_RANGES.items():
+        for v in grid[knob]:
+            if not lo <= v <= hi:
+                raise ValueError(f"{where}.{knob}: value {v} outside [{lo}, {hi}]")
+    # Admissible (subsidy, service) pairs, decided as run_sweep decides.
+    pairs = sum(not s + v > 1.0 for s in grid["subsidy"] for v in grid["service"])
+    if not pairs:
+        raise ValueError(
+            f"{where}: s + v > 1 for every (subsidy, service) pair; "
+            "no admissible policy to simulate"
+        )
+    dyn = b.sc.dynamics
+    if dyn is not None:
+        rows = pairs * len(grid["tax"])
+        work = rows * (dyn.agents + dyn.steps)
+        if work > scenario.MAX_SWEEP_WORK:
+            raise ValueError(
+                f"{where}: {rows} admissible rows x ({dyn.agents} agents + {dyn.steps} "
+                f"steps) = {work} exceeds the cap of {scenario.MAX_SWEEP_WORK}"
+            )
+    b.sc.sweep_grid = grid

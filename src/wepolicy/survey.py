@@ -199,8 +199,9 @@ def read_survey_csv(text: str) -> SurveyColumns:
     """Parse `respondent,q1..qK` CSV text into columns; K is
     `len(result.answers)`.
 
-    Field counts and integers are checked column by column; only when that
-    fails is the text read again row by row to name the first bad line.
+    Field counts and integers are checked column by column, each distinct
+    answer text once; only when that fails is the text read again row by row
+    to name the first bad line.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -224,7 +225,7 @@ def read_survey_csv(text: str) -> SurveyColumns:
         respondents, *cols = zip(*rows, strict=True)
         if len(cols) != k:
             raise ValueError
-        answers = tuple(list(map(int, col)) for col in cols)
+        answers = tuple(list(map({a: int(a) for a in set(col)}.__getitem__, col)) for col in cols)
     except ValueError:
         _raise_first_bad_line(text, k)
     return SurveyColumns(respondents, answers)

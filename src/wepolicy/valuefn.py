@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError, _quote
+from .errors import DomainError, _cut, _quote
+from .scenario import _Builder, _check, _floats, _object, _str
 
 FAMILIES = ("linear", "logarithmic", "power", "quadratic", "exponential", "lin_exp")
 
@@ -145,3 +146,26 @@ class MirroredFamily(namedtuple("MirroredFamily", "base loss_lambda")):
 # Anything a WE layer can evaluate: full-line curves plus the raw families
 # (raw families are restricted to x >= 0 and raise DomainError below it).
 ValueCurve = AsymmetricSpec | MirroredFamily | ValueFunctionSpec
+
+
+def _parse_value_function(spec, where: str) -> ValueCurve:
+    spec = _object(spec, where)
+    kind = spec.get("kind", "asymmetric")
+    if kind == "asymmetric":
+        return _check(where, AsymmetricSpec, **_floats(spec, where, AsymmetricSpec._fields))
+    if kind not in ("family", "mirrored"):
+        raise ValueError(f"{where}.kind: unknown kind {_quote(kind)}")
+    base = _check(where, ValueFunctionSpec, family=_str(spec.get("family", ""), f"{where}.family"),
+                  **_floats(spec, where, ("a", "b")))
+    if kind == "family":
+        return base
+    return _check(where, MirroredFamily, base, **_floats(spec, where, ("loss_lambda",)))
+
+
+def parse_value_functions(b: _Builder, raw):
+    if not isinstance(raw, dict):
+        raise ValueError("value_functions: expected an object of named functions")
+    for name, spec in raw.items():
+        fn = b.attempt(_parse_value_function, spec, f"value_functions.{_cut(name)}")
+        if fn is not None:
+            b.value_functions[name] = fn

@@ -263,6 +263,16 @@ class TestValidateCommand:
         assert not report["ok"]
         assert any(e.startswith("sweep:") and "s + v > 1" in e for e in report["errors"])
 
+    def test_surface_is_checked_without_sampling_it(self, fixtures_dir, capsys, monkeypatch):
+        from wepolicy import cli
+
+        def sampling(*args):
+            raise AssertionError("validate sampled every surface cell")
+
+        monkeypatch.setattr(cli, "sample_surface", sampling)
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(fixtures_dir / "fig2.json"))
+        assert code == 0 and json.loads(stdout)["ok"]
+
 
 def _edited(fixture, edit):
     """A fixture document with `edit` applied to it, as JSON bytes."""
@@ -1091,10 +1101,15 @@ print(json.dumps(sorted(sys.modules)))
 # What a scenario holding only a logic model and a parameter network does
 # not need; what the commands that never read the survey file do not need
 # on pipeline.json; and what `surface` on fig2.json and `consensus-check`
-# on consensus.json do not need.
+# on consensus.json do not need. On pipeline.json, `fit` and `sweep` need
+# neither the map and network module (`coupling`) nor the graphs, and
+# `impact` does not need `coupling`.
 GRAPHS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
                  "wepolicy.we_model", "dataclasses", "numpy")
 PIPELINE_UNUSED = ("wepolicy.survey", "dataclasses", "numpy")
+UNCOUPLED = ("wepolicy.coupling", "wepolicy.graphs")
+FIT_UNUSED = ("wepolicy.policy_sim", "wepolicy.evaluator", "wepolicy.logicmodel",
+              "wepolicy.we_model", "wepolicy.valuefn", *UNCOUPLED)
 LAYERS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
                  "wepolicy.logicmodel", "numpy")
 
@@ -1105,11 +1120,12 @@ LAYERS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
     ("network", None, GRAPHS_UNUSED),
     ("surface", "fig2.json", LAYERS_UNUSED),
     ("consensus-check", "consensus.json", LAYERS_UNUSED),
-    ("sweep", "pipeline.json", PIPELINE_UNUSED),
-    ("impact", "pipeline.json", PIPELINE_UNUSED),
+    ("fit", "pipeline.json", FIT_UNUSED),
+    ("sweep", "pipeline.json", PIPELINE_UNUSED + UNCOUPLED),
+    ("impact", "pipeline.json", PIPELINE_UNUSED + ("wepolicy.coupling",)),
     ("network", "pipeline.json", PIPELINE_UNUSED),
 ], ids=["validate", "impact", "network", "surface", "consensus-check",
-        "sweep-pipeline", "impact-pipeline", "network-pipeline"])
+        "fit-pipeline", "sweep-pipeline", "impact-pipeline", "network-pipeline"])
 def test_a_command_loads_only_what_it_uses(fixtures_dir, tmp_path, command, fixture, unused):
     """A fresh interpreter running one command imports none of the modules
     of the pipelines that the command and its scenario do not use."""
@@ -1141,6 +1157,29 @@ def run_probe(probe, *args):
     )
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+# As the benchmark's set-up probe loads a scenario: every section present.
+SCENARIO_LOAD_PROBE = """
+import json, sys
+import wepolicy.cli
+from wepolicy.scenario import load_scenario
+
+load_scenario(sys.argv[1])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_loading_every_section_loads_no_survey_module(fixtures_dir):
+    """The `survey` section's construct map is built in `scenario`, so a
+    scenario load loads the modules of the other sections' parsers and not
+    `survey`, with its `csv` and `dataclasses`."""
+    proc = run_probe(SCENARIO_LOAD_PROBE, fixtures_dir / "pipeline.json")
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert [m for m in ("wepolicy.survey", "csv", "dataclasses", "numpy") if m in loaded] == []
+    parsers = ("wepolicy.coupling", "wepolicy.policy_sim", "wepolicy.evaluator",
+               "wepolicy.logicmodel")
+    assert [m for m in parsers if m not in loaded] == []
 
 
 LAZY_READ_PROBE = """
@@ -1645,19 +1684,39 @@ def json_paths(value, path):
             yield from json_paths(v, path + (i,))
 
 
+# One `pipeline.json` field per section, as in BROKEN_FIELDS, with a value
+# that passes the section's checks and fails the step of a command reading
+# it: the survey file's answers exceed a scale of 2, and an income spread of
+# 1e308 makes the simulated incomes overflow.
+STEP_HAZARDS = {"survey": (("scale",), 2), "dynamics": (("income_spread",), 1e308)}
+
+
 @st.composite
 def mutated_fixtures(draw):
-    """A fixture without up to two of its sections and with 0-3 entries
-    replaced (a number by a count at or one past a cap, 1e308, -0.0 or a
-    value of another type), deleted, or joined by a new entry."""
+    """A fixture without up to two of its sections, in some draws with one
+    section broken by its `BROKEN_FIELDS` entry and one given its
+    `STEP_HAZARDS` value, and with 0-3 entries replaced (a number by a
+    count at or one past a cap, 1e308, -0.0 or a value of another type),
+    deleted, or joined by a new entry. So a finding in one section meets
+    what a step of a command that does not read it decides."""
     doc = draw(st.sampled_from(fuzz_fixtures()))
     for section in draw(st.sets(st.sampled_from(sorted(doc)), max_size=2)):
         del doc[section]
+    for fields in (BROKEN_FIELDS, STEP_HAZARDS):
+        present = [section for section in fields if section in doc]
+        if present and draw(st.booleans()):
+            section = draw(st.sampled_from(present))
+            path, value = fields[section]
+            parent = doc[section]
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
     for _ in range(draw(st.integers(0, 3))):
-        paths = [p for section in sorted(doc) for p in json_paths(doc[section], (section,))]
-        if not paths:
+        if not doc:  # a mutation deleted the last section
             break
-        path = draw(st.sampled_from(paths))
+        # a section first, so that the small ones are drawn as often as the large
+        section = draw(st.sampled_from(sorted(doc)))
+        path = draw(st.sampled_from(list(json_paths(doc[section], (section,)))))
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
@@ -1739,9 +1798,10 @@ class TestExitCodeContract:
         MAX_PRINTED bytes, leaves no file after a nonzero exit and no nan or
         +-inf in a file after exit 0, and, when `validate` passes, does not
         exit 1 unless it lacks a section it requires; nor do surface, sweep
-        or consensus-check exit 2. Every finding a command exits 1 on, but a
-        missing section, is among `validate`'s, and a command exits nonzero
-        when `validate` has a finding in a section that the command reads."""
+        or consensus-check exit 2 when `validate` reports (exit 0 or 1) no
+        finding in a section they read. Every finding a command exits 1 on,
+        but a missing section, is among `validate`'s, and a command exits
+        nonzero when `validate` has a finding in a section that it reads."""
         monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
         monkeypatch.setattr("wepolicy.scenario.MAX_SWEEP_WORK", FUZZ_WORK_CAP)
         work = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -1751,7 +1811,7 @@ class TestExitCodeContract:
         code, printed, err = run_cli(capsys, "validate", "--scenario", str(path))
         assert code in (0, 1, 3) and "Traceback" not in err
         assert len((printed + err).encode("utf-8")) < MAX_PRINTED
-        valid = code == 0
+        valid, validated = code == 0, code in (0, 1)
         errors = json.loads(printed)["errors"] if code == 1 else []
         for command, sections in REQUIRED_SECTIONS.items():
             out = work / command
@@ -1767,7 +1827,8 @@ class TestExitCodeContract:
                 assert_finite_outputs(out)
             if valid and all(doc.get(s) is not None for s in sections):
                 assert code != 1, (command, err)
-            if valid and command in ("surface", "sweep", "consensus-check"):
+            read_clean = validated and not any(section_of(e) in READS[command] for e in errors)
+            if read_clean and command in ("surface", "sweep", "consensus-check"):
                 assert code != 2, (command, err)
             if code == 1:
                 for line in err.splitlines():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,6 +13,15 @@ from wepolicy.policy_sim import (
     normalize_ternary,
     run_policy,
     run_sweep,
+)
+
+
+NAN = float("nan")
+# Grid values in and out of each knob's range, with the range ends, signed
+# zeros, ints and non-finite values.
+knob_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, 0.5, 1.0, -5e-324, 0.75, 1.5, -0.2, NAN, math.inf]),
+    st.floats(-0.5, 1.5),
 )
 
 
@@ -225,6 +235,56 @@ class TestRunSweep:
     def test_out_of_range_grid_value_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(self._cfg(), [0.1], [0.6], [0.1])
+
+    # Texts recorded from the sweep that built every admissible combination
+    # through `PolicyKnobs(...)`: the first admissible combination in grid
+    # order with a knob out of range raises the constructor's message.
+    @pytest.mark.parametrize("subsidies, taxes, services, message", [
+        ([0.5], [0.7], [0.2], "tax must be in [0, 0.5], got 0.7"),
+        ([1.5], [0.1], [0.0, -0.6], "subsidy must be in [0, 1], got 1.5"),
+        ([NAN], [0.1], [0.2], "subsidy must be in [0, 1], got nan"),
+        ([0.2], [NAN], [0.2], "tax must be in [0, 0.5], got nan"),
+        ([0.2], [0.1], [NAN], "service must be in [0, 1], got nan"),
+        ([0.2, 0.3], [0.1, 0.9], [0.1], "tax must be in [0, 0.5], got 0.9"),
+        ([0.2], [0.1], [-0.1], "service must be in [0, 1], got -0.1"),
+        ([0.2], [math.inf], [0.1], "tax must be in [0, 0.5], got inf"),
+        ([2], [0], [-1], "subsidy must be in [0, 1], got 2"),
+        ([0.2], [-0.0, -5e-324], [0.1], "tax must be in [0, 0.5], got -5e-324"),
+    ])
+    def test_out_of_range_messages_match_the_constructor(self, subsidies, taxes,
+                                                         services, message):
+        with pytest.raises(ValueError) as err:
+            run_sweep(self._cfg(), subsidies, taxes, services)
+        assert str(err.value) == message
+
+    @given(st.lists(knob_values, min_size=1, max_size=4),
+           st.lists(knob_values, min_size=1, max_size=4),
+           st.lists(knob_values, min_size=1, max_size=4))
+    @example([0.9, 0.2], [0.1], [0.5, 1.5])  # the bad service only meets skipped subsidies
+    @example([1], [0], [-0.0])
+    def test_same_knobs_or_error_as_the_constructor(self, subsidies, taxes, services):
+        """Knobs built without the constructor's checks equal, in value and
+        type, those built through it, and an error has its message."""
+        expected_skipped, knobs = [], []
+        try:
+            for s in subsidies:
+                for t in taxes:
+                    for v in services:
+                        if s + v > 1.0:
+                            expected_skipped.append((float(s), float(t), float(v)))
+                        else:
+                            knobs.append(PolicyKnobs(subsidy=s, tax=t, service=v))
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                run_sweep(self._cfg(), subsidies, taxes, services)
+            assert str(got.value) == str(err)
+            return
+        if not knobs:
+            return
+        table = run_sweep(self._cfg(), subsidies, taxes, services)
+        assert [repr(r.knobs) for r in table.rows] == list(map(repr, knobs))
+        assert all(type(r.knobs) is PolicyKnobs for r in table.rows)
+        assert table.skipped == tuple(expected_skipped)
 
 
 class TestIndicatorMemo:

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import math
 from pathlib import Path
@@ -754,6 +755,18 @@ class TestFailedSectionsSkipCrossChecks:
 
 class TestSectionOrder:
     """Findings come in the order the sections are parsed (`_SECTIONS`)."""
+
+    def test_each_row_names_a_parser_in_its_module(self):
+        for name, module, function, readers in scenario._SECTIONS:
+            parse = getattr(importlib.import_module(f"wepolicy.{module}"), function, None)
+            assert callable(parse), (name, module, function)
+            assert readers and set(readers) <= {"surface", "consensus-check", "fit", "sweep",
+                                                "select", "impact", "network"}, name
+
+    def test_the_core_parses_only_element_sets_and_survey(self):
+        core = {function for _, module, function, _ in scenario._SECTIONS if module == "scenario"}
+        assert core == {"parse_element_sets", "parse_survey"}
+        assert {n for n in vars(scenario) if n.startswith("parse_")} == core | {"parse_scenario"}
 
     def test_survey_before_consensus(self, tmp_path, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "pipeline.json")

@@ -306,6 +306,28 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=f"^survey CSV {finding}$"):
             read_survey_csv(text)
 
+    def test_each_answer_text_parses_as_int_does(self):
+        # int() takes surrounding spaces, a sign, leading zeros, underscores
+        # and non-ASCII digits; texts of one value share a column
+        texts = [" 3", "+3", "03", "3", "\u0663", "3 ", "0_3", "\uff13"]
+        rows = "".join(f"r{i},{t},{t}\n" for i, t in enumerate(texts))
+        survey = read_survey_csv("respondent,q1,q2\n" + rows + "r8,-0,1_0\n")
+        expected = [int(t) for t in texts]
+        assert [list(col) for col in survey.answers] == [expected + [0], expected + [10]]
+        assert all(type(a) is int for col in survey.answers for a in col)
+
+    @pytest.mark.parametrize("text, line", [
+        # q1's bad text is on a later line than q2's; file order decides
+        ("respondent,q1,q2\nr0,1,2\nr1,2,x\nr2,y,1\n", 3),
+        ("respondent,q1\nr0,3\nr1,3.0\nr2,3\n", 3),
+        ("respondent,q1\nr0,3\nr1,\nr2,3\n", 3),
+        ("respondent,q1\nr0,3\nr1,3\nr2,\u0663.\u0660\n", 4),
+    ])
+    def test_a_text_int_rejects_names_its_line(self, text, line):
+        finding = f"^survey CSV line {line}: answers must be integers$"
+        with pytest.raises(ValueError, match=finding):
+            read_survey_csv(text)
+
 
 def reference_respondent_scores(responses, cmap, scale):
     """The per-respondent loop the column pass replaced. Each construct was

@@ -1,6 +1,8 @@
 import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wepolicy.coupling import ScopeFunction
 from wepolicy.errors import DimensionError, MissingScopeError
@@ -12,6 +14,7 @@ from wepolicy.we_model import (
     aggregate,
     consensus_curve,
     sample_surface,
+    surface_terms,
     weighted_pair,
 )
 
@@ -153,6 +156,56 @@ class TestSurface:
         with pytest.raises(FloatingPointError) as err:
             sample_surface(weighted_pair(0.5, *fns), xs_n, xs_w)
         assert str(err.value) == f"surface value at {cell} is not finite: -inf"
+
+
+def terms_model(narrow_terms, wide_terms):
+    """A stand-in two-layer model whose weighted curve at grid value i is
+    the i-th given term (weight 1.0 keeps every term, -0.0 and nan too)."""
+    def layer(terms):
+        return SimpleNamespace(weight=1.0, value_function=lambda x: terms[int(x)])
+    return SimpleNamespace(layers=(layer(narrow_terms), layer(wide_terms)))
+
+
+def scan_cells(narrow_terms, wide_terms):
+    """The first non-finite cell's message, scanning every cell in row-major order."""
+    for i, wn in enumerate(narrow_terms):
+        for j, t in enumerate(wide_terms):
+            if not math.isfinite(wn + t):
+                cell = f"x_n={float(i)!r}, x_w={float(j)!r}"
+                return f"surface value at {cell} is not finite: {wn + t!r}"
+    return None
+
+
+surface_term_values = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, -0.0, 0.0, 1.0, -2.5]),
+    st.floats(),
+)
+
+
+class TestSurfaceTerms:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(surface_term_values, min_size=1, max_size=6),
+           st.lists(surface_term_values, min_size=1, max_size=6))
+    @example([1e308, 0.0], [-1e308, 1e308])  # the second cell of row 0 overflows
+    @example([1.0, -1e308], [1e308, -1e308])  # row 1's second cell overflows to -inf
+    @example([-0.0, 1e308], [-0.0, 0.0, 1e308])
+    @example([1.0, 2.0], [math.nan, 1e308])
+    @example([math.inf], [-math.inf])
+    def test_first_non_finite_cell_matches_a_cell_scan(self, narrow_terms, wide_terms):
+        xs_n = [float(i) for i in range(len(narrow_terms))]
+        xs_w = [float(j) for j in range(len(wide_terms))]
+        model = terms_model(narrow_terms, wide_terms)
+        expected = scan_cells(narrow_terms, wide_terms)
+        if expected is not None:
+            for check in (surface_terms, sample_surface):
+                with pytest.raises(FloatingPointError) as err:
+                    check(model, xs_n, xs_w)
+                assert str(err.value) == expected
+            return
+        assert repr(surface_terms(model, xs_n, xs_w)) == repr((narrow_terms, wide_terms))
+        rows = sample_surface(model, xs_n, xs_w)
+        assert repr(rows) == repr([(xn, xw, wn + t) for xn, wn in zip(xs_n, narrow_terms)
+                                   for xw, t in zip(xs_w, wide_terms)])
 
 
 class TestConsensusCurve:
