@@ -76,13 +76,6 @@ _NUMERICAL_ERRORS: tuple[type[Exception], ...] = (
 )
 
 
-def _require(sc: Scenario, attr: str, section: str):
-    value = getattr(sc, attr)
-    if value is None:
-        raise ScenarioError([f"{section}: section required by this command is missing"])
-    return value
-
-
 def _table(fmt: str, stem: str, header, rows) -> dict[str, str]:
     """The `{file name: text}` entry of one table in format `fmt`."""
     if fmt == "json":
@@ -91,9 +84,8 @@ def _table(fmt: str, stem: str, header, rows) -> dict[str, str]:
 
 
 def _cmd_surface(sc: Scenario, fmt: str):
-    model = _require(sc, "model", "layers")
-    xs_n, xs_w = _require(sc, "surface_grids", "surface")
-    rows = sample_surface(model, xs_n, xs_w)
+    xs_n, xs_w = sc.surface_grids
+    rows = sample_surface(sc.model, xs_n, xs_w)
     if fmt == "csv":
         # Each grid value fills a whole row or column of the grid, so it is
         # formatted once per grid index; csv_table writes text cells as is.
@@ -109,7 +101,7 @@ def _cmd_surface(sc: Scenario, fmt: str):
 
 
 def _cmd_consensus(sc: Scenario, fmt: str):
-    cfg = _require(sc, "consensus", "consensus")
+    cfg = sc.consensus
     report = check_consensus(
         narrow=sc.layer_by_label(cfg.narrow_label).scope_function(),
         f=sc.mapping_f,
@@ -125,7 +117,7 @@ def _cmd_consensus(sc: Scenario, fmt: str):
 
 def _read_survey(sc: Scenario):
     """The survey file, read and checked; `fit`, `select` and `validate` read it here."""
-    cfg = _require(sc, "survey", "survey")
+    cfg = sc.survey
     try:
         survey = read_survey_csv((sc.base_dir / cfg.file).read_text(encoding="utf-8"))
         check_survey(survey, cfg.construct_map, cfg.scale)
@@ -158,8 +150,7 @@ def _cmd_fit(sc: Scenario, fmt: str):
 
 def _run_sweep(sc: Scenario):
     """The sweep table of `sc`'s dynamics over its policy grid."""
-    _require(sc, "dynamics", "dynamics")
-    grid = _require(sc, "sweep_grid", "sweep")
+    grid = sc.sweep_grid
     return run_sweep(sc.dynamics, grid["subsidy"], grid["tax"], grid["service"])
 
 
@@ -183,7 +174,6 @@ def _cmd_sweep(sc: Scenario, fmt: str):
 
 
 def _cmd_select(sc: Scenario, fmt: str):
-    profiles = _require(sc, "profiles", "weighting_profiles")
     model, baseline = _fit_from_survey(sc)
     table = _run_sweep(sc)
     constructs = sc.survey.construct_map.constructs
@@ -191,7 +181,7 @@ def _cmd_select(sc: Scenario, fmt: str):
     outputs = {}
     warnings = []
     selection = {}
-    for profile in profiles:
+    for profile in sc.profiles:
         ranked = evaluate_policies(model, baseline, profile, table)
         selection[profile.name] = select_best(ranked)
         if ranked.perturbation_warnings:
@@ -209,7 +199,7 @@ def _cmd_select(sc: Scenario, fmt: str):
 def _cmd_impact(sc: Scenario, fmt: str):
     from . import logicmodel
 
-    model = _require(sc, "logic_model", "logic_model")
+    model = sc.logic_model
     values, impacts = logicmodel.propagate(model, sc.logic_inputs)
     report = {"node_values": values, "impacts": impacts}
     if sc.fact_binding is not None:
@@ -220,19 +210,24 @@ def _cmd_impact(sc: Scenario, fmt: str):
 
 
 def _cmd_network(sc: Scenario, fmt: str):
-    net = _require(sc, "network", "parameter_network")
-    deltas = propagate_network(net, sc.network_deltas)
+    deltas = propagate_network(sc.network, sc.network_deltas)
     return {"network.json": dump_json({"value_deltas": deltas})}, []
 
 
+# Each run command's function, the scenario sections it reads (with every
+# section they are checked against; `validate` reads them all), and those it
+# requires, in the order a missing one is reported.
 _DISPATCH = {
-    "surface": _cmd_surface,
-    "consensus-check": _cmd_consensus,
-    "fit": _cmd_fit,
-    "sweep": _cmd_sweep,
-    "select": _cmd_select,
-    "impact": _cmd_impact,
-    "network": _cmd_network,
+    "surface": (_cmd_surface, ("value_functions", "layers", "surface", "curve"),
+                ("layers", "surface")),
+    "consensus-check": (_cmd_consensus, ("value_functions", "element_sets", "layers",
+                                         "mapping_f", "consensus"), ("consensus", "mapping_f")),
+    "fit": (_cmd_fit, ("element_sets", "survey"), ("survey",)),
+    "sweep": (_cmd_sweep, ("dynamics", "sweep"), ("dynamics", "sweep")),
+    "select": (_cmd_select, ("element_sets", "survey", "dynamics", "sweep", "weighting_profiles"),
+               ("weighting_profiles", "survey", "dynamics", "sweep")),
+    "impact": (_cmd_impact, ("logic_model",), ("logic_model",)),
+    "network": (_cmd_network, ("parameter_network",), ("parameter_network",)),
 }
 
 
@@ -273,16 +268,20 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
     import hashlib  # only here: validate takes no digest
 
     started = time.perf_counter()
+    body, reads, requires = _DISPATCH[command]
     try:
-        sc, raw = load_scenario(scenario_path, command)
+        sc, raw = load_scenario(scenario_path, reads)
         if seed is not None and sc.dynamics is not None:
             try:
                 # Through the constructor, which checks the seed.
                 sc.dynamics = DynamicsConfig(**dict(sc.dynamics._asdict(), seed=seed))
             except ValueError as err:
                 raise ScenarioError([f"--seed: {err}"]) from None
+        for section in requires:
+            if section not in sc.parsed:
+                raise ScenarioError([f"{section}: section required by this command is missing"])
         digest = hashlib.sha256(raw).hexdigest()
-        outputs, warnings = _DISPATCH[command](sc, fmt)
+        outputs, warnings = body(sc, fmt)
         warnings = list(sc.warnings) + warnings
         out = Path(out_dir)
         _write_outputs(out, outputs)
@@ -332,7 +331,7 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
         ("consensus-check", "consensus", sc.consensus is not None,
          lambda: _cmd_consensus(sc, "csv")),
     ):
-        if present and sc.failed.keys().isdisjoint(scenario.sections_read(command)):
+        if present and sc.failed.keys().isdisjoint(_DISPATCH[command][1]):
             try:
                 step()
             except ScenarioError as err:

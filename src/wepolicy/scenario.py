@@ -4,8 +4,8 @@ A scenario is a single self-describing JSON object whose sections declare
 value functions, scope layers, element sets, mappings, survey and
 dynamics configuration, sweep grids, weighting profiles (the fact
 couplings), a logic model, and sampling grids. Validation walks the present
-sections once, in a fixed order, before anything runs (a run command only
-those it reads): each section checks its own fields and its agreement with
+sections once, in a fixed order, before anything runs (or only the sections
+a caller names): each section checks its own fields and its agreement with
 the sections before it, and reports findings naming `section.field` in that
 order. It also bounds the work a scenario may ask for before any grid or
 sweep is built. An optional number that a section leaves out takes the
@@ -30,8 +30,7 @@ from .numeric import left_sum
 
 # A section's module is imported only when a document holds that section, so
 # loading a scenario loads only the modules its sections build. Parsing
-# `survey` never loads the survey module: only the commands that read the
-# survey file (fit, select, validate) do.
+# `survey` never loads the survey module, which reads the survey file.
 if TYPE_CHECKING:
     from .coupling import LinearMap, ParameterNetwork
     from .evaluator import WeightingProfile
@@ -110,6 +109,7 @@ class Scenario:
         self.surface_grids: tuple[list[float], list[float]] | None = None
         self.curve: tuple[WELayer, list[float]] | None = None
         self.consensus: ConsensusConfig | None = None
+        self.parsed: list[str] = []  # the sections read and present, in order
         self.warnings: list[str] = []
         self.failed: dict[str, int] = {}  # section -> its findings
 
@@ -320,40 +320,32 @@ def parse_survey(b: _Builder, raw):
 
 
 # Every section a scenario may hold, in the order it is parsed and its findings
-# are reported; the module and function of its parser, each a function of the
-# builder and the section's JSON value; and the run commands that read it. A
-# section checks its agreement with those before it, which a command that reads
-# it reads too: layers read value_functions; mapping_f and survey read
-# element_sets; weighting_profiles read survey and element_sets; sweep reads
-# dynamics; surface and curve read layers; and consensus reads layers and
-# mapping_f. Any other key is ignored.
+# are reported, and the module and function of its parser, each a function of
+# the builder and the section's JSON value. A section checks its agreement with
+# those before it, so a caller that reads it reads those too: layers read
+# value_functions; mapping_f and survey read element_sets; weighting_profiles
+# read survey and element_sets; sweep reads dynamics; surface and curve read
+# layers; and consensus reads layers and mapping_f. Any other key is ignored.
 _SECTIONS = (
-    ("value_functions", "valuefn", "parse_value_functions", ("surface", "consensus-check")),
-    ("element_sets", "scenario", "parse_element_sets", ("consensus-check", "fit", "select")),
-    ("layers", "we_model", "parse_layers", ("surface", "consensus-check")),
-    ("mapping_f", "coupling", "parse_mapping_f", ("consensus-check",)),
-    ("parameter_network", "coupling", "parse_parameter_network", ("network",)),
-    ("survey", "scenario", "parse_survey", ("fit", "select")),
-    ("dynamics", "policy_sim", "parse_dynamics", ("sweep", "select")),
-    ("sweep", "policy_sim", "parse_sweep", ("sweep", "select")),
-    ("weighting_profiles", "evaluator", "parse_weighting_profiles", ("select",)),
-    ("logic_model", "logicmodel", "parse_logic_model", ("impact",)),
-    ("surface", "we_model", "parse_surface", ("surface",)),
-    ("curve", "we_model", "parse_curve", ("surface",)),
-    ("consensus", "we_model", "parse_consensus", ("consensus-check",)),
+    ("value_functions", "valuefn", "parse_value_functions"),
+    ("element_sets", "scenario", "parse_element_sets"),
+    ("layers", "we_model", "parse_layers"),
+    ("mapping_f", "coupling", "parse_mapping_f"),
+    ("parameter_network", "coupling", "parse_parameter_network"),
+    ("survey", "scenario", "parse_survey"),
+    ("dynamics", "policy_sim", "parse_dynamics"),
+    ("sweep", "policy_sim", "parse_sweep"),
+    ("weighting_profiles", "evaluator", "parse_weighting_profiles"),
+    ("logic_model", "logicmodel", "parse_logic_model"),
+    ("surface", "we_model", "parse_surface"),
+    ("curve", "we_model", "parse_curve"),
+    ("consensus", "we_model", "parse_consensus"),
 )
 
 
-def sections_read(command: str | None) -> dict[str, tuple[str, str]]:
-    """Section name -> its parser's (module, function), for each section that
-    run command `command` reads, in order."""
-    return {name: (module, function) for name, module, function, readers in _SECTIONS
-            if command in (None, *readers)}
-
-
-def parse_scenario(doc: dict, base_dir: Path,
-                   command: str | None = None) -> tuple[Scenario, list[str], list[str]]:
-    """Construct module objects from the sections `command` reads (all for None).
+def parse_scenario(doc: dict, base_dir: Path, sections: tuple[str, ...] | None = None
+                   ) -> tuple[Scenario, list[str], list[str]]:
+    """Construct module objects from the named sections (all for None).
 
     Returns (scenario, errors, warnings); the scenario is only usable when
     errors is empty.
@@ -361,11 +353,12 @@ def parse_scenario(doc: dict, base_dir: Path,
     if not isinstance(doc, dict):
         return Scenario(base_dir), ["scenario: expected a JSON object"], []
     builder = _Builder(base_dir)
-    for name, (module, function) in sections_read(command).items():
+    for name, module, function in _SECTIONS:
         raw = doc.get(name)
-        if raw is not None:
+        if raw is not None and (sections is None or name in sections):
             parse = getattr(importlib.import_module(f".{module}", __package__), function)
             builder.section = name
+            builder.sc.parsed.append(name)
             builder.attempt(parse, builder, raw)
     return builder.sc, builder.errors, builder.sc.warnings
 
@@ -390,11 +383,12 @@ def read_scenario_file(path: str | Path) -> tuple[dict, bytes]:
     return doc, data
 
 
-def load_scenario(path: str | Path, command: str | None = None) -> tuple[Scenario, bytes]:
-    """Load a scenario file and validate the sections `command` reads (all for
-    None); raises ScenarioError with every finding when validation fails."""
+def load_scenario(path: str | Path,
+                  sections: tuple[str, ...] | None = None) -> tuple[Scenario, bytes]:
+    """Load a scenario file and validate the named sections (all for None);
+    raises ScenarioError with every finding when validation fails."""
     doc, data = read_scenario_file(path)
-    sc, errors, _ = parse_scenario(doc, Path(path).resolve().parent, command)
+    sc, errors, _ = parse_scenario(doc, Path(path).resolve().parent, sections)
     if errors:
         raise ScenarioError(errors)
     return sc, data

@@ -11,15 +11,17 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import scenario
-from .coupling import ScopeFunction, apply_map
 from .errors import DimensionError, MissingScopeError, _listed, _quote
 from .numeric import dot
 from .scenario import _Builder, _check, _float, _object, _str, _vector, grid_values
 from .valuefn import (AsymmetricSpec, MirroredFamily, ValueCurve, ValueFunctionSpec,
                       quadratic_monotone_limit)
+
+if TYPE_CHECKING:  # only consensus reads coupling, so `surface` never loads it
+    from .coupling import ScopeFunction
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -60,6 +62,8 @@ class WELayer:
     def scope_function(self) -> ScopeFunction:
         """The layer's map from an element vector to its value; needs
         `element_weights`."""
+        from .coupling import ScopeFunction
+
         return ScopeFunction(self.element_weights, self.value_function)
 
 
@@ -316,6 +320,8 @@ def parse_consensus(b: _Builder, raw):
             )
     if len(layers) < 2 or where in b.failed:
         return
+    from .coupling import apply_map  # loaded already: it parsed mapping_f
+
     # A layer's input at probe p: its weights times f(p) (narrow) or p (wide).
     mapped = [apply_map(f, p) for p in probes]
     for layer, vectors in zip(layers, (mapped, probes)):

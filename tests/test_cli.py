@@ -740,8 +740,8 @@ def digests(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
 
 
-# The sections each run command reads, which `scenario._SECTIONS` records
-# per section; `validate` reads them all.
+# The sections each run command reads, which `cli._DISPATCH` records;
+# `validate` reads them all.
 READS = {
     "surface": ("value_functions", "layers", "surface", "curve"),
     "consensus-check": ("value_functions", "element_sets", "layers", "mapping_f", "consensus"),
@@ -1101,7 +1101,8 @@ print(json.dumps(sorted(sys.modules)))
 # What a scenario holding only a logic model and a parameter network does
 # not need; what the commands that never read the survey file do not need
 # on pipeline.json; and what `surface` on fig2.json and `consensus-check`
-# on consensus.json do not need. On pipeline.json, `fit` and `sweep` need
+# on consensus.json do not need; `surface` needs no `coupling` or graphs
+# either. On pipeline.json, `fit` and `sweep` need
 # neither the map and network module (`coupling`) nor the graphs, and
 # `impact` does not need `coupling`.
 GRAPHS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
@@ -1118,7 +1119,7 @@ LAYERS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
     ("validate", None, GRAPHS_UNUSED),
     ("impact", None, GRAPHS_UNUSED),
     ("network", None, GRAPHS_UNUSED),
-    ("surface", "fig2.json", LAYERS_UNUSED),
+    ("surface", "fig2.json", LAYERS_UNUSED + UNCOUPLED),
     ("consensus-check", "consensus.json", LAYERS_UNUSED),
     ("fit", "pipeline.json", FIT_UNUSED),
     ("sweep", "pipeline.json", PIPELINE_UNUSED + UNCOUPLED),
@@ -1144,6 +1145,48 @@ def test_a_command_loads_only_what_it_uses(fixtures_dir, tmp_path, command, fixt
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert [name for name in unused if name in loaded] == []
+
+
+# `select` on a scenario without `dynamics`, run in a fresh interpreter.
+MISSING_SECTION_PROBE = """
+import json, sys
+from wepolicy import cli
+
+code = cli.main(["select", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("with_survey", [False, True], ids=["no-survey-file", "survey-file"])
+def test_a_missing_required_section_fails_before_any_step(fixtures_dir, tmp_path, with_survey):
+    """A command lacking a section it requires exits 1 naming that section
+    before it reads the survey file or loads numpy, and writes nothing."""
+    doc = json.loads((fixtures_dir / "pipeline.json").read_text(encoding="utf-8"))
+    del doc["dynamics"]
+    scenario = tmp_path / "pipeline.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    if with_survey:
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+    out = tmp_path / "out"
+    proc = run_probe(MISSING_SECTION_PROBE, scenario, out)
+    assert proc.stderr == "error: dynamics: section required by this command is missing\n"
+    assert json.loads(proc.stdout) == {"code": 1, "numpy": False}
+    assert not out.exists()
+
+
+def test_the_command_table_matches_the_sections():
+    """Each command reads only scenario sections, requires only sections it
+    reads, and reads and requires what the oracles above say."""
+    from wepolicy import cli
+    from wepolicy.scenario import _SECTIONS
+
+    names = [name for name, _, _ in _SECTIONS]
+    assert list(cli._DISPATCH) == list(READS)
+    for command, (_, reads, requires) in cli._DISPATCH.items():
+        assert set(reads) <= set(names), command
+        assert set(requires) <= set(reads), command
+        assert reads == READS[command], command
+        assert requires == REQUIRED_SECTIONS[command], command
 
 
 def run_probe(probe, *args):
@@ -1570,9 +1613,9 @@ class TestCollectorState:
         seen = []
         real_load = cli.load_scenario
 
-        def recording_load(path, command=None):
+        def recording_load(path, sections=None):
             seen.append(gc.isenabled())
-            return real_load(path, command)
+            return real_load(path, sections)
 
         monkeypatch.setattr(cli, "load_scenario", recording_load)
         gc.enable()
@@ -1652,7 +1695,8 @@ FUZZ_WORK_CAP = 2_000
 NUMBER_SWAPS = [0, 1, 2, -1, -0.0, 0.5, 1e308, -1e308, FUZZ_GRID_CAP, FUZZ_GRID_CAP + 1,
                 FUZZ_WORK_CAP, FUZZ_WORK_CAP + 1, "0.5", None]
 ENTRY_SWAPS = [None, True, "", "x", [], {}, [0.5], 1, 1e308]
-# The sections whose absence each command reports as missing (`cli._require`).
+# The sections whose absence each command reports as missing, in order
+# (`cli._DISPATCH`).
 REQUIRED_SECTIONS = {
     "surface": ("layers", "surface"),
     "consensus-check": ("consensus", "mapping_f"),

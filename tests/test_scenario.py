@@ -757,16 +757,22 @@ class TestSectionOrder:
     """Findings come in the order the sections are parsed (`_SECTIONS`)."""
 
     def test_each_row_names_a_parser_in_its_module(self):
-        for name, module, function, readers in scenario._SECTIONS:
+        for name, module, function in scenario._SECTIONS:
             parse = getattr(importlib.import_module(f"wepolicy.{module}"), function, None)
             assert callable(parse), (name, module, function)
-            assert readers and set(readers) <= {"surface", "consensus-check", "fit", "sweep",
-                                                "select", "impact", "network"}, name
 
     def test_the_core_parses_only_element_sets_and_survey(self):
-        core = {function for _, module, function, _ in scenario._SECTIONS if module == "scenario"}
+        core = {function for _, module, function in scenario._SECTIONS if module == "scenario"}
         assert core == {"parse_element_sets", "parse_survey"}
         assert {n for n in vars(scenario) if n.startswith("parse_")} == core | {"parse_scenario"}
+
+    def test_only_the_named_sections_are_parsed(self, fixtures_dir):
+        doc = fixture_doc(fixtures_dir, "pipeline.json")
+        sc, errors, _ = parse_scenario(doc, fixtures_dir, ("survey",))
+        assert (sc.parsed, errors) == (["survey"], [])
+        assert sc.dynamics is sc.logic_model is None
+        sc, _, _ = parse_scenario(doc, fixtures_dir)
+        assert sc.parsed == [name for name, _, _ in scenario._SECTIONS if name in doc]
 
     def test_survey_before_consensus(self, tmp_path, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "pipeline.json")
