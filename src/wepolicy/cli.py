@@ -7,8 +7,8 @@ policy grid through the simulator, `select` couples sweep facts into the
 target and picks maximizers per weighting profile, `impact` evaluates the
 logic model, `network` propagates fact deltas to value parameters, and
 `validate` reports scenario findings; it runs `fit`'s survey read, `sweep`'s
-simulation, `surface`'s cell check and curve and `consensus-check`'s probes,
-but fits nothing.
+simulation, `surface`'s cell check and curve, `consensus-check`'s probes and
+the propagation of `impact` and `network`, but fits nothing.
 
 Outputs are staged in memory until a command fully succeeds, then written
 to a staging directory inside `--out` and renamed into place, so a nonzero
@@ -36,7 +36,7 @@ from pathlib import Path
 from . import scenario
 from .errors import RankDeficiencyError, ScenarioError, _quote
 from .scenario import Scenario, load_scenario, read_scenario_file
-from .serialize import csv_table, dump_json, json_rows
+from .serialize import FloatText, csv_table, dump_json, json_rows
 
 # Names from the modules that only some commands use. Each starts as a stub
 # that, on its first call, imports the module and binds the real function
@@ -85,15 +85,14 @@ def _table(fmt: str, stem: str, header, rows) -> dict[str, str]:
 
 def _cmd_surface(sc: Scenario, fmt: str):
     xs_n, xs_w = sc.surface_grids
-    rows = sample_surface(sc.model, xs_n, xs_w)
-    if fmt == "csv":
-        # Each grid value fills a whole row or column of the grid, so it is
-        # formatted once per grid index; csv_table writes text cells as is.
-        rows = list(zip(
-            [t for t in map(float.__repr__, xs_n) for _ in xs_w],
-            list(map(float.__repr__, xs_w)) * len(xs_n),
-            [r[2] for r in rows],
-        ))
+    cells = sample_surface(sc.model, xs_n, xs_w)
+    # Each grid value fills a whole row or column of the grid, so it is
+    # formatted once per grid index.
+    rows = list(zip(
+        [t for t in map(FloatText, xs_n) for _ in xs_w],
+        list(map(FloatText, xs_w)) * len(xs_n),
+        [r[2] for r in cells],
+    ))
     outputs = _table(fmt, "surface", ("x_n", "x_w", "W"), rows)
     if sc.curve is not None:
         outputs |= _table(fmt, "curve", ("x", "W"), consensus_curve(*sc.curve))
@@ -196,7 +195,8 @@ def _cmd_select(sc: Scenario, fmt: str):
     return outputs, warnings
 
 
-def _cmd_impact(sc: Scenario, fmt: str):
+def _impact_report(sc: Scenario) -> dict:
+    """`impact`'s report; `impact` and `validate` propagate the logic model here."""
     from . import logicmodel
 
     model = sc.logic_model
@@ -206,7 +206,11 @@ def _cmd_impact(sc: Scenario, fmt: str):
         report["coupled_impacts"] = logicmodel.couple_facts(
             model, sc.fact_binding, sc.logic_inputs
         )
-    return {"impact_report.json": dump_json(report)}, []
+    return report
+
+
+def _cmd_impact(sc: Scenario, fmt: str):
+    return {"impact_report.json": dump_json(_impact_report(sc))}, []
 
 
 def _cmd_network(sc: Scenario, fmt: str):
@@ -312,15 +316,15 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
     """Full cross-section consistency findings, as (errors, warnings).
 
     When the sections a command reads have no findings, they go through
-    that command's survey, sweep, surface, curve or consensus step, so a
-    numerical failure there is a finding of that section. An I/O problem
-    propagates as OSError when the document has no other finding."""
+    that command's survey, sweep, surface, curve, consensus or propagation
+    step, so a numerical failure there is a finding of that section. An I/O
+    problem propagates as OSError when the document has no other finding."""
     try:
         doc, _ = read_scenario_file(path)
     except ScenarioError as err:
         return err.findings, []
     # Looked up on the module, as load_scenario does, so a tracing wrapper sees it.
-    sc, errors, warnings = scenario.parse_scenario(doc, Path(path).resolve().parent)
+    sc = scenario.parse_scenario(doc, Path(path).resolve().parent)
     for command, section, present, step in (
         ("fit", "survey", sc.survey is not None, lambda: _read_survey(sc)),
         ("sweep", "sweep", sc.dynamics is not None and sc.sweep_grid is not None,
@@ -330,18 +334,21 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
         ("surface", "curve", sc.curve is not None, lambda: consensus_curve(*sc.curve)),
         ("consensus-check", "consensus", sc.consensus is not None,
          lambda: _cmd_consensus(sc, "csv")),
+        ("impact", "logic_model", sc.logic_model is not None, lambda: _impact_report(sc)),
+        ("network", "parameter_network", sc.network is not None,
+         lambda: propagate_network(sc.network, sc.network_deltas)),
     ):
         if present and sc.failed.keys().isdisjoint(_DISPATCH[command][1]):
             try:
                 step()
             except ScenarioError as err:
-                errors += err.findings
+                sc.errors += err.findings
             except _NUMERICAL_ERRORS as err:
-                errors.append(f"{section}: {err}")
+                sc.errors.append(f"{section}: {err}")
             except OSError:
-                if not errors:  # a document with findings reports those instead
+                if not sc.errors:  # a document with findings reports those instead
                     raise
-    return errors, warnings
+    return sc.errors, sc.warnings
 
 
 def _run_validate(scenario_path: str) -> int:

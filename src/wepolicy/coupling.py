@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 from .errors import DimensionError, UnknownNodeError, _cut, _listed, _quote
 from .graphs import Edge as NetworkEdge, parse_edges, propagate_linear, topological_order
 from .numeric import dot
-from .scenario import _Builder, _check, _float, _matrix, _names, _object, _str, _vector
+from .scenario import Scenario, _check, _float, _matrix, _names, _object, _str, _vector
 
 if TYPE_CHECKING:  # an annotation only; valuefn is not loaded at run time
     from .valuefn import ValueCurve
@@ -301,7 +301,7 @@ def propagate_network(
     return {name: delta[name] for name in net.value_nodes}
 
 
-def parse_mapping_f(b: _Builder, raw):
+def parse_mapping_f(sc: Scenario, raw):
     where = "mapping_f"
     _object(raw, where)
     nl = raw.get("nonlinearity")
@@ -316,17 +316,17 @@ def parse_mapping_f(b: _Builder, raw):
             raise ValueError(f"{where}.nonlinearity.kind: unknown kind {_quote(kind)}")
     m = _matrix(raw.get("matrix"), f"{where}.matrix")
     offset = raw.get("offset", [0.0] * len(m))
-    f = b.sc.mapping_f = _check(where, LinearMap, matrix=m, nonlinearity=saturator,
-                                offset=tuple(_vector(offset, f"{where}.offset")))
+    f = sc.mapping_f = _check(where, LinearMap, matrix=m, nonlinearity=saturator,
+                              offset=tuple(_vector(offset, f"{where}.offset")))
     for key, dim, side in (
         ("source", f.source_dim, "columns"), ("target", f.target_dim, "rows")
     ):
         name = raw.get(key)
         if name is None:
             continue
-        es = b.element_sets.get(_str(name, f"{where}.{key}"))
+        es = sc.element_sets.get(_str(name, f"{where}.{key}"))
         if es is None:
-            if "element_sets" not in b.failed:
+            if "element_sets" not in sc.failed:
                 raise ValueError(f"{where}.{key}: unknown element set {_quote(name)}")
         elif len(es) != dim:
             raise ValueError(
@@ -334,16 +334,16 @@ def parse_mapping_f(b: _Builder, raw):
             )
 
 
-def parse_parameter_network(b: _Builder, raw):
+def parse_parameter_network(sc: Scenario, raw):
     where = "parameter_network"
     _object(raw, where)
     facts = _names(raw.get("facts", []), f"{where}.facts")
     values = _names(raw.get("values", []), f"{where}.values")
     edges = parse_edges(raw.get("edges", []), f"{where}.edges")
-    b.sc.network = _check(where, ParameterNetwork, facts, values, edges)
+    sc.network = _check(where, ParameterNetwork, facts, values, edges)
     deltas = _object(raw.get("deltas", {}), f"{where}.deltas")
     fact_set = set(facts)
     for k, v in deltas.items():
         if k not in fact_set:
             raise ValueError(f"{where}.deltas: {_quote(k)} is not a fact node")
-        b.sc.network_deltas[k] = _float(v, f"{where}.deltas.{_cut(k)}")
+        sc.network_deltas[k] = _float(v, f"{where}.deltas.{_cut(k)}")

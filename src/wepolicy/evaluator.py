@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 # `apply_fact_coupling` stays importable from here: perfbench/tracer.py wraps it.
 from .coupling import FactCoupling, apply_fact_coupling, couple_rows
 from .errors import _cut, _quote
-from .scenario import _Builder, _check, _floats, _matrix, _object, _str
+from .scenario import Scenario, _check, _floats, _matrix, _object, _str
 
 if TYPE_CHECKING:  # annotations only; a scenario's profiles load neither module
     from .policy_sim import SweepTable
@@ -125,27 +125,27 @@ def _parse_profile(spec, where: str, slugs: dict[str, str]) -> WeightingProfile:
     return WeightingProfile(name, _check(where, FactCoupling, mode, matrix, **rest))
 
 
-def parse_weighting_profiles(b: _Builder, raw):
+def parse_weighting_profiles(sc: Scenario, raw):
     from .policy_sim import INDICATORS
 
     if not isinstance(raw, list) or not raw:
         raise ValueError("weighting_profiles: expected a non-empty array")
-    subjective = None if "survey" in b.failed else b.element_sets.get("X_w")
-    if b.sc.survey is not None:
-        subjective = b.sc.survey.construct_map.constructs
-    facts = b.element_sets.get("X_c")
+    subjective = None if "survey" in sc.failed else sc.element_sets.get("X_w")
+    if sc.survey is not None:
+        subjective = sc.survey.construct_map.constructs
+    facts = sc.element_sets.get("X_c")
     slugs: dict[str, str] = {}
-    b.sc.profiles = []
+    sc.profiles = []
     for i, spec in enumerate(raw):
-        profile = b.attempt(_parse_profile, spec, f"weighting_profiles[{i}]", slugs)
+        profile = sc.attempt(_parse_profile, spec, f"weighting_profiles[{i}]", slugs)
         if profile is None:
             continue
-        b.sc.profiles.append(profile)
+        sc.profiles.append(profile)
         where = f"weighting_profiles[{_quote(profile.name)}].matrix"
         rows, cols = profile.coupling.subjective_dim, profile.coupling.fact_dim
         if subjective is not None and rows != len(subjective):
-            b.error(f"{where}: {rows} rows for {len(subjective)} subjective constructs")
+            sc.error(f"{where}: {rows} rows for {len(subjective)} subjective constructs")
         if cols != len(INDICATORS):
-            b.error(f"{where}: {cols} columns for {len(INDICATORS)} simulator indicators")
+            sc.error(f"{where}: {cols} columns for {len(INDICATORS)} simulator indicators")
         elif facts is not None and cols != len(facts):
-            b.error(f"{where}: {cols} columns for {len(facts)} fact elements")
+            sc.error(f"{where}: {cols} columns for {len(facts)} fact elements")

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import StageBindingError, UnknownNodeError, _cut, _listed, _quote
 from .graphs import CycleError, Edge, parse_edges, propagate_linear, topological_order
-from .scenario import _Builder, _array, _check, _float, _names, _object, _str, _vector
+from .scenario import Scenario, _array, _check, _float, _names, _object, _str, _vector
 
 STAGES = ("inputs", "activities", "outputs", "outcomes", "impacts")
 BINDABLE_STAGES = ("inputs", "activities", "outputs")
@@ -224,7 +224,7 @@ def _nodes(value, where: str) -> tuple[Node, ...]:
     return tuple(nodes)
 
 
-def parse_logic_model(b: _Builder, raw):
+def parse_logic_model(sc: Scenario, raw):
     where = "logic_model"
     _object(raw, where)
     nodes = _nodes(raw.get("nodes", []), f"{where}.nodes")
@@ -232,15 +232,15 @@ def parse_logic_model(b: _Builder, raw):
     model = LogicModel(nodes=nodes, edges=edges)
     findings = validate(model)
     for finding in findings:
-        b.error(f"{where}: {finding}")
+        sc.error(f"{where}: {finding}")
     if findings:
         return
-    b.sc.logic_model = model
+    sc.logic_model = model
 
     inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
     for k, v in inputs.items():
-        b.sc.logic_inputs[k] = _float(v, f"{where}.inputs.{_cut(k)}")
-    _check(f"{where}.inputs", check_inputs, model, b.sc.logic_inputs)
+        sc.logic_inputs[k] = _float(v, f"{where}.inputs.{_cut(k)}")
+    _check(f"{where}.inputs", check_inputs, model, sc.logic_inputs)
 
     fb = raw.get("fact_bindings")
     if fb is not None:
@@ -254,4 +254,4 @@ def parse_logic_model(b: _Builder, raw):
             bindings[k] = _str(v, f"{where}.fact_bindings.bindings.{_cut(k)}")
         binding = _check(f"{where}.fact_bindings", FactBinding, bindings, elements, values)
         _check(f"{where}.fact_bindings", check_binding, model, binding)
-        b.sc.fact_binding = binding
+        sc.fact_binding = binding

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from . import scenario
 from .numeric import left_sum
-from .scenario import _Builder, _floats, _int, _object, _vector
+from .scenario import Scenario, _floats, _int, _object, _vector
 
 INDICATORS = ("economic", "environmental", "social")  # a run's facts, in SweepRow order
 # Each knob's closed range, in PolicyKnobs field order.
@@ -199,18 +199,18 @@ def normalize_ternary(table: SweepTable) -> list[tuple[float, float, float]]:
     return out
 
 
-def parse_dynamics(b: _Builder, raw):
+def parse_dynamics(sc: Scenario, raw):
     where = "dynamics"
     _object(raw, where)
     counts = [_int(raw.get(k), f"{where}.{k}") for k in ("agents", "steps", "seed")]
     rates = _floats(raw, where, DynamicsConfig._fields[3:])
     try:
-        b.sc.dynamics = DynamicsConfig(*counts, **rates)
+        sc.dynamics = DynamicsConfig(*counts, **rates)
     except ValueError as err:  # worded from the field: "seed must be >= 0, got -7"
         raise ValueError(f"{where}.{err}") from None
 
 
-def parse_sweep(b: _Builder, raw):
+def parse_sweep(sc: Scenario, raw):
     where = "sweep"
     _object(raw, where)
     grid = {}
@@ -236,7 +236,7 @@ def parse_sweep(b: _Builder, raw):
             f"{where}: s + v > 1 for every (subsidy, service) pair; "
             "no admissible policy to simulate"
         )
-    dyn = b.sc.dynamics
+    dyn = sc.dynamics
     if dyn is not None:
         rows = pairs * len(grid["tax"])
         work = rows * (dyn.agents + dyn.steps)
@@ -245,4 +245,4 @@ def parse_sweep(b: _Builder, raw):
                 f"{where}: {rows} admissible rows x ({dyn.agents} agents + {dyn.steps} "
                 f"steps) = {work} exceeds the cap of {scenario.MAX_SWEEP_WORK}"
             )
-    b.sc.sweep_grid = grid
+    sc.sweep_grid = grid

@@ -12,8 +12,9 @@ sweep is built. An optional number that a section leaves out takes the
 default its value type's constructor declares.
 
 This module holds the document's core: the caps, the field readers, the
-builder and the `element_sets` and `survey` parsers. Every other section's
-parser lives in the module whose type it builds (`_SECTIONS` names it).
+`Scenario` that every section parser fills, and the `element_sets` and
+`survey` parsers. Every other section's parser lives in the module whose
+type it builds (`_SECTIONS` names it).
 """
 
 from __future__ import annotations
@@ -91,7 +92,13 @@ class SurveyConfig(NamedTuple):
 
 
 class Scenario:
-    """Parsed scenario with constructed module objects (None when absent or not read)."""
+    """Objects built from a scenario's sections (None when absent or not
+    read), with its findings and warnings; usable only when `errors` is empty.
+    Every finding goes through `error`, which also records the section
+    being parsed as failed. A check that reads an earlier section skips it
+    when it has a finding of its own, so no follow-on finding names the
+    wrong cause. A section keeps its first MAX_LISTED findings; one more
+    finding counts the rest."""
 
     def __init__(self, base_dir: Path):
         self.base_dir = base_dir
@@ -110,14 +117,51 @@ class Scenario:
         self.curve: tuple[WELayer, list[float]] | None = None
         self.consensus: ConsensusConfig | None = None
         self.parsed: list[str] = []  # the sections read and present, in order
+        self.errors: list[str] = []
         self.warnings: list[str] = []
         self.failed: dict[str, int] = {}  # section -> its findings
+        self.section = ""  # the section being parsed
+        # Read only while parsing, by name: the objects keep what they resolve to.
+        self.value_functions: dict[str, ValueCurve] = {}
+        self.element_sets: dict[str, tuple[str, ...]] = {}  # set name -> variable names
 
     def layer_by_label(self, label: str) -> WELayer | None:
         """The layer with scope `label`, or None (also without a model)."""
         if self.model is None:
             return None
         return next((l for l in self.model.layers if l.scope.label == label), None)
+
+    def error(self, msg: str):
+        count = self.failed[self.section] = self.failed.get(self.section, 0) + 1
+        if count > MAX_LISTED:  # a section's findings are contiguous, the count last
+            if count > MAX_LISTED + 1:
+                self.errors.pop()
+            msg = f"{self.section}: ... ({count - MAX_LISTED} more findings)"
+        self.errors.append(msg)
+
+    def attempt(self, parse, *args):
+        """parse(*args), or None when it raises a ValueError, whose message
+        becomes a finding of the section being parsed."""
+        try:
+            return parse(*args)
+        except ValueError as err:
+            self.error(str(err))
+            return None
+
+    def layers_model(self, where: str) -> WellbeingModel | None:
+        """The layers' model, or None: with a finding at `where` when the
+        document has no layers section, and without one when that section
+        has findings of its own."""
+        if self.model is None and "layers" not in self.failed:
+            self.error(f"{where}: requires a layers section")
+        return self.model
+
+    def layer(self, label: str, where: str) -> WELayer | None:
+        """The layer with scope `label`, or None and a finding at `where`."""
+        layer = self.layer_by_label(label)
+        if layer is None:
+            self.error(f"{where}: unknown scope label {_quote(label)}")
+        return layer
 
 
 def _float(value, where: str) -> float:
@@ -228,67 +272,16 @@ def _parse_element_set(name: str, spec, where: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-class _Builder:
-    """Builds a Scenario section by section (see `_SECTIONS`).
-
-    Every finding goes through `error`, which also records the section
-    being parsed as failed. A check that reads an earlier section skips it
-    when it has a finding of its own, so no follow-on finding names the
-    wrong cause. A section keeps its first MAX_LISTED findings; one more
-    finding counts the rest."""
-
-    def __init__(self, base_dir: Path):
-        self.sc = Scenario(base_dir)
-        # Read only here, by name: a Scenario keeps what they resolve to.
-        self.value_functions: dict[str, ValueCurve] = {}
-        self.element_sets: dict[str, tuple[str, ...]] = {}  # set name -> variable names
-        self.errors: list[str] = []
-        self.failed = self.sc.failed
-        self.section = ""
-
-    def error(self, msg: str):
-        count = self.failed[self.section] = self.failed.get(self.section, 0) + 1
-        if count > MAX_LISTED:  # a section's findings are contiguous, the count last
-            if count > MAX_LISTED + 1:
-                self.errors.pop()
-            msg = f"{self.section}: ... ({count - MAX_LISTED} more findings)"
-        self.errors.append(msg)
-
-    def attempt(self, parse, *args):
-        """parse(*args), or None when it raises a ValueError, whose message
-        becomes a finding of the section being parsed."""
-        try:
-            return parse(*args)
-        except ValueError as err:
-            self.error(str(err))
-            return None
-
-    def model(self, where: str) -> WellbeingModel | None:
-        """The layers' model, or None: with a finding at `where` when the
-        document has no layers section, and without one when that section
-        has findings of its own."""
-        if self.sc.model is None and "layers" not in self.failed:
-            self.error(f"{where}: requires a layers section")
-        return self.sc.model
-
-    def layer(self, label: str, where: str) -> WELayer | None:
-        """The layer with scope `label`, or None and a finding at `where`."""
-        layer = self.sc.layer_by_label(label)
-        if layer is None:
-            self.error(f"{where}: unknown scope label {_quote(label)}")
-        return layer
-
-
-def parse_element_sets(b: _Builder, raw):
+def parse_element_sets(sc: Scenario, raw):
     if not isinstance(raw, dict):
         raise ValueError("element_sets: expected an object of named sets")
     for name, spec in raw.items():
-        es = b.attempt(_parse_element_set, name, spec, f"element_sets.{_cut(name)}")
+        es = sc.attempt(_parse_element_set, name, spec, f"element_sets.{_cut(name)}")
         if es is not None:
-            b.element_sets[name] = es
+            sc.element_sets[name] = es
 
 
-def parse_survey(b: _Builder, raw):
+def parse_survey(sc: Scenario, raw):
     where = "survey"
     _object(raw, where)
     constructs = raw.get("constructs")
@@ -309,9 +302,9 @@ def parse_survey(b: _Builder, raw):
         raise ValueError(
             f"{where}.target_question: {target_q} outside 1..{cmap.question_count}"
         )
-    b.sc.survey = SurveyConfig(file=_str(raw.get("file"), f"{where}.file"), scale=scale,
-                               construct_map=cmap, target_question=target_q)
-    xw = b.element_sets.get("X_w")
+    sc.survey = SurveyConfig(file=_str(raw.get("file"), f"{where}.file"), scale=scale,
+                             construct_map=cmap, target_question=target_q)
+    xw = sc.element_sets.get("X_w")
     if xw is not None and xw != cmap.constructs:
         raise ValueError(
             f"{where}.constructs: must match element_sets.X_w variable names "
@@ -321,8 +314,8 @@ def parse_survey(b: _Builder, raw):
 
 # Every section a scenario may hold, in the order it is parsed and its findings
 # are reported, and the module and function of its parser, each a function of
-# the builder and the section's JSON value. A section checks its agreement with
-# those before it, so a caller that reads it reads those too: layers read
+# the Scenario and the section's JSON value. A section checks its agreement
+# with those before it, so a caller that reads it reads those too: layers read
 # value_functions; mapping_f and survey read element_sets; weighting_profiles
 # read survey and element_sets; sweep reads dynamics; surface and curve read
 # layers; and consensus reads layers and mapping_f. Any other key is ignored.
@@ -343,24 +336,21 @@ _SECTIONS = (
 )
 
 
-def parse_scenario(doc: dict, base_dir: Path, sections: tuple[str, ...] | None = None
-                   ) -> tuple[Scenario, list[str], list[str]]:
-    """Construct module objects from the named sections (all for None).
-
-    Returns (scenario, errors, warnings); the scenario is only usable when
-    errors is empty.
-    """
+def parse_scenario(doc: dict, base_dir: Path, sections: tuple[str, ...] | None = None) -> Scenario:
+    """The scenario built from the named sections (all for None), with its
+    findings in `errors` and its warnings in `warnings`."""
+    sc = Scenario(base_dir)
     if not isinstance(doc, dict):
-        return Scenario(base_dir), ["scenario: expected a JSON object"], []
-    builder = _Builder(base_dir)
+        sc.errors.append("scenario: expected a JSON object")
+        return sc
     for name, module, function in _SECTIONS:
         raw = doc.get(name)
         if raw is not None and (sections is None or name in sections):
             parse = getattr(importlib.import_module(f".{module}", __package__), function)
-            builder.section = name
-            builder.sc.parsed.append(name)
-            builder.attempt(parse, builder, raw)
-    return builder.sc, builder.errors, builder.sc.warnings
+            sc.section = name
+            sc.parsed.append(name)
+            sc.attempt(parse, sc, raw)
+    return sc
 
 
 def read_scenario_file(path: str | Path) -> tuple[dict, bytes]:
@@ -388,7 +378,7 @@ def load_scenario(path: str | Path,
     """Load a scenario file and validate the named sections (all for None);
     raises ScenarioError with every finding when validation fails."""
     doc, data = read_scenario_file(path)
-    sc, errors, _ = parse_scenario(doc, Path(path).resolve().parent, sections)
-    if errors:
-        raise ScenarioError(errors)
+    sc = parse_scenario(doc, Path(path).resolve().parent, sections)
+    if sc.errors:
+        raise ScenarioError(sc.errors)
     return sc, data

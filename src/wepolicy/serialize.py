@@ -13,13 +13,25 @@ import math
 from typing import Iterable, Sequence
 
 
+class FloatText(str):
+    """A finite float's `float.__repr__` text. A column of them is written
+    as it is, in CSV and in JSON, which is the text each writer gives the
+    float, so a value repeated down a column is formatted once."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: float):
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite float: {value!r}")
+        return super().__new__(cls, float.__repr__(value))
+
+
 def csv_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Render a CSV with '\\n' line endings and round-trip float cells.
 
     Rows must all have the same length. Cells are formatted a column at a
-    time; a column of exact floats or exact ints takes the type's own repr,
-    and a column of exact strs is written as it is, which is what `_cell`
-    gives each of its cells.
+    time; a column of exact floats or exact ints takes the type's own
+    repr, and a `FloatText` column is written as it is.
     """
     cols = [_column(col, _cell) for col in zip(*rows, strict=True)]
     body = map(",".join, zip(*cols)) if cols else [""] * len(rows)
@@ -29,14 +41,13 @@ def csv_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 def _column(col: Sequence[object], cell, finite: bool = False) -> Iterable[str]:
     """A column's cells as strings; `cell` formats a mixed column. With
     `finite`, a float column holding inf or nan is also left to `cell`.
-    A str column is kept as it is when `cell` is `_cell`, which returns
-    each str cell unchanged."""
+    A `FloatText` column is kept as it is."""
     kinds = set(map(type, col))
     if kinds == {float} and (not finite or all(map(math.isfinite, col))):
         return map(float.__repr__, col)
     if kinds == {int}:
         return map(int.__repr__, col)
-    if kinds == {str} and cell is _cell:
+    if kinds == {FloatText}:
         return col
     return map(cell, col)
 
@@ -58,9 +69,10 @@ def json_rows(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Same table as `csv_table` rendered as a JSON array of objects.
 
     The text equals `dump_json([dict(zip(header, row)) for row in rows])`
-    for distinct header names and rows of one length, and a non-finite
-    float raises ValueError as there, but cells are formatted a column at
-    a time and each object comes from one template.
+    for distinct header names and rows of one length, with each
+    `FloatText` cell read as its float, and a non-finite float raises
+    ValueError as there, but cells are formatted a column at a time and
+    each object comes from one template.
     """
     if not rows:
         return "[]\n"

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, _cut, _quote
-from .scenario import _Builder, _check, _floats, _object, _str
+from .scenario import Scenario, _check, _floats, _object, _str
 
 FAMILIES = ("linear", "logarithmic", "power", "quadratic", "exponential", "lin_exp")
 
@@ -162,10 +162,10 @@ def _parse_value_function(spec, where: str) -> ValueCurve:
     return _check(where, MirroredFamily, base, **_floats(spec, where, ("loss_lambda",)))
 
 
-def parse_value_functions(b: _Builder, raw):
+def parse_value_functions(sc: Scenario, raw):
     if not isinstance(raw, dict):
         raise ValueError("value_functions: expected an object of named functions")
     for name, spec in raw.items():
-        fn = b.attempt(_parse_value_function, spec, f"value_functions.{_cut(name)}")
+        fn = sc.attempt(_parse_value_function, spec, f"value_functions.{_cut(name)}")
         if fn is not None:
-            b.value_functions[name] = fn
+            sc.value_functions[name] = fn

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 from . import scenario
 from .errors import DimensionError, MissingScopeError, _listed, _quote
 from .numeric import dot
-from .scenario import _Builder, _check, _float, _object, _str, _vector, grid_values
+from .scenario import Scenario, _check, _float, _object, _str, _vector, grid_values
 from .valuefn import (AsymmetricSpec, MirroredFamily, ValueCurve, ValueFunctionSpec,
                       quadratic_monotone_limit)
 
@@ -185,25 +185,25 @@ class ConsensusConfig(NamedTuple):
     tol: float
 
 
-def _layer(b: _Builder, spec, where: str) -> WELayer:
+def _layer(sc: Scenario, spec, where: str) -> WELayer:
     spec = _object(spec, where)
     fn_name = _str(spec.get("value_function"), f"{where}.value_function")
-    if fn_name not in b.value_functions:
+    if fn_name not in sc.value_functions:
         raise ValueError(f"{where}.value_function: unknown function {_quote(fn_name)}")
     weights = spec.get("element_weights")
     return _check(
         f"{where}.weight", WELayer, WEScope(_str(spec.get("scope"), f"{where}.scope")),
-        b.value_functions[fn_name], _float(spec.get("weight"), f"{where}.weight"),
+        sc.value_functions[fn_name], _float(spec.get("weight"), f"{where}.weight"),
         tuple(_vector(weights, f"{where}.element_weights")) if weights is not None else None,
     )
 
 
-def parse_layers(b: _Builder, raw):
+def parse_layers(sc: Scenario, raw):
     if not isinstance(raw, list) or not raw:
         raise ValueError("layers: expected a non-empty array")
-    built = [b.attempt(_layer, b, spec, f"layers[{i}]") for i, spec in enumerate(raw)]
+    built = [sc.attempt(_layer, sc, spec, f"layers[{i}]") for i, spec in enumerate(raw)]
     if None not in built:
-        b.sc.model = _check("layers", WellbeingModel, tuple(built))
+        sc.model = _check("layers", WellbeingModel, tuple(built))
 
 
 def _grid_len(spec) -> int:
@@ -218,7 +218,7 @@ def _grid_len(spec) -> int:
     return max(count, 1) if isinstance(count, int) else 1
 
 
-def parse_surface(b: _Builder, raw):
+def parse_surface(sc: Scenario, raw):
     _object(raw, "surface")
     x_n, x_w = raw.get("x_n"), raw.get("x_w")
     n, w = _grid_len(x_n), _grid_len(x_w)
@@ -227,36 +227,36 @@ def parse_surface(b: _Builder, raw):
             f"surface: {n} x {w} = {n * w} cells exceeds the cap of {scenario.MAX_GRID_POINTS}"
         )
     grids = (grid_values(x_n, "surface.x_n"), grid_values(x_w, "surface.x_w"))
-    b.sc.surface_grids = grids
-    model = b.model("surface")
+    sc.surface_grids = grids
+    model = sc.layers_model("surface")
     if model is not None:
         layers = _check("surface", surface_layers, model)
         for layer, xs, where in zip(layers, grids, ("surface.x_n", "surface.x_w")):
-            _grid_check(b, layer, xs, where)
+            _grid_check(sc, layer, xs, where)
 
 
-def parse_curve(b: _Builder, raw):
+def parse_curve(sc: Scenario, raw):
     _object(raw, "curve")
     label = _str(raw.get("layer"), "curve.layer")
     n = _grid_len(raw.get("grid"))
     if n > scenario.MAX_GRID_POINTS:
         raise ValueError(f"curve.grid: {n} points exceeds the cap of {scenario.MAX_GRID_POINTS}")
     grid = grid_values(raw.get("grid"), "curve.grid")
-    if b.model("curve") is not None:
-        layer = b.layer(label, "curve.layer")
+    if sc.layers_model("curve") is not None:
+        layer = sc.layer(label, "curve.layer")
         if layer is not None:
-            b.sc.curve = (layer, grid)
-            _grid_check(b, layer, grid, "curve.grid")
+            sc.curve = (layer, grid)
+            _grid_check(sc, layer, grid, "curve.grid")
 
 
-def _grid_check(b: _Builder, layer: WELayer, xs: list[float], where: str):
+def _grid_check(sc: Scenario, layer: WELayer, xs: list[float], where: str):
     """A raw family is defined for x >= 0 only, so a grid reaching below
     0 is a finding. Quadratic curves turn over past a/2; warn when a grid
     reaches beyond that point, since ranking semantics silently flip
     there."""
     fn = layer.value_function
     if isinstance(fn, ValueFunctionSpec) and min(xs) < 0:
-        b.error(
+        sc.error(
             f"{where}: grid reaches {min(xs)!r}, below the {fn.family} family's "
             f"domain x >= 0 for layer {_quote(layer.scope.label)}"
         )
@@ -264,13 +264,13 @@ def _grid_check(b: _Builder, layer: WELayer, xs: list[float], where: str):
     if isinstance(base, ValueFunctionSpec) and base.family == "quadratic":
         lim = quadratic_monotone_limit(base)
         if any(abs(x) > lim for x in xs):
-            b.sc.warnings.append(
+            sc.warnings.append(
                 f"{where}: grid reaches beyond the quadratic peak at {lim!r} for "
                 f"layer {_quote(layer.scope.label)}; values are non-monotone past it"
             )
 
 
-def parse_consensus(b: _Builder, raw):
+def parse_consensus(sc: Scenario, raw):
     where = "consensus"
     _object(raw, where)
     probes_raw = raw.get("probes")
@@ -282,33 +282,33 @@ def parse_consensus(b: _Builder, raw):
     tol = _float(raw.get("tol", 1e-9), f"{where}.tol")
     if not tol > 0:
         raise ValueError(f"{where}.tol: must be > 0")
-    cfg = b.sc.consensus = ConsensusConfig(
+    cfg = sc.consensus = ConsensusConfig(
         narrow_label=_str(raw.get("narrow_layer"), f"{where}.narrow_layer"),
         wide_label=_str(raw.get("wide_layer"), f"{where}.wide_layer"), probes=probes, tol=tol,
     )
-    f = None if "mapping_f" in b.failed else b.sc.mapping_f
+    f = None if "mapping_f" in sc.failed else sc.mapping_f
     layers = []  # the narrow and wide layers that resolve
-    if b.model(where) is not None:
+    if sc.layers_model(where) is not None:
         # The narrow layer weighs the mapping's target, the wide its source.
         for key, label, side in (
             ("narrow_layer", cfg.narrow_label, "target"),
             ("wide_layer", cfg.wide_label, "source"),
         ):
-            layer = b.layer(label, f"{where}.{key}")
+            layer = sc.layer(label, f"{where}.{key}")
             if layer is None:
                 continue
             layers.append(layer)
             weights = layer.element_weights
             if weights is None:
-                b.error(f"{where}.{key}: layer {_quote(label)} declares no element_weights")
+                sc.error(f"{where}.{key}: layer {_quote(label)} declares no element_weights")
             elif f is not None:
                 dim = f.target_dim if side == "target" else f.source_dim
                 if len(weights) != dim:
-                    b.error(
+                    sc.error(
                         f"{where}.{key}: element_weights length {len(weights)} != "
                         f"mapping {side} dimension {dim}"
                     )
-    if "mapping_f" in b.failed:
+    if "mapping_f" in sc.failed:
         return
     if f is None:
         raise ValueError(f"{where}: requires a mapping_f section")
@@ -318,7 +318,7 @@ def parse_consensus(b: _Builder, raw):
                 f"{where}.probes[{i}]: length {len(p)} != mapping source dimension "
                 f"{f.source_dim}"
             )
-    if len(layers) < 2 or where in b.failed:
+    if len(layers) < 2 or where in sc.failed:
         return
     from .coupling import apply_map  # loaded already: it parsed mapping_f
 
@@ -326,4 +326,4 @@ def parse_consensus(b: _Builder, raw):
     mapped = [apply_map(f, p) for p in probes]
     for layer, vectors in zip(layers, (mapped, probes)):
         xs = [dot(layer.element_weights, x) for x in vectors]
-        _grid_check(b, layer, xs, f"{where}.probes")
+        _grid_check(sc, layer, xs, f"{where}.probes")

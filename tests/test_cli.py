@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import wepolicy
 
 from wepolicy.cli import main, run
+from wepolicy.logicmodel import BINDABLE_STAGES, STAGES
 from wepolicy.valuefn import FAMILIES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -592,9 +593,14 @@ class TestRejectedInputs:
             edge["weight"] = 1e308
         for name in doc[section][given]:
             doc[section][given][name] = 1e10
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
         code, err = self._run(capsys, tmp_path, command, doc)
         assert code == 2
         assert err == f"error: numerical failure: value of node {first_node!r} is not finite: inf\n"
+        # validate reports the same text as a finding of the section
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(tmp_path / "scenario.json"))
+        finding = f"{section}: " + err.removeprefix("error: numerical failure: ").rstrip("\n")
+        assert (code, json.loads(stdout)["errors"]) == (1, [finding])
 
     def test_non_finite_score_is_numerical(self, capsys, tmp_path, fixtures_dir):
         doc = json.loads((fixtures_dir / "pipeline.json").read_text())
@@ -1730,9 +1736,18 @@ def json_paths(value, path):
 
 # One `pipeline.json` field per section, as in BROKEN_FIELDS, with a value
 # that passes the section's checks and fails the step of a command reading
-# it: the survey file's answers exceed a scale of 2, and an income spread of
-# 1e308 makes the simulated incomes overflow.
-STEP_HAZARDS = {"survey": (("scale",), 2), "dynamics": (("income_spread",), 1e308)}
+# it: the survey file's answers exceed a scale of 2, an income spread of
+# 1e308 makes the simulated incomes overflow, and a chain of two edges of
+# weight 1e308 makes a graph's propagated value overflow.
+STEP_HAZARDS = {
+    "survey": (("scale",), 2),
+    "dynamics": (("income_spread",), 1e308),
+    "logic_model": (("edges",), [{"from": "funding", "to": "outreach", "weight": 1e308},
+                                 {"from": "outreach", "to": "cohesion", "weight": 1e308}]),
+    "parameter_network": (("edges",), [
+        {"from": "income", "to": "security", "weight": 1e308},
+        {"from": "security", "to": "life_satisfaction", "weight": 1e308}]),
+}
 
 
 @st.composite
@@ -1754,7 +1769,7 @@ def mutated_fixtures(draw):
             parent = doc[section]
             for key in path[:-1]:
                 parent = parent[key]
-            parent[path[-1]] = value
+            parent[path[-1]] = copy.deepcopy(value)
     for _ in range(draw(st.integers(0, 3))):
         if not doc:  # a mutation deleted the last section
             break
@@ -1821,6 +1836,13 @@ def pipeline_with_dynamics(field, value):
     return doc
 
 
+def pipeline_with_overflowing_edges(section):
+    """`pipeline.json` with `section`'s edges replaced by its `STEP_HAZARDS` chain."""
+    doc = fuzz_fixtures()[0]
+    doc[section]["edges"] = copy.deepcopy(STEP_HAZARDS[section][1])
+    return doc
+
+
 class TestExitCodeContract:
     @settings(max_examples=1000, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1829,6 +1851,8 @@ class TestExitCodeContract:
     @example(doc=survey_beyond_scale(fuzz_fixtures()[0]), fmt="csv")
     @example(doc=pipeline_with_dynamics("income_spread", 1e308), fmt="csv")
     @example(doc=pipeline_with_dynamics("connection_rate", 1e308), fmt="csv")
+    @example(doc=pipeline_with_overflowing_edges("logic_model"), fmt="csv")
+    @example(doc=pipeline_with_overflowing_edges("parameter_network"), fmt="csv")
     @example(doc=profiles_of_two_facts(fuzz_fixtures()[0], keep_x_c=False), fmt="csv")
     @example(doc=profiles_of_two_facts(fuzz_fixtures()[0], keep_x_c=True), fmt="csv")
     @example(doc=log_narrow_layer(fuzz_fixtures()[1]), fmt="csv")
@@ -1841,9 +1865,9 @@ class TestExitCodeContract:
         """Every command exits 0-3 without a traceback, prints under
         MAX_PRINTED bytes, leaves no file after a nonzero exit and no nan or
         +-inf in a file after exit 0, and, when `validate` passes, does not
-        exit 1 unless it lacks a section it requires; nor do surface, sweep
-        or consensus-check exit 2 when `validate` reports (exit 0 or 1) no
-        finding in a section they read. Every finding a command exits 1 on,
+        exit 1 unless it lacks a section it requires; nor does any command
+        but fit and select exit 2 when `validate` reports (exit 0 or 1) no
+        finding in a section it reads. Every finding a command exits 1 on,
         but a missing section, is among `validate`'s, and a command exits
         nonzero when `validate` has a finding in a section that it reads."""
         monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
@@ -1872,7 +1896,7 @@ class TestExitCodeContract:
             if valid and all(doc.get(s) is not None for s in sections):
                 assert code != 1, (command, err)
             read_clean = validated and not any(section_of(e) in READS[command] for e in errors)
-            if read_clean and command in ("surface", "sweep", "consensus-check"):
+            if read_clean and command not in ("fit", "select"):
                 assert code != 2, (command, err)
             if code == 1:
                 for line in err.splitlines():
@@ -1991,3 +2015,131 @@ class TestGeneratedSurfaceScenarios:
                 assert err == "".join(f"error: {e}\n" for e in errors)
             elif code == 2:
                 assert err == f"error: numerical failure: {errors[0].split(': ', 1)[1]}\n"
+
+
+# --- generated graph scenarios ---
+
+# List lengths either side of the 10 names a finding lists before it counts the rest.
+EDGE_LENGTHS = [1, 2, 10, 11]
+# Edge weights, inputs and deltas: so often 1e300 that a product of two
+# overflows in about a fifth of the drawn graphs.
+GRAPH_WEIGHTS = st.sampled_from([1e300, -1e300, 5e-324, -0.0, 1.0, -2.5])
+
+
+def graph_node_names(kinds):
+    """Distinct node names, one per kind: short, or padded to 80 or 81
+    characters, either side of the 80 at which a finding cuts a name."""
+    return [f"n{i}" if kind is None else f"n{i}".ljust(kind, "x") for i, kind in enumerate(kinds)]
+
+
+def edge_lists(first, size):
+    """1, 2, 10 or 11 edges from a node position i to a later position
+    j >= `first`, so the graph is acyclic and no edge enters a position
+    before `first`; none for a single node."""
+    if size < 2:
+        return st.just([])
+    pairs = st.integers(0, size - 2).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(max(i + 1, first), size - 1)))
+    return st.sampled_from(EDGE_LENGTHS).flatmap(lambda n: st.lists(pairs, min_size=n, max_size=n))
+
+
+@st.composite
+def logic_model_sections(draw):
+    """A valid `logic_model`, as the README's scenario format describes it:
+    staged nodes with optional baselines, declared in any order; edges
+    that run to the same or a later stage and form no cycle; a value for
+    every inputs node; and maybe fact bindings on left-side nodes."""
+    size = draw(st.sampled_from(EDGE_LENGTHS))
+    names = graph_node_names(draw(st.lists(st.sampled_from([None, 80, 81]),
+                                           min_size=size, max_size=size)))
+    # sorted by stage, so an edge down the list never runs to an earlier stage
+    stages = sorted(draw(st.lists(st.sampled_from(STAGES), min_size=size - 1,
+                                  max_size=size - 1)) + ["impacts"], key=STAGES.index)
+    nodes = []
+    for name, stage in zip(names, stages):
+        node = {"name": name, "stage": stage}
+        if draw(st.booleans()):
+            node["baseline"] = draw(edge_or_plain_numbers())
+        nodes.append(node)
+    section = {
+        "nodes": draw(st.permutations(nodes)),
+        "edges": [{"from": names[i], "to": names[j], "weight": draw(GRAPH_WEIGHTS)}
+                  for i, j in draw(edge_lists(0, size))],
+        "inputs": {n: draw(GRAPH_WEIGHTS)
+                   for n, s in zip(names, stages) if s == "inputs"},
+    }
+    left = [n for n, s in zip(names, stages) if s in BINDABLE_STAGES]
+    if left and draw(st.booleans()):
+        count = draw(st.sampled_from(EDGE_LENGTHS))
+        elements = [f"e{k}" for k in range(count)]
+        section["fact_bindings"] = {
+            "bindings": {n: draw(st.sampled_from(elements))
+                         for n in draw(st.lists(st.sampled_from(left), unique=True))},
+            "elements": elements,
+            "values": [draw(edge_or_plain_numbers()) for _ in elements],
+        }
+    return section
+
+
+@st.composite
+def parameter_network_sections(draw):
+    """A valid `parameter_network`: fact nodes, value nodes and unnamed
+    intermediates, edges that form no cycle and never enter a fact node,
+    and deltas for some of the facts."""
+    facts, values = draw(st.sampled_from(EDGE_LENGTHS)), draw(st.sampled_from(EDGE_LENGTHS))
+    size = facts + draw(st.integers(0, 2)) + values
+    names = graph_node_names(draw(st.lists(st.sampled_from([None, 80, 81]),
+                                           min_size=size, max_size=size)))
+    return {
+        "facts": names[:facts],
+        "values": names[size - values:],
+        "edges": [{"from": names[i], "to": names[j], "weight": draw(GRAPH_WEIGHTS)}
+                  for i, j in draw(edge_lists(facts, size))],
+        "deltas": {n: draw(GRAPH_WEIGHTS)
+                   for n in draw(st.lists(st.sampled_from(names[:facts]), unique=True))},
+    }
+
+
+class TestGeneratedGraphScenarios:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=st.fixed_dictionaries({"logic_model": logic_model_sections(),
+                                      "parameter_network": parameter_network_sections()}))
+    def test_validate_predicts_impact_and_network(self, tmp_path, capsys, doc):
+        """`impact` and `network` exit 0 exactly when `validate` has no
+        finding in the section each reads. Otherwise each exits 1 with
+        those findings or 2 with its one finding's text, so never 2 with a
+        failure `validate` does not report. Reruns print and write the same
+        bytes, and nothing printed is a traceback or reaches MAX_PRINTED
+        bytes."""
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        path = work / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, printed, err = run_cli(capsys, "validate", "--scenario", str(path))
+        assert code in (0, 1) and err == ""
+        assert len(printed.encode("utf-8")) < MAX_PRINTED
+        errors = json.loads(printed)["errors"]
+        for command, section in (("impact", "logic_model"), ("network", "parameter_network")):
+            findings = [e for e in errors if section_of(e) == section]
+            runs = []
+            for rerun in ("first", "second"):
+                out = work / f"{command}-{rerun}"
+                code, printed, err = run_cli(capsys, command, "--scenario", str(path),
+                                             "--out", str(out))
+                assert "Traceback" not in err
+                assert len((printed + err).encode("utf-8")) < MAX_PRINTED
+                if code == 0:
+                    assert_finite_outputs(out)
+                    report = json.loads(printed)
+                    del report["wall_time_s"], report["outputs"]
+                    runs.append((code, report, err, digests(out)))
+                else:
+                    assert not out.exists()
+                    runs.append((code, printed, err))
+            assert runs[0] == runs[1], command
+            assert (code == 0) == (not findings), (command, findings, err)
+            if code == 1:
+                assert err == "".join(f"error: {e}\n" for e in findings)
+            elif code == 2:
+                assert len(findings) == 1
+                assert err == f"error: numerical failure: {findings[0].split(': ', 1)[1]}\n"

@@ -500,7 +500,7 @@ class TestLongNamesAreCut:
         name = "n" * length
         doc = fixture_doc(fixtures_dir, fixture)
         mutation(name)(doc)
-        _, errors, _ = parse_scenario(doc, fixtures_dir)
+        errors = parse_scenario(doc, fixtures_dir).errors
         assert finding(lambda t: t if len(t) <= 80 else cut(t), name) in errors
         assert all(len(e.encode("utf-8")) < 1024 for e in errors)
 
@@ -508,7 +508,7 @@ class TestLongNamesAreCut:
     def test_finding_quotes_the_name_in_part(self, fixtures_dir, fixture, mutate, finding):
         doc = fixture_doc(fixtures_dir, fixture)
         mutate(doc)
-        _, errors, _ = parse_scenario(doc, fixtures_dir)
+        errors = parse_scenario(doc, fixtures_dir).errors
         assert finding in errors
         assert all(len(e) < 400 for e in errors)
 
@@ -521,7 +521,7 @@ class TestLongNamesAreCut:
         name = "n" * 78  # a repr of exactly 80 characters
         doc = fixture_doc(fixtures_dir, "pipeline.json")
         doc["parameter_network"]["deltas"] = {name: 1.0}
-        _, errors, _ = parse_scenario(doc, fixtures_dir)
+        errors = parse_scenario(doc, fixtures_dir).errors
         assert errors == [f"parameter_network.deltas: {name!r} is not a fact node"]
 
 
@@ -584,7 +584,7 @@ class TestLongListsAreCounted:
 
     @pytest.mark.parametrize("doc, findings", long_list_docs())
     def test_logic_model_finding_stays_short(self, doc, findings):
-        _, errors, _ = parse_scenario(doc, FIXTURES)
+        errors = parse_scenario(doc, FIXTURES).errors
         assert errors == findings
         assert len("".join(findings).encode("utf-8")) < 2048
 
@@ -608,7 +608,7 @@ class TestLongListsAreCounted:
             "nodes": [{"name": n.name, "stage": n.stage} for n in nodes],
             "edges": [{"from": e.source, "to": e.target, "weight": e.weight} for e in edges],
         }}
-        _, errors, _ = parse_scenario(doc, FIXTURES)
+        errors = parse_scenario(doc, FIXTURES).errors
         assert errors == [f"logic_model: {finding}" for finding in want[:MAX_LISTED]] + [
             f"logic_model: ... ({2 * count - MAX_LISTED} more findings)"]
 
@@ -616,7 +616,7 @@ class TestLongListsAreCounted:
     def test_section_findings_are_counted(self, count):
         doc = {"value_functions": {f"f{k}": {"kind": "nope"} for k in range(count)},
                "layers": [1]}
-        _, errors, _ = parse_scenario(doc, FIXTURES)
+        errors = parse_scenario(doc, FIXTURES).errors
         want = [f"value_functions.f{k}.kind: unknown kind 'nope'"
                 for k in range(min(count, MAX_LISTED))]
         if count > MAX_LISTED:
@@ -768,10 +768,10 @@ class TestSectionOrder:
 
     def test_only_the_named_sections_are_parsed(self, fixtures_dir):
         doc = fixture_doc(fixtures_dir, "pipeline.json")
-        sc, errors, _ = parse_scenario(doc, fixtures_dir, ("survey",))
-        assert (sc.parsed, errors) == (["survey"], [])
+        sc = parse_scenario(doc, fixtures_dir, ("survey",))
+        assert (sc.parsed, sc.errors) == (["survey"], [])
         assert sc.dynamics is sc.logic_model is None
-        sc, _, _ = parse_scenario(doc, fixtures_dir)
+        sc = parse_scenario(doc, fixtures_dir)
         assert sc.parsed == [name for name, _, _ in scenario._SECTIONS if name in doc]
 
     def test_survey_before_consensus(self, tmp_path, fixtures_dir):
@@ -867,7 +867,7 @@ class TestWorkCaps:
         agents = scenario.MAX_SWEEP_WORK  # any admissible row trips the cap
         doc = {"dynamics": {"agents": agents, "steps": 1, "seed": 0},
                "sweep": {"subsidy": subsidies, "tax": taxes, "service": services}}
-        _, errors, _ = parse_scenario(doc, FIXTURES)
+        errors = parse_scenario(doc, FIXTURES).errors
         rows = len(run_sweep(DynamicsConfig(1, 1, 0), subsidies, taxes, services).rows)
         if rows:
             assert errors == [
@@ -1206,15 +1206,15 @@ class TestGraphSectionsMatchAccessors:
     @settings(max_examples=1000, deadline=None)
     @given(mutated_graph_docs())
     def test_same_findings_and_objects(self, doc):
-        sc, errors, _ = parse_scenario(doc, FIXTURES)
+        sc = parse_scenario(doc, FIXTURES)
         want_errors, want = reference_graph_sections(doc)
-        assert errors == want_errors
+        assert sc.errors == want_errors
         for attr, value in want.items():
             assert repr(getattr(sc, attr)) == repr(value), attr
 
     def test_unmutated_sections_parse(self):
         pipeline = json.loads((FIXTURES / "pipeline.json").read_text(encoding="utf-8"))
         doc = {k: pipeline[k] for k in ("logic_model", "parameter_network")}
-        sc, errors, _ = parse_scenario(doc, FIXTURES)
-        assert errors == [] == reference_graph_sections(doc)[0]
+        sc = parse_scenario(doc, FIXTURES)
+        assert sc.errors == [] == reference_graph_sections(doc)[0]
         assert sc.logic_model == reference_graph_sections(doc)[1]["logic_model"]

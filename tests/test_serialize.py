@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from wepolicy.serialize import _cell, csv_table, dump_json, json_rows
+from wepolicy.serialize import FloatText, _cell, csv_table, dump_json, json_rows
 
 
 def reference_csv_table(header, rows):
@@ -92,3 +92,22 @@ class TestJsonRows:
 
     def test_no_rows(self):
         assert json_rows(("s", "t", "v"), ()) == "[]\n" == reference_json_rows(("s", "t", "v"), ())
+
+
+class TestFloatText:
+    @given(st.lists(st.one_of(finite_floats, finite_floats.map(np.float64)), max_size=6),
+           st.lists(ints, min_size=6, max_size=6))
+    @example([-0.0, 5e-324, 1e308, 0.1], [1, 2, 3, 4, 5, 6])
+    def test_writes_what_its_floats_write(self, xs, ids):
+        """A column of `FloatText` cells is written as its floats are, in
+        both writers, also next to another column."""
+        for write in (csv_table, json_rows):
+            floats = [(i, x) for i, x in zip(ids, xs)]
+            texts = [(i, FloatText(x)) for i, x in zip(ids, xs)]
+            assert write(("id", "x"), texts) == write(("id", "x"), floats)
+            assert write(("x",), [(t,) for _, t in texts]) == write(("x",), [(x,) for x in xs])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises(self, bad):
+        with pytest.raises(ValueError):
+            FloatText(bad)
