@@ -10,9 +10,11 @@ logic model, `network` propagates fact deltas to value parameters, and
 simulation, `surface`'s cell check and curve, `consensus-check`'s probes and
 the propagation of `impact` and `network`, but fits nothing.
 
-Outputs are staged in memory until a command fully succeeds, then written
-to a staging directory inside `--out` and renamed into place, so a nonzero
-exit (or a process killed mid-write) never leaves partial output files.
+Each command yields its outputs one at a time. Each is written into a
+staging directory inside `--out` as soon as it is rendered, so a run holds
+one output's text at a time; once the last is written they are renamed
+into place. A nonzero exit (or a process killed mid-write) never leaves
+partial output files, and a failed run removes the directories it created.
 
 A command runs with the cyclic garbage collector off: what it builds (the
 scenario tree, survey columns, output tables and text) is acyclic, so each
@@ -24,6 +26,7 @@ returned and its output is flushed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import os
@@ -32,11 +35,12 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Iterable
 
 from . import scenario
 from .errors import RankDeficiencyError, ScenarioError, _quote
 from .scenario import Scenario, load_scenario, read_scenario_file
-from .serialize import FloatText, csv_table, dump_json, json_rows
+from .serialize import FloatText, csv_table, dump_json, float_texts, json_rows
 
 # Names from the modules that only some commands use. Each starts as a stub
 # that, on its first call, imports the module and binds the real function
@@ -76,16 +80,18 @@ _NUMERICAL_ERRORS: tuple[type[Exception], ...] = (
 )
 
 
-def _table(fmt: str, stem: str, header, rows) -> dict[str, str]:
-    """The `{file name: text}` entry of one table in format `fmt`."""
+def _table(fmt: str, stem: str, header, rows) -> tuple[str, str]:
+    """The `(file name, text)` output of one table in format `fmt`."""
     if fmt == "json":
-        return {f"{stem}.json": json_rows(header, rows)}
-    return {f"{stem}.csv": csv_table(header, rows)}
+        return f"{stem}.json", json_rows(header, rows)
+    return f"{stem}.csv", csv_table(header, rows)
 
 
-def _cmd_surface(sc: Scenario, fmt: str):
+def _cmd_surface(sc: Scenario, fmt: str, warnings: list[str]):
     xs_n, xs_w = sc.surface_grids
     cells = sample_surface(sc.model, xs_n, xs_w)
+    # Computed before the first output, so its failure creates no directory.
+    curve = consensus_curve(*sc.curve) if sc.curve is not None else None
     # Each grid value fills a whole row or column of the grid, so it is
     # formatted once per grid index.
     rows = list(zip(
@@ -93,13 +99,12 @@ def _cmd_surface(sc: Scenario, fmt: str):
         list(map(FloatText, xs_w)) * len(xs_n),
         [r[2] for r in cells],
     ))
-    outputs = _table(fmt, "surface", ("x_n", "x_w", "W"), rows)
-    if sc.curve is not None:
-        outputs |= _table(fmt, "curve", ("x", "W"), consensus_curve(*sc.curve))
-    return outputs, []
+    yield _table(fmt, "surface", ("x_n", "x_w", "W"), rows)
+    if curve is not None:
+        yield _table(fmt, "curve", ("x", "W"), curve)
 
 
-def _cmd_consensus(sc: Scenario, fmt: str):
+def _cmd_consensus(sc: Scenario, fmt: str, warnings: list[str]):
     cfg = sc.consensus
     report = check_consensus(
         narrow=sc.layer_by_label(cfg.narrow_label).scope_function(),
@@ -108,10 +113,11 @@ def _cmd_consensus(sc: Scenario, fmt: str):
         probe_grid=cfg.probes,
         tol=cfg.tol,
     )
-    warnings = [] if report.holds else [
-        f"consensus does not hold: max deviation {report.max_deviation!r} > tol {cfg.tol!r}"
-    ]
-    return {"consensus_report.json": dump_json(report.to_dict())}, warnings
+    if not report.holds:
+        warnings.append(
+            f"consensus does not hold: max deviation {report.max_deviation!r} > tol {cfg.tol!r}"
+        )
+    yield "consensus_report.json", dump_json(report.to_dict())
 
 
 def _read_survey(sc: Scenario):
@@ -138,13 +144,10 @@ def _fit_from_survey(sc: Scenario):
     return fit_target(design, y, column_names=cfg.construct_map.constructs), baseline
 
 
-def _cmd_fit(sc: Scenario, fmt: str):
+def _cmd_fit(sc: Scenario, fmt: str, warnings: list[str]):
     model, baseline = _fit_from_survey(sc)
-    outputs = {
-        "model.json": dump_json(model.to_dict()),
-        "baseline.json": dump_json(list(baseline)),
-    }
-    return outputs, []
+    yield "model.json", dump_json(model.to_dict())
+    yield "baseline.json", dump_json(list(baseline))
 
 
 def _run_sweep(sc: Scenario):
@@ -153,32 +156,29 @@ def _run_sweep(sc: Scenario):
     return run_sweep(sc.dynamics, grid["subsidy"], grid["tax"], grid["service"])
 
 
-def _cmd_sweep(sc: Scenario, fmt: str):
+def _cmd_sweep(sc: Scenario, fmt: str, warnings: list[str]):
     table = _run_sweep(sc)
-    sweep_rows = [
-        (r.policy_id, r.knobs.subsidy, r.knobs.tax, r.knobs.service, *r.indicators)
-        for r in table.rows
-    ]
     shares = normalize_ternary(table)
-    ternary_rows = [(r.policy_id, *p) for r, p in zip(table.rows, shares)]
-    outputs = _table(fmt, "sweep", ("policy_id", "s", "t", "v", "econ", "env", "social"), sweep_rows)
-    outputs |= _table(fmt, "ternary", ("policy_id", "p_econ", "p_env", "p_soc"), ternary_rows)
-    outputs["skipped.json"] = json_rows(("s", "t", "v"), table.skipped)
-    warnings = []
     if table.skipped:
         warnings.append(
             f"skipped {len(table.skipped)} inadmissible grid combinations (s + v > 1)"
         )
-    return outputs, warnings
+    # The knobs and indicators repeat their values down each column.
+    floats = map(float_texts, [*zip(*(r.knobs for r in table.rows)),
+                               *zip(*(r.indicators for r in table.rows))])
+    sweep_rows = list(zip([r.policy_id for r in table.rows], *floats))
+    yield _table(fmt, "sweep", ("policy_id", "s", "t", "v", "econ", "env", "social"), sweep_rows)
+    ternary_rows = [(r.policy_id, *p) for r, p in zip(table.rows, shares)]
+    yield _table(fmt, "ternary", ("policy_id", "p_econ", "p_env", "p_soc"), ternary_rows)
+    yield "skipped.json", json_rows(("s", "t", "v"),
+                                    list(zip(*map(float_texts, zip(*table.skipped)))))
 
 
-def _cmd_select(sc: Scenario, fmt: str):
+def _cmd_select(sc: Scenario, fmt: str, warnings: list[str]):
     model, baseline = _fit_from_survey(sc)
     table = _run_sweep(sc)
     constructs = sc.survey.construct_map.constructs
     header = ("rank", "policy_id", "W_prime", *(f"x_w_prime_{c}" for c in constructs))
-    outputs = {}
-    warnings = []
     selection = {}
     for profile in sc.profiles:
         ranked = evaluate_policies(model, baseline, profile, table)
@@ -190,9 +190,9 @@ def _cmd_select(sc: Scenario, fmt: str):
             )
         ranks = range(1, len(ranked.policy_ids) + 1)
         rows = list(zip(ranks, ranked.policy_ids, ranked.w_prime, *ranked.x_w_prime))
-        outputs |= _table(fmt, f"ranked_{profile_slug(profile.name)}", header, rows)
-    outputs["selection.json"] = dump_json(selection)
-    return outputs, warnings
+        yield _table(fmt, f"ranked_{profile_slug(profile.name)}", header, rows)
+        del rows  # not held while the next profile is scored
+    yield "selection.json", dump_json(selection)
 
 
 def _impact_report(sc: Scenario) -> dict:
@@ -209,13 +209,13 @@ def _impact_report(sc: Scenario) -> dict:
     return report
 
 
-def _cmd_impact(sc: Scenario, fmt: str):
-    return {"impact_report.json": dump_json(_impact_report(sc))}, []
+def _cmd_impact(sc: Scenario, fmt: str, warnings: list[str]):
+    yield "impact_report.json", dump_json(_impact_report(sc))
 
 
-def _cmd_network(sc: Scenario, fmt: str):
+def _cmd_network(sc: Scenario, fmt: str, warnings: list[str]):
     deltas = propagate_network(sc.network, sc.network_deltas)
-    return {"network.json": dump_json({"value_deltas": deltas})}, []
+    yield "network.json", dump_json({"value_deltas": deltas})
 
 
 # Each run command's function, the scenario sections it reads (with every
@@ -235,30 +235,44 @@ _DISPATCH = {
 }
 
 
-def _write_outputs(out: Path, outputs: dict[str, str]) -> None:
-    """Write every output into `out`, or none of them.
+def _write_outputs(out: Path, outputs: Iterable[tuple[str, str]]) -> list[str]:
+    """Write every `(name, text)` output into `out`, or none of them; returns
+    the names in order.
 
-    The files are written into a staging directory inside `out` and then
-    renamed into place, so a process killed mid-write leaves no partial
-    output file. On an OSError, the staged files, the staging directory
-    and any output already renamed into place are removed before it is
-    raised again.
+    Each text is written into a staging directory inside `out` as it
+    arrives and then dropped. The first output is rendered before `out` or
+    the stage is created, so a command that fails before it creates
+    nothing. Once the last output is written, the files are renamed into
+    place, so a process killed mid-write leaves no partial output file. On
+    any failure, the placed files, the stage and every directory created
+    here are removed before the exception propagates.
     """
-    out.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".wepolicy-", dir=out))
-    placed: list[Path] = []
+    names, placed, created, stage = [], [], [], None
     try:
-        for name, text in outputs.items():
+        for name, text in outputs:
+            if stage is None:
+                # The directories missing before this run, deepest first.
+                created = [p for p in (out, *out.parents) if not p.exists()]
+                out.mkdir(parents=True, exist_ok=True)
+                stage = Path(tempfile.mkdtemp(prefix=".wepolicy-", dir=out))
             (stage / name).write_text(text, encoding="utf-8", newline="")
-        for name in outputs:
+            del text  # not held while the next output is rendered
+            names.append(name)
+        for name in names:
             os.replace(stage / name, out / name)
             placed.append(out / name)
-    except OSError:
+    except BaseException:
         for path in placed:
             path.unlink(missing_ok=True)
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        for path in created:
+            with contextlib.suppress(OSError):
+                path.rmdir()
         raise
-    finally:
+    if stage is not None:
         shutil.rmtree(stage, ignore_errors=True)
+    return names
 
 
 def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
@@ -285,10 +299,9 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
             if section not in sc.parsed:
                 raise ScenarioError([f"{section}: section required by this command is missing"])
         digest = hashlib.sha256(raw).hexdigest()
-        outputs, warnings = body(sc, fmt)
-        warnings = list(sc.warnings) + warnings
+        warnings = list(sc.warnings)  # the command appends its own as it runs
         out = Path(out_dir)
-        _write_outputs(out, outputs)
+        names = _write_outputs(out, body(sc, fmt, warnings))
     except ScenarioError as err:
         for finding in err.findings:
             print(f"error: {finding}", file=sys.stderr)
@@ -304,7 +317,7 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
         "command": command,
         "scenario_digest": digest,
         "seed": sc.dynamics.seed if sc.dynamics is not None else None,
-        "outputs": [str(out / name) for name in outputs],
+        "outputs": [str(out / name) for name in names],
         "warnings": warnings,
         "wall_time_s": time.perf_counter() - started,
     }
@@ -317,14 +330,16 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
 
     When the sections a command reads have no findings, they go through
     that command's survey, sweep, surface, curve, consensus or propagation
-    step, so a numerical failure there is a finding of that section. An I/O
-    problem propagates as OSError when the document has no other finding."""
+    step, so a numerical failure there is a finding of that section. The
+    first I/O problem propagates as OSError, once every step has run, when
+    the document has no other finding."""
     try:
         doc, _ = read_scenario_file(path)
     except ScenarioError as err:
         return err.findings, []
     # Looked up on the module, as load_scenario does, so a tracing wrapper sees it.
     sc = scenario.parse_scenario(doc, Path(path).resolve().parent)
+    io_error = None
     for command, section, present, step in (
         ("fit", "survey", sc.survey is not None, lambda: _read_survey(sc)),
         ("sweep", "sweep", sc.dynamics is not None and sc.sweep_grid is not None,
@@ -333,7 +348,7 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
          lambda: surface_terms(sc.model, *sc.surface_grids)),
         ("surface", "curve", sc.curve is not None, lambda: consensus_curve(*sc.curve)),
         ("consensus-check", "consensus", sc.consensus is not None,
-         lambda: _cmd_consensus(sc, "csv")),
+         lambda: list(_cmd_consensus(sc, "csv", []))),
         ("impact", "logic_model", sc.logic_model is not None, lambda: _impact_report(sc)),
         ("network", "parameter_network", sc.network is not None,
          lambda: propagate_network(sc.network, sc.network_deltas)),
@@ -345,9 +360,10 @@ def validate_scenario(path: str | Path) -> tuple[list[str], list[str]]:
                 sc.errors += err.findings
             except _NUMERICAL_ERRORS as err:
                 sc.errors.append(f"{section}: {err}")
-            except OSError:
-                if not sc.errors:  # a document with findings reports those instead
-                    raise
+            except OSError as err:
+                io_error = io_error or err
+    if io_error is not None and not sc.errors:  # a document with findings reports those
+        raise io_error
     return sc.errors, sc.warnings
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from typing import Iterable, Sequence
 
 
@@ -24,6 +25,16 @@ class FloatText(str):
         if not math.isfinite(value):
             raise ValueError(f"not a finite float: {value!r}")
         return super().__new__(cls, float.__repr__(value))
+
+
+def float_texts(col: Sequence[float]) -> list[FloatText]:
+    """The `FloatText` of each float in `col`, each distinct value formatted
+    once. Values are told apart by their bits, so -0.0 and 0.0 keep their
+    own text."""
+    bits = struct.unpack(f"{len(col)}Q", struct.pack(f"{len(col)}d", *col))
+    distinct = dict(zip(bits, col))
+    texts = dict(zip(distinct, map(FloatText, distinct.values())))
+    return list(map(texts.__getitem__, bits))
 
 
 def csv_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -941,6 +941,34 @@ class TestPipelineCommands:
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
         assert (out1 / "ternary.csv").read_bytes() == (out2 / "ternary.csv").read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_keeps_signed_zeros(self, fixtures_dir, tmp_path, capsys, fmt):
+        """On a grid holding both -0.0 and 0.0, the sweep tables are the
+        bytes of their floats written row by row, with each zero's sign."""
+        from wepolicy.policy_sim import run_sweep
+        from wepolicy.scenario import load_scenario
+        from wepolicy.serialize import csv_table, json_rows
+
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text(encoding="utf-8"))
+        doc["sweep"] = {"subsidy": [-0.0, 0.0, 0.5, 1.0], "tax": [0.0, -0.0, 0.25],
+                        "service": [0.0, 0.5, -0.0, 1.0]}
+        scenario = tmp_path / "zeros.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "sweep", "--scenario", str(scenario), "--out", str(out),
+                             "--format", fmt)
+        assert code == 0
+        sc, _ = load_scenario(scenario)
+        grid = sc.sweep_grid
+        table = run_sweep(sc.dynamics, grid["subsidy"], grid["tax"], grid["service"])
+        write = json_rows if fmt == "json" else csv_table
+        rows = [(r.policy_id, *r.knobs, *r.indicators) for r in table.rows]
+        sweep = write(("policy_id", "s", "t", "v", "econ", "env", "social"), rows)
+        skipped = json_rows(("s", "t", "v"), table.skipped)
+        assert (out / f"sweep.{fmt}").read_text(encoding="utf-8") == sweep
+        assert (out / "skipped.json").read_text(encoding="utf-8") == skipped
+        assert "-0.0" in sweep and "-0.0" in skipped
+
     def test_seed_override_changes_outputs(self, fixtures_dir, tmp_path, capsys):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         _, r1, _ = run_cli(capsys, "sweep", "--scenario", str(fixtures_dir / "pipeline.json"),
@@ -1335,7 +1363,7 @@ class TestOutputContract:
         assert code == 3
         assert stdout == ""
         assert "No space left on device" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_failed_rename_removes_placed_outputs(self, tmp_path, capsys, monkeypatch):
         scenario = small_fig2(tmp_path)
@@ -1355,7 +1383,7 @@ class TestOutputContract:
         assert renames == ["surface.csv", "curve.csv"]
         assert (code, stdout) == (3, "")
         assert "No space left on device" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_rerun_replaces_outputs_in_place(self, tmp_path, capsys):
         scenario = small_fig2(tmp_path)
@@ -1393,6 +1421,94 @@ class TestOutputContract:
         assert code == 1
         assert err == "error: survey.file: respondent 'r0001' answer 9 outside [1, 5]\n"
         assert not out.exists()
+
+
+    @staticmethod
+    def overflowing_second_profile(fixtures_dir, tmp_path):
+        """`pipeline.json` next to its survey, with the `Type B` matrix at
+        1.79e308: `select` ranks `Type A`, then fails on `Type B`."""
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text(encoding="utf-8"))
+        profile = next(p for p in doc["weighting_profiles"] if p["name"] == "Type B")
+        profile["matrix"] = [[1.79e308] * len(row) for row in profile["matrix"]]
+        scenario = tmp_path / "pipeline.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        return str(scenario)
+
+    FAILED_PROFILE = ("error: numerical failure: profile 'Type B': coupled vector or score "
+                      "of policy 0 is not finite\n")
+
+    def test_failed_later_profile_leaves_no_out(self, fixtures_dir, tmp_path, capsys):
+        scenario = self.overflowing_second_profile(fixtures_dir, tmp_path)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "select", "--scenario", scenario, "--out", str(out))
+        assert (code, stdout, err) == (2, "", self.FAILED_PROFILE)
+        assert not out.exists()
+
+    def test_failed_later_profile_keeps_an_existing_out(self, fixtures_dir, tmp_path, capsys):
+        scenario = self.overflowing_second_profile(fixtures_dir, tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "ranked_Type_A.csv").write_bytes(b"kept\n")
+        code, _, err = run_cli(capsys, "select", "--scenario", scenario, "--out", str(out))
+        assert (code, err) == (2, self.FAILED_PROFILE)
+        assert [p.name for p in out.iterdir()] == ["ranked_Type_A.csv"]
+        assert (out / "ranked_Type_A.csv").read_bytes() == b"kept\n"
+
+    def test_failed_run_removes_the_directories_it_created(self, fixtures_dir, tmp_path, capsys):
+        scenario = self.overflowing_second_profile(fixtures_dir, tmp_path)
+        out = tmp_path / "a" / "b" / "c"
+        code, _, _ = run_cli(capsys, "select", "--scenario", scenario, "--out", str(out))
+        assert code == 2
+        assert not (tmp_path / "a").exists()
+
+
+def select_scenario(fixtures_dir, tmp_path, profiles):
+    """`pipeline.json` next to its survey, on a 25-point grid per knob
+    (8,125 admissible rows) with one agent and one step, and with
+    `profiles` weighting profiles cycling through the fixture's three."""
+    doc = json.loads((fixtures_dir / "pipeline.json").read_text(encoding="utf-8"))
+    doc["dynamics"].update(agents=1, steps=1)
+    doc["sweep"] = {knob: [stop * i / 24 for i in range(25)]
+                    for knob, stop in (("subsidy", 1.0), ("tax", 0.5), ("service", 1.0))}
+    fixture_profiles = doc["weighting_profiles"]
+    doc["weighting_profiles"] = [
+        dict(fixture_profiles[i % 3], name=f"{fixture_profiles[i % 3]['name']} {i}")
+        for i in range(profiles)
+    ]
+    scenario = tmp_path / f"select_{profiles}.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+    return scenario
+
+
+class TestSelectMemory:
+    def test_peak_does_not_grow_with_the_profiles(self, fixtures_dir, tmp_path, capsys):
+        """`select` writes each ranked table as it is rendered, so a run
+        with 8 profiles peaks within one ranked table's text of a run
+        with 2."""
+        import tracemalloc
+
+        def traced_peak(profiles):
+            scenario, out = select_scenario(fixtures_dir, tmp_path, profiles), tmp_path / "out"
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                code = main(["select", "--scenario", str(scenario), "--out", str(out)])
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak, (out / "ranked_Type_A_0.csv").stat().st_size
+
+        # Imports and first-call bindings settle before anything is traced.
+        assert main(["select", "--scenario", str(fixtures_dir / "pipeline.json"),
+                     "--out", str(tmp_path / "warm")]) == 0
+        few, table_bytes = traced_peak(2)
+        many, _ = traced_peak(8)
+        capsys.readouterr()
+        assert table_bytes > 500_000
+        assert abs(many - few) < table_bytes
 
 
 FIXTURE_COMMANDS = [
@@ -1691,6 +1807,17 @@ class TestValidateChecksTheSurvey:
         assert code == 3
         code, stdout, err_validate = run_cli(capsys, "validate", "--scenario", scenario)
         assert (code, stdout, err_validate) == (3, "", err)
+
+    def test_missing_survey_file_does_not_hide_a_later_finding(self, fixtures_dir, tmp_path,
+                                                               capsys):
+        """The steps after the failed survey read still run, and their
+        finding is reported in place of the I/O error."""
+        scenario = str(overflowing_impact(fixtures_dir, tmp_path))
+        assert not (tmp_path / "survey.csv").exists()
+        code, stdout, err = run_cli(capsys, "validate", "--scenario", scenario)
+        assert (code, err) == (1, "")
+        assert json.loads(stdout)["errors"] == [
+            "logic_model: value of node 'outreach' is not finite: inf"]
 
 
 # --- the exit-code contract on mutated fixtures ---

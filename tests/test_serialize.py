@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from wepolicy.serialize import FloatText, _cell, csv_table, dump_json, json_rows
+from wepolicy.serialize import FloatText, _cell, csv_table, dump_json, float_texts, json_rows
 
 
 def reference_csv_table(header, rows):
@@ -106,6 +106,14 @@ class TestFloatText:
             texts = [(i, FloatText(x)) for i, x in zip(ids, xs)]
             assert write(("id", "x"), texts) == write(("id", "x"), floats)
             assert write(("x",), [(t,) for _, t in texts]) == write(("x",), [(x,) for x in xs])
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.1, -2.5, 5e-324, 1e308]), max_size=12))
+    def test_float_texts_keep_each_value(self, xs):
+        """Each distinct value is formatted once, told apart by its bits, so
+        -0.0 and 0.0 keep their own text."""
+        texts = float_texts(xs)
+        assert texts == list(map(float.__repr__, xs))
+        assert all(type(t) is FloatText for t in texts)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises(self, bad):
