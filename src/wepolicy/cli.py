@@ -121,10 +121,14 @@ def _cmd_consensus(sc: Scenario, fmt: str, warnings: list[str]):
 
 
 def _read_survey(sc: Scenario):
-    """The survey file, read and checked; `fit`, `select` and `validate` read it here."""
-    cfg = sc.survey
+    """The survey file, no larger than MAX_SURVEY_BYTES, read and checked;
+    `fit`, `select` and `validate` read it here."""
+    cfg, path = sc.survey, sc.base_dir / sc.survey.file
     try:
-        survey = read_survey_csv((sc.base_dir / cfg.file).read_text(encoding="utf-8"))
+        size = path.stat().st_size
+        if size > scenario.MAX_SURVEY_BYTES:
+            raise ValueError(f"{size} bytes exceeds the cap of {scenario.MAX_SURVEY_BYTES}")
+        survey = read_survey_csv(path.read_text(encoding="utf-8"))
         check_survey(survey, cfg.construct_map, cfg.scale)
     except ValueError as err:
         raise ScenarioError([f"survey.file: {err}"]) from None

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 from .errors import DimensionError, UnknownNodeError, _cut, _listed, _quote
 from .graphs import Edge as NetworkEdge, parse_edges, propagate_linear, topological_order
 from .numeric import dot
-from .scenario import Scenario, _check, _float, _matrix, _names, _object, _str, _vector
+from .scenario import (Scenario, _all_finite, _check, _float, _matrix, _names, _object, _str,
+                       _vector)
 
 if TYPE_CHECKING:  # an annotation only; valuefn is not loaded at run time
     from .valuefn import ValueCurve
@@ -343,6 +344,9 @@ def parse_parameter_network(sc: Scenario, raw):
     sc.network = _check(where, ParameterNetwork, facts, values, edges)
     deltas = _object(raw.get("deltas", {}), f"{where}.deltas")
     fact_set = set(facts)
+    if deltas.keys() <= fact_set and _all_finite(deltas.values()):
+        sc.network_deltas.update(deltas)
+        return
     for k, v in deltas.items():
         if k not in fact_set:
             raise ValueError(f"{where}.deltas: {_quote(k)} is not a fact node")

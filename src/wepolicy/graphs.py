@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import repeat, starmap
+from operator import lt
 from typing import Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import _listed, _quote
-from .scenario import _array, _float, _object, _str
+from .scenario import _all_finite, _all_str, _array, _float, _object, _str
 
 
 class CycleError(ValueError):
@@ -23,24 +25,26 @@ class Edge(NamedTuple):
 
 
 # A scenario's graphs run to thousands of edges (and logic-model nodes), so
-# `parse_edges` and `logicmodel._nodes` check each entry inline and build its
-# field path only when a check fails. They then go through the scenario's
-# field readers, which word the finding, or accept what the inline check
-# declined, such as an int or a str subclass. `v - v == 0.0` holds for
-# exactly the finite floats: inf - inf and nan - nan are nan.
+# `parse_edges` and `logicmodel._nodes` check a section one field at a time:
+# one C-level pass per column for its types, then one for non-empty names,
+# known stages or finite floats, and build the tuples with `tuple.__new__`.
+# Only when a column check fails does the per-entry loop run, through the
+# scenario's field readers: it names the first bad entry, and converts what
+# the column checks decline but a reader accepts, such as an int weight.
 
 
 def parse_edges(value, where: str) -> tuple[Edge, ...]:
+    entries = _array(value, where)
+    if {*map(type, entries)} <= {dict}:
+        src, dst, w = ([*map(dict.get, entries, repeat(k))] for k in ("from", "to", "weight"))
+        if _all_str(src) and _all_str(dst) and _all_finite(w):
+            return tuple(map(tuple.__new__, repeat(Edge), zip(src, dst, w)))
     edges = []
-    for i, e in enumerate(_array(value, where)):
-        if type(e) is not dict:
-            e = _object(e, f"{where}[{i}]")
-        src, dst, w = e.get("from"), e.get("to"), e.get("weight")
-        if not (type(src) is str and src and type(dst) is str and dst
-                and type(w) is float and w - w == 0.0):
-            at = f"{where}[{i}]"
-            src, dst, w = _str(src, f"{at}.from"), _str(dst, f"{at}.to"), _float(w, f"{at}.weight")
-        edges.append(Edge(src, dst, w))
+    for i, e in enumerate(entries):
+        at = f"{where}[{i}]"
+        e = _object(e, at)
+        edges.append(Edge(_str(e.get("from"), f"{at}.from"), _str(e.get("to"), f"{at}.to"),
+                          _float(e.get("weight"), f"{at}.weight")))
     return tuple(edges)
 
 
@@ -50,6 +54,8 @@ def topological_order(names: Sequence[str], edges: Sequence[Tuple[int, int]]) ->
     Each edge is a (source, target) pair of positions in `names`. Raises
     CycleError naming the nodes left on a cycle. Names must be unique.
     """
+    if all(starmap(lt, edges)):  # every edge runs forward: the heap pops 0, 1, 2, ...
+        return list(names)
     indegree = [0] * len(names)
     outgoing: list[list[int]] = [[] for _ in names]
     for src, dst in edges:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from itertools import repeat
 from typing import Mapping
 
 from .errors import StageBindingError, UnknownNodeError, _cut, _listed, _quote
 from .graphs import CycleError, Edge, parse_edges, propagate_linear, topological_order
-from .scenario import Scenario, _array, _check, _float, _names, _object, _str, _vector
+from .scenario import (Scenario, _all_finite, _all_str, _array, _check, _float, _names, _object,
+                       _str, _vector)
 
 STAGES = ("inputs", "activities", "outputs", "outcomes", "impacts")
 BINDABLE_STAGES = ("inputs", "activities", "outputs")
@@ -108,7 +110,10 @@ def _require_valid(model: LogicModel):
 
 def check_inputs(model: LogicModel, input_values: Mapping[str, float]):
     """Raise unless `input_values` covers exactly the inputs-stage nodes."""
-    input_names = {n.name for n in model.stage_nodes("inputs")}
+    _check_inputs({n.name for n in model.stage_nodes("inputs")}, input_values)
+
+
+def _check_inputs(input_names: set[str], input_values: Mapping[str, float]):
     unknown = [k for k in input_values if k not in input_names]
     if unknown:
         raise UnknownNodeError(f"values given for non-inputs nodes: {_listed(sorted(unknown))}")
@@ -166,7 +171,10 @@ class FactBinding(namedtuple("FactBinding", "bindings elements values")):
 
 def check_binding(model: LogicModel, binding: FactBinding):
     """Raise unless every bound node exists and sits on the left side."""
-    by_name = model.node_map()
+    _check_binding(model.node_map(), binding)
+
+
+def _check_binding(by_name: Mapping[str, Node], binding: FactBinding):
     for node in binding.bindings:
         if node not in by_name:
             raise UnknownNodeError(f"binding references unknown node {_quote(node)}")
@@ -190,11 +198,12 @@ def couple_facts(
     subjective. Unbound inputs default to the given input_values (or 0).
     """
     _require_valid(model)
-    check_binding(model, binding)
-    exogenous = {n.name: 0.0 for n in model.stage_nodes("inputs")}
-    exogenous.update(input_values or {})
-    check_inputs(model, exogenous)
     by_name = model.node_map()
+    _check_binding(by_name, binding)
+    exogenous = {n.name: 0.0 for n in model.stage_nodes("inputs")}
+    input_names = set(exogenous)
+    exogenous.update(input_values or {})
+    _check_inputs(input_names, exogenous)
     for node in binding.bindings:
         value = binding.value_for(node)
         if by_name[node].stage == "inputs":
@@ -206,16 +215,16 @@ def couple_facts(
 
 
 def _nodes(value, where: str) -> tuple[Node, ...]:
-    """The logic model's nodes, each checked inline as `graphs.parse_edges` checks an edge."""
+    """The logic model's nodes, checked by column as `graphs.parse_edges` checks edges."""
+    entries = _array(value, where)
+    if {*map(type, entries)} <= {dict}:
+        names, stages = ([*map(dict.get, entries, repeat(k))] for k in ("name", "stage"))
+        bases = [*map(dict.get, entries, repeat("baseline"), repeat(0.0))]
+        if (_all_str(names) and _all_str(stages) and {*stages} <= _RANK.keys()
+                and _all_finite(bases)):
+            return tuple(map(tuple.__new__, repeat(Node), zip(names, stages, bases)))
     nodes = []
-    for i, n in enumerate(_array(value, where)):
-        if type(n) is dict:
-            name, stage, base = n.get("name"), n.get("stage"), n.get("baseline", 0.0)
-            if (type(name) is str and name and type(stage) is str
-                    and stage in STAGES and type(base) is float
-                    and base - base == 0.0):
-                nodes.append(Node(name, stage, base))
-                continue
+    for i, n in enumerate(entries):
         at = f"{where}[{i}]"
         n = _object(n, at)
         nodes.append(_check(at, Node, _str(n.get("name"), f"{at}.name"),
@@ -238,8 +247,11 @@ def parse_logic_model(sc: Scenario, raw):
     sc.logic_model = model
 
     inputs = _object(raw.get("inputs", {}), f"{where}.inputs")
-    for k, v in inputs.items():
-        sc.logic_inputs[k] = _float(v, f"{where}.inputs.{_cut(k)}")
+    if _all_finite(inputs.values()):
+        sc.logic_inputs.update(inputs)
+    else:
+        for k, v in inputs.items():
+            sc.logic_inputs[k] = _float(v, f"{where}.inputs.{_cut(k)}")
     _check(f"{where}.inputs", check_inputs, model, sc.logic_inputs)
 
     fb = raw.get("fact_bindings")
@@ -248,10 +260,11 @@ def parse_logic_model(sc: Scenario, raw):
             raise ValueError(f"{where}.fact_bindings.bindings: expected an object")
         elements = _names(fb.get("elements", []), f"{where}.fact_bindings.elements")
         values = tuple(_vector(fb.get("values", []), f"{where}.fact_bindings.values"))
-        bindings = {}
-        for k, v in fb["bindings"].items():
-            _str(k, f"{where}.fact_bindings.bindings")
-            bindings[k] = _str(v, f"{where}.fact_bindings.bindings.{_cut(k)}")
+        bindings = dict(fb["bindings"])
+        if not (_all_str(bindings) and _all_str(bindings.values())):
+            for k, v in bindings.items():
+                _str(k, f"{where}.fact_bindings.bindings")
+                _str(v, f"{where}.fact_bindings.bindings.{_cut(k)}")
         binding = _check(f"{where}.fact_bindings", FactBinding, bindings, elements, values)
         _check(f"{where}.fact_bindings", check_binding, model, binding)
         sc.fact_binding = binding

@@ -47,6 +47,11 @@ if TYPE_CHECKING:
 # upper bound on the work done. Parsers read them here at call time.
 MAX_GRID_POINTS = 1_000_000
 MAX_SWEEP_WORK = 10_000_000
+# The largest scenario and survey files read, in bytes, checked with `stat`
+# before either file is read; well above the largest the benchmark generates
+# (a 1.97 MB scenario, a 540 KB survey).
+MAX_SCENARIO_BYTES = 32 * 2**20
+MAX_SURVEY_BYTES = 16 * 2**20
 
 ROW_SUM_TOL = 1e-12
 
@@ -218,7 +223,27 @@ def _object(value, where: str) -> dict:
 
 
 def _names(value, where: str) -> tuple[str, ...]:
-    return tuple(_str(v, f"{where}[{i}]") for i, v in enumerate(_array(value, where)))
+    values = _array(value, where)
+    if _all_str(values):
+        return tuple(values)
+    return tuple(_str(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+# Column checks for the graph sections, each a few C-level passes that test
+# the types before anything hashes or adds the values. When one fails, the
+# caller's per-entry loop finds and words the first bad entry.
+
+
+def _all_str(values) -> bool:
+    """Whether every value is a non-empty str."""
+    return {*map(type, values)} <= {str} and all(values)
+
+
+def _all_finite(values) -> bool:
+    """Whether every value is a finite float. A sum is finite unless a value
+    is inf or nan, or the sum overflows, which sends finite values to the
+    per-entry loop."""
+    return {*map(type, values)} <= {float} and math.isfinite(sum(values))
 
 
 def _check(where: str, fn, *args, **kwargs):
@@ -354,8 +379,12 @@ def parse_scenario(doc: dict, base_dir: Path, sections: tuple[str, ...] | None =
 
 
 def read_scenario_file(path: str | Path) -> tuple[dict, bytes]:
-    """Read and JSON-parse a scenario; parse errors name line and column."""
+    """Read and JSON-parse a scenario no larger than MAX_SCENARIO_BYTES;
+    parse errors name line and column."""
     p = Path(path)
+    size = p.stat().st_size
+    if size > MAX_SCENARIO_BYTES:
+        raise ScenarioError([f"scenario: {size} bytes exceeds the cap of {MAX_SCENARIO_BYTES}"])
     data = p.read_bytes()
     try:
         doc = json.loads(data.decode("utf-8"))

@@ -1820,6 +1820,34 @@ class TestValidateChecksTheSurvey:
             "logic_model: value of node 'outreach' is not finite: inf"]
 
 
+
+class TestFileCaps:
+    """A scenario or survey file one byte over its cap is a finding of exit 1
+    with no output, which `validate` reports too; a file at the cap is read."""
+
+    @pytest.mark.parametrize("cap, name, command, file", [
+        ("MAX_SCENARIO_BYTES", "scenario", "impact", "pipeline.json"),
+        ("MAX_SURVEY_BYTES", "survey.file", "fit", "survey.csv"),
+    ], ids=["scenario", "survey"])
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
+    def test_cap_and_cap_plus_one(self, fixtures_dir, tmp_path, capsys, monkeypatch,
+                                  cap, name, command, file, over):
+        for copied in ("pipeline.json", "survey.csv"):
+            shutil.copy(fixtures_dir / copied, tmp_path / copied)
+        size = (tmp_path / file).stat().st_size
+        monkeypatch.setattr(f"wepolicy.scenario.{cap}", size - over)
+        scenario, out = str(tmp_path / "pipeline.json"), tmp_path / "out"
+        code, _, err = run_cli(capsys, command, "--scenario", scenario, "--out", str(out))
+        validated, stdout, _ = run_cli(capsys, "validate", "--scenario", scenario)
+        if not over:
+            assert (code, validated) == (0, 0) and out.is_dir()
+            return
+        finding = f"{name}: {size} bytes exceeds the cap of {size - 1}"
+        assert (code, err) == (1, f"error: {finding}\n")
+        assert not out.exists()
+        assert validated == 1
+        assert json.loads(stdout) == {"ok": False, "errors": [finding], "warnings": []}
+
 # --- the exit-code contract on mutated fixtures ---
 
 # The caps are lowered so that a count one past a cap stays small.

@@ -1,6 +1,8 @@
 """The shared weighted-DAG kernel against reference copies of the loops it
 replaced, and the logic model's sort-once contract."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -17,6 +19,7 @@ from wepolicy.logicmodel import (
     couple_facts,
     propagate,
 )
+from wepolicy.scenario import parse_scenario
 
 weights = st.floats(min_value=-4.0, max_value=4.0)  # includes -0.0
 
@@ -126,8 +129,10 @@ def assert_identical(got: dict, want: dict):
 def declared_graphs(draw, acyclic: bool):
     """Unique names declared in shuffled order, with edges in shuffled order.
 
-    Acyclic graphs only run from a lower to a higher hidden rank; the others
-    take any pair, self-loops included, so most of them have a cycle.
+    Acyclic graphs only run from a lower to a higher hidden rank, and a share
+    of them declare their names in rank order, so every edge runs forward;
+    the others take any pair, self-loops included, so most of them have a
+    cycle.
     """
     n = draw(st.integers(1, 12))
     rank = draw(st.permutations(range(n)))
@@ -140,7 +145,10 @@ def declared_graphs(draw, acyclic: bool):
             if rank[a] > rank[b]:
                 a, b = b, a
         edges.append((f"n{a}", f"n{b}"))
-    names = draw(st.permutations([f"n{i}" for i in range(n)]))
+    if acyclic and draw(st.booleans()):
+        names = [f"n{i}" for i in sorted(range(n), key=rank.__getitem__)]
+    else:
+        names = draw(st.permutations([f"n{i}" for i in range(n)]))
     return list(names), edges
 
 
@@ -194,6 +202,7 @@ class TestTopologicalOrder:
 
     @given(declared_graphs(acyclic=False))
     @example(([f"n{i}" for i in range(11)], [(f"n{i}", f"n{(i + 1) % 11}") for i in range(11)]))
+    @example((["n0", "n1"], [("n0", "n1"), ("n1", "n1")]))  # forward but for a self-loop
     def test_cycle_text_matches_reference(self, graph):
         names, edges = graph
         try:
@@ -316,3 +325,37 @@ class TestLogicModelSortedOnce:
         assert logicmodel.validate(model) == ["duplicate node names: a"]
         with pytest.raises(ValueError, match="duplicate"):
             propagate(model, {"a": 1.0})
+
+
+class TestForwardDeclaredOrder:
+    """The declaration order is returned without the heap exactly when every
+    edge runs to a later-declared node."""
+
+    def test_stage_ordered_logic_model_skips_the_heap(self, monkeypatch):
+        class NoHeap:
+            def __getattr__(self, name):
+                raise AssertionError(f"heapq.{name} used on a forward-declared graph")
+
+        monkeypatch.setattr(graphs, "heapq", NoHeap())
+        stages = [[f"{stage}{i}" for i in range(3)] for stage in STAGES]
+        doc = {"logic_model": {
+            "nodes": [{"name": n, "stage": stage} for stage, names in zip(STAGES, stages)
+                      for n in names],
+            "edges": [{"from": src, "to": dst, "weight": 0.5}
+                      for prev, cur in zip(stages, stages[1:]) for src in prev for dst in cur]
+            + [{"from": "inputs0", "to": "inputs2", "weight": 1.0}],
+            "inputs": dict.fromkeys(stages[0], 1.0),
+        }}
+        sc = parse_scenario(doc, Path("."))
+        assert sc.errors == []
+        assert sc.logic_model._order == tuple(n for names in stages for n in names)
+
+    def test_values_before_intermediates_sort_through_the_heap(self, monkeypatch):
+        pops, heappop = [], graphs.heapq.heappop
+        monkeypatch.setattr(graphs.heapq, "heappop",
+                            lambda heap: pops.append(heap[0]) or heappop(heap))
+        net = ParameterNetwork(("fact",), ("value",), (Edge("fact", "mid", 1.0),
+                                                       Edge("mid", "value", 2.0)))
+        assert net.node_names() == ("fact", "value", "mid")
+        assert net._order == ("fact", "mid", "value")
+        assert pops == [0, 2, 1]

@@ -1218,3 +1218,118 @@ class TestGraphSectionsMatchAccessors:
         sc = parse_scenario(doc, FIXTURES)
         assert sc.errors == [] == reference_graph_sections(doc)[0]
         assert sc.logic_model == reference_graph_sections(doc)[1]["logic_model"]
+
+
+# --- the column passes against the same reference, entry by entry -------------
+
+
+def column_doc():
+    """Both graph sections, each field holding at least three entries."""
+    return {
+        "logic_model": {
+            "nodes": [*({"name": f"i{k}", "stage": "inputs", "baseline": 0.5} for k in range(3)),
+                      {"name": "a0", "stage": "activities"},
+                      {"name": "o0", "stage": "outputs", "baseline": -0.25},
+                      {"name": "z0", "stage": "impacts", "baseline": 0.0}],
+            "edges": [{"from": "i0", "to": "a0", "weight": 0.5},
+                      {"from": "i1", "to": "a0", "weight": -1.5},
+                      {"from": "a0", "to": "o0", "weight": 2.0},
+                      {"from": "i2", "to": "o0", "weight": 0.25},
+                      {"from": "o0", "to": "z0", "weight": 1.0}],
+            "inputs": {"i0": 1.0, "i1": 0.5, "i2": -2.0},
+            "fact_bindings": {"bindings": {"i0": "e0", "a0": "e1", "o0": "e2"},
+                              "elements": ["e0", "e1", "e2"], "values": [0.1, 0.2, 0.3]},
+        },
+        "parameter_network": {
+            "facts": ["f0", "f1", "f2"],
+            "values": ["v0", "v1", "v2"],
+            "edges": [{"from": "f0", "to": "m0", "weight": 0.5},
+                      {"from": "f1", "to": "m0", "weight": 1.5},
+                      {"from": "m0", "to": "v0", "weight": -1.0},
+                      {"from": "f2", "to": "v1", "weight": 2.0},
+                      {"from": "f0", "to": "v2", "weight": 0.75}],
+            "deltas": {"f0": 0.1, "f1": -0.2, "f2": 0.3},
+        },
+    }
+
+
+KEY = object()  # swap a map entry's key instead of its value
+BAD_NAMES = ["", 5, True, None, [], {}, ["x"]]
+BAD_NUMBERS = ["x", "0.5", True, None, float("inf"), float("nan"), 10**400, [], {}]
+INTS = [2, -3, 0, 2**70]
+
+# (path to the field, the key swapped in each entry (None: the entry itself),
+# values its field reader refuses, more values: accepted ints, or ones that
+# a later check of the section refuses)
+COLUMN_FIELDS = [
+    (("logic_model", "nodes"), "name", BAD_NAMES, ["i1"]),
+    (("logic_model", "nodes"), "stage", [*BAD_NAMES, "nope", "Inputs"], ["impacts"]),
+    (("logic_model", "nodes"), "baseline", BAD_NUMBERS, INTS),
+    (("logic_model", "nodes"), None, [7, "x", None, [], ["a0"]], []),
+    (("logic_model", "edges"), "from", BAD_NAMES, ["ghost", "z0"]),
+    (("logic_model", "edges"), "to", BAD_NAMES, ["i0"]),
+    (("logic_model", "edges"), "weight", BAD_NUMBERS, INTS),
+    (("logic_model", "edges"), None, [7, None, [], {"from": "i0"}], []),
+    (("logic_model", "inputs"), None, BAD_NUMBERS, INTS),
+    (("logic_model", "inputs"), KEY, [], ["", "a0", "ghost"]),
+    (("logic_model", "fact_bindings", "bindings"), None, BAD_NAMES, ["ghost"]),
+    (("logic_model", "fact_bindings", "bindings"), KEY, [], ["", "ghost", "z0"]),
+    (("logic_model", "fact_bindings", "elements"), None, BAD_NAMES, ["e0"]),
+    (("logic_model", "fact_bindings", "values"), None, BAD_NUMBERS, INTS),
+    (("parameter_network", "facts"), None, BAD_NAMES, ["v0", "f1"]),
+    (("parameter_network", "values"), None, BAD_NAMES, ["f0", "v1"]),
+    (("parameter_network", "edges"), "from", BAD_NAMES, ["v0"]),
+    (("parameter_network", "edges"), "to", BAD_NAMES, ["f1"]),
+    (("parameter_network", "edges"), "weight", BAD_NUMBERS, INTS),
+    (("parameter_network", "edges"), None, [7, None, [], {"to": "v0"}], []),
+    (("parameter_network", "deltas"), None, BAD_NUMBERS, INTS),
+    (("parameter_network", "deltas"), KEY, [], ["", "ghost", "v0", "m0"]),
+]
+
+
+def swapped(path, key, pos, value):
+    """`column_doc()` with entry `pos` of the field at `path` changed."""
+    doc = column_doc()
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    field = parent[path[-1]]
+    if key is KEY:
+        parent[path[-1]] = {value if i == pos else k: v for i, (k, v) in enumerate(field.items())}
+    elif isinstance(field, dict):
+        field[list(field)[pos]] = value
+    elif key is None:
+        field[pos] = value
+    else:
+        field[pos][key] = value
+    return doc
+
+
+class TestColumnPassesKeepFindings:
+    """The first, a middle or the last entry of each field, swapped: the
+    findings and the objects built are those of the per-entry reference, a
+    value the field reader refuses is one finding naming its entry, and an
+    int number is accepted as its float."""
+
+    @pytest.mark.parametrize("path, key, bad, more", COLUMN_FIELDS, ids=[
+        ".".join(path) + ("" if key is None else "[key]" if key is KEY else f".{key}")
+        for path, key, _, _ in COLUMN_FIELDS])
+    def test_each_position(self, path, key, bad, more):
+        field = column_doc()
+        for k in path:
+            field = field[k]
+        for pos in (0, len(field) // 2, len(field) - 1):
+            for value in [*bad, *more]:
+                doc = swapped(path, key, pos, value)
+                sc = parse_scenario(doc, FIXTURES)
+                want_errors, want = reference_graph_sections(doc)
+                case = (path, key, pos, value)
+                assert sc.errors == want_errors, case
+                for attr, obj in want.items():
+                    assert repr(getattr(sc, attr)) == repr(obj), (case, attr)
+                if value in more:
+                    assert type(value) is not int or want_errors == [], case
+                    continue
+                assert len(want_errors) == 1, case
+                at = f"[{pos}]" if isinstance(field, list) else f".{list(field)[pos]}:"
+                assert at in want_errors[0], case
