@@ -80,11 +80,12 @@ _NUMERICAL_ERRORS: tuple[type[Exception], ...] = (
 )
 
 
-def _table(fmt: str, stem: str, header, rows) -> tuple[str, str]:
-    """The `(file name, text)` output of one table in format `fmt`."""
+def _table(fmt: str, stem: str, header, *columns) -> tuple[str, str]:
+    """The `(file name, text)` output of one table, given as one column per
+    header name, in format `fmt`."""
     if fmt == "json":
-        return f"{stem}.json", json_rows(header, rows)
-    return f"{stem}.csv", csv_table(header, rows)
+        return f"{stem}.json", json_rows(header, *columns)
+    return f"{stem}.csv", csv_table(header, *columns)
 
 
 def _cmd_surface(sc: Scenario, fmt: str, warnings: list[str]):
@@ -94,14 +95,12 @@ def _cmd_surface(sc: Scenario, fmt: str, warnings: list[str]):
     curve = consensus_curve(*sc.curve) if sc.curve is not None else None
     # Each grid value fills a whole row or column of the grid, so it is
     # formatted once per grid index.
-    rows = list(zip(
-        [t for t in map(FloatText, xs_n) for _ in xs_w],
-        list(map(FloatText, xs_w)) * len(xs_n),
-        [r[2] for r in cells],
-    ))
-    yield _table(fmt, "surface", ("x_n", "x_w", "W"), rows)
-    if curve is not None:
-        yield _table(fmt, "curve", ("x", "W"), curve)
+    yield _table(fmt, "surface", ("x_n", "x_w", "W"),
+                 [t for t in map(FloatText, xs_n) for _ in xs_w],
+                 list(map(FloatText, xs_w)) * len(xs_n),
+                 [r[2] for r in cells])
+    if curve is not None:  # never empty: the curve grid is not
+        yield _table(fmt, "curve", ("x", "W"), *zip(*curve))
 
 
 def _cmd_consensus(sc: Scenario, fmt: str, warnings: list[str]):
@@ -125,10 +124,10 @@ def _read_survey(sc: Scenario):
     `fit`, `select` and `validate` read it here."""
     cfg, path = sc.survey, sc.base_dir / sc.survey.file
     try:
-        size = path.stat().st_size
-        if size > scenario.MAX_SURVEY_BYTES:
-            raise ValueError(f"{size} bytes exceeds the cap of {scenario.MAX_SURVEY_BYTES}")
-        survey = read_survey_csv(path.read_text(encoding="utf-8"))
+        text = scenario.read_capped(path, scenario.MAX_SURVEY_BYTES).decode("utf-8")
+        if "\r" in text:  # universal newlines, as a file opened in text mode reads them
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        survey = read_survey_csv(text)
         check_survey(survey, cfg.construct_map, cfg.scale)
     except ValueError as err:
         raise ScenarioError([f"survey.file: {err}"]) from None
@@ -167,15 +166,15 @@ def _cmd_sweep(sc: Scenario, fmt: str, warnings: list[str]):
         warnings.append(
             f"skipped {len(table.skipped)} inadmissible grid combinations (s + v > 1)"
         )
+    ids, knobs, indicators = zip(*table.rows)
     # The knobs and indicators repeat their values down each column.
-    floats = map(float_texts, [*zip(*(r.knobs for r in table.rows)),
-                               *zip(*(r.indicators for r in table.rows))])
-    sweep_rows = list(zip([r.policy_id for r in table.rows], *floats))
-    yield _table(fmt, "sweep", ("policy_id", "s", "t", "v", "econ", "env", "social"), sweep_rows)
-    ternary_rows = [(r.policy_id, *p) for r, p in zip(table.rows, shares)]
-    yield _table(fmt, "ternary", ("policy_id", "p_econ", "p_env", "p_soc"), ternary_rows)
-    yield "skipped.json", json_rows(("s", "t", "v"),
-                                    list(zip(*map(float_texts, zip(*table.skipped)))))
+    floats = map(float_texts, [*zip(*knobs), *zip(*indicators)])
+    yield _table(fmt, "sweep", ("policy_id", "s", "t", "v", "econ", "env", "social"),
+                 ids, *floats)
+    yield _table(fmt, "ternary", ("policy_id", "p_econ", "p_env", "p_soc"), ids, *shares)
+    # Three columns also when nothing was skipped.
+    skipped = zip(*table.skipped) if table.skipped else ((), (), ())
+    yield "skipped.json", json_rows(("s", "t", "v"), *map(float_texts, skipped))
 
 
 def _cmd_select(sc: Scenario, fmt: str, warnings: list[str]):
@@ -193,9 +192,8 @@ def _cmd_select(sc: Scenario, fmt: str, warnings: list[str]):
                 f"{ranked.perturbation_warnings} of {len(ranked.policy_ids)} rows"
             )
         ranks = range(1, len(ranked.policy_ids) + 1)
-        rows = list(zip(ranks, ranked.policy_ids, ranked.w_prime, *ranked.x_w_prime))
-        yield _table(fmt, f"ranked_{profile_slug(profile.name)}", header, rows)
-        del rows  # not held while the next profile is scored
+        yield _table(fmt, f"ranked_{profile_slug(profile.name)}", header,
+                     ranks, ranked.policy_ids, ranked.w_prime, *ranked.x_w_prime)
     yield "selection.json", dump_json(selection)
 
 

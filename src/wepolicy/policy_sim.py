@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from functools import cache
+from functools import cache, partial, reduce
+from itertools import compress, count, repeat
+from operator import add, attrgetter, not_, sub, truediv
 from typing import NamedTuple, Sequence
 
 from . import scenario
@@ -169,34 +171,39 @@ def run_sweep(
                     admissible.append(tuple.__new__(PolicyKnobs, (s, t, v)))
                 else:
                     admissible.append(PolicyKnobs(subsidy=s, tax=t, service=v))
-    rows = (
-        SweepRow(policy_id=i, knobs=knobs, indicators=indicators)
-        for i, (knobs, indicators) in enumerate(zip(admissible, _simulate(cfg, admissible)))
-    )
+    rows = map(tuple.__new__, repeat(SweepRow),
+               zip(count(), admissible, _simulate(cfg, admissible)))
     return SweepTable(rows=tuple(rows), skipped=tuple(skipped))
 
 
-def normalize_ternary(table: SweepTable) -> list[tuple[float, float, float]]:
-    """Simplex shares per row: min-max normalize each indicator across the
-    table to [0, 1], then divide each row by its sum. A degenerate all-zero
-    row maps to the centroid (1/3, 1/3, 1/3)."""
+def normalize_ternary(table: SweepTable) -> list[list[float]]:
+    """Simplex shares as three columns (p_econ, p_env, p_soc), one share per
+    row: min-max normalize each indicator across the table to [0, 1], then
+    divide each row by its sum. A degenerate all-zero row maps to the
+    centroid (1/3, 1/3, 1/3).
+
+    Runs one indicator column at a time, with each row's float operations
+    those of a per-row loop: `(v - l) / (h - l)`, the total
+    `((0.0 + n0) + n1) + n2` and `n / total`."""
     if not table.rows:
         raise ValueError("cannot normalize an empty sweep table")
-    cols = list(zip(*(r.indicators for r in table.rows)))
-    lo = [min(c) for c in cols]
-    hi = [max(c) for c in cols]
-    out = []
-    for row in table.rows:
-        norm = [
-            (v - l) / (h - l) if h > l else 0.0
-            for v, l, h in zip(row.indicators, lo, hi)
-        ]
-        total = left_sum(norm)
-        if total == 0.0:
-            out.append((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
+    n = len(table.rows)
+    norm = []
+    for col in zip(*map(attrgetter("indicators"), table.rows)):
+        lo, hi = min(col), max(col)
+        if hi > lo:
+            norm.append(list(map(truediv, map(sub, col, repeat(lo)), repeat(hi - lo))))
         else:
-            out.append(tuple(v / total for v in norm))
-    return out
+            norm.append([0.0] * n)
+    totals = list(reduce(partial(map, add), norm, repeat(0.0, n)))
+    zero = list(compress(range(n), map(not_, totals)))
+    for i in zero:
+        totals[i] = 1.0  # divided by without raising; the row is the centroid below
+    shares = [list(map(truediv, col, totals)) for col in norm]
+    for col in shares:
+        for i in zero:
+            col[i] = 1.0 / 3.0
+    return shares
 
 
 def parse_dynamics(sc: Scenario, raw):

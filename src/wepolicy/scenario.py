@@ -47,9 +47,9 @@ if TYPE_CHECKING:
 # upper bound on the work done. Parsers read them here at call time.
 MAX_GRID_POINTS = 1_000_000
 MAX_SWEEP_WORK = 10_000_000
-# The largest scenario and survey files read, in bytes, checked with `stat`
-# before either file is read; well above the largest the benchmark generates
-# (a 1.97 MB scenario, a 540 KB survey).
+# The largest scenario and survey files read, in bytes (`read_capped`);
+# well above the largest the benchmark generates (a 1.97 MB scenario, a
+# 540 KB survey).
 MAX_SCENARIO_BYTES = 32 * 2**20
 MAX_SURVEY_BYTES = 16 * 2**20
 
@@ -378,14 +378,30 @@ def parse_scenario(doc: dict, base_dir: Path, sections: tuple[str, ...] | None =
     return sc
 
 
+def read_capped(path: Path, cap: int) -> bytes:
+    """The bytes of `path`, or ValueError when it holds more than `cap`.
+    A regular file is refused by its `stat` size before it is read; at most
+    `cap + 1` bytes are read in any case, since a device or a FIFO reports
+    size 0."""
+    size = path.stat().st_size
+    if size > cap:
+        raise ValueError(f"{size} bytes exceeds the cap of {cap}")
+    with path.open("rb") as f:
+        data = f.read(size + 1)  # a buffer of the size, not of the cap
+        if len(data) > size:  # a device, a FIFO or a file that grew
+            data += f.read(cap + 1 - len(data))
+    if len(data) > cap:
+        raise ValueError(f"stream exceeds the cap of {cap} bytes")
+    return data
+
+
 def read_scenario_file(path: str | Path) -> tuple[dict, bytes]:
     """Read and JSON-parse a scenario no larger than MAX_SCENARIO_BYTES;
     parse errors name line and column."""
-    p = Path(path)
-    size = p.stat().st_size
-    if size > MAX_SCENARIO_BYTES:
-        raise ScenarioError([f"scenario: {size} bytes exceeds the cap of {MAX_SCENARIO_BYTES}"])
-    data = p.read_bytes()
+    try:
+        data = read_capped(Path(path), MAX_SCENARIO_BYTES)
+    except ValueError as err:
+        raise ScenarioError([f"scenario: {err}"]) from None
     try:
         doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as err:

@@ -4,6 +4,9 @@ Every float written to an output file is `float.__repr__` text: Python's
 shortest round-trip repr (up to 17 significant digits, `.` decimal
 separator, no locale dependence), also for numpy's float subclasses. Two
 runs over the same inputs therefore produce byte-identical files.
+
+The table writers, `csv_table` and `json_rows`, take a table as its header
+and one column per header name, and format it a column at a time.
 """
 
 from __future__ import annotations
@@ -37,16 +40,25 @@ def float_texts(col: Sequence[float]) -> list[FloatText]:
     return list(map(texts.__getitem__, bits))
 
 
-def csv_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Render a CSV with '\\n' line endings and round-trip float cells.
+def csv_table(header: Sequence[str], *columns: Sequence[object]) -> str:
+    """Render a CSV with '\\n' line endings and round-trip float cells,
+    from one column per header name.
 
-    Rows must all have the same length. Cells are formatted a column at a
-    time; a column of exact floats or exact ints takes the type's own
-    repr, and a `FloatText` column is written as it is.
+    Cells are formatted a column at a time; a column of exact floats or
+    exact ints takes the type's own repr, and a `FloatText` column is
+    written as it is. Columns of unequal length raise ValueError.
     """
-    cols = [_column(col, _cell) for col in zip(*rows, strict=True)]
-    body = map(",".join, zip(*cols)) if cols else [""] * len(rows)
+    _check_columns(header, columns)
+    body = map(",".join, zip(*[_column(col, _cell) for col in columns]))
     return "\n".join([",".join(header), *body]) + "\n"
+
+
+def _check_columns(header: Sequence[str], columns: Sequence[Sequence[object]]):
+    """Raise ValueError unless there is one column per header name, all of
+    one length."""
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"expected {len(header)} columns of one length, got lengths "
+                         f"{list(map(len, columns))}")
 
 
 def _column(col: Sequence[object], cell, finite: bool = False) -> Iterable[str]:
@@ -76,23 +88,22 @@ def dump_json(obj: object) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def json_rows(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def json_rows(header: Sequence[str], *columns: Sequence[object]) -> str:
     """Same table as `csv_table` rendered as a JSON array of objects.
 
-    The text equals `dump_json([dict(zip(header, row)) for row in rows])`
-    for distinct header names and rows of one length, with each
-    `FloatText` cell read as its float, and a non-finite float raises
-    ValueError as there, but cells are formatted a column at a time and
-    each object comes from one template.
+    The text equals `dump_json([dict(zip(header, row)) for row in
+    zip(*columns)])` for distinct header names, with each `FloatText` cell
+    read as its float, and a non-finite float raises ValueError as there,
+    but cells are formatted a column at a time and each object comes from
+    one template. Columns of unequal length raise ValueError.
     """
-    if not rows:
+    _check_columns(header, columns)
+    if not columns or not len(columns[0]):
         return "[]\n"
-    cols = [_column(col, _json_cell, finite=True)
-            for _, col in zip(header, zip(*rows, strict=True))]
-    keys = [json.dumps(name).replace("%", "%%") + ": %s" for name in header[:len(cols)]]
+    cols = [_column(col, _json_cell, finite=True) for col in columns]
+    keys = [json.dumps(name).replace("%", "%%") + ": %s" for name in header]
     template = "{\n    " + ",\n    ".join(keys) + "\n  }"
-    objects = map(template.__mod__, zip(*cols)) if cols else ["{}"] * len(rows)
-    return "[\n  " + ",\n  ".join(objects) + "\n]\n"
+    return "[\n  " + ",\n  ".join(map(template.__mod__, zip(*cols))) + "\n]\n"
 
 
 def _json_cell(v: object) -> str:

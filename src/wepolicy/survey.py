@@ -199,7 +199,8 @@ def read_survey_csv(text: str) -> SurveyColumns:
     """Parse `respondent,q1..qK` CSV text into columns; K is
     `len(result.answers)`.
 
-    Field counts and integers are checked column by column, each distinct
+    Field counts and integers are checked column by column: a column of
+    single ASCII digits in one pass over its bytes, any other each distinct
     answer text once; only when that fails is the text read again row by row
     to name the first bad line.
     """
@@ -225,10 +226,25 @@ def read_survey_csv(text: str) -> SurveyColumns:
         respondents, *cols = zip(*rows, strict=True)
         if len(cols) != k:
             raise ValueError
-        answers = tuple(list(map({a: int(a) for a in set(col)}.__getitem__, col)) for col in cols)
+        answers = tuple(map(_answers, cols))
     except ValueError:
         _raise_first_bad_line(text, k)
     return SurveyColumns(respondents, answers)
+
+
+_DIGITS = frozenset("0123456789")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _answers(col: Sequence[str]) -> list[int]:
+    """The ints of one column of answer texts. A column of one ASCII digit
+    per field is converted in one pass over its bytes; any other column
+    takes one `int()` per distinct text, which raises ValueError as `int()`
+    does."""
+    distinct = set(col)
+    if distinct <= _DIGITS:
+        return list("".join(col).encode().translate(_DIGIT_VALUES))
+    return list(map({a: int(a) for a in distinct}.__getitem__, col))
 
 
 def _raise_first_bad_line(text: str, k: int):

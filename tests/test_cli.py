@@ -944,7 +944,7 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_keeps_signed_zeros(self, fixtures_dir, tmp_path, capsys, fmt):
         """On a grid holding both -0.0 and 0.0, the sweep tables are the
-        bytes of their floats written row by row, with each zero's sign."""
+        bytes of their float columns, with each zero's sign."""
         from wepolicy.policy_sim import run_sweep
         from wepolicy.scenario import load_scenario
         from wepolicy.serialize import csv_table, json_rows
@@ -962,9 +962,10 @@ class TestPipelineCommands:
         grid = sc.sweep_grid
         table = run_sweep(sc.dynamics, grid["subsidy"], grid["tax"], grid["service"])
         write = json_rows if fmt == "json" else csv_table
-        rows = [(r.policy_id, *r.knobs, *r.indicators) for r in table.rows]
-        sweep = write(("policy_id", "s", "t", "v", "econ", "env", "social"), rows)
-        skipped = json_rows(("s", "t", "v"), table.skipped)
+        ids, knobs, indicators = zip(*table.rows)
+        sweep = write(("policy_id", "s", "t", "v", "econ", "env", "social"),
+                      ids, *zip(*knobs), *zip(*indicators))
+        skipped = json_rows(("s", "t", "v"), *zip(*table.skipped))
         assert (out / f"sweep.{fmt}").read_text(encoding="utf-8") == sweep
         assert (out / "skipped.json").read_text(encoding="utf-8") == skipped
         assert "-0.0" in sweep and "-0.0" in skipped
@@ -1843,6 +1844,70 @@ class TestFileCaps:
             assert (code, validated) == (0, 0) and out.is_dir()
             return
         finding = f"{name}: {size} bytes exceeds the cap of {size - 1}"
+        assert (code, err) == (1, f"error: {finding}\n")
+        assert not out.exists()
+        assert validated == 1
+        assert json.loads(stdout) == {"ok": False, "errors": [finding], "warnings": []}
+
+    def test_survey_newlines_read_as_in_text_mode(self, fixtures_dir, tmp_path):
+        """The survey's bytes, read under the cap, take universal newlines as
+        `read_text` gives them: CRLF and a lone CR end a line, also inside a
+        quoted respondent id."""
+        from wepolicy import cli
+        from wepolicy.scenario import load_scenario
+        from wepolicy.survey import read_survey_csv
+
+        shutil.copy(fixtures_dir / "pipeline.json", tmp_path / "pipeline.json")
+        lines = (fixtures_dir / "survey.csv").read_text(encoding="utf-8").splitlines()
+        lines[1] = '"r\r\n0' + lines[1][2:].replace(",", '",', 1)
+        text = "".join(line + ("\r\n", "\r", "\n")[i % 3] for i, line in enumerate(lines))
+        (tmp_path / "survey.csv").write_bytes(text.encode("utf-8"))
+        sc, _ = load_scenario(tmp_path / "pipeline.json", ("element_sets", "survey"))
+        survey = cli._read_survey(sc)
+        assert survey.respondents[0] == "r\n0000"
+        assert survey == read_survey_csv((tmp_path / "survey.csv").read_text(encoding="utf-8"))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_a_fifo_under_the_cap_is_read_whole(self, fixtures_dir, goldens_dir, tmp_path,
+                                                capsys):
+        """A FIFO reports size 0 to `stat`; its bytes past that are read on
+        to the cap, so `fit` writes the golden bytes from it."""
+        import threading
+
+        shutil.copy(fixtures_dir / "pipeline.json", tmp_path / "pipeline.json")
+        os.mkfifo(tmp_path / "survey.csv")
+        writer = threading.Thread(target=(tmp_path / "survey.csv").write_bytes,
+                                  args=((fixtures_dir / "survey.csv").read_bytes(),),
+                                  daemon=True)  # blocks until a reader opens the FIFO
+        writer.start()
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "fit", "--scenario", str(tmp_path / "pipeline.json"),
+                               "--out", str(out))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (code, err) == (0, "")
+        assert digests(out) == digests(goldens_dir / "fit")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs a /dev/zero device")
+    @pytest.mark.parametrize("cap, name, command", [
+        ("MAX_SCENARIO_BYTES", "scenario", "impact"),
+        ("MAX_SURVEY_BYTES", "survey.file", "fit"),
+    ], ids=["scenario", "survey"])
+    def test_an_endless_stream_is_read_to_the_cap(self, fixtures_dir, tmp_path, capsys,
+                                                   monkeypatch, cap, name, command):
+        """/dev/zero reports size 0 to `stat` and never ends; at most the cap
+        plus one byte of it is read."""
+        monkeypatch.setattr(f"wepolicy.scenario.{cap}", 1000)
+        scenario = "/dev/zero"
+        if name == "survey.file":
+            doc = json.loads((fixtures_dir / "pipeline.json").read_text(encoding="utf-8"))
+            doc["survey"]["file"] = "/dev/zero"
+            scenario = str(tmp_path / "pipeline.json")
+            Path(scenario).write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, command, "--scenario", scenario, "--out", str(out))
+        validated, stdout, _ = run_cli(capsys, "validate", "--scenario", scenario)
+        finding = f"{name}: stream exceeds the cap of 1000 bytes"
         assert (code, err) == (1, f"error: {finding}\n")
         assert not out.exists()
         assert validated == 1

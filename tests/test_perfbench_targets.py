@@ -37,7 +37,7 @@ fixtures, out = sys.argv[2:]
 with tracer.Tracer() as traced:
     from wepolicy import cli
 
-    for command in ("fit", "impact"):
+    for command in ("fit", "impact", "sweep", "select"):
         argv = [command, "--scenario", f"{fixtures}/pipeline.json", "--out", f"{out}/{command}"]
         assert cli.main(argv) == 0, command
 print(json.dumps(sorted({span[0] for span in traced.spans})))
@@ -46,7 +46,10 @@ print(json.dumps(sorted({span[0] for span in traced.spans})))
 
 def test_wrappers_see_the_calls_of_a_fresh_process(fixtures_dir, tmp_path):
     """A wrapper installed on `cli` before any command has run is the
-    function the command calls, so its span is recorded."""
+    function the command calls, so its span is recorded. The table writers'
+    counter reads the header and the first column, so a writer call without
+    a column (say, `sweep`'s `skipped.json` when nothing is skipped, as on
+    `pipeline.json`) fails the traced run."""
     src = str(Path(wepolicy.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(TRACER.parent), str(fixtures_dir), str(tmp_path)],
@@ -55,7 +58,8 @@ def test_wrappers_see_the_calls_of_a_fresh_process(fixtures_dir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     spans = set(json.loads(proc.stdout.splitlines()[-1]))
-    assert {"scenario.load", "survey.read", "survey.fit", "logicmodel.propagate"} <= spans
+    assert {"scenario.load", "survey.read", "survey.fit", "logicmodel.propagate",
+            "policy_sim.sweep", "evaluator.evaluate", "serialize.csv", "serialize.json"} <= spans
 
 
 TRACED_VALIDATE = """

@@ -9,6 +9,7 @@ from wepolicy.numeric import left_sum
 from wepolicy.policy_sim import (
     DynamicsConfig,
     PolicyKnobs,
+    SweepRow,
     SweepTable,
     normalize_ternary,
     run_policy,
@@ -345,30 +346,85 @@ class TestIndicatorMemo:
         assert str(err.value) == message
 
 
+def reference_normalize_ternary(table):
+    """The per-row loop the column version replaced: one share triple per row."""
+    cols = list(zip(*(r.indicators for r in table.rows)))
+    lo = [min(c) for c in cols]
+    hi = [max(c) for c in cols]
+    out = []
+    for row in table.rows:
+        norm = [
+            (v - l) / (h - l) if h > l else 0.0
+            for v, l, h in zip(row.indicators, lo, hi)
+        ]
+        total = left_sum(norm)
+        if total == 0.0:
+            out.append((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
+        else:
+            out.append(tuple(v / total for v in norm))
+    return out
+
+
+def indicator_table(rows):
+    knobs = PolicyKnobs(0.1, 0.1, 0.1)
+    return SweepTable(rows=tuple(SweepRow(i, knobs, tuple(r)) for i, r in enumerate(rows)))
+
+
+indicator_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, 1.0, 1e308, -1e308]),
+    st.floats(0.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def indicator_tables(draw):
+    """Three indicator columns of 1 to 8 rows, some constant, with some rows
+    set to every column's minimum."""
+    n = draw(st.integers(1, 8))
+    cols = [
+        [draw(indicator_values)] * n if draw(st.booleans())
+        else draw(st.lists(indicator_values, min_size=n, max_size=n))
+        for _ in range(3)
+    ]
+    rows = [list(r) for r in zip(*cols)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        rows[i] = [min(c) for c in cols]
+    return indicator_table(rows)
+
+
 class TestNormalizeTernary:
+    @given(indicator_tables())
+    @example(indicator_table([(-0.0, 5e-324, 0.0)]))
+    @example(indicator_table([(0.0, 5e-324, 2.0), (-0.0, 0.0, 2.0), (5e-324, -0.0, 2.0)]))
+    @example(indicator_table([(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (1.0, 5.0, -0.0)]))
+    # (0.1 + 0.2) + 0.3 is 0.6000000000000001, and 0.1 + (0.2 + 0.3) is 0.6
+    @example(indicator_table([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.1, 0.2, 0.3)]))
+    def test_same_shares_as_the_row_loop(self, table):
+        """Every share has the repr the per-row loop gives it: constant
+        columns, all-minimum rows at the centroid, signed zeros, subnormals
+        and overflowing ranges included."""
+        got = normalize_ternary(table)
+        assert [len(col) for col in got] == [len(table.rows)] * 3
+        assert [tuple(map(repr, row)) for row in zip(*got)] == \
+            [tuple(map(repr, row)) for row in reference_normalize_ternary(table)]
+
     def test_single_row_is_centroid(self):
         table = run_sweep(DynamicsConfig(agents=1, steps=1, seed=1), [0.2], [0.1], [0.3])
-        assert normalize_ternary(table) == [(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)]
+        assert normalize_ternary(table) == [[1.0 / 3.0]] * 3
 
     def test_rows_sum_to_one(self):
         cfg = DynamicsConfig(agents=5, steps=4, seed=3, income_spread=0.3,
                              renewable_rate=0.4, connection_rate=0.3, connection_decay=0.05)
         table = run_sweep(cfg, [0.0, 0.3, 0.6], [0.1, 0.3], [0.0, 0.4])
-        for p in normalize_ternary(table):
+        for p in zip(*normalize_ternary(table)):
             assert abs(sum(p) - 1.0) <= 1e-12
             assert all(v >= 0.0 for v in p)
 
     def test_dominated_zero_row_maps_to_centroid(self):
         # one row dominates every indicator, the other is the min on all
         # three; after min-max the loser is all-zero and lands on the centroid
-        from wepolicy.policy_sim import SweepRow
-
-        knobs = PolicyKnobs(0.1, 0.1, 0.1)
-        table = SweepTable(rows=(
-            SweepRow(0, knobs, (2.0, 3.0, 4.0)),
-            SweepRow(1, knobs, (1.0, 1.0, 1.0)),
-        ))
-        shares = normalize_ternary(table)
+        shares = list(zip(*normalize_ternary(indicator_table([(2.0, 3.0, 4.0), (1.0, 1.0, 1.0)]))))
         assert shares[0] == (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
         assert shares[1] == (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 

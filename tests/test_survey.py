@@ -316,6 +316,37 @@ class TestCsvRoundTrip:
         assert [list(col) for col in survey.answers] == [expected + [0], expected + [10]]
         assert all(type(a) is int for col in survey.answers for a in col)
 
+    @pytest.mark.parametrize("texts", [
+        ["0", "9", "0"],
+        ["\u0663", "\u0663"],  # ARABIC-INDIC DIGIT THREE: int() reads 3
+        ["\uff13", "3"],  # FULLWIDTH DIGIT THREE: int() reads 3
+        ["3", "\u00b2", "1"],  # SUPERSCRIPT TWO: isdigit(), but int() refuses it
+        ["1", "10", "2", "07"],
+    ], ids=["ascii", "arabic-indic", "fullwidth", "superscript", "one-and-two"])
+    def test_one_character_answers_read_as_int_does(self, texts):
+        """A column of single ASCII digits is converted in one pass; each
+        other column gives what `int()` gives, or names the first line whose
+        text `int()` refuses."""
+        def as_int(t):
+            try:
+                return int(t)
+            except ValueError:
+                return None
+
+        rows = "".join(f"r{i},{t},{i % 10}\n" for i, t in enumerate(texts))
+        text = "respondent,q1,q2\n" + rows
+        expected = list(map(as_int, texts))
+        if None in expected:  # line 1 is the header
+            line = expected.index(None) + 2
+            with pytest.raises(ValueError, match=f"^survey CSV line {line}: "
+                                                 "answers must be integers$"):
+                read_survey_csv(text)
+            return
+        survey = read_survey_csv(text)
+        assert [list(col) for col in survey.answers] == \
+            [expected, [i % 10 for i in range(len(texts))]]
+        assert all(type(a) is int for col in survey.answers for a in col)
+
     @pytest.mark.parametrize("text, line", [
         # q1's bad text is on a later line than q2's; file order decides
         ("respondent,q1,q2\nr0,1,2\nr1,2,x\nr2,y,1\n", 3),
