@@ -46,8 +46,8 @@ from .serialize import FloatText, csv_table, dump_json, float_texts, json_rows
 # that, on its first call, imports the module and binds the real function
 # here, unless the name was rebound (a tracing wrapper, a test's replacement).
 _LAZY = {
-    "survey": ("aggregate_survey", "check_survey", "fit_target", "read_survey_csv",
-               "rescale_answer", "respondent_scores"),
+    "survey": ("aggregate_survey", "answer_floats", "check_survey", "fit_target",
+               "read_survey_csv", "rescale_answer", "respondent_scores"),
     "policy_sim": ("DynamicsConfig", "normalize_ternary", "run_sweep"),
     "evaluator": ("evaluate_policies", "profile_slug", "select_best"),
     "we_model": ("consensus_curve", "sample_surface", "surface_terms"),
@@ -142,7 +142,7 @@ def _fit_from_survey(sc: Scenario):
     import numpy as np
 
     design = np.column_stack((np.ones(len(scores)), scores))
-    target = np.array(survey.answers[cfg.target_question - 1], dtype=float)
+    target = answer_floats(survey.answers[cfg.target_question - 1])
     y = rescale_answer(target, cfg.scale)
     return fit_target(design, y, column_names=cfg.construct_map.constructs), baseline
 

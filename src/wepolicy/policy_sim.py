@@ -92,9 +92,10 @@ class SweepTable(NamedTuple):
 
 
 def _simulate(cfg: DynamicsConfig, policies: Sequence[PolicyKnobs]):
-    """Yield (economic, environmental, social) per policy from one income
-    draw. Each indicator is cached on the knobs it reads; a key repeats the
-    same float operations on the same operands, so a cached value is exact."""
+    """The (economic, environmental, social) columns of `policies`, one
+    value per policy, from one income draw. Each indicator is cached on the
+    knobs it reads and mapped over their columns; a key repeats the same
+    float operations on the same operands, so a cached value is exact."""
     n = cfg.agents
     rng = random.Random(cfg.seed)
     incomes = [1.0 + cfg.income_spread * rng.uniform(-1.0, 1.0) for _ in range(n)]
@@ -124,12 +125,13 @@ def _simulate(cfg: DynamicsConfig, policies: Sequence[PolicyKnobs]):
         # the last bit, except for c = 1.0, whose partial sums are exact
         return left_sum([connection] * n) / n
 
-    for knobs in policies:
-        s, t, v = knobs
-        indicators = (economic(t, v), environmental(s, t), social(v))
-        if not all(map(math.isfinite, indicators)):
-            raise FloatingPointError(f"non-finite indicators {indicators} for {knobs!r}")
-        yield indicators
+    s, t, v = zip(*policies) if policies else ((), (), ())
+    columns = [list(map(economic, t, v)), list(map(environmental, s, t)), list(map(social, v))]
+    if not all(all(map(math.isfinite, col)) for col in columns):
+        for knobs, indicators in zip(policies, zip(*columns)):
+            if not all(map(math.isfinite, indicators)):
+                raise FloatingPointError(f"non-finite indicators {indicators} for {knobs!r}")
+    return columns
 
 
 def run_policy(cfg: DynamicsConfig, knobs: PolicyKnobs) -> tuple[float, float, float]:
@@ -138,7 +140,7 @@ def run_policy(cfg: DynamicsConfig, knobs: PolicyKnobs) -> tuple[float, float, f
     Incomes start at 1 with a symmetric seeded spread; the environment
     index starts soiled (e = 1) and recovers with renewable share rho.
     """
-    return next(_simulate(cfg, [knobs]))
+    return next(zip(*_simulate(cfg, [knobs])))
 
 
 def run_sweep(
@@ -172,7 +174,7 @@ def run_sweep(
                 else:
                     admissible.append(PolicyKnobs(subsidy=s, tax=t, service=v))
     rows = map(tuple.__new__, repeat(SweepRow),
-               zip(count(), admissible, _simulate(cfg, admissible)))
+               zip(count(), admissible, zip(*_simulate(cfg, admissible))))
     return SweepTable(rows=tuple(rows), skipped=tuple(skipped))
 
 

@@ -5,6 +5,11 @@ sits in the value-function domain centered at 0, then a row-stochastic
 construct map folds questions into named constructs. The target function is
 an ordinary least-squares fit (orthogonalization-based solver, not normal
 equations) of a well-being rating on the construct scores.
+
+The survey is held by question. An answer column of one-digit answers is
+one `bytes` of their values from the reader to the fit: it is checked with
+one `bytes.translate` and read into numpy as a buffer. Any other column is
+a list of ints. Both are `Sequence[int]`, and give the same results.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionError, RankDeficiencyError, _quote
@@ -23,7 +29,8 @@ if TYPE_CHECKING:  # an annotation only; the scenario builds construct maps
 
 class SurveyColumns(NamedTuple):
     """Survey answers by question: `answers[q][i]` is respondent i's
-    answer to question q + 1."""
+    answer to question q + 1. Each answer column is a `bytes` of one-digit
+    answers or a list of ints; both are `Sequence[int]`."""
 
     respondents: Sequence[str]
     answers: Sequence[Sequence[int]]
@@ -42,9 +49,10 @@ def check_survey(survey: SurveyColumns, cmap: ConstructMap, scale: int):
     [1, scale] per respondent and question, and a respondent per design
     column (the intercept and one per construct).
 
-    The range is checked by each column's min and max; only when one is out
-    of range are the answers scanned respondent by respondent, so that the
-    error names the first offending respondent in file order."""
+    The range is checked column by column: a `bytes` column by deleting the
+    allowed answers in one pass, any other by its min and max. Only when
+    one is out of range are the answers scanned respondent by respondent,
+    so that the error names the first offending respondent in file order."""
     k = len(survey.answers)
     if k != cmap.question_count:
         raise DimensionError(
@@ -56,7 +64,11 @@ def check_survey(survey: SurveyColumns, cmap: ConstructMap, scale: int):
     for q, col in enumerate(survey.answers, start=1):
         if len(col) != n:
             raise DimensionError(f"question {q} has {len(col)} answers for {n} respondents")
-    if not all(1 <= min(col) and max(col) <= scale for col in survey.answers):
+    # a bytes column holds digits only; the scale may be as large as a float
+    allowed = bytes(range(1, min(scale, 9) + 1))
+    in_range = (not col.translate(None, allowed) if isinstance(col, bytes)
+                else 1 <= min(col) and max(col) <= scale for col in survey.answers)
+    if not all(in_range):
         for i, respondent in enumerate(survey.respondents):
             for col in survey.answers:
                 if not 1 <= col[i] <= scale:
@@ -92,9 +104,19 @@ def respondent_scores(survey: SurveyColumns, cmap: ConstructMap, scale: int):
     # Imported here so that commands which never fit start without numpy.
     import numpy as np
 
-    z = [rescale_answer(np.array(answers, dtype=float), scale) for answers in survey.answers]
+    z = [rescale_answer(answer_floats(answers), scale) for answers in survey.answers]
     zero = np.zeros(len(survey.respondents))
     return np.column_stack([dot(row, z, zero) for row in cmap.matrix])
+
+
+def answer_floats(answers: Sequence[int]):
+    """One answer column as a float array; a `bytes` column is read as its
+    buffer, without an int object per answer."""
+    import numpy as np
+
+    if isinstance(answers, bytes):
+        return np.frombuffer(answers, np.uint8).astype(float)
+    return np.array(answers, dtype=float)
 
 
 # A dataclass, unlike the other value types: callers rescale a fitted
@@ -199,11 +221,51 @@ def read_survey_csv(text: str) -> SurveyColumns:
     """Parse `respondent,q1..qK` CSV text into columns; K is
     `len(result.answers)`.
 
-    Field counts and integers are checked column by column: a column of
-    single ASCII digits in one pass over its bytes, any other each distinct
-    answer text once; only when that fails is the text read again row by row
-    to name the first bad line.
+    A plain text (see `_split_plain`) is split in a few passes over the
+    whole text; any other is read by `csv.reader`. Both give the same
+    fields, and only the reader names a bad header. Field counts and
+    integers are then checked column by column (see `_answers`); only when
+    that fails is the text read again row by row to name the first bad
+    line.
     """
+    respondents, *cols = _split_plain(text) or _csv_columns(text)
+    try:
+        answers = tuple(map(_answers, cols))
+    except ValueError:
+        _raise_first_bad_line(text, len(cols))
+    return SurveyColumns(tuple(respondents), answers)
+
+
+def _split_plain(text: str):
+    """The K + 1 field columns of a text that `csv.reader` would read as
+    plain comma-separated lines, or None for any other. Plain means: no
+    quote, carriage return or NUL, the header `respondent,q1..qK`, no line
+    longer than `csv.field_size_limit()` (so no field is either) and exactly
+    K commas on every non-blank line, with at least one such line. Lines end
+    at line feeds only, as `csv.reader` reads an `io.StringIO`;
+    `str.splitlines` would also end them at form feeds and Unicode
+    separators. A NUL goes to the reader because Python 3.10's refuses it."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    k = len(header) - 1
+    if k < 1 or header != ["respondent", *(f"q{i}" for i in range(1, k + 1))]:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    rows = list(filter(None, islice(lines, 1, None)))
+    del lines
+    if set(map(str.count, rows, repeat(","))) != {k}:
+        return None
+    fields = ",".join(rows).split(",")
+    del rows
+    return [fields[q::k + 1] for q in range(k + 1)]
+
+
+def _csv_columns(text: str):
+    """The K + 1 field columns of `text` as `csv.reader` reads it, after
+    the header and field-count checks that name what is wrong."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
@@ -221,29 +283,28 @@ def read_survey_csv(text: str) -> SurveyColumns:
     if header[1:] != expected:
         raise ValueError(f"survey CSV question columns must be q1..q{k}")
     if not rows:
-        return SurveyColumns((), ((),) * k)
+        return ((),) * (k + 1)
     try:
-        respondents, *cols = zip(*rows, strict=True)
-        if len(cols) != k:
+        columns = list(zip(*rows, strict=True))
+        if len(columns) != k + 1:
             raise ValueError
-        answers = tuple(map(_answers, cols))
     except ValueError:
         _raise_first_bad_line(text, k)
-    return SurveyColumns(respondents, answers)
+    return columns
 
 
 _DIGITS = frozenset("0123456789")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def _answers(col: Sequence[str]) -> list[int]:
+def _answers(col: Sequence[str]) -> bytes | list[int]:
     """The ints of one column of answer texts. A column of one ASCII digit
-    per field is converted in one pass over its bytes; any other column
-    takes one `int()` per distinct text, which raises ValueError as `int()`
-    does."""
+    per field becomes one `bytes` of those digits' values, in one pass over
+    its text; any other column becomes a list, with one `int()` per
+    distinct text, which raises ValueError as `int()` does."""
     distinct = set(col)
     if distinct <= _DIGITS:
-        return list("".join(col).encode().translate(_DIGIT_VALUES))
+        return "".join(col).encode().translate(_DIGIT_VALUES)
     return list(map({a: int(a) for a in distinct}.__getitem__, col))
 
 

@@ -1,6 +1,8 @@
+import csv
 import functools
 import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from wepolicy.scenario import ConstructMap
 from wepolicy.survey import (
     SurveyColumns,
     aggregate_survey,
+    answer_floats,
     check_survey,
     fit_target,
     predict,
@@ -322,7 +325,8 @@ class TestCsvRoundTrip:
         ["\uff13", "3"],  # FULLWIDTH DIGIT THREE: int() reads 3
         ["3", "\u00b2", "1"],  # SUPERSCRIPT TWO: isdigit(), but int() refuses it
         ["1", "10", "2", "07"],
-    ], ids=["ascii", "arabic-indic", "fullwidth", "superscript", "one-and-two"])
+        ["12", ""],  # as many characters as fields, but not one each
+    ], ids=["ascii", "arabic-indic", "fullwidth", "superscript", "one-and-two", "two-and-none"])
     def test_one_character_answers_read_as_int_does(self, texts):
         """A column of single ASCII digits is converted in one pass; each
         other column gives what `int()` gives, or names the first line whose
@@ -374,10 +378,8 @@ def reference_respondent_scores(responses, cmap, scale):
     return out
 
 
-@st.composite
-def survey_cases(draw):
-    scale = draw(st.integers(2, 7))
-    k = draw(st.integers(1, 6))
+def draw_construct_map(draw, k):
+    """A row-stochastic map over k questions with one to four constructs."""
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         raw = draw(st.lists(
@@ -390,6 +392,14 @@ def survey_cases(draw):
         cmap = ConstructMap(tuple(f"c{i}" for i in range(len(rows))), tuple(rows))
     except ValueError:  # normalised weights missed 1 by more than the tolerance
         cmap = ConstructMap(("c0",), ((1.0,) + (0.0,) * (k - 1),))
+    return cmap
+
+
+@st.composite
+def survey_cases(draw):
+    scale = draw(st.integers(2, 7))
+    k = draw(st.integers(1, 6))
+    cmap = draw_construct_map(draw, k)
     answers = [
         tuple(draw(st.integers(1, scale)) for _ in range(k))
         for _ in range(draw(st.integers(1, 30)))
@@ -413,10 +423,16 @@ class TestRespondentScoresColumnPass:
 def reference_read_survey_csv(text):
     """The per-row reader: (respondent, answers) per record, and K. A bad
     record is named by the physical line it ends on."""
-    import csv
     import io
 
     reader = csv.reader(io.StringIO(text))
+    try:
+        return _reference_rows(reader)
+    except csv.Error as err:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"survey CSV line {reader.line_num}: {err}") from None
+
+
+def _reference_rows(reader):
     try:
         header = next(reader)
     except StopIteration:
@@ -469,7 +485,8 @@ def outcome(fn, *args):
 # Answers in and out of [1, 5], integers that `int()` reads with signs,
 # spaces or non-ASCII digits, non-integers, and quoted fields. Most fields
 # are plain answers, so that many texts parse and reach the range check.
-odd_answers = st.sampled_from(["0", "6", "-1", "+2", " 4", "٣", "3.5", "x", "", '"3"', '"4,"'])
+odd_answers = st.sampled_from(["0", "6", "10", "-1", "+2", " 4", "٣", "3.5", "x", "", '"3"',
+                               '"4,"'])
 respondent_fields = st.sampled_from(["r0", "r1", '"r,2"', '"r\n3"', '""', "r 4"])
 
 
@@ -477,21 +494,38 @@ def mostly(draw, usual, unusual, one_in=6):
     return draw(unusual) if draw(st.integers(1, one_in)) == 1 else draw(usual)
 
 
+# Respondent ids of plain texts: no quote, comma or line end, but characters
+# that `str.splitlines` (and no CSV reader) takes as line ends.
+plain_respondents = st.sampled_from(
+    ["r0", "r1", "", "r 4", "r\x0b5", "r\x0c6", "r\x1c7", "r\x1d8", "r\x1e9", "r\x8510",
+     "r\u202811", "r\u202912"])
+# The field limit plus one, so a line of it is longer than csv.field_size_limit().
+LONG = "x" * (csv.field_size_limit() + 1)
+
+
 @st.composite
 def survey_texts(draw):
+    """Texts of which about half are plain (one-digit answers, line-feed
+    line ends, no quotes), which are split, and the rest fall back to the
+    reader."""
+    plain = draw(st.booleans())
     k = draw(st.integers(1, 4))
     header = mostly(draw, st.just("respondent," + ",".join(f"q{i}" for i in range(1, k + 1))),
                     st.sampled_from(["id,q1", f"respondent,q2,q{k + 2}", "respondent", ""]))
+    if plain:
+        ids, odd, one_in = plain_respondents, st.sampled_from("06789"), 6
+    else:
+        ids, odd, one_in = respondent_fields, odd_answers, 8
     lines = [header]
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(1, 6)) == 1:
-            lines.append("")  # blank line
+            # a blank line, or in a plain text one that only splitlines() splits
+            lines.append(draw(st.sampled_from(["", "\x0b", "\x85", "\u2028"])) if plain else "")
             continue
         width = mostly(draw, st.just(k), st.sampled_from([k - 1, k + 1]))
-        answers = [mostly(draw, st.sampled_from("12345"), odd_answers, one_in=8)
-                   for _ in range(width)]
-        lines.append(",".join([draw(respondent_fields), *answers]))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+        answers = [mostly(draw, st.sampled_from("12345"), odd, one_in) for _ in range(width)]
+        lines.append(",".join([draw(ids), *answers]))
+    newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
@@ -500,6 +534,21 @@ class TestColumnReaderMatchesRowReader:
     @example("respondent,q1,q2\nr0,3,1\n\nr1,x,3\nr2,9\n")
     @example("respondent,q1\r\n\"r\n0\",3\r\n\r\nr1,6\r\n")
     @example("respondent,q1,q2\n")
+    @example("\nrespondent,q1\nr0,1\nr1,2\n")  # a blank first line
+    @example("respondent,q1,q2\n\nr0,1,2\n\n\nr1,3,4\n\n\n")  # blank lines between and after
+    @example("respondent,q1,q2\nr0,1,2\nr1,3,4")  # no final newline
+    @example("respondent,q1\nr\x0b0,1\nr\x0c1,2\nr\x1c2,3\nr\x853,4\nr\u20284,5\nr5,6\n")
+    @example(f"respondent,q1\nr0,1\n{LONG},2\n")  # a field over the limit
+    @example(f"respondent,q1,q2\nr0,1,2\n{LONG[:-2]},1,3\n")  # a line over it
+    @example("respondent,q1\nr\x000,1\nr1,2\n")  # NUL
+    @example("respondent,q1\nr0,1\rr1,2\n")  # a lone carriage return
+    @example("respondent,q1\nr\r0,1\nr1,2\n")  # one inside an id
+    @example("respondent,q1\nr0,1\n\x0c\nr1,2\n")  # a line that splitlines() takes as blank
+    @example("respondent,q1\nr0,1\n\u2028\nr1,2\n")
+    @example("respondent,q1\nr0,1\nr\"1\",2\n")  # a quote inside a field is kept
+    @example("respondent,q1\n\"r0\",1\nr1,\"2\"\n")  # quoted fields are unquoted
+    @example("respondent,q1,q2\nr0,1,2\nr1,3,4,5\nr2,1\n")  # one field too many, too few
+    @example("respondent,q1,q2\nr0,1,2\nr1,3\nr2,1,2,3\n")  # too few, then too many
     def test_same_columns_and_errors(self, text):
         got = outcome(read_survey_csv, text)
         expected = outcome(reference_read_survey_csv, text)
@@ -512,6 +561,8 @@ class TestColumnReaderMatchesRowReader:
         assert list(survey.respondents) == [r for r, _ in rows]
         assert [list(col) for col in survey.answers] == \
             [[answers[q] for _, answers in rows] for q in range(k)]
+        assert all(type(col) is bytes or all(type(a) is int for a in col)
+                   for col in survey.answers)
         cmap = ConstructMap(("c",), ((1.0,) + (0.0,) * (k - 1),))
         assert outcome(check_survey, survey, cmap, 5) == \
             outcome(reference_check_survey, rows, k, 5)
@@ -527,3 +578,97 @@ class TestColumnReaderMatchesRowReader:
         text = "respondent,q1\nr0,1\n\"" + "x" * 200_000 + "\",1\n"
         with pytest.raises(ValueError, match="^survey CSV line 3: field larger than field limit"):
             read_survey_csv(text)
+
+    def test_a_plain_text_is_split_without_the_csv_reader(self, fixtures_dir, monkeypatch):
+        text = (fixtures_dir / "survey.csv").read_text(encoding="utf-8")
+        expected = read_survey_csv(text)
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader used on a plain survey")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
+        survey = read_survey_csv(text)
+        assert survey == expected
+        assert len(survey.respondents) == 60
+        assert all(type(col) is bytes for col in survey.answers)
+
+    def test_the_split_read_peaks_below_twelve_times_the_text(self):
+        rng = random.Random(1)
+        header = "respondent," + ",".join(f"q{i}" for i in range(1, 11)) + "\n"
+        text = header + "".join(
+            f"r{i:05d},{','.join(rng.choices('12345', k=10))}\n" for i in range(20_000))
+        tracemalloc.start()
+        try:
+            survey = read_survey_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(survey.respondents) == 20_000
+        assert peak < 12 * len(text)
+
+
+def int_columns(survey):
+    """`survey` with each answer column a tuple of ints."""
+    return SurveyColumns(survey.respondents, tuple(map(tuple, survey.answers)))
+
+
+def same_results(survey, cmap, scale):
+    """Assert that `survey` (bytes columns) and its int columns check,
+    aggregate, score and give the fit's targets alike, to the last bit."""
+    ints = int_columns(survey)
+    checked = outcome(check_survey, survey, cmap, scale)
+    assert checked == outcome(check_survey, ints, cmap, scale)
+    if checked[0] != "ok":
+        return checked
+    assert list(map(repr, aggregate_survey(survey, cmap, scale))) == \
+        list(map(repr, aggregate_survey(ints, cmap, scale)))
+    got, expected = (respondent_scores(s, cmap, scale).tolist() for s in (survey, ints))
+    assert [list(map(repr, row)) for row in got] == [list(map(repr, row)) for row in expected]
+    for col, ints_col in zip(survey.answers, ints.answers):
+        got, expected = (answer_floats(c) for c in (col, ints_col))
+        assert got.dtype == expected.dtype == np.float64
+        assert list(map(repr, rescale_answer(got, scale).tolist())) == \
+            list(map(repr, rescale_answer(expected, scale).tolist()))
+    return checked
+
+
+@st.composite
+def byte_surveys(draw):
+    """A survey of one-digit byte columns, mostly inside [1, scale]."""
+    scale = draw(st.sampled_from([2, 5, 9, 10, 10**300]))
+    k = draw(st.integers(1, 5))
+    cmap = draw_construct_map(draw, k)
+    n = draw(st.integers(1, 25))
+    inside = st.integers(1, min(scale, 9))
+    columns = tuple(
+        bytes(mostly(draw, inside, st.sampled_from([0, 6, 7, 8, 9]), one_in=12)
+              for _ in range(n))
+        for _ in range(k))
+    return SurveyColumns(tuple(f"r{i}" for i in range(n)), columns), cmap, scale
+
+
+class TestByteColumnsMatchIntColumns:
+    @given(byte_surveys())
+    def test_same_check_aggregate_scores_and_target(self, case):
+        same_results(*case)
+
+    @pytest.mark.parametrize("digit", [0, 6, 7, 8, 9])
+    def test_an_answer_outside_the_scale_names_the_same_respondent(self, digit):
+        cmap = ConstructMap(("c",), ((0.5, 0.5),))
+        survey = SurveyColumns(("r0", "r1", "r2"), (bytes([1, 5, 3]), bytes([2, 4, digit])))
+        assert same_results(survey, cmap, 5) == \
+            ("ValueError", f"respondent 'r2' answer {digit} outside [1, 5]")
+
+    @pytest.mark.parametrize("scale", [2, 9, 10, 10**300])
+    def test_every_digit_the_scale_allows(self, scale):
+        top = min(scale, 9)
+        answers = bytes(range(1, top + 1)) * 2
+        survey = SurveyColumns(tuple(f"r{i}" for i in range(len(answers))),
+                               (answers, answers[::-1], bytes([1]) * len(answers)))
+        cmap = ConstructMap(("a", "b"), ((0.25, 0.25, 0.5), (1.0, 0.0, 0.0)))
+        assert same_results(survey, cmap, scale) == ("ok", None)
+        if top < 9:  # the next digit is outside
+            outside = SurveyColumns(survey.respondents, (answers, answers,
+                                                         bytes([top + 1]) * len(answers)))
+            assert same_results(outside, cmap, scale) == \
+                ("ValueError", f"respondent 'r0' answer {top + 1} outside [1, {scale}]")
