@@ -9,7 +9,10 @@ equations) of a well-being rating on the construct scores.
 The survey is held by question. An answer column of one-digit answers is
 one `bytes` of their values from the reader to the fit: it is checked with
 one `bytes.translate` and read into numpy as a buffer. Any other column is
-a list of ints. Both are `Sequence[int]`, and give the same results.
+a list or tuple of ints; all are `Sequence[int]` and give the same results.
+A plain file of integer answers is split in whole-text passes. Any other is
+read in one `csv.reader` pass, which names the bad header or else the first
+bad line in file order.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ if TYPE_CHECKING:  # an annotation only; the scenario builds construct maps
 class SurveyColumns(NamedTuple):
     """Survey answers by question: `answers[q][i]` is respondent i's
     answer to question q + 1. Each answer column is a `bytes` of one-digit
-    answers or a list of ints; both are `Sequence[int]`."""
+    answers or a list or tuple of ints; all are `Sequence[int]`."""
 
     respondents: Sequence[str]
     answers: Sequence[Sequence[int]]
@@ -221,28 +224,20 @@ def read_survey_csv(text: str) -> SurveyColumns:
     """Parse `respondent,q1..qK` CSV text into columns; K is
     `len(result.answers)`.
 
-    A plain text (see `_split_plain`) is split in a few passes over the
-    whole text; any other is read by `csv.reader`. Both give the same
-    fields, and only the reader names a bad header. Field counts and
-    integers are then checked column by column (see `_answers`); only when
-    that fails is the text read again row by row to name the first bad
-    line.
+    A plain text of integer answers (see `_split_plain`) is split in a few
+    passes over the whole text. Any other is read row by row (see
+    `_read_rows`), which names the bad header or else the first bad line.
     """
-    respondents, *cols = _split_plain(text) or _csv_columns(text)
-    try:
-        answers = tuple(map(_answers, cols))
-    except ValueError:
-        _raise_first_bad_line(text, len(cols))
-    return SurveyColumns(tuple(respondents), answers)
+    return _split_plain(text) or _read_rows(text)
 
 
-def _split_plain(text: str):
-    """The K + 1 field columns of a text that `csv.reader` would read as
-    plain comma-separated lines, or None for any other. Plain means: no
-    quote, carriage return or NUL, the header `respondent,q1..qK`, no line
-    longer than `csv.field_size_limit()` (so no field is either) and exactly
-    K commas on every non-blank line, with at least one such line. Lines end
-    at line feeds only, as `csv.reader` reads an `io.StringIO`;
+def _split_plain(text: str) -> SurveyColumns | None:
+    """The columns of a text that `csv.reader` would read as plain
+    comma-separated lines of integer answers, or None for any other. Plain
+    means: no quote, carriage return or NUL, the header `respondent,q1..qK`,
+    no line longer than `csv.field_size_limit()` (so no field is either) and
+    exactly K commas on every non-blank line, with at least one such line.
+    Lines end at line feeds only, as `csv.reader` reads an `io.StringIO`;
     `str.splitlines` would also end them at form feeds and Unicode
     separators. A NUL goes to the reader because Python 3.10's refuses it."""
     if '"' in text or "\r" in text or "\0" in text:
@@ -260,37 +255,44 @@ def _split_plain(text: str):
         return None
     fields = ",".join(rows).split(",")
     del rows
-    return [fields[q::k + 1] for q in range(k + 1)]
+    try:
+        answers = tuple(_answers(fields[q::k + 1]) for q in range(1, k + 1))
+    except ValueError:
+        return None
+    return SurveyColumns(tuple(fields[::k + 1]), answers)
 
 
-def _csv_columns(text: str):
-    """The K + 1 field columns of `text` as `csv.reader` reads it, after
-    the header and field-count checks that name what is wrong."""
+def _read_rows(text: str) -> SurveyColumns:
+    """The columns of `text` as one `csv.reader` pass reads it. The header
+    is checked first, as line 1; then each row, in file order, must have
+    K + 1 fields and integer answers. A bad row, or a `csv.Error` (such as
+    a field over `csv.field_size_limit()`), is named by the physical line
+    it ends on, so a quoted field spanning lines does not shift it."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
-        rows = [row for row in reader if row]
-    except csv.Error as err:  # such as a field over csv.field_size_limit()
+        if header is None:
+            raise ValueError("survey CSV is empty")
+        if not header or header[0] != "respondent":
+            raise ValueError("survey CSV must start with a 'respondent' column")
+        k = len(header) - 1
+        if k < 1:
+            raise ValueError("survey CSV has no question columns")
+        if header[1:] != [f"q{i}" for i in range(1, k + 1)]:
+            raise ValueError(f"survey CSV question columns must be q1..q{k}")
+        rows = []
+        for row in filter(None, reader):  # blank lines are skipped
+            if len(row) != k + 1:
+                raise ValueError(f"survey CSV line {reader.line_num}: expected {k + 1} fields")
+            try:
+                rows.append((row[0], *map(int, row[1:])))
+            except ValueError:
+                raise ValueError(
+                    f"survey CSV line {reader.line_num}: answers must be integers") from None
+    except csv.Error as err:
         raise ValueError(f"survey CSV line {reader.line_num}: {err}") from None
-    if header is None:
-        raise ValueError("survey CSV is empty")
-    if not header or header[0] != "respondent":
-        raise ValueError("survey CSV must start with a 'respondent' column")
-    k = len(header) - 1
-    if k < 1:
-        raise ValueError("survey CSV has no question columns")
-    expected = [f"q{i}" for i in range(1, k + 1)]
-    if header[1:] != expected:
-        raise ValueError(f"survey CSV question columns must be q1..q{k}")
-    if not rows:
-        return ((),) * (k + 1)
-    try:
-        columns = list(zip(*rows, strict=True))
-        if len(columns) != k + 1:
-            raise ValueError
-    except ValueError:
-        _raise_first_bad_line(text, k)
-    return columns
+    respondents, *answers = tuple(zip(*rows)) or ((),) * (k + 1)
+    return SurveyColumns(respondents, tuple(answers))
 
 
 _DIGITS = frozenset("0123456789")
@@ -307,22 +309,3 @@ def _answers(col: Sequence[str]) -> bytes | list[int]:
         return "".join(col).encode().translate(_DIGIT_VALUES)
     return list(map({a: int(a) for a in distinct}.__getitem__, col))
 
-
-def _raise_first_bad_line(text: str, k: int):
-    """Raise for the first row, in file order, with other than k + 1 fields
-    or a non-integer answer. The line number is the physical line the row
-    ends on, as for a `csv.Error`, so a quoted field spanning lines does
-    not shift it."""
-    reader = csv.reader(io.StringIO(text))
-    next(reader)
-    for row in reader:
-        if not row:
-            continue
-        lineno = reader.line_num
-        if len(row) != k + 1:
-            raise ValueError(f"survey CSV line {lineno}: expected {k + 1} fields") from None
-        try:
-            for v in row[1:]:
-                int(v)
-        except ValueError:
-            raise ValueError(f"survey CSV line {lineno}: answers must be integers") from None

@@ -2363,3 +2363,122 @@ class TestGeneratedGraphScenarios:
             elif code == 2:
                 assert len(findings) == 1
                 assert err == f"error: numerical failure: {findings[0].split(': ', 1)[1]}\n"
+
+
+# --- generated survey scenarios ---
+
+# Survey scales: the least, the fixtures', the largest of one digit, the
+# first of two digits and one that a float can only just hold.
+SURVEY_SCALES = [2, 5, 9, 10, 10**300]
+
+
+def construct_rows(draw, k, count):
+    """`count` row-stochastic rows over `k` questions: each spreads its
+    weight evenly over one to three of them."""
+    rows = []
+    for _ in range(count):
+        picked = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3, unique=True))
+        rows.append([1.0 / len(picked) if q in picked else 0.0 for q in range(k)])
+    return rows
+
+
+def answer_columns(draw, k, n, scale):
+    """`k` columns of `n` answers in [1, scale], each drawn, constant or a
+    copy of an earlier one, so that construct scores can be collinear."""
+    inside = st.sampled_from(sorted({1, 2, min(scale, 9), scale}))
+    columns = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["drawn", "drawn", "constant"] + ["copy"] * bool(columns)))
+        if kind == "copy":
+            columns.append(list(draw(st.sampled_from(columns))))
+        else:
+            answers = draw(st.lists(inside, min_size=n, max_size=n))
+            columns.append(answers if kind == "drawn" else [answers[0]] * n)
+    return columns
+
+
+@st.composite
+def survey_scenarios(draw):
+    """`element_sets` and `survey` sections, as the README's scenario
+    format describes them, with `target_question` at its bounds or one
+    past them, and the survey file's text: plain or with every field
+    quoted, holding constant and collinear answer columns and, now and
+    then, an answer of 0 or scale + 1, a non-integer answer, a ragged line,
+    blank lines or CRLF line ends."""
+    scale = draw(st.sampled_from(SURVEY_SCALES))
+    constructs = draw(st.lists(st.sampled_from(EDGE_NAMES), min_size=1, max_size=2, unique=True))
+    k = draw(st.integers(len(constructs), 4))
+    target = draw(st.sampled_from([1, k] if draw(st.integers(1, 8)) > 1 else [0, k + 1]))
+    doc = {"survey": {"file": "survey.csv", "scale": scale, "constructs": constructs,
+                      "construct_matrix": construct_rows(draw, k, len(constructs)),
+                      "target_question": target}}
+    if draw(st.booleans()):
+        names = constructs if draw(st.integers(1, 8)) > 1 else constructs[::-1] + ["other"]
+        doc["element_sets"] = {"X_w": {"variables": [{"name": n} for n in names]}}
+    # mostly enough respondents to fit an intercept and each construct
+    n = draw(st.integers(len(constructs) + 1, 8) if draw(st.integers(1, 8)) > 1
+             else st.integers(1, len(constructs) + 1))
+    rows = [[f"r{i}".ljust(draw(st.sampled_from([2, 80, 81])), "x")] for i in range(n)]
+    for column in answer_columns(draw, k, n, scale):
+        for row, answer in zip(rows, column):
+            row.append(str(answer))
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+        row = draw(st.sampled_from(rows))
+        q = draw(st.integers(1, k))
+        row[q] = draw(st.sampled_from(["0", str(scale + 1), "x", "3.5", ""]))
+    if draw(st.integers(1, 8)) == 1:
+        row = draw(st.sampled_from(rows))
+        row[:] = row[:-1] if len(row) > 2 and draw(st.booleans()) else row + ["1"]
+    quoted = draw(st.booleans())
+
+    def line(fields):
+        return ",".join(f'"{f}"' if quoted else f for f in fields)
+
+    lines = [line(["respondent", *(f"q{q}" for q in range(1, k + 1))])]
+    for row in rows:
+        lines.extend([""] * draw(st.sampled_from([0, 0, 0, 1, 2])))
+        lines.append(line(row))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return doc, newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestGeneratedSurveyScenarios:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=survey_scenarios())
+    def test_validate_predicts_the_fit(self, tmp_path, capsys, case):
+        """When `validate` is ok, `fit` exits 0, or 2 for a rank-deficient
+        design, which `validate` does not predict yet. Otherwise `fit`
+        exits 1 with exactly `validate`'s findings. Reruns print and write
+        the same bytes, and nothing printed is a traceback or reaches
+        MAX_PRINTED bytes."""
+        doc, survey = case
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        path = work / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        (work / "survey.csv").write_bytes(survey.encode("utf-8"))
+        code, printed, err = run_cli(capsys, "validate", "--scenario", str(path))
+        assert code in (0, 1) and err == ""
+        assert len(printed.encode("utf-8")) < MAX_PRINTED
+        errors = json.loads(printed)["errors"]
+        runs = []
+        for rerun in ("first", "second"):
+            out = work / f"fit-{rerun}"
+            code, printed, err = run_cli(capsys, "fit", "--scenario", str(path),
+                                         "--out", str(out))
+            assert "Traceback" not in err
+            assert len((printed + err).encode("utf-8")) < MAX_PRINTED
+            if code == 0:
+                assert_finite_outputs(out)
+                report = json.loads(printed)
+                del report["wall_time_s"], report["outputs"]
+                runs.append((code, report, err, digests(out)))
+            else:
+                assert not out.exists()
+                runs.append((code, printed, err))
+        assert runs[0] == runs[1]
+        if errors:
+            assert (code, err) == (1, "".join(f"error: {e}\n" for e in errors))
+        else:
+            assert code == 0 or (code == 2 and err.startswith(
+                "error: numerical failure: design matrix is rank deficient")), err

@@ -23,6 +23,13 @@ from wepolicy.survey import (
 )
 
 
+# The field limit the reader tests set: low enough that an over-limit field
+# is short, high enough that a plain header of four questions fits it.
+LIMIT = 24
+# The field limit plus one, so a line of it is longer than the limit.
+LONG = "x" * (LIMIT + 1)
+
+
 def survey_of(*answers, k=3):
     """Columns for one answer tuple per respondent, as the CSV reader gives them."""
     respondents = tuple(f"r{i}" for i in range(len(answers)))
@@ -304,10 +311,17 @@ class TestCsvRoundTrip:
         ('respondent,q1\n"r\n0",1\nr1,x\n', "line 4: answers must be integers"),
         ('respondent,q1\n"r\n0",1\nr1,2,3\n', "line 4: expected 2 fields"),
         ("respondent,q1\nr0,1\n\nr1,x", "line 4: answers must be integers"),
+        # a bad header or line is named before a later field over the limit
+        (f"respondent,q1\nr0,1,2\n{LONG},1\n", "line 2: expected 2 fields"),
+        (f"respondent,qq\n{LONG},1\n", "question columns must be q1..q1"),
+        (f"{LONG},q1\nr0,1\n", f"line 1: field larger than field limit ({LIMIT})"),
     ])
     def test_findings_name_the_physical_line(self, text, finding):
-        with pytest.raises(ValueError, match=f"^survey CSV {finding}$"):
-            read_survey_csv(text)
+        limit = csv.field_size_limit(LIMIT)
+        try:
+            assert outcome(read_survey_csv, text) == ("ValueError", f"survey CSV {finding}")
+        finally:
+            csv.field_size_limit(limit)
 
     def test_each_answer_text_parses_as_int_does(self):
         # int() takes surrounding spaces, a sign, leading zeros, underscores
@@ -499,19 +513,21 @@ def mostly(draw, usual, unusual, one_in=6):
 plain_respondents = st.sampled_from(
     ["r0", "r1", "", "r 4", "r\x0b5", "r\x0c6", "r\x1c7", "r\x1d8", "r\x1e9", "r\x8510",
      "r\u202811", "r\u202912"])
-# The field limit plus one, so a line of it is longer than csv.field_size_limit().
-LONG = "x" * (csv.field_size_limit() + 1)
+# Over the limit: a field, a line (a field one under it plus an answer) and a header.
+long_ids = st.sampled_from([LONG, LONG[:-2]])
+long_headers = st.sampled_from([f"{LONG},q1", f"respondent,{LONG}"])
 
 
 @st.composite
 def survey_texts(draw):
     """Texts of which about half are plain (one-digit answers, line-feed
     line ends, no quotes), which are split, and the rest fall back to the
-    reader."""
+    reader. Now and then a field, a line or the header is over `LIMIT`."""
     plain = draw(st.booleans())
     k = draw(st.integers(1, 4))
     header = mostly(draw, st.just("respondent," + ",".join(f"q{i}" for i in range(1, k + 1))),
-                    st.sampled_from(["id,q1", f"respondent,q2,q{k + 2}", "respondent", ""]))
+                    st.sampled_from(["id,q1", f"respondent,q2,q{k + 2}", "respondent", ""])
+                    | long_headers)
     if plain:
         ids, odd, one_in = plain_respondents, st.sampled_from("06789"), 6
     else:
@@ -524,7 +540,7 @@ def survey_texts(draw):
             continue
         width = mostly(draw, st.just(k), st.sampled_from([k - 1, k + 1]))
         answers = [mostly(draw, st.sampled_from("12345"), odd, one_in) for _ in range(width)]
-        lines.append(",".join([draw(ids), *answers]))
+        lines.append(",".join([mostly(draw, ids, long_ids, 12), *answers]))
     newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
@@ -549,9 +565,20 @@ class TestColumnReaderMatchesRowReader:
     @example("respondent,q1\n\"r0\",1\nr1,\"2\"\n")  # quoted fields are unquoted
     @example("respondent,q1,q2\nr0,1,2\nr1,3,4,5\nr2,1\n")  # one field too many, too few
     @example("respondent,q1,q2\nr0,1,2\nr1,3\nr2,1,2,3\n")  # too few, then too many
+    @example(f"respondent,q1\nr0,1,2\n{LONG},1\n")  # a ragged line before an over-limit one
+    @example(f"respondent,qq\n{LONG},1\n")  # a bad header before an over-limit line
+    @example(f"{LONG},q1\nr0,1\n")  # an over-limit header
+    @example("respondent,q1,q2\nr0,1,x\nr1,2\n")  # a non-integer answer, then a ragged line
+    @example("respondent,q1,q2\nr0,1\nr1,2,x\n")  # a ragged line, then a non-integer answer
+    @example('respondent,q1,q2\n"r0",1,x\n"r1",2\n')  # both again, quoted
+    @example('respondent,q1,q2\n"r0",1\n"r1",2,x\n')
     def test_same_columns_and_errors(self, text):
-        got = outcome(read_survey_csv, text)
-        expected = outcome(reference_read_survey_csv, text)
+        limit = csv.field_size_limit(LIMIT)
+        try:
+            got = outcome(read_survey_csv, text)
+            expected = outcome(reference_read_survey_csv, text)
+        finally:
+            csv.field_size_limit(limit)
         if expected[0] != "ok":
             assert got == expected
             return
@@ -573,6 +600,23 @@ class TestColumnReaderMatchesRowReader:
         cmap = ConstructMap(("c",), ((0.5, 0.5),))
         with pytest.raises(ValueError, match=r"^respondent 'r1' answer 7 outside \[1, 5\]$"):
             check_survey(survey, cmap, 5)
+
+    @pytest.mark.parametrize("text", [
+        'respondent,q1,q2\n"r0",1,2\n"r1",3\n',
+        'respondent,q1,q2\n"r0",1,2\n"r1",3,x\n',
+        'respondent,q1,q2\n"r0",1,2\n"r1",3,4\n',
+        "respondent,q1,q2\nr0,1,2\nr1,3,x\n",
+    ], ids=["quoted-ragged", "quoted-non-integer", "quoted-valid", "plain-non-integer"])
+    def test_a_read_constructs_at_most_one_reader(self, monkeypatch, text):
+        reader, readers = csv.reader, []
+
+        def counted(*args, **kwargs):
+            readers.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", counted)
+        outcome(read_survey_csv, text)
+        assert len(readers) <= 1
 
     def test_oversized_field_is_a_value_error(self):
         text = "respondent,q1\nr0,1\n\"" + "x" * 200_000 + "\",1\n"
