@@ -46,12 +46,14 @@ from .serialize import FloatText, csv_table, dump_json, float_texts, json_rows
 # that, on its first call, imports the module and binds the real function
 # here, unless the name was rebound (a tracing wrapper, a test's replacement).
 _LAZY = {
-    "survey": ("aggregate_survey", "answer_floats", "check_survey", "fit_target",
-               "read_survey_csv", "rescale_answer", "respondent_scores"),
+    "survey": ("aggregate_survey", "answer_floats", "fit_target", "rescale_answer",
+               "respondent_scores"),
+    "survey_csv": ("check_survey", "read_survey_csv"),
     "policy_sim": ("DynamicsConfig", "normalize_ternary", "run_sweep"),
     "evaluator": ("evaluate_policies", "profile_slug", "select_best"),
     "we_model": ("consensus_curve", "sample_surface", "surface_terms"),
-    "coupling": ("check_consensus", "propagate_network"),
+    "consensus": ("check_consensus",),
+    "coupling": ("propagate_network",),
 }
 
 

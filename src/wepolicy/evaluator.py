@@ -5,21 +5,126 @@ vector through a weighting profile's coupling, the fitted target scores the
 result, and rows are ranked by score (ties to the smallest policy id).
 Different profiles express different social/environmental/economic
 emphases and generally select different policies.
+
+The fact coupling (`FactCoupling`, `couple_rows`) lives here, next to its
+only caller, so selecting policies loads neither `coupling` nor `graphs`.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-# `apply_fact_coupling` stays importable from here: perfbench/tracer.py wraps it.
-from .coupling import FactCoupling, apply_fact_coupling, couple_rows
-from .errors import _cut, _quote
+from .errors import DimensionError, _cut, _quote
+from .numeric import dot
 from .scenario import Scenario, _check, _floats, _matrix, _object, _str
 
 if TYPE_CHECKING:  # annotations only; a scenario's profiles load neither module
     from .policy_sim import SweepTable
     from .survey import RegressionModel
+
+ADDITIVE = "additive"
+MULTIPLICATIVE = "multiplicative"
+
+# Relative perturbation above which fact coupling warns. The coupling is
+# meant to nudge a consensus, not replace it; 20% is the default ceiling.
+DEFAULT_WARN_THRESHOLD = 0.2
+
+
+class FactCoupling(namedtuple("FactCoupling", "mode matrix warn_threshold")):
+    """Perturbative coupling of fact indicators into the subjective vector.
+
+    additive:        x_w' = x_w + C @ x_c
+    multiplicative:  x_w'_j = x_w_j * (1 + (C @ x_c)_j)
+
+    A zero fact vector leaves x_w untouched in both modes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, mode: str, matrix: tuple[tuple[float, ...], ...],
+                warn_threshold: float = DEFAULT_WARN_THRESHOLD):
+        if mode not in (ADDITIVE, MULTIPLICATIVE):
+            raise ValueError(f"mode must be additive or multiplicative, got {_quote(mode)}")
+        if not matrix:
+            raise ValueError("coupling matrix must have at least one row")
+        width = len(matrix[0])
+        if any(len(row) != width for row in matrix):
+            raise ValueError("coupling matrix rows must all have the same length")
+        if not warn_threshold >= 0:
+            raise ValueError("warn threshold must be >= 0")
+        return super().__new__(cls, mode, matrix, warn_threshold)
+
+    @property
+    def subjective_dim(self) -> int:
+        return len(self.matrix)
+
+    @property
+    def fact_dim(self) -> int:
+        return len(self.matrix[0])
+
+
+class CouplingResult(NamedTuple):
+    x_w_prime: tuple[float, ...]
+    perturbation_ratio: float
+    warned: bool
+
+
+def couple_rows(g: FactCoupling, x_w: Sequence[float], rows: Sequence[Sequence[float]]):
+    """Couple a block of fact rows into x_w, one numpy column per element.
+
+    Returns (x_w' columns, perturbation ratio column), both float64 arrays
+    over `rows`. Every element is computed as the scalar formula would:
+    each shift is a `dot` over the fact columns from a zero column, and the
+    perturbation keeps the first maximum, as builtin `max` does. Overflow
+    yields inf (or NaN) unwarned; callers decide whether that is a failure.
+    """
+    # Imported here so that commands which never couple start without numpy.
+    import numpy as np
+
+    if len(x_w) != g.subjective_dim:
+        raise DimensionError(
+            f"x_w has length {len(x_w)}, coupling expects {g.subjective_dim}"
+        )
+    dim = g.fact_dim
+    for x_c in rows:
+        if len(x_c) != dim:
+            raise DimensionError(f"x_c has length {len(x_c)}, coupling expects {dim}")
+    facts = np.array(rows, dtype=float).reshape(len(rows), dim)
+    if not all(math.isfinite(v) for v in x_w) or not np.isfinite(facts).all():
+        raise ValueError("fact coupling requires finite inputs")
+
+    norm = max(max(abs(w) for w in x_w), 1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prime = []
+        for wv, row in zip(x_w, g.matrix):
+            shift = dot(row, facts.T, np.zeros(len(rows)))
+            prime.append(wv + shift if g.mode == ADDITIVE else wv * (1.0 + shift))
+        delta = None
+        for p, wv in zip(prime, x_w):
+            d = abs(p - wv)
+            delta = d if delta is None else np.where(d > delta, d, delta)
+        return prime, delta / norm
+
+
+def apply_fact_coupling(
+    g: FactCoupling, x_w: Sequence[float], x_c: Sequence[float]
+) -> CouplingResult:
+    """Couple facts into the subjective vector and measure the perturbation.
+
+    perturbation_ratio = ||x_w' - x_w||_inf / max(||x_w||_inf, 1e-9);
+    `warned` flags ratios above the coupling's threshold. This is
+    `couple_rows` on a single row.
+    """
+    prime, ratio = couple_rows(g, x_w, (x_c,))
+    r = float(ratio[0])
+    return CouplingResult(
+        x_w_prime=tuple(float(col[0]) for col in prime),
+        perturbation_ratio=r,
+        warned=r > g.warn_threshold,
+    )
 
 
 class WeightingProfile(NamedTuple):

@@ -33,7 +33,8 @@ from .numeric import left_sum
 # loading a scenario loads only the modules its sections build. Parsing
 # `survey` never loads the survey module, which reads the survey file.
 if TYPE_CHECKING:
-    from .coupling import LinearMap, ParameterNetwork
+    from .consensus import LinearMap
+    from .coupling import ParameterNetwork
     from .evaluator import WeightingProfile
     from .logicmodel import FactBinding, LogicModel
     from .policy_sim import DynamicsConfig
@@ -344,11 +345,13 @@ def parse_survey(sc: Scenario, raw):
 # value_functions; mapping_f and survey read element_sets; weighting_profiles
 # read survey and element_sets; sweep reads dynamics; surface and curve read
 # layers; and consensus reads layers and mapping_f. Any other key is ignored.
+# `mapping_f` (the `consensus` module) and `parameter_network` (`coupling`,
+# which loads `graphs`) have separate parser modules, so neither loads the other.
 _SECTIONS = (
     ("value_functions", "valuefn", "parse_value_functions"),
     ("element_sets", "scenario", "parse_element_sets"),
     ("layers", "we_model", "parse_layers"),
-    ("mapping_f", "coupling", "parse_mapping_f"),
+    ("mapping_f", "consensus", "parse_mapping_f"),
     ("parameter_network", "coupling", "parse_parameter_network"),
     ("survey", "scenario", "parse_survey"),
     ("dynamics", "policy_sim", "parse_dynamics"),

@@ -20,8 +20,8 @@ from .scenario import Scenario, _check, _float, _object, _str, _vector, grid_val
 from .valuefn import (AsymmetricSpec, MirroredFamily, ValueCurve, ValueFunctionSpec,
                       quadratic_monotone_limit)
 
-if TYPE_CHECKING:  # only consensus reads coupling, so `surface` never loads it
-    from .coupling import ScopeFunction
+if TYPE_CHECKING:  # only consensus reads it, so `surface` never loads `consensus`
+    from .consensus import ScopeFunction
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -62,7 +62,7 @@ class WELayer:
     def scope_function(self) -> ScopeFunction:
         """The layer's map from an element vector to its value; needs
         `element_weights`."""
-        from .coupling import ScopeFunction
+        from .consensus import ScopeFunction
 
         return ScopeFunction(self.element_weights, self.value_function)
 
@@ -320,7 +320,7 @@ def parse_consensus(sc: Scenario, raw):
             )
     if len(layers) < 2 or where in sc.failed:
         return
-    from .coupling import apply_map  # loaded already: it parsed mapping_f
+    from .consensus import apply_map  # `consensus` is loaded already: it parsed mapping_f
 
     # A layer's input at probe p: its weights times f(p) (narrow) or p (wide).
     mapped = [apply_map(f, p) for p in probes]

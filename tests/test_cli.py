@@ -1130,16 +1130,31 @@ argv = [command, "--scenario", scenario]
 if command != "validate":
     argv += ["--out", out]
 assert cli.main(argv) == 0, command
-print(json.dumps(sorted(sys.modules)))
+# The functions and classes that a loaded module defines at its top level.
+defined = {
+    attr for name, module in list(sys.modules.items()) if name.startswith("wepolicy.")
+    for attr, obj in vars(module).items()
+    if (getattr(obj, "__module__", None), getattr(obj, "__qualname__", None)) == (name, attr)
+}
+print(json.dumps(sorted({*sys.modules, *defined})))
 """
 
+# Each row names modules (dotted) and functions or classes (bare names, in
+# whichever module defines them) that the command must not load.
 # What a scenario holding only a logic model and a parameter network does
 # not need; what the commands that never read the survey file do not need
 # on pipeline.json; and what `surface` on fig2.json and `consensus-check`
 # on consensus.json do not need; `surface` needs no `coupling` or graphs
 # either. On pipeline.json, `fit` and `sweep` need
-# neither the map and network module (`coupling`) nor the graphs, and
-# `impact` does not need `coupling`.
+# neither the parameter network module (`coupling`) nor the graphs, and
+# `impact` does not need `coupling`. The consensus check (`consensus`) and
+# the fact coupling (`evaluator`) are loaded only by the commands that run
+# them: `network` loads neither, and `consensus-check` and `select` load
+# neither the network nor the graphs. `validate` reads the survey file
+# through `survey_csv` alone, so it loads neither `survey` nor `dataclasses`.
+CONSENSUS_CODE = ("wepolicy.consensus", "check_consensus")
+FACT_COUPLING_CODE = ("wepolicy.evaluator", "FactCoupling")
+NETWORK_CODE = ("wepolicy.coupling", "wepolicy.graphs", "heapq", "ParameterNetwork")
 GRAPHS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
                  "wepolicy.we_model", "dataclasses", "numpy")
 PIPELINE_UNUSED = ("wepolicy.survey", "dataclasses", "numpy")
@@ -1151,20 +1166,25 @@ LAYERS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
 
 
 @pytest.mark.parametrize("command, fixture, unused", [
-    ("validate", None, GRAPHS_UNUSED),
+    ("validate", None, GRAPHS_UNUSED + CONSENSUS_CODE),
     ("impact", None, GRAPHS_UNUSED),
-    ("network", None, GRAPHS_UNUSED),
+    ("network", None, GRAPHS_UNUSED + CONSENSUS_CODE + FACT_COUPLING_CODE),
     ("surface", "fig2.json", LAYERS_UNUSED + UNCOUPLED),
-    ("consensus-check", "consensus.json", LAYERS_UNUSED),
+    ("consensus-check", "consensus.json",
+     LAYERS_UNUSED + NETWORK_CODE + FACT_COUPLING_CODE),
     ("fit", "pipeline.json", FIT_UNUSED),
     ("sweep", "pipeline.json", PIPELINE_UNUSED + UNCOUPLED),
+    ("select", "pipeline.json", NETWORK_CODE + CONSENSUS_CODE),
     ("impact", "pipeline.json", PIPELINE_UNUSED + ("wepolicy.coupling",)),
-    ("network", "pipeline.json", PIPELINE_UNUSED),
+    ("network", "pipeline.json", PIPELINE_UNUSED + CONSENSUS_CODE + FACT_COUPLING_CODE),
+    ("validate", "pipeline.json", PIPELINE_UNUSED + CONSENSUS_CODE),
 ], ids=["validate", "impact", "network", "surface", "consensus-check",
-        "fit-pipeline", "sweep-pipeline", "impact-pipeline", "network-pipeline"])
+        "fit-pipeline", "sweep-pipeline", "select-pipeline", "impact-pipeline",
+        "network-pipeline", "validate-pipeline"])
 def test_a_command_loads_only_what_it_uses(fixtures_dir, tmp_path, command, fixture, unused):
-    """A fresh interpreter running one command imports none of the modules
-    of the pipelines that the command and its scenario do not use."""
+    """A fresh interpreter running one command imports none of the modules,
+    and defines none of the functions, of the pipelines that the command
+    and its scenario do not use."""
     if fixture is None:
         doc = json.loads((fixtures_dir / "pipeline.json").read_text())
         scenario = tmp_path / "graphs.json"
@@ -1258,6 +1278,73 @@ def test_loading_every_section_loads_no_survey_module(fixtures_dir):
     parsers = ("wepolicy.coupling", "wepolicy.policy_sim", "wepolicy.evaluator",
                "wepolicy.logicmodel")
     assert [m for m in parsers if m not in loaded] == []
+
+
+def test_loading_the_policy_sections_loads_no_graph_module(fixtures_dir, tmp_path):
+    """A scenario of the policy pipeline alone, as the policy workloads'
+    set-up probe loads it, builds its profiles' fact couplings in
+    `evaluator`, without the parameter network module or the graphs."""
+    doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+    scenario = tmp_path / "policy.json"
+    policy = ("element_sets", "survey", "dynamics", "sweep", "weighting_profiles")
+    scenario.write_text(json.dumps({k: doc[k] for k in policy}))
+    loaded = json.loads(run_probe(SCENARIO_LOAD_PROBE, scenario).stdout.splitlines()[-1])
+    assert "wepolicy.evaluator" in loaded
+    assert [m for m in ("wepolicy.coupling", "wepolicy.graphs", "heapq") if m in loaded] == []
+
+
+# The names that moved out of `coupling` and `survey`, by their new module.
+MOVED = {
+    "coupling": {
+        "consensus": ("Saturator", "LinearMap", "apply_map", "ScopeFunction",
+                      "ConsensusReport", "check_consensus", "parse_mapping_f"),
+        "evaluator": ("FactCoupling", "CouplingResult", "couple_rows", "apply_fact_coupling",
+                      "ADDITIVE", "MULTIPLICATIVE", "DEFAULT_WARN_THRESHOLD"),
+    },
+    "survey": {"survey_csv": ("SurveyColumns", "read_survey_csv", "check_survey")},
+}
+
+
+def test_moved_names_import_from_their_old_module():
+    """Each name moved out of `coupling` or `survey` imports from there as
+    the same object as from its new module."""
+    import importlib
+
+    for old, homes in MOVED.items():
+        old_module = importlib.import_module(f"wepolicy.{old}")
+        for new, names in homes.items():
+            new_module = importlib.import_module(f"wepolicy.{new}")
+            for name in names:
+                assert getattr(old_module, name) is getattr(new_module, name), (old, name)
+
+
+SPLIT_PROBE = """
+import json, sys
+
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+
+import wepolicy.survey_csv
+out = {"survey_csv": loaded("dataclasses", "wepolicy.survey")}
+import wepolicy.coupling
+out["coupling"] = loaded("wepolicy.consensus", "wepolicy.evaluator")
+out["hasattr"] = hasattr(wepolicy.coupling, "no_such_name")
+out["after_miss"] = loaded("wepolicy.consensus", "wepolicy.evaluator")
+from wepolicy.coupling import check_consensus
+out["after_hit"] = loaded("wepolicy.consensus", "wepolicy.evaluator")
+print(json.dumps(out))
+"""
+
+
+def test_the_old_modules_load_the_moved_code_only_on_access():
+    """In a fresh interpreter, `survey_csv` loads no `dataclasses`, and
+    `coupling` loads neither `consensus` nor `evaluator` until one of their
+    names is read from it. An unknown name raises AttributeError and loads
+    nothing, so `hasattr` answers False (the topological-sort counter above
+    relies on it)."""
+    out = json.loads(run_probe(SPLIT_PROBE).stdout.splitlines()[-1])
+    assert out == {"survey_csv": [], "coupling": [], "hasattr": False, "after_miss": [],
+                   "after_hit": ["wepolicy.consensus"]}
 
 
 LAZY_READ_PROBE = """

@@ -34,13 +34,18 @@ sys.path.insert(0, sys.argv[1])
 import tracer
 
 fixtures, out = sys.argv[2:]
+runs = [(command, "pipeline.json") for command in ("fit", "impact", "sweep", "select", "network")]
+runs.insert(2, ("consensus-check", "consensus.json"))
+spans = {}
 with tracer.Tracer() as traced:
     from wepolicy import cli
 
-    for command in ("fit", "impact", "sweep", "select"):
-        argv = [command, "--scenario", f"{fixtures}/pipeline.json", "--out", f"{out}/{command}"]
+    for command, fixture in runs:
+        first = len(traced.spans)
+        argv = [command, "--scenario", f"{fixtures}/{fixture}", "--out", f"{out}/{command}"]
         assert cli.main(argv) == 0, command
-print(json.dumps(sorted({span[0] for span in traced.spans})))
+        spans[command] = sorted({span[0] for span in traced.spans[first:]})
+print(json.dumps(spans))
 """
 
 
@@ -49,7 +54,10 @@ def test_wrappers_see_the_calls_of_a_fresh_process(fixtures_dir, tmp_path):
     function the command calls, so its span is recorded. The table writers'
     counter reads the header and the first column, so a writer call without
     a column (say, `sweep`'s `skipped.json` when nothing is skipped, as on
-    `pipeline.json`) fails the traced run."""
+    `pipeline.json`) fails the traced run. The consensus check and the
+    parameter network are timed through the names the tracer wraps, also
+    though they are defined in separate modules: `network`'s spans include
+    its topological sort, which the tracer wraps on `coupling`."""
     src = str(Path(wepolicy.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(TRACER.parent), str(fixtures_dir), str(tmp_path)],
@@ -57,9 +65,12 @@ def test_wrappers_see_the_calls_of_a_fresh_process(fixtures_dir, tmp_path):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    spans = set(json.loads(proc.stdout.splitlines()[-1]))
+    by_command = json.loads(proc.stdout.splitlines()[-1])
+    spans = set().union(*by_command.values())
     assert {"scenario.load", "survey.read", "survey.fit", "logicmodel.propagate",
             "policy_sim.sweep", "evaluator.evaluate", "serialize.csv", "serialize.json"} <= spans
+    assert "coupling.consensus" in by_command["consensus-check"]
+    assert {"coupling.network", "graphs.topo"} <= set(by_command["network"])
 
 
 TRACED_VALIDATE = """
