@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import scenario
-from .errors import RankDeficiencyError, ScenarioError, _quote
+from .errors import RankDeficiencyError, ScenarioError, _cut, _quote
 from .scenario import Scenario, load_scenario, read_scenario_file
 from .serialize import FloatText, csv_table, dump_json, float_texts, json_rows
 
@@ -196,6 +196,7 @@ def _cmd_select(sc: Scenario, fmt: str, warnings: list[str]):
         ranks = range(1, len(ranked.policy_ids) + 1)
         yield _table(fmt, f"ranked_{profile_slug(profile.name)}", header,
                      ranks, ranked.policy_ids, ranked.w_prime, *ranked.x_w_prime)
+        del ranked  # not held while the next profile is evaluated
     yield "selection.json", dump_json(selection)
 
 
@@ -279,6 +280,14 @@ def _write_outputs(out: Path, outputs: Iterable[tuple[str, str]]) -> list[str]:
     return names
 
 
+def _os_error(err: OSError) -> str:
+    """`str(err)`, each file name cut as `_quote` cuts a finding's name."""
+    if err.errno is None or err.filename is None:
+        return _cut(str(err))
+    names = (_quote(name) for name in (err.filename, err.filename2) if name is not None)
+    return f"[Errno {err.errno}] {err.strerror}: {' -> '.join(names)}"
+
+
 def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
         seed: int | None = None) -> int:
     """Run one command; returns the process exit code.
@@ -314,7 +323,7 @@ def run(command: str, scenario_path: str, out_dir: str, fmt: str = "csv",
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_os_error(err)}", file=sys.stderr)
         return EXIT_IO
 
     report = {
@@ -375,7 +384,7 @@ def _run_validate(scenario_path: str) -> int:
     try:
         errors, warnings = validate_scenario(scenario_path)
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_os_error(err)}", file=sys.stderr)
         return EXIT_IO
     print(dump_json({"ok": not errors, "errors": errors, "warnings": warnings}), end="")
     return EXIT_OK if not errors else EXIT_VALIDATION

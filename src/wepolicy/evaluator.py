@@ -27,6 +27,8 @@ if TYPE_CHECKING:  # annotations only; a scenario's profiles load neither module
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
+# The longest (ASCII) slug whose `ranked_<slug>.json` fits a 255-byte file name.
+MAX_SLUG = 255 - len("ranked_.json")
 
 # Relative perturbation above which fact coupling warns. The coupling is
 # meant to nudge a consensus, not replace it; 20% is the default ceiling.
@@ -246,6 +248,10 @@ def parse_weighting_profiles(sc: Scenario, raw):
         if profile is None:
             continue
         sc.profiles.append(profile)
+        slug = profile_slug(profile.name)  # here, so a long name's matrix is checked too
+        if len(slug) > MAX_SLUG:
+            sc.error(f"weighting_profiles[{i}].name: slug {_cut(slug)} is over {MAX_SLUG} "
+                     f"characters, too long for the file name ranked_<slug>.json")
         where = f"weighting_profiles[{_quote(profile.name)}].matrix"
         rows, cols = profile.coupling.subjective_dim, profile.coupling.fact_dim
         if subjective is not None and rows != len(subjective):

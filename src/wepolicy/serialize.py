@@ -50,7 +50,7 @@ def csv_table(header: Sequence[str], *columns: Sequence[object]) -> str:
     """
     _check_columns(header, columns)
     body = map(",".join, zip(*[_column(col, _cell) for col in columns]))
-    return "\n".join([",".join(header), *body]) + "\n"
+    return "\n".join([",".join(header), *body, ""])  # no second copy to add the last "\n"
 
 
 def _check_columns(header: Sequence[str], columns: Sequence[Sequence[object]]):

@@ -13,8 +13,7 @@ column is read into numpy as a buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import DimensionError, RankDeficiencyError
 from .numeric import dot
@@ -71,10 +70,7 @@ def answer_floats(answers: Sequence[int]):
     return np.array(answers, dtype=float)
 
 
-# A dataclass, unlike the other value types: callers rescale a fitted
-# model with `dataclasses.replace`.
-@dataclass(frozen=True)
-class RegressionModel:
+class RegressionModel(NamedTuple):
     """Fitted linear target: intercept + coefficients over named variables."""
 
     intercept: float

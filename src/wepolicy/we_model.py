@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import scenario
@@ -37,10 +36,7 @@ class WEScope(namedtuple("WEScope", "label")):
         return super().__new__(cls, label)
 
 
-# A dataclass, unlike the other value types: callers vary one field of a
-# layer with `dataclasses.replace`.
-@dataclass(frozen=True)
-class WELayer:
+class WELayer(namedtuple("WELayer", "scope value_function weight element_weights")):
     """One scope's contribution: value function, weight, optional aggregator.
 
     `element_weights` turns an element vector into the layer's scalar input
@@ -48,16 +44,13 @@ class WELayer:
     assignments can leave it None.
     """
 
-    scope: WEScope
-    value_function: ValueCurve
-    weight: float
-    element_weights: tuple[float, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(
-                f"layer {_quote(self.scope.label)} weight must be in [0, 1], got {self.weight}"
-            )
+    def __new__(cls, scope: WEScope, value_function: ValueCurve, weight: float,
+                element_weights: tuple[float, ...] | None = None):
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(f"layer {_quote(scope.label)} weight must be in [0, 1], got {weight}")
+        return super().__new__(cls, scope, value_function, weight, element_weights)
 
     def scope_function(self) -> ScopeFunction:
         """The layer's map from an element vector to its value; needs

@@ -8,7 +8,6 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -28,9 +27,9 @@ from wepolicy.evaluator import WeightingProfile, evaluate_policies, select_best
 from wepolicy.logicmodel import Edge, LogicModel, Node, propagate, validate
 from wepolicy.policy_sim import DynamicsConfig, PolicyKnobs, SweepRow, SweepTable, run_policy, run_sweep
 from wepolicy.scenario import load_scenario
-from wepolicy.survey import fit_target, predict
+from wepolicy.survey import RegressionModel, fit_target, predict
 from wepolicy.valuefn import AsymmetricSpec, asymmetric_derivative, evaluate_asymmetric
-from wepolicy.we_model import WellbeingModel, aggregate, sample_surface, weighted_pair
+from wepolicy.we_model import WELayer, WellbeingModel, aggregate, sample_surface, weighted_pair
 
 
 @contextmanager
@@ -81,8 +80,8 @@ def test_criterion_2_consensus_collapse(fixtures_dir):
             target = wide_layer.value_function(w_scalar)
             for r in (0.0, 0.25, 0.5, 0.75, 1.0):
                 model = WellbeingModel(layers=(
-                    replace(narrow_layer, weight=r),
-                    replace(wide_layer, weight=1.0 - r),
+                    WELayer(**dict(narrow_layer._asdict(), weight=r)),
+                    WELayer(**dict(wide_layer._asdict(), weight=1.0 - r)),
                 ))
                 got = aggregate(model, {
                     narrow_layer.scope.label: n_scalar,
@@ -195,8 +194,9 @@ def test_criterion_5_selection_oracle():
         assert [r.policy_id for r in tie_ranked.rows[:2]] == [3, 7]
         assert select_best(tie_ranked) == 3
 
-        scaled = replace(target, intercept=7.3 * target.intercept,
-                         coefficients=tuple(7.3 * c for c in target.coefficients))
+        scaled = RegressionModel(**dict(
+            target._asdict(), intercept=7.3 * target.intercept,
+            coefficients=tuple(7.3 * c for c in target.coefficients)))
         scaled_ranked = evaluate_policies(scaled, baseline, profile, table)
         assert [r.policy_id for r in ranked.rows] == [r.policy_id for r in scaled_ranked.rows]
 

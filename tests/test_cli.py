@@ -1,5 +1,6 @@
 import copy
 import csv
+import errno
 import gc
 import glob
 import hashlib
@@ -23,6 +24,7 @@ import wepolicy
 
 from wepolicy.cli import main, run
 from wepolicy.logicmodel import BINDABLE_STAGES, STAGES
+from wepolicy.policy_sim import KNOB_RANGES
 from wepolicy.valuefn import FAMILIES
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -506,6 +508,33 @@ class TestRejectedInputs:
                                     "--out", str(out))
         assert (code, stdout, err) == (1, "", f"error: {finding}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("length", [243, 244])
+    def test_a_profile_slug_fits_a_file_name(self, capsys, tmp_path, fixtures_dir, length):
+        """`select` writes `ranked_<slug>.json`, so a slug over 243 characters
+        would pass the 255-byte file name limit: it is a finding of
+        `validate`, and `select` exits 1 with it in both formats."""
+        name = "n" * length
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        doc["weighting_profiles"][0]["name"] = name
+        scenario = tmp_path / "pipeline.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        shutil.copy(fixtures_dir / "survey.csv", tmp_path / "survey.csv")
+        findings = [] if length == 243 else [
+            f"weighting_profiles[0].name: slug {name[:80]}... (244 characters) is over 243 "
+            "characters, too long for the file name ranked_<slug>.json"]
+        code, stdout, _ = run_cli(capsys, "validate", "--scenario", str(scenario))
+        assert (code, json.loads(stdout)["errors"]) == (len(findings), findings)
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            code, stdout, err = run_cli(capsys, "select", "--scenario", str(scenario),
+                                        "--out", str(out), "--format", fmt)
+            if findings:
+                assert (code, stdout, err) == (1, "", f"error: {findings[0]}\n")
+                assert not out.exists()
+            else:
+                assert code == 0, err
+                assert (out / f"ranked_{name}.{fmt}").is_file()
 
     @pytest.mark.parametrize("fixture, mutate, command, findings", [
         ("pipeline.json", lambda doc: profiles_of_two_facts(doc, keep_x_c=False), "select",
@@ -1097,9 +1126,8 @@ print(sorted(
 
 
 def test_value_types_are_not_dataclasses():
-    """The package builds only the two dataclasses whose
-    `dataclasses.replace` callers exist; every other value type is a named
-    tuple, which needs no code generated at import."""
+    """The package builds no dataclass: every value type is a named tuple,
+    which needs no code generated at import."""
     src = str(Path(wepolicy.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", DATACLASS_PROBE],
@@ -1107,7 +1135,7 @@ def test_value_types_are_not_dataclasses():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['wepolicy.survey.RegressionModel', 'wepolicy.we_model.WELayer']\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_only_the_fit_loads_numpy(fixtures_dir, tmp_path):
@@ -1151,7 +1179,8 @@ print(json.dumps(sorted({*sys.modules, *defined})))
 # the fact coupling (`evaluator`) are loaded only by the commands that run
 # them: `network` loads neither, and `consensus-check` and `select` load
 # neither the network nor the graphs. `validate` reads the survey file
-# through `survey_csv` alone, so it loads neither `survey` nor `dataclasses`.
+# through `survey_csv` alone, so it loads no `survey`. The package defines
+# no dataclass, so no command loads `dataclasses`.
 CONSENSUS_CODE = ("wepolicy.consensus", "check_consensus")
 FACT_COUPLING_CODE = ("wepolicy.evaluator", "FactCoupling")
 NETWORK_CODE = ("wepolicy.coupling", "wepolicy.graphs", "heapq", "ParameterNetwork")
@@ -1160,9 +1189,9 @@ GRAPHS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
 PIPELINE_UNUSED = ("wepolicy.survey", "dataclasses", "numpy")
 UNCOUPLED = ("wepolicy.coupling", "wepolicy.graphs")
 FIT_UNUSED = ("wepolicy.policy_sim", "wepolicy.evaluator", "wepolicy.logicmodel",
-              "wepolicy.we_model", "wepolicy.valuefn", *UNCOUPLED)
+              "wepolicy.we_model", "wepolicy.valuefn", "dataclasses", *UNCOUPLED)
 LAYERS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
-                 "wepolicy.logicmodel", "numpy")
+                 "wepolicy.logicmodel", "dataclasses", "numpy")
 
 
 @pytest.mark.parametrize("command, fixture, unused", [
@@ -1174,7 +1203,7 @@ LAYERS_UNUSED = ("wepolicy.survey", "wepolicy.evaluator", "wepolicy.policy_sim",
      LAYERS_UNUSED + NETWORK_CODE + FACT_COUPLING_CODE),
     ("fit", "pipeline.json", FIT_UNUSED),
     ("sweep", "pipeline.json", PIPELINE_UNUSED + UNCOUPLED),
-    ("select", "pipeline.json", NETWORK_CODE + CONSENSUS_CODE),
+    ("select", "pipeline.json", NETWORK_CODE + CONSENSUS_CODE + ("dataclasses",)),
     ("impact", "pipeline.json", PIPELINE_UNUSED + ("wepolicy.coupling",)),
     ("network", "pipeline.json", PIPELINE_UNUSED + CONSENSUS_CODE + FACT_COUPLING_CODE),
     ("validate", "pipeline.json", PIPELINE_UNUSED + CONSENSUS_CODE),
@@ -1270,8 +1299,8 @@ print(json.dumps(sorted(sys.modules)))
 
 def test_loading_every_section_loads_no_survey_module(fixtures_dir):
     """The `survey` section's construct map is built in `scenario`, so a
-    scenario load loads the modules of the other sections' parsers and not
-    `survey`, with its `csv` and `dataclasses`."""
+    scenario load loads the modules of the other sections' parsers and
+    neither `survey` nor `csv`."""
     proc = run_probe(SCENARIO_LOAD_PROBE, fixtures_dir / "pipeline.json")
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert [m for m in ("wepolicy.survey", "csv", "dataclasses", "numpy") if m in loaded] == []
@@ -2214,6 +2243,26 @@ class TestExitCodeContract:
                 assert code != 0, command
 
 
+    @pytest.mark.parametrize("command", ["validate", "fit"])
+    def test_an_os_error_cuts_the_file_name(self, tmp_path, capsys, fixtures_dir, command):
+        """An OS error prints its file name cut as a finding cuts a name, so a
+        100,000-character `survey.file` exits 3 printing under MAX_PRINTED."""
+        doc = json.loads((fixtures_dir / "pipeline.json").read_text())
+        doc["survey"]["file"] = "s" * 100_000
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        args = ("--out", str(out)) if command != "validate" else ()
+        code, printed, err = run_cli(capsys, command, "--scenario", str(path), *args)
+        assert (code, printed) == (3, "")
+        assert len(err.encode("utf-8")) < MAX_PRINTED
+        name = repr(str(tmp_path.resolve() / doc["survey"]["file"]))
+        strerror = os.strerror(errno.ENAMETOOLONG)
+        assert err == (f"error: [Errno {errno.ENAMETOOLONG}] {strerror}: {name[:80]}... "
+                       f"({len(name)} characters)\n")
+        assert not out.exists()
+
+
 # --- generated surface scenarios ---
 
 # Values at the float range's edges: the largest magnitudes a grid or a
@@ -2283,45 +2332,127 @@ def surface_scenarios(draw):
     return doc
 
 
+def assert_validate_predicts(capsys, path, command):
+    """`command` exits 0 in both formats exactly when `validate` is ok on
+    `path`. Otherwise it exits 1 with `validate`'s findings or 2 with its
+    first one. Reruns print and write the same bytes, and nothing printed is
+    a traceback or reaches MAX_PRINTED bytes. Outputs go beside `path`."""
+    code, printed, err = run_cli(capsys, "validate", "--scenario", str(path))
+    assert code in (0, 1) and err == ""
+    assert len(printed.encode("utf-8")) < MAX_PRINTED
+    errors = json.loads(printed)["errors"]
+    for fmt in ("csv", "json"):
+        runs = []
+        for rerun in ("first", "second"):
+            out = path.parent / f"{fmt}-{rerun}"
+            code, printed, err = run_cli(capsys, command, "--scenario", str(path),
+                                         "--out", str(out), "--format", fmt)
+            assert "Traceback" not in err
+            assert len((printed + err).encode("utf-8")) < MAX_PRINTED
+            if code == 0:
+                assert_finite_outputs(out)
+                report = json.loads(printed)
+                del report["wall_time_s"], report["outputs"]
+                runs.append((code, report, err, digests(out)))
+            else:
+                assert not out.exists()
+                runs.append((code, printed, err))
+        assert runs[0] == runs[1], fmt
+        assert (code == 0) == (not errors), (fmt, errors, err)
+        if code == 1:
+            assert err == "".join(f"error: {e}\n" for e in errors)
+        elif code == 2:
+            assert err == f"error: numerical failure: {errors[0].split(': ', 1)[1]}\n"
+
+
+def write_scenario(tmp_path, doc):
+    """`doc` written as `scenario.json` into a fresh directory under `tmp_path`."""
+    path = Path(tempfile.mkdtemp(dir=tmp_path)) / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 class TestGeneratedSurfaceScenarios:
     @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=surface_scenarios())
     def test_validate_predicts_the_surface_run(self, tmp_path, capsys, monkeypatch, doc):
-        """`surface` exits 0 in both formats exactly when `validate` is ok.
-        Otherwise it exits 1 with `validate`'s findings or 2 with its first
-        one. Reruns print and write the same bytes, and nothing printed is a
-        traceback or reaches MAX_PRINTED bytes."""
+        """`surface` runs as `validate` predicts (`assert_validate_predicts`)."""
         monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
-        work = Path(tempfile.mkdtemp(dir=tmp_path))
-        path = work / "scenario.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code, printed, err = run_cli(capsys, "validate", "--scenario", str(path))
-        assert code in (0, 1) and err == ""
-        assert len(printed.encode("utf-8")) < MAX_PRINTED
-        errors = json.loads(printed)["errors"]
-        for fmt in ("csv", "json"):
-            runs = []
-            for rerun in ("first", "second"):
-                out = work / f"{fmt}-{rerun}"
-                code, printed, err = run_cli(capsys, "surface", "--scenario", str(path),
-                                             "--out", str(out), "--format", fmt)
-                assert "Traceback" not in err
-                assert len((printed + err).encode("utf-8")) < MAX_PRINTED
-                if code == 0:
-                    assert_finite_outputs(out)
-                    report = json.loads(printed)
-                    del report["wall_time_s"], report["outputs"]
-                    runs.append((code, report, err, digests(out)))
-                else:
-                    assert not out.exists()
-                    runs.append((code, printed, err))
-            assert runs[0] == runs[1], fmt
-            assert (code == 0) == (not errors), (fmt, errors, err)
-            if code == 1:
-                assert err == "".join(f"error: {e}\n" for e in errors)
-            elif code == 2:
-                assert err == f"error: numerical failure: {errors[0].split(': ', 1)[1]}\n"
+        path = write_scenario(tmp_path, doc)
+        assert_validate_predicts(capsys, path, "surface")
+
+
+# --- generated sweep scenarios ---
+
+EDGE_SEEDS = [0, 2**63]
+EDGE_RATES = [0.0, -0.0, 5e-324, 1e300]
+RATE_KEYS = ("income_spread", "renewable_rate", "connection_rate", "connection_decay")
+# Grid list lengths: one value, one past the 10 a finding lists, and the cap.
+GRID_LENGTHS = [1, 11, FUZZ_GRID_CAP]
+# The one flaw a drawn sweep scenario may have; None, three times in ten, for none.
+SWEEP_FLAWS = [None, None, None, "agents", "steps", "seed", "rate", "knob", "pairs", "grid",
+               "work"]
+
+
+@st.composite
+def sweep_scenarios(draw):
+    """A `dynamics` and a `sweep` section, as the README's scenario format
+    describes them, with at most one of `SWEEP_FLAWS`.
+
+    Knob values are -0.0, the smallest subnormal, the range's bounds and
+    its midpoint; "knob" puts the float just past a bound into one list,
+    and "pairs" gives s + v > 1 for every (subsidy, service) pair. One list
+    is 1, 11 or the grid cap long and the others 1 ("grid": two are 11).
+    Agents + steps fill the work cap over the grid's combinations ("work":
+    one past it); "agents", "steps", "seed" and "rate" set one field below
+    its range."""
+    flaw = draw(st.sampled_from(SWEEP_FLAWS))
+    lengths = [1, 1, 1]
+    lengths[draw(st.integers(0, 2))] = draw(st.sampled_from(GRID_LENGTHS))
+    if flaw == "grid":
+        lengths = [11, 11, 1]
+    sweep = {}
+    for (knob, (lo, hi)), length in zip(KNOB_RANGES.items(), lengths):
+        values = [0.75, hi] if flaw == "pairs" and knob != "tax" else [
+            -0.0, 5e-324, lo, hi, (lo + hi) / 2]
+        sweep[knob] = draw(st.lists(st.sampled_from(values), min_size=length,
+                                    max_size=length))
+    if flaw == "knob":
+        knob = draw(st.sampled_from(list(KNOB_RANGES)))
+        lo, hi = KNOB_RANGES[knob]
+        past = draw(st.sampled_from([math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]))
+        sweep[knob][draw(st.integers(0, len(sweep[knob]) - 1))] = past
+    budget = FUZZ_WORK_CAP // math.prod(lengths) + (flaw == "work")
+    agents = draw(st.sampled_from([1, budget - 1]))
+    dynamics = {"agents": agents, "steps": budget - agents,
+                "seed": -1 if flaw == "seed" else draw(st.sampled_from(EDGE_SEEDS))}
+    if flaw in ("agents", "steps"):
+        dynamics[flaw] = 0
+    for key in RATE_KEYS:
+        if draw(st.booleans()):
+            dynamics[key] = draw(st.sampled_from(EDGE_RATES))
+    if flaw == "rate":
+        dynamics[draw(st.sampled_from(RATE_KEYS))] = -0.5
+    return {"dynamics": dynamics, "sweep": sweep}
+
+
+class TestGeneratedSweepScenarios:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=sweep_scenarios())
+    # Seed 2**63 draws 30 incomes whose sum is below 0 at this spread: the
+    # environmental indicator reaches -inf, a numerical failure.
+    @example(doc={"dynamics": {"agents": 30, "steps": 1, "seed": 2**63, "income_spread": 1e300,
+                               "renewable_rate": 1e300},
+                  "sweep": {"subsidy": [1.0], "tax": [0.5], "service": [0.0]}})
+    def test_validate_predicts_the_sweep_run(self, tmp_path, capsys, monkeypatch, doc):
+        """`sweep` runs as `validate` predicts (`assert_validate_predicts`),
+        under the lowered grid and work caps."""
+        monkeypatch.setattr("wepolicy.scenario.MAX_GRID_POINTS", FUZZ_GRID_CAP)
+        monkeypatch.setattr("wepolicy.scenario.MAX_SWEEP_WORK", FUZZ_WORK_CAP)
+        path = write_scenario(tmp_path, doc)
+        assert_validate_predicts(capsys, path, "sweep")
 
 
 # --- generated graph scenarios ---
